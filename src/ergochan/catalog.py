@@ -20,6 +20,7 @@ Three families are provided:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -196,5 +197,13 @@ def build(entry: str, params: dict) -> KrausChannel:
         )
     kwargs = {k: params[k] for k in meta.params}
     if "dim" in kwargs:
-        kwargs["dim"] = int(kwargs["dim"])
+        dim = kwargs["dim"]
+        # 8.0 (what ``--param dim=8`` parses to) is accepted; 8.7 and True are not
+        if (
+            isinstance(dim, bool)
+            or not isinstance(dim, numbers.Real)
+            or not float(dim).is_integer()
+        ):
+            raise DomainError(f"dim must be an integer, got {dim!r}")
+        kwargs["dim"] = int(dim)
     return meta.builder(**kwargs)

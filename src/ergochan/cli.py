@@ -44,10 +44,13 @@ EXIT_DECOMPOSITION = 5
 
 
 def _default_seed() -> int:
+    value = os.environ.get("ERGOCHAN_SEED", "0")
     try:
-        return int(os.environ.get("ERGOCHAN_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise DomainError(
+            f"environment variable ERGOCHAN_SEED must be an integer, got {value!r}"
+        ) from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -62,7 +65,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     ch = io.load_spec(args.spec)
-    report = channel.verify(ch, tol=args.tol, seed=args.seed)
+    report = channel.verify(ch, tol=args.tol)
     from dataclasses import asdict
 
     _emit(asdict(report), args.out)
@@ -202,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # inside the try: building the parser reads ERGOCHAN_SEED
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

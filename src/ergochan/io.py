@@ -58,10 +58,10 @@ def channel_to_spec(ch: KrausChannel) -> dict:
 
 def catalog_spec(entry: str, params: dict, name: str | None = None) -> dict:
     """Spec document that defers to a catalog builder (validated now)."""
-    catalog_mod.build(entry, params)  # fail fast on bad entry/params
+    ch = catalog_mod.build(entry, params)  # fail fast on bad entry/params
     return {
         "name": name or f"{entry}",
-        "dim": catalog_mod.build(entry, params).dim,
+        "dim": ch.dim,
         "catalog": {"entry": entry, "params": dict(params)},
     }
 
@@ -79,7 +79,7 @@ def parse_spec(doc: dict) -> KrausChannel:
             "spec must contain exactly one of 'kraus' or 'catalog'"
         )
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SpecValidationError(f"dim must be a positive integer, got {dim!r}")
 
     if has_catalog:
@@ -174,7 +174,7 @@ def analyze_channel(
     """Run the full pipeline on one channel and collect the report."""
     side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
     L = channel_mod.superoperator(ch, side)
-    ver = channel_mod.verify(ch, tol=tol, seed=seed)
+    ver = channel_mod.verify(ch, tol=tol)
     fs = ergodic.fixed_space(L, fixed_tol)
     decomp = ergodic.peripheral_decomposition(
         L,

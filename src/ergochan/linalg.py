@@ -143,13 +143,10 @@ def null_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     columns wide).
     """
     M = _require_square(as_matrix(M))
-    n = M.shape[0]
-    s = singular_values(M)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n, dtype=complex)
     _, s, Vh = svd(M)
-    rank = int(np.sum(s >= tol * smax))
+    if s[0] == 0.0:
+        return np.eye(M.shape[0], dtype=complex)
+    rank = int(np.sum(s >= tol * s[0]))
     return Vh[rank:].conj().T
 
 

@@ -193,3 +193,12 @@ class TestRegistry:
             build("pauli-xy", {"p": 0.3, "dim": 2})
         with pytest.raises(DomainError):
             build("shift", {"p": 0.3})
+
+    def test_integral_float_dim_accepted(self):
+        # what ``--param dim=8`` parses to
+        assert build("shift", {"p": 0.5, "dim": 8.0}).dim == 8
+
+    @pytest.mark.parametrize("dim", [8.7, True, float("nan")])
+    def test_non_integral_dim_rejected(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            build("parity-fock", {"p": 0.3, "dim": dim})

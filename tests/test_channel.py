@@ -24,6 +24,47 @@ def random_state_like(rng, d):
     return rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
 
 
+def random_kraus_channel(rng, d, count=3, scale=1.0):
+    """Kraus family of a random Stinespring isometry, times ``scale``."""
+    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    Q, _ = np.linalg.qr(G)
+    return KrausChannel(kraus=tuple(scale * Q[k * d : (k + 1) * d] for k in range(count)))
+
+
+def choi_kron_sum(L):
+    """Reference Choi matrix: sum_ij E_ij kron phi(E_ij), term by term."""
+    n = L.shape[0]
+    d = int(round(np.sqrt(n)))
+    C = np.zeros((n, n), dtype=complex)
+    E = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E[i, j] = 1.0
+            C += np.kron(E, linalg.unvec(L @ linalg.vec(E), d))
+            E[i, j] = 0.0
+    return C
+
+
+def transpose_loop(d):
+    """Reference matrix of X -> X^T, entry by entry."""
+    K = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            K[i * d + j, j * d + i] = 1.0
+    return K
+
+
+def sampled_contraction_ok(ch, rng, tol=1e-10, samples=20):
+    """Contraction in trace norm (phi) and operator norm (phi*), sampled."""
+    ok = True
+    for _ in range(samples):
+        X = random_state_like(rng, ch.dim)
+        A = random_state_like(rng, ch.dim)
+        ok &= linalg.trace_norm(apply(ch, X)) <= linalg.trace_norm(X) + tol
+        ok &= linalg.operator_norm(apply_adjoint(ch, A)) <= linalg.operator_norm(A) + tol
+    return ok
+
+
 class TestKrausChannel:
     def test_dim(self):
         assert pauli_xy_channel(0.5).dim == 2
@@ -136,6 +177,24 @@ class TestChoi:
         C = choi_from_superoperator(T.matrix)
         assert min_choi_eigenvalue(C) == pytest.approx(-1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_reshuffle_equals_kron_sum(self, d):
+        rng = np.random.default_rng(100 + d)
+        L = superoperator(random_kraus_channel(rng, d)).matrix
+        assert np.array_equal(choi_from_superoperator(L), choi_kron_sum(L))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_transpose_map_equals_loop(self, d):
+        K = transpose_superoperator(d).matrix
+        assert np.array_equal(K, transpose_loop(d))
+        assert np.array_equal(choi_from_superoperator(K), choi_kron_sum(K))
+
+    def test_returns_a_fresh_array(self):
+        L = np.eye(1, dtype=complex)
+        C = choi_from_superoperator(L)
+        C[0, 0] = 5.0
+        assert L[0, 0] == 1.0
+
 
 class TestSuperoperator:
     def test_identity_channel(self):
@@ -192,6 +251,32 @@ class TestVerify:
         assert rep.max_kraus_sum_eigenvalue == pytest.approx(2.0, abs=1e-12)
         assert not rep.all_ok
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         ch = shift_channel(0.3, 5)
-        assert verify(ch, seed=42) == verify(ch, seed=42)
+        assert verify(ch) == verify(ch)
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            random_kraus_channel(np.random.default_rng(7), 4, scale=0.95),
+            KrausChannel(kraus=(np.sqrt(2) * np.eye(2),)),
+        ],
+        ids=["trace-decreasing", "sqrt2-identity"],
+    )
+    def test_exact_contraction_agrees_with_sampling(self, ch):
+        rep = verify(ch)
+        assert rep.contraction_ok == sampled_contraction_ok(ch, np.random.default_rng(8))
+        # Russo-Dye: no input is stretched beyond lambda_max(sum V^dag V)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            X = random_state_like(rng, ch.dim)
+            ratio = linalg.trace_norm(apply(ch, X)) / linalg.trace_norm(X)
+            assert ratio <= rep.max_kraus_sum_eigenvalue * (1 + 1e-12)
+        A = np.eye(ch.dim)
+        assert linalg.operator_norm(apply_adjoint(ch, A)) == pytest.approx(
+            rep.max_kraus_sum_eigenvalue, rel=1e-12
+        )
+
+    def test_report_has_no_sampling_fields(self):
+        fields = set(vars(verify(pauli_xy_channel(0.3))))
+        assert not fields & {"seed", "sample_size"}

@@ -39,6 +39,17 @@ def identity_channel(d):
     return KrausChannel(kraus=(np.eye(d),), label=f"identity({d})")
 
 
+def cesaro_loop(L, lam, n):
+    """Reference A_n(L/lam) by n - 1 sequential products."""
+    T = np.asarray(L, dtype=complex) / lam
+    power = T.copy()
+    acc = T.copy()
+    for _ in range(n - 1):
+        power = T @ power
+        acc += power
+    return acc / n
+
+
 class TestCesaro:
     def test_identity(self):
         L = superoperator(identity_channel(2))
@@ -57,6 +68,14 @@ class TestCesaro:
         exp = pauli_decomposition_expected(0.3)
         out = cesaro_average(L, 1.0, 10**4)
         assert linalg.operator_norm(out - exp.projectors[0]) < 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 17, 400])
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
+    def test_doubling_equals_loop(self, ch, lam, n):
+        L = superoperator(ch).matrix
+        ref = cesaro_loop(L, lam, n)
+        assert np.max(np.abs(cesaro_average(L, lam, n) - ref)) <= 1e-13
 
 
 class TestFixedSpace:
@@ -225,6 +244,14 @@ class TestDecayFit:
     def test_expanding_rejected(self):
         with pytest.raises(DomainError):
             decay_fit(2.0 * np.eye(3), 5)
+
+    def test_certificate_holds_under_transient_growth(self):
+        # non-normal: rho(S) = 0.5, yet ||S|| and ||S^2|| exceed 1
+        S = np.array([[0.5, 1.0], [0.0, 0.5]])
+        fit = decay_fit(S, 40)
+        assert min(fit.norms[:2]) > 1.0
+        for k, norm in enumerate(fit.norms):
+            assert norm <= fit.M / (1 + fit.epsilon) ** (k + 1) * (1 + 1e-12)
 
 
 class TestSplitting:

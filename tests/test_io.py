@@ -75,6 +75,12 @@ class TestSpecLoading:
                 }
             )
 
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(SpecValidationError, match="dim"):
+            io.parse_spec(
+                {"name": "x", "dim": True, "kraus": [io.matrix_to_pairs(np.eye(1))]}
+            )
+
     def test_unknown_catalog_entry(self):
         with pytest.raises(CatalogLookupError):
             io.parse_spec(
