@@ -196,6 +196,11 @@ def build(entry: str, params: dict) -> KrausChannel:
             f"missing {missing}, unexpected {extra}"
         )
     kwargs = {k: params[k] for k in meta.params}
+    if "p" in kwargs:
+        p = kwargs["p"]
+        # "0.5" would otherwise escape as a TypeError and True pass as p = 1
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise DomainError(f"p must be a real number, got {p!r}")
     if "dim" in kwargs:
         dim = kwargs["dim"]
         # 8.0 (what ``--param dim=8`` parses to) is accepted; 8.7 and True are not

@@ -122,11 +122,26 @@ def apply_adjoint(ch: KrausChannel, A) -> np.ndarray:
 
 
 def apply_n(ch: KrausChannel, X, n: int, adjoint: bool = False) -> np.ndarray:
-    """n-fold direct application (the brute-force iterate oracle)."""
-    op = apply_adjoint if adjoint else apply
+    """n-fold direct application (the brute-force iterate oracle).
+
+    Same arithmetic as n calls of :func:`apply` (or :func:`apply_adjoint`),
+    so the result is bit-identical to them; X is validated and the
+    ``V^dag`` are formed once instead of on every step.
+    """
     out = linalg.as_matrix(X)
+    d = ch.dim
+    if out.shape != (d, d):
+        raise DimensionError(f"expected {d}x{d} input, got {out.shape}")
+    daggers = [V.conj().T for V in ch.kraus]
+    if adjoint:
+        pairs = list(zip(daggers, ch.kraus))  # V^dag A V
+    else:
+        pairs = list(zip(ch.kraus, daggers))  # V X V^dag
     for _ in range(n):
-        out = op(ch, out)
+        acc = np.zeros((d, d), dtype=complex)
+        for left, right in pairs:
+            acc += left @ out @ right
+        out = acc
     return out
 
 

@@ -70,12 +70,20 @@ class FixedSpaceBasis:
 @dataclass(frozen=True)
 class PeripheralDecomposition:
     """Peripheral eigenvalues, their spectral projectors, and the stable
-    remainder of one superoperator."""
+    remainder of one superoperator.
+
+    ``stable_spectral_radius`` is rho(S) from the eigenvalues of the
+    computed ``stable``, stored when the decomposition is built (it is
+    the value the ``rho(S) < 1`` check accepted), not recomputed on
+    access.  ``eigvec_condition`` is cond(W) of the eigenvector matrix
+    the projectors were built from.
+    """
 
     dim: int
     lambdas: tuple
     projectors: tuple
     stable: np.ndarray
+    stable_spectral_radius: float
     peripheral_tol: float
     cluster_tol: float
     eigvec_condition: float
@@ -83,10 +91,6 @@ class PeripheralDecomposition:
     @property
     def projector_ranks(self) -> tuple:
         return tuple(int(round(np.real(np.trace(P)))) for P in self.projectors)
-
-    @property
-    def stable_spectral_radius(self) -> float:
-        return linalg.spectral_radius(self.stable)
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,12 @@ def peripheral_spectrum(
     Eigenvalues within ``cluster_tol`` of each other merge to their
     mean; the empty list is a valid result (strictly contractive maps).
     """
-    lam = linalg.eigvals(_as_matrix(L))
+    return _peripheral_clusters(
+        linalg.eigvals(_as_matrix(L)), peripheral_tol, cluster_tol
+    )
+
+
+def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list:
     peripheral = [z for z in lam if abs(z) >= 1.0 - peripheral_tol]
     clusters: list[list[complex]] = []
     for z in peripheral:
@@ -204,8 +213,17 @@ def spectral_projectors(
     peripheral eigenvalue, which cannot occur for exactly power-bounded
     maps, so it is reported as an error.
     """
-    M = _as_matrix(L)
-    lam, W = linalg.eig_general(M)
+    lam, W = linalg.eig_general(_as_matrix(L))
+    projectors, _ = _projectors_from_eig(
+        lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
+    )
+    return projectors
+
+
+def _projectors_from_eig(
+    lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
+) -> tuple:
+    """(projectors, cond(W)) from one eigendecomposition ``(lam, W)``."""
     cond = float(np.linalg.cond(W))
     if cond > cond_threshold:
         raise IllConditionedDecompositionError(
@@ -224,12 +242,17 @@ def spectral_projectors(
                 spectral_radius=float("nan"),
             )
         projectors.append(W[:, idx] @ Winv[idx, :])
-    return projectors
+    return projectors, cond
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
-    M = _as_matrix(L)
+    S, _ = _stable_part(_as_matrix(L), lambdas, projectors)
+    return S
+
+
+def _stable_part(M, lambdas, projectors) -> tuple:
+    """(S, rho(S)), rho from the eigenvalues of the computed S."""
     S = M.copy()
     for lam, P in zip(lambdas, projectors):
         S -= lam * P
@@ -240,7 +263,7 @@ def stable_part(L, lambdas, projectors) -> np.ndarray:
             "peripheral set was incomplete (loosen peripheral_tol)",
             spectral_radius=rho,
         )
-    return S
+    return S, rho
 
 
 def peripheral_decomposition(
@@ -253,18 +276,23 @@ def peripheral_decomposition(
 ) -> PeripheralDecomposition:
     """Full decomposition L = sum lambda P_lambda + S with cross-check.
 
-    The projectors are computed spectrally and then validated against
-    Cesaro averages of length ``cesaro_check_n``; a disagreement larger
-    than ``cesaro_check_factor / n`` (times ||L||) is an error, not a
-    warning.  Set ``cesaro_check_n=0`` to skip the (slower) check.
+    L is factorised once: the eigenvalues of that one eigendecomposition
+    are clustered into the peripheral set, and its eigenvectors give the
+    projectors and ``eigvec_condition``.  The projectors are then
+    validated against Cesaro averages of length ``cesaro_check_n``; a
+    disagreement larger than ``cesaro_check_factor / n`` (times ||L||)
+    is an error, not a warning.  Set ``cesaro_check_n=0`` to skip the
+    (slower) check.
     """
     M = _as_matrix(L)
     d = _side_dim(M)
-    lambdas = peripheral_spectrum(M, peripheral_tol, cluster_tol)
-    projectors = spectral_projectors(
-        M, lambdas, cluster_tol, peripheral_tol, cond_threshold
+    eigenvalues, W = linalg.eig_general(M)
+    lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
+    projectors, cond = _projectors_from_eig(
+        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
     )
-    S = stable_part(M, lambdas, projectors)
+    del W  # a d^2 x d^2 array: free it before the Cesaro products are allocated
+    S, rho = _stable_part(M, lambdas, projectors)
 
     if cesaro_check_n:
         scale = max(1.0, linalg.operator_norm(M))
@@ -276,18 +304,18 @@ def peripheral_decomposition(
                 raise DecompositionFailureError(
                     f"Cesaro average at lambda={lam} disagrees with the "
                     f"spectral projector: residual {resid:.3e} > {budget:.3e}",
-                    spectral_radius=linalg.spectral_radius(S),
+                    spectral_radius=rho,
                 )
 
-    _, W = linalg.eig_general(M)
     return PeripheralDecomposition(
         dim=d,
         lambdas=tuple(lambdas),
         projectors=tuple(projectors),
         stable=S,
+        stable_spectral_radius=rho,
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
-        eigvec_condition=float(np.linalg.cond(W)),
+        eigvec_condition=cond,
     )
 
 
@@ -307,26 +335,41 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     return linalg.unvec(out, d)
 
 
-def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
+def decay_fit(
+    S, n_max: int, margin: float = 1e-3, rho: float | None = None
+) -> DecayFit:
     """Geometric-decay certificate for the stable part.
 
     1 + eps is placed at (1 - margin)/rho(S), so the bound can never be
     falsified by transient growth of a non-normal S; M is then the
     smallest constant making the certificate true on the recorded
     norms.  S = 0 is reported as (M=0, eps=margin) by convention.
+
+    The norms are computed on the exact diagonal blocks of S
+    (:func:`linalg.diagonal_blocks`): S^k is block diagonal with the
+    same blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size
+    are powered and normed as one stack.  ``rho`` is rho(S) when the
+    caller already has it (e.g. ``PeripheralDecomposition``); otherwise
+    it is taken from the eigenvalues of the blocks.
     """
     S = _as_matrix(S)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    rho = linalg.spectral_radius(S)
+    stacks = _block_stacks(S)
+    if rho is None:
+        rho = max(float(np.max(np.abs(np.linalg.eigvals(B)))) for B in stacks)
     if rho >= 1.0:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")
 
-    norms = []
-    power = np.eye(S.shape[0], dtype=complex)
-    for _ in range(n_max):
-        power = power @ S
-        norms.append(linalg.operator_norm(power))
+    norms = np.zeros(n_max)
+    for B in stacks:
+        power = B
+        for k in range(n_max):
+            if k:
+                power = power @ B
+            top = np.linalg.svd(power, compute_uv=False)[:, 0].max()
+            norms[k] = max(norms[k], top)
+    norms = norms.tolist()
 
     if max(norms) <= 1e-13:
         # numerically zero stable part (e.g. pauli-xy at p = 1/2)
@@ -347,6 +390,24 @@ def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
                 f"> M/(1+eps)^n = {bound:.6e}"
             )
     return fit
+
+
+def _block_stacks(S) -> list:
+    """The diagonal blocks of S as stacks (m, k, k), one per block size.
+
+    A matrix that is one block is returned as a view of S, not a copy.
+    """
+    blocks = linalg.diagonal_blocks(S)
+    if len(blocks) == 1:
+        return [S[np.newaxis]]
+    by_size: dict = {}
+    for idx in blocks:
+        by_size.setdefault(idx.size, []).append(idx)
+    stacks = []
+    for members in by_size.values():
+        idx = np.array(members)  # (m, k)
+        stacks.append(S[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
+    return stacks
 
 
 def splitting_check(L, tol: float = DEFAULT_FIXED_TOL, sample: int = 8, seed: int = 0):

@@ -15,7 +15,7 @@ serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import SpecFormatError, SpecValidationError
 def matrix_to_pairs(M) -> list:
     """Nested [re, im] representation of a complex matrix."""
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
@@ -149,7 +149,10 @@ class AnalysisReport:
     residuals: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict.  Unlike ``dataclasses.asdict`` this does
+        not deep-copy the nested lists: the dict shares them with the
+        report, and serializes to the same JSON text."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisReport":
@@ -182,7 +185,9 @@ def analyze_channel(
         cluster_tol=cluster_tol,
         cesaro_check_n=cesaro_n,
     )
-    fit = ergodic.decay_fit(decomp.stable, decay_n_max)
+    fit = ergodic.decay_fit(
+        decomp.stable, decay_n_max, rho=decomp.stable_spectral_radius
+    )
 
     # residual summary for the projector algebra and reconstruction
     proj_resid = 0.0

@@ -169,3 +169,34 @@ def hermitize(M) -> np.ndarray:
 def spectral_radius(M) -> float:
     lam = eigvals(M)
     return float(np.abs(lam[0])) if lam.size else 0.0
+
+
+def diagonal_blocks(M) -> list:
+    """Index sets of the exact diagonal blocks of a square matrix.
+
+    The blocks are the connected components of the graph with an edge
+    i -- j wherever ``M[i, j] != 0`` or ``M[j, i] != 0`` (the structural
+    support of ``M + M^H``, so entries that would cancel in the sum
+    still couple).  Every entry outside the blocks is exactly zero, so
+    ``M`` is block diagonal under the permutation that concatenates
+    them, and so is every power of ``M``.  Blocks are ordered by their
+    smallest index, each sorted ascending; a dense matrix is one block.
+    """
+    M = _require_square(as_matrix(M))
+    coupled = M != 0
+    coupled |= coupled.T
+    n = M.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():  # breadth-first, one frontier per step
+            frontier = coupled[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks

@@ -202,3 +202,8 @@ class TestRegistry:
     def test_non_integral_dim_rejected(self, dim):
         with pytest.raises(DomainError, match="dim"):
             build("parity-fock", {"p": 0.3, "dim": dim})
+
+    @pytest.mark.parametrize("p", ["0.5", True, None, 0.5 + 0j])
+    def test_non_real_p_rejected(self, p):
+        with pytest.raises(DomainError, match="p must be a real number"):
+            build("pauli-xy", {"p": p})

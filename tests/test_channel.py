@@ -5,6 +5,7 @@ from ergochan import (
     KrausChannel,
     apply,
     apply_adjoint,
+    apply_n,
     choi,
     choi_from_superoperator,
     kraus_sum,
@@ -113,6 +114,25 @@ class TestApply:
         rho = M @ M.conj().T
         out = apply(shift_channel(0.3, 4), rho)
         assert np.linalg.eigvalsh(linalg.hermitize(out))[0] >= -1e-12
+
+
+class TestApplyN:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+    def test_bit_identical_to_repeated_apply(self, adjoint, n):
+        # reference: n separate calls of apply / apply_adjoint
+        rng = np.random.default_rng(n)
+        op = apply_adjoint if adjoint else apply
+        for ch in (random_kraus_channel(rng, 4), shift_channel(0.3, 5)):
+            X = random_state_like(rng, ch.dim)
+            ref = X
+            for _ in range(n):
+                ref = op(ch, ref)
+            assert np.array_equal(apply_n(ch, X, n, adjoint=adjoint), ref)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            apply_n(pauli_xy_channel(0.5), np.eye(3), 4)
 
 
 class TestAdjoint:

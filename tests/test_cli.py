@@ -145,6 +145,17 @@ class TestCatalogCommand:
         assert main(["catalog", "shift", "--param", "p=0.5"]) == EXIT_VALIDATION
 
 
+class TestCatalogSpecParams:
+    @pytest.mark.parametrize("p", ["0.5", True])
+    def test_non_real_p_is_a_validation_error(self, p, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        doc = {"name": "x", "dim": 8,
+               "catalog": {"entry": "parity-fock", "params": {"p": p, "dim": 8}}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == EXIT_VALIDATION
+        assert "p must be a real number" in capsys.readouterr().err
+
+
 class TestSeedEnvFallback:
     def test_env_seed_used(self, pauli_spec, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ERGOCHAN_SEED", "99")

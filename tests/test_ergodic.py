@@ -22,7 +22,7 @@ from ergochan import (
     stable_part,
     superoperator,
 )
-from ergochan import linalg
+from ergochan import ergodic, linalg
 from ergochan.errors import DegenerateInputError, DomainError
 
 CATALOG_CHANNELS = [
@@ -48,6 +48,24 @@ def cesaro_loop(L, lam, n):
         power = T @ power
         acc += power
     return acc / n
+
+
+def decay_norms_loop(S, n_max):
+    """Reference ||S^k||, k = 1..n_max, by dense products of the whole S."""
+    S = np.asarray(S, dtype=complex)
+    norms = []
+    power = np.eye(S.shape[0], dtype=complex)
+    for _ in range(n_max):
+        power = power @ S
+        norms.append(linalg.operator_norm(power))
+    return norms
+
+
+def random_stinespring_channel(seed, d, count=2):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    Q, _ = np.linalg.qr(G)
+    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count)))
 
 
 class TestCesaro:
@@ -252,6 +270,77 @@ class TestDecayFit:
         assert min(fit.norms[:2]) > 1.0
         for k, norm in enumerate(fit.norms):
             assert norm <= fit.M / (1 + fit.epsilon) ** (k + 1) * (1 + 1e-12)
+
+
+BLOCKWISE_CHANNELS = [
+    pauli_xy_channel(0.3),
+    parity_fock_channel(0.3, 8),
+    shift_channel(0.4, 8),
+    random_stinespring_channel(7, 3),
+]
+BLOCKWISE_IDS = ["pauli30", "parity8", "shift8", "random3"]
+
+
+def assert_norms_match_loop(S, n_max=40, rtol=1e-13):
+    got = np.array(decay_fit(S, n_max).norms)
+    ref = np.array(decay_norms_loop(S, n_max))
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+
+class TestDecayFitBlockwise:
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("ch", BLOCKWISE_CHANNELS, ids=BLOCKWISE_IDS)
+    def test_norms_match_dense_loop(self, ch, side):
+        decomp = peripheral_decomposition(superoperator(ch, side))
+        assert_norms_match_loop(decomp.stable)
+
+    def test_catalog_stable_parts_split(self):
+        # the certificate only gains where S really has several blocks
+        for ch in BLOCKWISE_CHANNELS[:3]:
+            S = peripheral_decomposition(superoperator(ch)).stable
+            assert len(linalg.diagonal_blocks(S)) > 1
+
+    def test_zero(self):
+        assert_norms_match_loop(np.zeros((4, 4)))
+
+    def test_transient_growth(self):
+        assert_norms_match_loop(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_permuted_blocks_with_jordan_block(self):
+        rng = np.random.default_rng(3)
+        jordan = 0.6 * np.eye(3) + np.diag([1.0, 1.0], k=1)  # defective
+        dense = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dense *= 0.7 / np.max(np.abs(np.linalg.eigvals(dense)))
+        small = np.array([[0.2, 0.3], [-0.1, 0.4]])
+        blocks = [jordan, dense, small, np.array([[-0.5]])]
+        n = sum(B.shape[0] for B in blocks)
+        S = np.zeros((n, n), dtype=complex)
+        start = 0
+        for B in blocks:
+            k = B.shape[0]
+            S[start : start + k, start : start + k] = B
+            start += k
+        perm = rng.permutation(n)
+        S = S[np.ix_(perm, perm)]
+        assert len(linalg.diagonal_blocks(S)) == 4
+        assert_norms_match_loop(S)
+        fit = decay_fit(S, 40)
+        assert fit.epsilon == pytest.approx((1 - 1e-3) / 0.7 - 1, rel=1e-12)
+
+    def test_rho_from_blocks_matches_dense(self):
+        S = peripheral_decomposition(superoperator(shift_channel(0.4, 8))).stable
+        rho = linalg.spectral_radius(S)
+        assert decay_fit(S, 10).epsilon == pytest.approx(
+            decay_fit(S, 10, rho=rho).epsilon, rel=1e-12
+        )
+
+    def test_one_block_is_a_view(self):
+        S = peripheral_decomposition(
+            superoperator(random_stinespring_channel(8, 3))
+        ).stable
+        (stack,) = ergodic._block_stacks(S)
+        assert stack.shape == (1,) + S.shape
+        assert np.shares_memory(stack, S)
 
 
 class TestSplitting:

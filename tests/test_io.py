@@ -1,9 +1,18 @@
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ergochan import io, pauli_xy_channel
+from ergochan import (
+    KrausChannel,
+    ergodic,
+    io,
+    parity_fock_channel,
+    pauli_xy_channel,
+    superoperator,
+)
 from ergochan.errors import (
     CatalogLookupError,
     SpecFormatError,
@@ -94,7 +103,29 @@ class TestSpecLoading:
             assert np.array_equal(np.asarray(V), np.asarray(W))
 
 
+def pairs_loop(M):
+    """Reference [re, im] nesting, entry by entry."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
+
+
+def random_channel(seed, d, count=2):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    Q, _ = np.linalg.qr(G)
+    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count)))
+
+
 class TestMatrixPairs:
+    def test_equals_entrywise_loop(self):
+        rng = np.random.default_rng(1)
+        M = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        M[0, 0] = complex(-0.0, 0.0)
+        M[1, 2] = 3.0  # real entry: imaginary part 0.0
+        got = io.matrix_to_pairs(M)
+        assert got == pairs_loop(M)
+        assert json.dumps(got) == json.dumps(pairs_loop(M))
+        assert all(type(x) is float for row in got for pair in row for x in pair)
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -126,3 +157,50 @@ class TestAnalysisReport:
         assert rep.peripheral["projector_ranks"] == [1, 1]
         assert rep.stable_spectral_radius == pytest.approx(0.5, abs=1e-10)
         assert rep.residuals["reconstruction_n5"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "ch", [pauli_xy_channel(0.25), parity_fock_channel(0.3, 4), random_channel(5, 3)]
+    )
+    def test_dumps_equals_asdict_dumps(self, ch):
+        rep = io.analyze_channel(ch, cesaro_n=200)
+        reference = json.dumps(dataclasses.asdict(rep), sort_keys=True, indent=2)
+        assert io.dumps(rep.to_dict()) == reference
+
+
+def count_linalg_calls(monkeypatch, names):
+    """Record (name, trailing 2-d shape) of each numpy.linalg call."""
+    calls = []
+    for name in names:
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)[-2:]))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestFactorisationCounts:
+    def test_analyze_factorises_once(self, monkeypatch):
+        d = 4
+        ch = random_channel(2, d)
+        calls = count_linalg_calls(monkeypatch, ("eig", "eigvals", "cond", "svd"))
+        io.analyze_channel(ch, cesaro_n=200)
+        full = Counter(name for name, shape in calls if shape == (d * d, d * d))
+        assert (full["eig"], full["eigvals"], full["cond"]) == (1, 1, 1)
+
+    def test_decay_fit_on_parity_makes_no_full_svd(self, monkeypatch):
+        d = 6
+        S = ergodic.peripheral_decomposition(
+            superoperator(parity_fock_channel(0.3, d)), cesaro_check_n=0
+        ).stable
+        dense = ergodic.peripheral_decomposition(
+            superoperator(random_channel(3, d)), cesaro_check_n=0
+        ).stable
+        calls = count_linalg_calls(monkeypatch, ("svd",))
+        ergodic.decay_fit(S, 20)
+        assert calls and all(shape != (d * d, d * d) for _, shape in calls)
+        del calls[:]
+        ergodic.decay_fit(dense, 20)  # one block: the counter does see full SVDs
+        assert [shape for _, shape in calls] == [(d * d, d * d)] * 20

@@ -163,3 +163,56 @@ class TestNullSpace:
         norm = linalg.operator_norm(A)
         for k in range(basis.shape[1]):
             assert np.linalg.norm(A @ basis[:, k]) <= 1e-10 * max(1.0, norm)
+
+
+def permuted_block_diagonal(rng, sizes):
+    """Random block-diagonal matrix with dense nonzero blocks, then a
+    random symmetric permutation."""
+    n = sum(sizes)
+    B = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in sizes:
+        B[start : start + k, start : start + k] = random_complex(rng, k, k) + 2.0
+        start += k
+    perm = rng.permutation(n)
+    return B[np.ix_(perm, perm)]
+
+
+class TestDiagonalBlocks:
+    def test_permutation_rebuilds_block_diagonal(self):
+        rng = np.random.default_rng(11)
+        sizes = [3, 1, 4, 2]
+        M = permuted_block_diagonal(rng, sizes)
+        blocks = linalg.diagonal_blocks(M)
+        assert sorted(b.size for b in blocks) == sorted(sizes)
+        order = np.concatenate(blocks)
+        assert sorted(order) == list(range(M.shape[0]))
+        rebuilt = M[np.ix_(order, order)]
+        inside = np.zeros(M.shape, dtype=bool)
+        start = 0
+        for b in blocks:
+            inside[start : start + b.size, start : start + b.size] = True
+            start += b.size
+        assert np.all(rebuilt[~inside] == 0)
+        assert np.all(rebuilt[inside] != 0)
+
+    def test_dense_matrix_is_one_block(self):
+        M = random_complex(np.random.default_rng(12), 6, 6)
+        blocks = linalg.diagonal_blocks(M)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.arange(6))
+
+    def test_zero_matrix_gives_singletons(self):
+        blocks = linalg.diagonal_blocks(np.zeros((4, 4)))
+        assert [b.tolist() for b in blocks] == [[0], [1], [2], [3]]
+
+    def test_directed_coupling_merges(self):
+        M = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        M[0, 2] = 5.0  # M[2, 0] == 0
+        blocks = linalg.diagonal_blocks(M)
+        assert [b.tolist() for b in blocks] == [[0, 2], [1]]
+
+    def test_cancelling_pair_still_couples(self):
+        # M + M^H is exactly zero here; the structural support is not
+        M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert [b.tolist() for b in linalg.diagonal_blocks(M)] == [[0, 1]]
