@@ -99,35 +99,18 @@ class VerificationReport:
 
 def apply(ch: KrausChannel, X) -> np.ndarray:
     """phi(X) = sum_i V_i X V_i^dag."""
-    X = linalg.as_matrix(X)
-    d = ch.dim
-    if X.shape != (d, d):
-        raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
-    out = np.zeros((d, d), dtype=complex)
-    for V in ch.kraus:
-        out += V @ X @ V.conj().T
-    return out
+    return apply_n(ch, X, 1)
 
 
 def apply_adjoint(ch: KrausChannel, A) -> np.ndarray:
     """phi*(A) = sum_i V_i^dag A V_i."""
-    A = linalg.as_matrix(A)
-    d = ch.dim
-    if A.shape != (d, d):
-        raise DimensionError(f"expected {d}x{d} input, got {A.shape}")
-    out = np.zeros((d, d), dtype=complex)
-    for V in ch.kraus:
-        out += V.conj().T @ A @ V
-    return out
+    return apply_n(ch, A, 1, adjoint=True)
 
 
 def apply_n(ch: KrausChannel, X, n: int, adjoint: bool = False) -> np.ndarray:
-    """n-fold direct application (the brute-force iterate oracle).
-
-    Same arithmetic as n calls of :func:`apply` (or :func:`apply_adjoint`),
-    so the result is bit-identical to them; X is validated and the
-    ``V^dag`` are formed once instead of on every step.
-    """
+    """n-fold direct application (the brute-force iterate oracle) of phi,
+    or of phi* when ``adjoint``; X is validated and the ``V^dag`` are
+    formed once, not on every step."""
     out = linalg.as_matrix(X)
     d = ch.dim
     if out.shape != (d, d):

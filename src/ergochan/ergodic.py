@@ -335,9 +335,7 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     return linalg.unvec(out, d)
 
 
-def decay_fit(
-    S, n_max: int, margin: float = 1e-3, rho: float | None = None
-) -> DecayFit:
+def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
     """Geometric-decay certificate for the stable part.
 
     1 + eps is placed at (1 - margin)/rho(S), so the bound can never be
@@ -345,14 +343,20 @@ def decay_fit(
     smallest constant making the certificate true on the recorded
     norms.  S = 0 is reported as (M=0, eps=margin) by convention.
 
+    ``S`` is the stable part, or a :class:`PeripheralDecomposition`, whose
+    stored ``stable_spectral_radius`` is then used as rho(S): it came
+    from the eigenvalues of that same ``stable``.  For a bare matrix,
+    rho(S) is taken from the eigenvalues of its blocks.
+
     The norms are computed on the exact diagonal blocks of S
     (:func:`linalg.diagonal_blocks`): S^k is block diagonal with the
     same blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size
-    are powered and normed as one stack.  ``rho`` is rho(S) when the
-    caller already has it (e.g. ``PeripheralDecomposition``); otherwise
-    it is taken from the eigenvalues of the blocks.
+    are powered and normed as one stack.
     """
-    S = _as_matrix(S)
+    if isinstance(S, PeripheralDecomposition):
+        S, rho = S.stable, S.stable_spectral_radius
+    else:
+        S, rho = _as_matrix(S), None
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     stacks = _block_stacks(S)

@@ -185,9 +185,7 @@ def analyze_channel(
         cluster_tol=cluster_tol,
         cesaro_check_n=cesaro_n,
     )
-    fit = ergodic.decay_fit(
-        decomp.stable, decay_n_max, rho=decomp.stable_spectral_radius
-    )
+    fit = ergodic.decay_fit(decomp, decay_n_max)
 
     # residual summary for the projector algebra and reconstruction
     proj_resid = 0.0

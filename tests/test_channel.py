@@ -119,16 +119,21 @@ class TestApply:
 class TestApplyN:
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
-    def test_bit_identical_to_repeated_apply(self, adjoint, n):
-        # reference: n separate calls of apply / apply_adjoint
+    def test_bit_identical_to_kraus_sum_loop(self, adjoint, n):
+        # reference: n steps of the plain Kraus sum, one term at a time
         rng = np.random.default_rng(n)
-        op = apply_adjoint if adjoint else apply
         for ch in (random_kraus_channel(rng, 4), shift_channel(0.3, 5)):
             X = random_state_like(rng, ch.dim)
             ref = X
             for _ in range(n):
-                ref = op(ch, ref)
+                acc = np.zeros_like(ref, dtype=complex)
+                for V in ch.kraus:
+                    acc += (V.conj().T @ ref @ V) if adjoint else (V @ ref @ V.conj().T)
+                ref = acc
             assert np.array_equal(apply_n(ch, X, n, adjoint=adjoint), ref)
+            if n == 1:
+                op = apply_adjoint if adjoint else apply
+                assert np.array_equal(op(ch, X), ref)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -327,12 +327,20 @@ class TestDecayFitBlockwise:
         fit = decay_fit(S, 40)
         assert fit.epsilon == pytest.approx((1 - 1e-3) / 0.7 - 1, rel=1e-12)
 
-    def test_rho_from_blocks_matches_dense(self):
-        S = peripheral_decomposition(superoperator(shift_channel(0.4, 8))).stable
-        rho = linalg.spectral_radius(S)
-        assert decay_fit(S, 10).epsilon == pytest.approx(
-            decay_fit(S, 10, rho=rho).epsilon, rel=1e-12
+    def test_rho_from_blocks_matches_decomposition(self):
+        decomp = peripheral_decomposition(superoperator(shift_channel(0.4, 8)))
+        from_blocks = decay_fit(decomp.stable, 10)
+        stored = decay_fit(decomp, 10)
+        assert stored.epsilon == pytest.approx(
+            (1 - 1e-3) / decomp.stable_spectral_radius - 1, rel=1e-15
         )
+        assert from_blocks.epsilon == pytest.approx(stored.epsilon, rel=1e-12)
+        assert from_blocks.norms == stored.norms
+
+    def test_rho_cannot_be_supplied(self):
+        # rho(S) only ever comes from S itself, never from the caller
+        with pytest.raises(TypeError):
+            decay_fit(np.zeros((2, 2)), 10, rho=0.0)
 
     def test_one_block_is_a_view(self):
         S = peripheral_decomposition(
