@@ -145,7 +145,12 @@ def _parse_params(pairs) -> dict:
         if "=" not in item:
             raise DomainError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise DomainError(
+                f"--param {key} must be a number, got {value!r}"
+            ) from None
     return params
 
 

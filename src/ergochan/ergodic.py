@@ -45,6 +45,25 @@ def _as_matrix(L) -> np.ndarray:
     return M
 
 
+def _real_form(M) -> tuple:
+    """(A, hp): for a Hermiticity-preserving M, A is its real (float64)
+    matrix in the Hermitian basis and hp is True; otherwise A is M.
+
+    Eigenvalues, spectral radii, operator norms and powers are the same
+    in either basis (the change is unitary), so they are computed on A:
+    a real A halves the work of LAPACK and of every product.  Map a
+    result back with :func:`_column_stacking`.
+    """
+    if linalg.is_hermiticity_preserving(M):
+        return np.ascontiguousarray(linalg.to_hermitian_basis(M).real), True
+    return M, False
+
+
+def _column_stacking(A, hp: bool) -> np.ndarray:
+    """Inverse of :func:`_real_form` for a matrix computed from A."""
+    return linalg.from_hermitian_basis(A) if hp else A
+
+
 def _side_dim(L) -> int:
     M = _as_matrix(L)
     d = int(round(np.sqrt(M.shape[0])))
@@ -72,11 +91,17 @@ class PeripheralDecomposition:
     """Peripheral eigenvalues, their spectral projectors, and the stable
     remainder of one superoperator.
 
-    ``stable_spectral_radius`` is rho(S) from the eigenvalues of the
-    computed ``stable``, stored when the decomposition is built (it is
-    the value the ``rho(S) < 1`` check accepted), not recomputed on
-    access.  ``eigvec_condition`` is cond(W) of the eigenvector matrix
-    the projectors were built from.
+    ``projectors`` and ``stable`` are in the column-stacking basis; for
+    a Hermiticity-preserving input ``stable`` preserves Hermiticity
+    exactly.  ``stable_spectral_radius`` is rho(S) from the eigenvalues
+    of the computed ``stable`` (of its real form, :func:`_real_form`),
+    stored when the decomposition is built (it is the value the
+    ``rho(S) < 1`` check accepted), not recomputed on access.
+    ``eigvec_condition`` is cond(W) of the eigenvector matrix the
+    projectors were built from; for a Hermiticity-preserving input W
+    holds the eigenvectors of the real form, which are those of L
+    changed to the Hermitian basis (a unitary change, so cond is the
+    same up to LAPACK's choice of basis in repeated eigenspaces).
     """
 
     dim: int
@@ -143,7 +168,8 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
         raise DomainError(f"n must be >= 1, got {n}")
     if abs(abs(lam) - 1.0) > 1e-12:
         raise DomainError(f"lambda must have unit modulus, got |{lam}| = {abs(lam)}")
-    T = M / lam
+    lam = complex(lam)
+    T = M / (lam.real if lam.imag == 0 else lam)  # a real M stays real for lam = +-1
     power = T  # T^m
     acc = T.copy()  # S_m, accumulated in place
     for bit in bin(n)[3:]:
@@ -175,9 +201,8 @@ def peripheral_spectrum(
     Eigenvalues within ``cluster_tol`` of each other merge to their
     mean; the empty list is a valid result (strictly contractive maps).
     """
-    return _peripheral_clusters(
-        linalg.eigvals(_as_matrix(L)), peripheral_tol, cluster_tol
-    )
+    A, _ = _real_form(_as_matrix(L))
+    return _peripheral_clusters(linalg.eigvals(A), peripheral_tol, cluster_tol)
 
 
 def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list:
@@ -213,17 +238,21 @@ def spectral_projectors(
     peripheral eigenvalue, which cannot occur for exactly power-bounded
     maps, so it is reported as an error.
     """
-    lam, W = linalg.eig_general(_as_matrix(L))
+    A, hp = _real_form(_as_matrix(L))
+    lam, W = linalg.eig_general(A)
     projectors, _ = _projectors_from_eig(
-        lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
+        lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold, np.isrealobj(A)
     )
-    return projectors
+    return [_column_stacking(P, hp) for P in projectors]
 
 
 def _projectors_from_eig(
-    lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
+    lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold, real
 ) -> tuple:
-    """(projectors, cond(W)) from one eigendecomposition ``(lam, W)``."""
+    """(projectors, cond(W)) from one eigendecomposition ``(lam, W)``.
+    If the matrix was ``real``, the projector of a real lambda is real
+    (eigenvalues and eigenvectors come in conjugate pairs), and it is
+    returned as a real matrix."""
     cond = float(np.linalg.cond(W))
     if cond > cond_threshold:
         raise IllConditionedDecompositionError(
@@ -241,29 +270,38 @@ def _projectors_from_eig(
                 f"no eigenvalue of L within {match_tol:.1e} of {target}",
                 spectral_radius=float("nan"),
             )
-        projectors.append(W[:, idx] @ Winv[idx, :])
+        P = W[:, idx] @ Winv[idx, :]
+        if real and complex(target).imag == 0:
+            P = np.ascontiguousarray(P.real)
+        projectors.append(P)
     return projectors, cond
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
-    S, _ = _stable_part(_as_matrix(L), lambdas, projectors)
+    S = _remainder(_as_matrix(L), lambdas, projectors)
+    _stable_radius(S)
     return S
 
 
-def _stable_part(M, lambdas, projectors) -> tuple:
-    """(S, rho(S)), rho from the eigenvalues of the computed S."""
-    S = M.copy()
+def _remainder(A, lambdas, projectors) -> np.ndarray:
+    """A - sum_lambda lambda * P_lambda, in complex arithmetic."""
+    S = np.array(A, dtype=complex)
     for lam, P in zip(lambdas, projectors):
         S -= lam * P
-    rho = linalg.spectral_radius(S)
+    return S
+
+
+def _stable_radius(S) -> float:
+    """rho(S) from the eigenvalues of the real form of S; requires < 1."""
+    rho = linalg.spectral_radius(_real_form(S)[0])
     if rho >= 1.0 - 1e-12:
         raise DecompositionFailureError(
             f"stable part has spectral radius {rho:.6f} >= 1; the "
             "peripheral set was incomplete (loosen peripheral_tol)",
             spectral_radius=rho,
         )
-    return S, rho
+    return rho
 
 
 def peripheral_decomposition(
@@ -283,23 +321,49 @@ def peripheral_decomposition(
     disagreement larger than ``cesaro_check_factor / n`` (times ||L||)
     is an error, not a warning.  Set ``cesaro_check_n=0`` to skip the
     (slower) check.
+
+    When L preserves Hermiticity (every quantum operation does), all of
+    this runs on its real form in the Hermitian basis
+    (:func:`_real_form`): the eigendecomposition, the stable part and
+    rho(S), and the Cesaro products, which are real for lambda = +-1.
+    The projectors and S are then mapped back to the column-stacking
+    basis, S symmetrised so that it preserves Hermiticity exactly.
+    Other input runs the same code in complex arithmetic.
     """
     M = _as_matrix(L)
     d = _side_dim(M)
-    eigenvalues, W = linalg.eig_general(M)
+    A, hp = _real_form(M)
+    eigenvalues, W = linalg.eig_general(A)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     projectors, cond = _projectors_from_eig(
-        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, cond_threshold
+        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, cond_threshold,
+        np.isrealobj(A),
     )
     del W  # a d^2 x d^2 array: free it before the Cesaro products are allocated
-    S, rho = _stable_part(M, lambdas, projectors)
+    S = _remainder(A, lambdas, projectors)
+    if np.isrealobj(A):
+        # the peripheral set of a real matrix is closed under conjugation,
+        # so the sum is real and its imaginary part is round-off
+        unpaired = [
+            lam for lam in lambdas
+            if min(abs(mu - lam.conjugate()) for mu in lambdas) > cluster_tol
+        ]
+        if unpaired:
+            raise DecompositionFailureError(
+                f"peripheral eigenvalues {unpaired} of a real matrix have no "
+                "conjugate partner in the clustered set (tighten cluster_tol)",
+                spectral_radius=float("nan"),
+            )
+        S = np.ascontiguousarray(S.real)
+    S = _column_stacking(S, hp)
+    rho = _stable_radius(S)
 
     if cesaro_check_n:
-        scale = max(1.0, linalg.operator_norm(M))
+        scale = max(1.0, linalg.operator_norm(A))
         budget = cesaro_check_factor / cesaro_check_n * scale
         for lam, P in zip(lambdas, projectors):
-            A = cesaro_average(M, lam, cesaro_check_n)
-            resid = linalg.operator_norm(A - P)
+            C = cesaro_average(A, lam, cesaro_check_n)
+            resid = linalg.operator_norm(C - P)
             if resid > budget:
                 raise DecompositionFailureError(
                     f"Cesaro average at lambda={lam} disagrees with the "
@@ -310,7 +374,7 @@ def peripheral_decomposition(
     return PeripheralDecomposition(
         dim=d,
         lambdas=tuple(lambdas),
-        projectors=tuple(projectors),
+        projectors=tuple(_column_stacking(P, hp) for P in projectors),
         stable=S,
         stable_spectral_radius=rho,
         peripheral_tol=peripheral_tol,
@@ -320,7 +384,12 @@ def peripheral_decomposition(
 
 
 def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarray:
-    """phi^n(X) via sum lambda^n P_lambda(X) + S^n(X)."""
+    """phi^n(X) via sum lambda^n P_lambda(X) + S^n(X).
+
+    S^n is the matrix power of the real form of S when S preserves
+    Hermiticity (:func:`_real_form`), mapped back to column stacking
+    before it is applied to vec(X).
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     X = linalg.as_matrix(X)
@@ -328,10 +397,11 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
     v = linalg.vec(X)
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape, dtype=complex)
     for lam, P in zip(decomp.lambdas, decomp.projectors):
         out += lam**n * (P @ v)
-    out += np.linalg.matrix_power(decomp.stable, n) @ v
+    A, hp = _real_form(decomp.stable)
+    out += _column_stacking(np.linalg.matrix_power(A, n), hp) @ v
     return linalg.unvec(out, d)
 
 
@@ -348,10 +418,13 @@ def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
     from the eigenvalues of that same ``stable``.  For a bare matrix,
     rho(S) is taken from the eigenvalues of its blocks.
 
-    The norms are computed on the exact diagonal blocks of S
-    (:func:`linalg.diagonal_blocks`): S^k is block diagonal with the
-    same blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size
-    are powered and normed as one stack.
+    The norms are computed on the real form of S when S preserves
+    Hermiticity (:func:`_real_form`; the operator norm is invariant
+    under the unitary change of basis), and on the exact diagonal
+    blocks of that matrix (:func:`linalg.diagonal_blocks`): S^k is
+    block diagonal with the same blocks, so ``||S^k|| = max_b
+    ||B_b^k||``.  Blocks of one size are powered and normed as one
+    stack.
     """
     if isinstance(S, PeripheralDecomposition):
         S, rho = S.stable, S.stable_spectral_radius
@@ -359,7 +432,7 @@ def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
         S, rho = _as_matrix(S), None
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    stacks = _block_stacks(S)
+    stacks = _block_stacks(_real_form(S)[0])
     if rho is None:
         rho = max(float(np.max(np.abs(np.linalg.eigvals(B)))) for B in stacks)
     if rho >= 1.0:
@@ -414,12 +487,15 @@ def _block_stacks(S) -> list:
     return stacks
 
 
-def splitting_check(L, tol: float = DEFAULT_FIXED_TOL, sample: int = 8, seed: int = 0):
+def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     """Mean-ergodic splitting: the space is Ker(I-L) (+) Rng(I-L).
 
     Verifies dim counts add up to d^2, that the concatenated bases have
     full numerical rank, and the dual-orthogonality condition: elements
-    of Rng(I-L) pair to zero with every fixed point of the adjoint.
+    of Rng(I-L) pair to zero with every fixed point of the adjoint.  Its
+    residual is exact, ``||F^H R||`` for orthonormal bases F of
+    Ker(I - L^H) and R of Rng(I-L): the largest pairing of a unit
+    vector of the range with a unit fixed point of the adjoint.
     """
     M = _as_matrix(L)
     n = M.shape[0]
@@ -434,16 +510,10 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL, sample: int = 8, seed: in
     residual = float(s[-1])
 
     dual_fixed = linalg.null_space(I - M.conj().T, tol)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(sample):
-        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        y = (I - M) @ z
-        if dual_fixed.shape[1] and np.linalg.norm(y) > 0:
-            worst = max(
-                worst,
-                float(np.max(np.abs(dual_fixed.conj().T @ y)) / np.linalg.norm(y)),
-            )
+    if dual_fixed.shape[1] and range_dim:
+        dual_residual = linalg.operator_norm(dual_fixed.conj().T @ rng_basis)
+    else:
+        dual_residual = 0.0
 
     if fixed_dim + range_dim != n or residual <= tol:
         raise SplittingViolationError(
@@ -454,7 +524,7 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL, sample: int = 8, seed: in
         fixed_dim=fixed_dim,
         range_dim=range_dim,
         direct_sum_residual=residual,
-        dual_orthogonality_residual=worst,
+        dual_orthogonality_residual=dual_residual,
     )
 
 

@@ -1,18 +1,28 @@
-"""Dense complex linear-algebra primitives.
+"""Dense linear-algebra primitives, real or complex.
 
 Everything downstream (channels, superoperators, ergodic decompositions)
-is built on the handful of routines in this module.  Two conventions are
-fixed here once and inherited everywhere:
+is built on the handful of routines in this module.  Matrices are
+float64 when their input is real and complex128 otherwise.  Three
+conventions are fixed here once and inherited everywhere:
 
 * Vectorization is **column stacking**: ``vec(M)`` stacks the columns of
   ``M`` top to bottom, so the matrix of ``X -> V X W^dag`` is
   ``conj(W) kron V``.
+* The **Hermitian basis** of the d x d matrices is orthonormal and
+  consists of Hermitian matrices: ``E_kk``, ``(E_jk + E_kj)/sqrt(2)`` and
+  ``i (E_jk - E_kj)/sqrt(2)`` for j < k, stored at the column-stacking
+  positions of ``E_kk``, ``E_jk`` and ``E_kj``.  A superoperator that
+  preserves Hermiticity is a real matrix in this basis
+  (:func:`to_hermitian_basis`); results are always reported in the
+  column-stacking basis.
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
   that reports are deterministic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,10 +31,17 @@ from .errors import DimensionError, NumericError
 #: Default relative tolerance; callers scale by dimension where needed.
 DEFAULT_TOL = 1e-10
 
+#: Largest entry of ``M - mirror(M)``, relative to the largest entry of
+#: M, that :func:`is_hermiticity_preserving` still counts as round-off:
+#: about the backward error of one eigendecomposition at d = 16.
+HERMITICITY_TOL = 1e-13
+
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex ndarray and reject non-finite entries."""
-    M = np.asarray(M, dtype=complex)
+    """Coerce to a 2-d float64 (real input) or complex128 ndarray and
+    reject non-finite entries."""
+    M = np.asarray(M)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionError(f"expected a 2-d matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -200,3 +217,100 @@ def diagonal_blocks(M) -> list:
         seen |= members
         blocks.append(np.flatnonzero(members))
     return blocks
+
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _hermitian_pairs(n: int) -> tuple:
+    """Column-stacking positions ``(up, lo)`` of ``E_jk`` and ``E_kj``,
+    j < k, for the d x d matrices, n = d^2; None if n is not a square."""
+    d = math.isqrt(n)
+    if d * d != n:
+        return None
+    position = np.arange(n).reshape(d, d, order="F")  # position[a, b] of E_ab
+    j, k = np.triu_indices(d, 1)
+    return position[j, k], position[k, j]
+
+
+def _mix_pairs(X: np.ndarray, up, lo, w: complex, v: complex) -> None:
+    """Rows up, lo of X become ``(X[up] + w X[lo]) / sqrt 2`` and
+    ``v (X[up] - w X[lo]) / sqrt 2``, in place (pass ``X.T`` for the
+    columns)."""
+    top, bottom = X[up], X[lo]
+    top *= _SQRT_HALF
+    bottom *= w * _SQRT_HALF
+    X[up] = top + bottom
+    top -= bottom
+    if v != 1:
+        top *= v
+    X[lo] = top
+
+
+def _superoperator_pairs(M) -> tuple:
+    """(M, (up, lo)) for a d^2 x d^2 matrix M; other shapes raise."""
+    M = _require_square(as_matrix(M))
+    pairs = _hermitian_pairs(M.shape[0])
+    if pairs is None:
+        raise DimensionError(f"matrix size {M.shape[0]} is not a perfect square")
+    return M, pairs
+
+
+def _mirror(M: np.ndarray, up, lo) -> np.ndarray:
+    """Pi conj(M) Pi, Pi the permutation vec(X) -> vec(X^T)."""
+    perm = np.arange(M.shape[0])
+    perm[up], perm[lo] = lo, up
+    out = M[np.ix_(perm, perm)]
+    return np.conjugate(out, out=out)
+
+
+def is_hermiticity_preserving(M) -> bool:
+    """Whether the superoperator matrix M satisfies phi(X^dag) = phi(X)^dag.
+
+    In column stacking that is ``M = Pi conj(M) Pi`` with Pi the
+    permutation vec(X) -> vec(X^T); it is accepted when the largest
+    entry of the difference is at most :data:`HERMITICITY_TOL` times the
+    largest entry of M.  A matrix that is not d^2 x d^2 is not a
+    superoperator and gives False.
+    """
+    M = as_matrix(M)
+    pairs = _hermitian_pairs(M.shape[0])
+    if M.shape[0] != M.shape[1] or pairs is None:
+        return False
+    gap = _mirror(M, *pairs)
+    gap -= M
+    return bool(np.max(np.abs(gap)) <= HERMITICITY_TOL * np.max(np.abs(M)))
+
+
+def to_hermitian_basis(M) -> np.ndarray:
+    """``B^H M B``: the d^2 x d^2 matrix M in the Hermitian basis.
+
+    B is the unitary whose columns are the vectorized Hermitian basis
+    (module docstring); it acts on each pair of positions of E_jk, E_kj
+    and fixes the E_kk, so the change costs O(d^4), not a product.  The
+    result is complex; it is real (up to round-off) exactly when M
+    preserves Hermiticity.
+    """
+    M, (up, lo) = _superoperator_pairs(M)
+    X = np.array(M, dtype=complex)
+    _mix_pairs(X, up, lo, 1, -1j)  # B^H on the left
+    _mix_pairs(X.T, up, lo, 1, 1j)  # B on the right
+    return X
+
+
+def from_hermitian_basis(R) -> np.ndarray:
+    """``B R B^H``: back from the Hermitian basis to column stacking.
+
+    The inverse of :func:`to_hermitian_basis`.  A real R is the matrix
+    of a Hermiticity-preserving map, and the result is then symmetrised,
+    ``(X + Pi conj(X) Pi) / 2``, so that it preserves Hermiticity
+    exactly, not only up to round-off.
+    """
+    R, (up, lo) = _superoperator_pairs(R)
+    X = np.array(R, dtype=complex)
+    _mix_pairs(X, up, lo, 1j, 1)  # B on the left
+    _mix_pairs(X.T, up, lo, -1j, 1)  # B^H on the right
+    if not np.iscomplexobj(R):
+        X += _mirror(X, up, lo)
+        X *= 0.5
+    return X

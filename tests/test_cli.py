@@ -144,6 +144,11 @@ class TestCatalogCommand:
     def test_missing_param(self, capsys):
         assert main(["catalog", "shift", "--param", "p=0.5"]) == EXIT_VALIDATION
 
+    def test_non_numeric_param_value(self, capsys):
+        assert main(["catalog", "pauli-xy", "--param", "p=abc"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "p" in err and "'abc'" in err
+
 
 class TestCatalogSpecParams:
     @pytest.mark.parametrize("p", ["0.5", True])

@@ -23,7 +23,7 @@ from ergochan import (
     superoperator,
 )
 from ergochan import ergodic, linalg
-from ergochan.errors import DegenerateInputError, DomainError
+from ergochan.errors import DecompositionFailureError, DegenerateInputError, DomainError
 
 CATALOG_CHANNELS = [
     pauli_xy_channel(0.25),
@@ -232,6 +232,84 @@ class TestReconstruction:
             assert err <= n * 1e-10 * linalg.hs_norm(X)
 
 
+class TestConjugatePeripheralPair:
+    """V1 = sqrt(p) U, V2 = sqrt(1-p) U Z with U = diag(e^{i k theta}),
+    Z = diag(1, -1, 1): phi(E_jk) = e^{i(j-k) theta} (p + (1-p) z_j z_k) E_jk.
+    The peripheral set is {1, e^{2 i theta}, e^{-2 i theta}}, a conjugate
+    pair that the real form must handle in complex arithmetic."""
+
+    p, theta = 0.3, 0.7
+    U = np.diag(np.exp(1j * theta * np.arange(3)))
+    Z = np.diag([1.0, -1.0, 1.0])
+    ch = KrausChannel(kraus=(np.sqrt(p) * U, np.sqrt(1 - p) * U @ Z))
+
+    def test_matches_closed_form(self):
+        L = superoperator(self.ch).matrix
+        decomp = peripheral_decomposition(L)
+        z = np.exp(2j * self.theta)
+        assert decomp.lambdas == pytest.approx([1.0, z, np.conj(z)], abs=1e-12)
+        for lam, P in zip(decomp.lambdas, decomp.projectors):
+            if abs(lam - 1) < 1e-8:
+                cells = [(0, 0), (1, 1), (2, 2)]
+            else:
+                cells = [(0, 2)] if abs(lam - np.conj(z)) < 1e-8 else [(2, 0)]
+            want = np.zeros((9, 9))
+            for j, k in cells:
+                want[j + 3 * k, j + 3 * k] = 1.0
+            assert np.max(np.abs(P - want)) <= 1e-12
+        rho = abs(2 * self.p - 1)
+        assert decomp.stable_spectral_radius == pytest.approx(rho, rel=1e-12)
+        X = np.arange(9).reshape(3, 3) + 1j * np.ones((3, 3))
+        for n in (1, 5, 40):
+            want = apply_n(self.ch, X, n)
+            assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
+
+    def test_unpaired_peripheral_eigenvalue_rejected(self, monkeypatch):
+        clusters = ergodic._peripheral_clusters
+        monkeypatch.setattr(
+            ergodic, "_peripheral_clusters",
+            lambda *args: [z for z in clusters(*args) if z.imag >= 0],
+        )
+        with pytest.raises(DecompositionFailureError, match="conjugate"):
+            peripheral_decomposition(superoperator(self.ch))
+
+
+class TestNonHermiticityPreserving:
+    """X -> A X with a complex, non-Hermitian A: L = I kron A does not
+    preserve Hermiticity, so it is analysed in complex arithmetic."""
+
+    b, c = 0.3 + 0.2j, 0.5j
+    A = np.array([[1.0, b], [0.0, c]])
+    P_A = np.array([[1.0, b / (1.0 - c)], [0.0, 0.0]])  # spectral projector at 1
+
+    def test_stays_complex_and_matches_closed_form(self, monkeypatch):
+        I = np.eye(2)
+        L = np.kron(I, self.A)
+        assert not linalg.is_hermiticity_preserving(L)
+        seen = []
+        orig = np.linalg.eig
+        monkeypatch.setattr(
+            np.linalg, "eig", lambda a: seen.append(np.asarray(a).dtype) or orig(a)
+        )
+        decomp = peripheral_decomposition(L)
+        assert seen == [np.complex128]
+        assert decomp.lambdas == pytest.approx([1.0])
+        assert np.allclose(decomp.projectors[0], np.kron(I, self.P_A), atol=1e-12)
+        S_A = self.A - self.P_A
+        assert np.allclose(decomp.stable, np.kron(I, S_A), atol=1e-12)
+        assert decomp.stable_spectral_radius == pytest.approx(abs(self.c), rel=1e-12)
+
+        fit = decay_fit(decomp, 10)  # S^k = c^(k-1) S
+        norm = np.linalg.norm(S_A, 2)
+        want = [abs(self.c) ** (k - 1) * norm for k in range(1, 11)]
+        assert np.allclose(fit.norms, want, rtol=1e-12)
+
+        X = np.array([[1.0, 2.0 - 1j], [0.5j, -1.0]])
+        for n in (1, 3, 20):
+            want = np.linalg.matrix_power(self.A, n) @ X
+            assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
+
+
 class TestDecayFit:
     def test_zero_stable(self):
         fit = decay_fit(np.zeros((4, 4)), 10)
@@ -351,6 +429,18 @@ class TestDecayFitBlockwise:
         assert np.shares_memory(stack, S)
 
 
+def dual_orthogonality_by_eigh(L, tol=1e-8):
+    """||P_F P_R||: the orthogonal projectors onto Ker(I - L^H) and
+    Rng(I - L), each from a Hermitian eigendecomposition of a Gram
+    matrix instead of an SVD."""
+    K = np.eye(L.shape[0]) - np.asarray(L)
+    w, U = np.linalg.eigh(K @ K.conj().T)  # range of K: the large eigenvalues
+    top = max(w[-1], 1e-300)
+    R = U[:, w > tol**2 * top]
+    F = U[:, w <= tol**2 * top]  # Ker(K^H) = Ker(K K^H)
+    return np.linalg.norm((F @ F.conj().T) @ (R @ R.conj().T), 2)
+
+
 class TestSplitting:
     def test_identity_channel(self):
         rep = splitting_check(superoperator(identity_channel(2)))
@@ -366,6 +456,36 @@ class TestSplitting:
         rep = splitting_check(superoperator(ch))
         assert rep.fixed_dim + rep.range_dim == ch.dim**2
         assert rep.dual_orthogonality_residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "ch",
+        CATALOG_CHANNELS
+        + [random_stinespring_channel(1, 3), random_stinespring_channel(2, 4)],
+        ids=CATALOG_IDS + ["random3", "random4"],
+    )
+    def test_dual_residual_matches_eigh_projectors(self, ch):
+        L = superoperator(ch).matrix
+        rep = splitting_check(L)
+        want = dual_orthogonality_by_eigh(L)
+        assert abs(rep.dual_orthogonality_residual - want) <= 1e-12
+
+    def test_dual_residual_is_the_exact_supremum(self, monkeypatch):
+        # tilt one range vector towards the adjoint's fixed point by theta:
+        # the largest pairing over unit range vectors is then sin(theta)
+        L = superoperator(pauli_xy_channel(0.3)).matrix
+        F = linalg.null_space(np.eye(4) - L.conj().T)
+        R = linalg.column_space(np.eye(4) - L)
+        theta = 1e-3
+        tilted = R.copy()
+        tilted[:, 1] = np.cos(theta) * R[:, 1] + np.sin(theta) * F[:, 0]
+        monkeypatch.setattr(linalg, "column_space", lambda M, tol: tilted)
+        rep = splitting_check(L)
+        want = np.sin(theta)
+        assert rep.dual_orthogonality_residual == pytest.approx(want, rel=1e-12)
+
+    def test_no_sampling_parameters(self):
+        with pytest.raises(TypeError):
+            splitting_check(superoperator(pauli_xy_channel(0.3)), seed=0)
 
 
 class TestIntersection:

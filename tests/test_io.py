@@ -190,6 +190,34 @@ class TestFactorisationCounts:
         full = Counter(name for name, shape in calls if shape == (d * d, d * d))
         assert (full["eig"], full["eigvals"], full["cond"]) == (1, 1, 1)
 
+    def test_analyze_factorises_in_real_arithmetic(self, monkeypatch):
+        # a Kraus channel preserves Hermiticity: its eigen-analysis, decay
+        # norms and Cesaro check run on the real matrix in the Hermitian
+        # basis.  Only the fixed-space kernel and io's residual summary
+        # (one SVD per residual) stay in the complex column-stacking basis.
+        d = 4
+        ch = random_channel(2, d)
+        calls = []
+        for name in ("eig", "eigvals", "svd"):
+            orig = getattr(np.linalg, name)
+
+            def typed(a, *args, _orig=orig, _name=name, **kwargs):
+                if np.shape(a)[-2:] == (d * d, d * d):
+                    calls.append((_name, np.asarray(a).dtype.name))
+                return _orig(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, typed)
+        decay_n_max = 40
+        rep = io.analyze_channel(ch, cesaro_n=200, decay_n_max=decay_n_max)
+        assert len(rep.peripheral["lambdas"]) == 1
+        counts = Counter(calls)
+        assert counts["eig", "float64"] == counts["eigvals", "float64"] == 1
+        # per-power norms, ||L|| for the Cesaro budget, the Cesaro residual
+        assert counts["svd", "float64"] == decay_n_max + 2
+        # fixed-space kernel, then ||P^2 - P||, ||L P - P||, ||P L - P||
+        assert counts["svd", "complex128"] == 4
+        assert sum(counts.values()) == decay_n_max + 8
+
     def test_decay_fit_on_parity_makes_no_full_svd(self, monkeypatch):
         d = 6
         S = ergodic.peripheral_decomposition(

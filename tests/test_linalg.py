@@ -216,3 +216,106 @@ class TestDiagonalBlocks:
         # M + M^H is exactly zero here; the structural support is not
         M = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert [b.tolist() for b in linalg.diagonal_blocks(M)] == [[0, 1]]
+
+
+def hermitian_basis_matrix(d):
+    """Dense unitary B whose column at the column-stacking position of
+    E_kk, E_jk, E_kj (j < k) is vec of E_kk, (E_jk + E_kj)/sqrt 2,
+    i (E_jk - E_kj)/sqrt 2, built entry by entry from the definition."""
+    n = d * d
+    B = np.zeros((n, n), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            E = np.zeros((d, d), dtype=complex)
+            E[j, k] = 1.0
+            if j == k:
+                H = E
+            elif j < k:
+                H = (E + E.T) / np.sqrt(2)
+            else:  # the position of E_kj holds the antisymmetric element
+                H = 1j * (E.T - E) / np.sqrt(2)
+            assert np.array_equal(H, H.conj().T)
+            B[:, j + k * d] = H.reshape(-1, order="F")
+    return B
+
+
+def mirror(M):
+    """Pi conj(M) Pi, Pi the permutation vec(X) -> vec(X^T)."""
+    d = int(round(np.sqrt(M.shape[0])))
+    perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    return np.conj(M[np.ix_(perm, perm)])
+
+
+def kraus_superoperator(rng, d, count=2):
+    Vs = [random_complex(rng, d, d) for _ in range(count)]
+    return sum(np.kron(V.conj(), V) for V in Vs)
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_pair_equals_dense_basis_matrix(self, d):
+        B = hermitian_basis_matrix(d)
+        assert np.allclose(B.conj().T @ B, np.eye(d * d), atol=1e-15)
+        rng = np.random.default_rng(d)
+        M = random_complex(rng, d * d, d * d)
+        to, back = linalg.to_hermitian_basis(M), linalg.from_hermitian_basis(M)
+        assert np.allclose(to, B.conj().T @ M @ B, atol=1e-14)
+        assert np.allclose(back, B @ M @ B.conj().T, atol=1e-14)
+        back = linalg.from_hermitian_basis(linalg.to_hermitian_basis(M))
+        assert np.allclose(back, M, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_real_back_transform_preserves_hermiticity_exactly(self, d):
+        rng = np.random.default_rng(10 + d)
+        R = rng.uniform(-1, 1, (d * d, d * d))
+        X = linalg.from_hermitian_basis(R)
+        assert np.array_equal(X, mirror(X))
+        B = hermitian_basis_matrix(d)
+        assert np.allclose(X, B @ R @ B.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_kraus_superoperator_is_real_in_the_basis(self, d):
+        L = kraus_superoperator(np.random.default_rng(20 + d), d)
+        # exact in exact arithmetic; a fused multiply-add leaves round-off
+        assert np.max(np.abs(L - mirror(L))) <= 1e-15 * np.max(np.abs(L))
+        assert linalg.is_hermiticity_preserving(L)
+        R = linalg.to_hermitian_basis(L)
+        assert np.max(np.abs(R.imag)) <= 1e-14 * np.max(np.abs(R))
+
+    def test_not_hermiticity_preserving(self):
+        rng = np.random.default_rng(30)
+        A = random_complex(rng, 3, 3)
+        assert not linalg.is_hermiticity_preserving(np.kron(np.eye(3), A))  # X -> A X
+        assert not linalg.is_hermiticity_preserving(random_complex(rng, 9, 9))
+        assert not linalg.is_hermiticity_preserving(np.eye(2))  # 2 is no d^2
+        assert not linalg.is_hermiticity_preserving(np.ones((4, 9)))
+
+    def test_round_off_bound(self):
+        L = kraus_superoperator(np.random.default_rng(31), 3)
+        scale = np.max(np.abs(L))
+        E = np.zeros(L.shape, dtype=complex)
+        E[0, 1] = 1j
+        small = L + 0.5 * linalg.HERMITICITY_TOL * scale * E
+        large = L + 4 * linalg.HERMITICITY_TOL * scale * E
+        assert linalg.is_hermiticity_preserving(small)
+        assert not linalg.is_hermiticity_preserving(large)
+
+    def test_transpose_map_and_zero_preserve_hermiticity(self):
+        d = 3
+        perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        assert linalg.is_hermiticity_preserving(np.eye(d * d)[perm])
+        assert linalg.is_hermiticity_preserving(np.zeros((d * d, d * d)))
+
+    def test_size_must_be_a_square(self):
+        with pytest.raises(DimensionError):
+            linalg.to_hermitian_basis(np.eye(3))
+
+
+class TestAsMatrixDtype:
+    def test_real_input_stays_float64(self):
+        assert linalg.as_matrix(np.eye(2)).dtype == np.float64
+        assert linalg.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+        assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        assert linalg.as_matrix([[1j, 0], [0, 1]]).dtype == np.complex128
