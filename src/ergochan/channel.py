@@ -33,7 +33,9 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self):
-        mats = tuple(linalg.as_matrix(V) for V in self.kraus)
+        # copies: as_matrix returns a float64 or complex128 input itself,
+        # which must neither change under the channel nor be frozen
+        mats = tuple(linalg.as_matrix(V).copy() for V in self.kraus)
         if not mats:
             raise DomainError("Kraus family must be nonempty")
         d = mats[0].shape[0]
@@ -62,7 +64,8 @@ class Superoperator:
     def __post_init__(self):
         if self.side not in (FORWARD, ADJOINT):
             raise DomainError(f"side must be {FORWARD!r} or {ADJOINT!r}")
-        M = linalg.as_matrix(self.matrix)
+        # a read-only view: the caller's array stays writable, uncopied
+        M = linalg.as_matrix(self.matrix).view()
         if M.shape != (self.dim**2, self.dim**2):
             raise DimensionError(
                 f"superoperator for dim {self.dim} must be "

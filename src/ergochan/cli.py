@@ -54,13 +54,10 @@ def _default_seed() -> int:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = io.dumps(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        io.save_json(doc, out)
     else:
-        print(text)
+        print(io.dumps(doc))
 
 
 def _cmd_verify(args) -> int:
@@ -165,7 +162,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--peripheral-tol", type=float, default=ergodic.DEFAULT_PERIPHERAL_TOL
     )
-    p.add_argument("--cesaro-n", type=int, default=10000)
+    p.add_argument("--cesaro-n", type=int, default=ergodic.DEFAULT_CESARO_N)
     p.add_argument("--adjoint", action="store_true")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", type=str, default=None)

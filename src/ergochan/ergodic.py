@@ -14,6 +14,7 @@ same projectors at rate O(1/n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,21 @@ from .errors import (
 DEFAULT_PERIPHERAL_TOL = 1e-8
 DEFAULT_CLUSTER_TOL = 1e-7
 DEFAULT_FIXED_TOL = 1e-8
+
+#: Length of the Cesaro cross-check of :func:`peripheral_decomposition`,
+#: of ``io.analyze_channel`` and of the CLI's ``--cesaro-n``.
+DEFAULT_CESARO_N = 10000
+
+#: Largest cond(W) of the eigenvector matrix the projectors are built
+#: from; beyond it the decomposition is refused as ill-conditioned.
+COND_THRESHOLD = 1e10
+
+#: The Cesaro cross-check at length n accepts a residual up to
+#: ``CESARO_CHECK_FACTOR / n * max(1, ||L||)``.
+CESARO_CHECK_FACTOR = 50.0
+
+#: :func:`decay_fit` puts 1 + eps at ``(1 - DECAY_MARGIN) / rho(S)``.
+DECAY_MARGIN = 1e-3
 
 
 def _as_matrix(L) -> np.ndarray:
@@ -228,36 +244,34 @@ def spectral_projectors(
     lambdas,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
-    cond_threshold: float = 1e10,
 ) -> list:
     """Spectral projector onto each peripheral cluster.
 
     Built from the eigendecomposition: P = W[:, idx] @ inv(W)[idx, :]
     over the eigenvalue indices assigned to the cluster.  An
-    ill-conditioned eigenvector matrix signals a near-defective
-    peripheral eigenvalue, which cannot occur for exactly power-bounded
-    maps, so it is reported as an error.
+    ill-conditioned eigenvector matrix (cond(W) above
+    :data:`COND_THRESHOLD`) signals a near-defective peripheral
+    eigenvalue, which cannot occur for exactly power-bounded maps, so it
+    is reported as an error.
     """
     A, hp = _real_form(_as_matrix(L))
     lam, W = linalg.eig_general(A)
     projectors, _ = _projectors_from_eig(
-        lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold, np.isrealobj(A)
+        lam, W, lambdas, cluster_tol, peripheral_tol, np.isrealobj(A)
     )
     return [_column_stacking(P, hp) for P in projectors]
 
 
-def _projectors_from_eig(
-    lam, W, lambdas, cluster_tol, peripheral_tol, cond_threshold, real
-) -> tuple:
+def _projectors_from_eig(lam, W, lambdas, cluster_tol, peripheral_tol, real) -> tuple:
     """(projectors, cond(W)) from one eigendecomposition ``(lam, W)``.
     If the matrix was ``real``, the projector of a real lambda is real
     (eigenvalues and eigenvectors come in conjugate pairs), and it is
     returned as a real matrix."""
     cond = float(np.linalg.cond(W))
-    if cond > cond_threshold:
+    if cond > COND_THRESHOLD:
         raise IllConditionedDecompositionError(
             f"eigenvector matrix condition number {cond:.3e} exceeds "
-            f"threshold {cond_threshold:.3e}",
+            f"threshold {COND_THRESHOLD:.3e}",
             condition_number=cond,
         )
     Winv = np.linalg.inv(W)
@@ -308,19 +322,18 @@ def peripheral_decomposition(
     L,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    cond_threshold: float = 1e10,
-    cesaro_check_n: int = 400,
-    cesaro_check_factor: float = 50.0,
+    cesaro_check_n: int = DEFAULT_CESARO_N,
 ) -> PeripheralDecomposition:
     """Full decomposition L = sum lambda P_lambda + S with cross-check.
 
     L is factorised once: the eigenvalues of that one eigendecomposition
     are clustered into the peripheral set, and its eigenvectors give the
-    projectors and ``eigvec_condition``.  The projectors are then
-    validated against Cesaro averages of length ``cesaro_check_n``; a
-    disagreement larger than ``cesaro_check_factor / n`` (times ||L||)
-    is an error, not a warning.  Set ``cesaro_check_n=0`` to skip the
-    (slower) check.
+    projectors and ``eigvec_condition``; a cond(W) above
+    :data:`COND_THRESHOLD` is refused.  The projectors are then
+    validated against Cesaro averages of length ``cesaro_check_n``
+    (default :data:`DEFAULT_CESARO_N`); a disagreement larger than
+    :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
+    error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
 
     When L preserves Hermiticity (every quantum operation does), all of
     this runs on its real form in the Hermitian basis
@@ -336,8 +349,7 @@ def peripheral_decomposition(
     eigenvalues, W = linalg.eig_general(A)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     projectors, cond = _projectors_from_eig(
-        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, cond_threshold,
-        np.isrealobj(A),
+        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, np.isrealobj(A)
     )
     del W  # a d^2 x d^2 array: free it before the Cesaro products are allocated
     S = _remainder(A, lambdas, projectors)
@@ -360,7 +372,7 @@ def peripheral_decomposition(
 
     if cesaro_check_n:
         scale = max(1.0, linalg.operator_norm(A))
-        budget = cesaro_check_factor / cesaro_check_n * scale
+        budget = CESARO_CHECK_FACTOR / cesaro_check_n * scale
         for lam, P in zip(lambdas, projectors):
             C = cesaro_average(A, lam, cesaro_check_n)
             resid = linalg.operator_norm(C - P)
@@ -405,13 +417,16 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     return linalg.unvec(out, d)
 
 
-def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
+def decay_fit(S, n_max: int) -> DecayFit:
     """Geometric-decay certificate for the stable part.
 
-    1 + eps is placed at (1 - margin)/rho(S), so the bound can never be
-    falsified by transient growth of a non-normal S; M is then the
-    smallest constant making the certificate true on the recorded
-    norms.  S = 0 is reported as (M=0, eps=margin) by convention.
+    1 + eps is placed at (1 - :data:`DECAY_MARGIN`)/rho(S), so the bound
+    can never be falsified by transient growth of a non-normal S; M is
+    then the smallest constant making the certificate true on the
+    recorded norms.  S = 0 is reported as (M=0, eps=DECAY_MARGIN) by
+    convention.  M and its re-check are computed in log space: for
+    rho(S) below about 2e-8, (1 + eps)^40 alone overflows a float while
+    M stays moderate.
 
     ``S`` is the stable part, or a :class:`PeripheralDecomposition`, whose
     stored ``stable_spectral_radius`` is then used as rho(S): it came
@@ -450,21 +465,30 @@ def decay_fit(S, n_max: int, margin: float = 1e-3) -> DecayFit:
 
     if max(norms) <= 1e-13:
         # numerically zero stable part (e.g. pauli-xy at p = 1/2)
-        return DecayFit(M=0.0, epsilon=margin, n_max=n_max, norms=tuple(norms))
+        return DecayFit(M=0.0, epsilon=DECAY_MARGIN, n_max=n_max, norms=tuple(norms))
     if rho <= 1e-13:
         eps = 1.0  # (near-)nilpotent S: any finite rate certifies
     else:
-        eps = (1.0 - margin) / rho - 1.0
+        eps = (1.0 - DECAY_MARGIN) / rho - 1.0
         if eps <= 0.0:
             eps = (1.0 - rho) / (2.0 * rho)
-    M = max(norm * (1.0 + eps) ** (k + 1) for k, norm in enumerate(norms))
-    fit = DecayFit(M=float(M), epsilon=float(eps), n_max=n_max, norms=tuple(norms))
-    for k, norm in enumerate(fit.norms):  # re-verify the certificate
-        bound = fit.M / (1.0 + fit.epsilon) ** (k + 1)
-        if norm > bound * (1 + 1e-12):
+    growth = np.arange(1, n_max + 1) * math.log1p(eps)  # log (1+eps)^n
+    with np.errstate(divide="ignore"):  # a zero norm has log -inf
+        log_norms = np.log(norms)
+    log_M = float(np.max(log_norms + growth))
+    try:
+        M = math.exp(log_M)
+    except OverflowError:
+        raise NumericError(
+            f"decay constant M = exp({log_M:.1f}) overflows a float (rho(S) = {rho:.3e})"
+        ) from None
+    fit = DecayFit(M=M, epsilon=float(eps), n_max=n_max, norms=tuple(norms))
+    log_bounds = math.log(fit.M) - growth  # re-verify: log(M/(1+eps)^n)
+    for k, norm in enumerate(fit.norms):
+        if log_norms[k] > log_bounds[k] + math.log1p(1e-12):
             raise NumericError(
                 f"decay certificate fails at n={k + 1}: ||S^n|| = {norm:.6e} "
-                f"> M/(1+eps)^n = {bound:.6e}"
+                f"> M/(1+eps)^n = {math.exp(log_bounds[k]):.6e}"
             )
     return fit
 
@@ -553,10 +577,13 @@ def fixed_space_intersection(
     """Fixed space of a convex combination vs. intersection of fixed
     spaces of the parts.
 
-    Equality of the two spaces is the content of the commuting-family
-    lemma, so it is asserted only when the superoperators commute
-    within ``tol``; otherwise ``equal`` is None and the commutator
-    residual is reported.
+    The intersection is the kernel of the stacked projectors onto the
+    complements of the parts' fixed spaces, from
+    :func:`linalg.null_space` with its rank cut ``tol * max(1,
+    sigma_max)``, the cut every fixed space here uses.  Equality of the
+    two spaces is the content of the commuting-family lemma, so it is
+    asserted only when the superoperators commute within ``tol``;
+    otherwise ``equal`` is None and the commutator residual is reported.
     """
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
@@ -594,12 +621,7 @@ def fixed_space_intersection(
     if empty:
         intersection = FixedSpaceBasis(basis=(), tol=tol)
     else:
-        stacked = np.vstack(complements)
-        # kernel of the stacked complement projectors = joint fixed span
-        _, s, Vh = linalg.svd(stacked)
-        smax = max(1.0, float(s[0]) if s.size else 1.0)
-        rank = int(np.sum(s >= tol * smax))
-        kernel = Vh[rank:].conj().T if rank < n else np.zeros((n, 0), dtype=complex)
+        kernel = linalg.null_space(np.vstack(complements), tol)
         intersection = FixedSpaceBasis(
             basis=tuple(
                 linalg.unvec(kernel[:, k], d) for k in range(kernel.shape[1])
@@ -641,8 +663,16 @@ def peripheral_unitarity_check(L, decomp: PeripheralDecomposition) -> float:
 
 
 def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryReport:
-    """F(phi_2) = F(phi_2*) on the Hilbert-Schmidt space (finite Kraus
-    families always qualify)."""
+    """Compare the fixed spaces F(phi) and F(phi*) on the Hilbert-Schmidt
+    space.
+
+    Their dimensions always agree, since rank(I - L) = rank(I - L^H).
+    The spaces themselves agree when phi is unital and trace preserving:
+    both are then the commutant of the Kraus operators (Arias, Gheondea
+    & Gudder, J. Math. Phys. 43 (2002) 5872).  Otherwise they may
+    differ: for a trace-preserving phi that is not unital, phi* fixes I
+    and phi does not, so ``equal`` is False.
+    """
     Lf = channel_mod.superoperator(ch, channel_mod.FORWARD)
     La = channel_mod.superoperator(ch, channel_mod.ADJOINT)
     ff = fixed_space(Lf, tol)

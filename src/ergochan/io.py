@@ -159,6 +159,11 @@ class AnalysisReport:
         return cls(**doc)
 
 
+#: Number of powers of the stable part that :func:`analyze_channel`
+#: norms for its decay certificate.
+DECAY_N_MAX = 40
+
+
 def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -167,25 +172,26 @@ def analyze_channel(
     ch: KrausChannel,
     tol: float = linalg.DEFAULT_TOL,
     peripheral_tol: float = ergodic.DEFAULT_PERIPHERAL_TOL,
-    cluster_tol: float = ergodic.DEFAULT_CLUSTER_TOL,
-    fixed_tol: float = ergodic.DEFAULT_FIXED_TOL,
-    cesaro_n: int = 400,
-    decay_n_max: int = 40,
+    cesaro_n: int = ergodic.DEFAULT_CESARO_N,
     seed: int = 0,
     adjoint: bool = False,
 ) -> AnalysisReport:
-    """Run the full pipeline on one channel and collect the report."""
+    """Run the full pipeline on one channel and collect the report.
+
+    The fixed space is cut at ``ergodic.DEFAULT_FIXED_TOL``, peripheral
+    eigenvalues are clustered at ``ergodic.DEFAULT_CLUSTER_TOL`` (both
+    recorded under ``tolerances``), the Cesaro cross-check runs
+    ``cesaro_n`` steps (default ``ergodic.DEFAULT_CESARO_N``) and the
+    decay certificate norms :data:`DECAY_N_MAX` powers.
+    """
     side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
     L = channel_mod.superoperator(ch, side)
     ver = channel_mod.verify(ch, tol=tol)
-    fs = ergodic.fixed_space(L, fixed_tol)
+    fs = ergodic.fixed_space(L)
     decomp = ergodic.peripheral_decomposition(
-        L,
-        peripheral_tol=peripheral_tol,
-        cluster_tol=cluster_tol,
-        cesaro_check_n=cesaro_n,
+        L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
     )
-    fit = ergodic.decay_fit(decomp, decay_n_max)
+    fit = ergodic.decay_fit(decomp, DECAY_N_MAX)
 
     # residual summary for the projector algebra and reconstruction
     proj_resid = 0.0
@@ -217,8 +223,8 @@ def analyze_channel(
         tolerances={
             "tol": tol,
             "peripheral_tol": peripheral_tol,
-            "cluster_tol": cluster_tol,
-            "fixed_tol": fixed_tol,
+            "cluster_tol": ergodic.DEFAULT_CLUSTER_TOL,
+            "fixed_tol": ergodic.DEFAULT_FIXED_TOL,
             "cesaro_n": cesaro_n,
         },
         verification=asdict(ver),

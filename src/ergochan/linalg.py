@@ -28,8 +28,12 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-#: Default relative tolerance; callers scale by dimension where needed.
+#: Default tolerance; callers scale by dimension where needed.
 DEFAULT_TOL = 1e-10
+
+#: Relative resolution of :func:`eig_sort_order`: sort keys closer than
+#: this (times max(1, largest modulus)) compare as ties.
+EIG_TIE_TOL = 1e-12
 
 #: Largest entry of ``M - mirror(M)``, relative to the largest entry of
 #: M, that :func:`is_hermiticity_preserving` still counts as round-off:
@@ -55,16 +59,17 @@ def _require_square(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     return M
 
 
-def eig_sort_order(eigenvalues: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
+def eig_sort_order(eigenvalues: np.ndarray) -> np.ndarray:
     """Index order: descending |lambda|, then Re, then Im (all descending).
 
-    Keys are quantized at ``tie_tol`` (relative) so that moduli equal up
-    to round-off compare as ties and fall through to the real part.
+    Keys are quantized at :data:`EIG_TIE_TOL` (relative) so that moduli
+    equal up to round-off compare as ties and fall through to the real
+    part.
     """
     lam = np.asarray(eigenvalues)
     if lam.size == 0:
         return np.arange(0)
-    q = tie_tol * max(1.0, float(np.max(np.abs(lam))))
+    q = EIG_TIE_TOL * max(1.0, float(np.max(np.abs(lam))))
     key_abs = np.round(np.abs(lam) / q)
     key_re = np.round(lam.real / q)
     key_im = np.round(lam.imag / q)
@@ -151,30 +156,37 @@ def hs_inner(A, B) -> complex:
     return complex(np.vdot(A, B))
 
 
-def null_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of a square matrix.
+def _numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values ``s`` (descending) at or above the cut
+    ``tol * max(1, sigma_max)``.
 
-    Kernel dimension is the number of singular values below
-    ``tol * sigma_max``; ``sigma_max == 0`` yields the full space.
-    Returns a matrix whose columns are the basis vectors (possibly zero
-    columns wide).
+    The cut is absolute below unit scale: the matrices whose rank the
+    package needs, such as I - L for a channel L, are differences of
+    O(1) matrices, so their round-off is about 1e-16 even when sigma_max
+    is tiny (a channel near the identity), and a cut relative to
+    sigma_max would count that round-off as rank.
     """
-    M = _require_square(as_matrix(M))
+    return int(np.sum(s >= tol * max(1.0, float(s[0]))))
+
+
+def null_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical kernel of M.
+
+    M may be square or tall (or wide).  Singular values below
+    ``tol * max(1, sigma_max)`` count as zero (:func:`_numerical_rank`),
+    so the zero matrix has the whole space as its kernel.  The result
+    has a row per column of M and a column per kernel vector (possibly
+    none).
+    """
     _, s, Vh = svd(M)
-    if s[0] == 0.0:
-        return np.eye(M.shape[0], dtype=complex)
-    rank = int(np.sum(s >= tol * s[0]))
-    return Vh[rank:].conj().T
+    return Vh[_numerical_rank(s, tol):].conj().T
 
 
 def column_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical range of M."""
-    M = as_matrix(M)
+    """Orthonormal basis (columns) of the numerical range of M, with the
+    rank cut of :func:`null_space`."""
     U, s, _ = svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        return U[:, :0]
-    rank = int(np.sum(s >= tol * s[0]))
-    return U[:, :rank]
+    return U[:, :_numerical_rank(s, tol)]
 
 
 def hermitize(M) -> np.ndarray:

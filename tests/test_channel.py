@@ -3,6 +3,7 @@ import pytest
 
 from ergochan import (
     KrausChannel,
+    Superoperator,
     apply,
     apply_adjoint,
     apply_n,
@@ -82,6 +83,13 @@ class TestKrausChannel:
         ch = pauli_xy_channel(0.5)
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 5.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_caller_array_stays_writable(self, dtype):
+        V = np.eye(2, dtype=dtype)
+        ch = KrausChannel((V,))
+        V[0, 0] = 2
+        assert ch.kraus[0][0, 0] == 1
 
 
 class TestApply:
@@ -225,6 +233,15 @@ class TestSuperoperator:
     def test_identity_channel(self):
         ch = KrausChannel(kraus=(np.eye(3),))
         assert np.allclose(superoperator(ch).matrix, np.eye(9))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_caller_matrix_stays_writable_and_uncopied(self, dtype):
+        M = np.eye(4, dtype=dtype)
+        L = Superoperator(2, "forward", M)
+        assert np.shares_memory(L.matrix, M)
+        with pytest.raises(ValueError):
+            L.matrix[0, 0] = 2
+        M[0, 0] = 2
 
     def test_pauli_real_symmetric(self):
         L = superoperator(pauli_xy_channel(0.3)).matrix

@@ -1,15 +1,17 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from ergochan import io
+from ergochan import ergodic, io
 from ergochan.cli import (
     EXIT_DECOMPOSITION,
     EXIT_FORMAT,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 
@@ -83,6 +85,15 @@ class TestAnalyzeCommand:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_round_off_stable_part(self, tmp_path):
+        # rho(S) ~ 2e-9: the decay certificate used to overflow
+        spec, out = str(tmp_path / "s.json"), tmp_path / "report.json"
+        assert main(["catalog", "pauli-xy", "--param", "p=0.999999999", "--out", spec]) == EXIT_OK
+        assert main(["analyze", spec, "--out", str(out)]) == EXIT_OK
+        decay = json.loads(out.read_text())["decay"]
+        assert decay["M"] == pytest.approx(0.999, rel=1e-6)
+        assert decay["epsilon"] > 1e8
+
     def test_adjoint_flag(self, pauli_spec, tmp_path):
         out = tmp_path / "adj.json"
         # pauli-xy is self-adjoint, so both sides agree
@@ -125,6 +136,13 @@ class TestFixedSpaceCommand:
         assert report["dimension"] == 1
         B = io.pairs_to_matrix(report["basis"][0])
         assert np.allclose(B, B[0, 0] * np.eye(2), atol=1e-10)
+
+    def test_near_identity_channel(self, tmp_path, capsys):
+        spec = str(tmp_path / "parity.json")
+        args = ["--param", "p=0.999999999", "--param", "dim=4", "--out", spec]
+        assert main(["catalog", "parity-fock", *args]) == EXIT_OK
+        assert main(["fixed-space", spec]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["dimension"] == 8
 
 
 class TestCatalogCommand:
@@ -173,3 +191,13 @@ class TestSeedEnvFallback:
         monkeypatch.setenv("ERGOCHAN_SEED", "abc")
         assert main(["verify", pauli_spec]) == EXIT_VALIDATION
         assert "ERGOCHAN_SEED" in capsys.readouterr().err
+
+
+def test_one_cesaro_default():
+    n = ergodic.DEFAULT_CESARO_N
+    assert n == 10000  # the CLI's documented default
+    assert build_parser().parse_args(["analyze", "spec.json"]).cesaro_n == n
+    params = inspect.signature(io.analyze_channel).parameters
+    assert params["cesaro_n"].default == n
+    params = inspect.signature(ergodic.peripheral_decomposition).parameters
+    assert params["cesaro_check_n"].default == n

@@ -23,7 +23,12 @@ from ergochan import (
     superoperator,
 )
 from ergochan import ergodic, linalg
-from ergochan.errors import DecompositionFailureError, DegenerateInputError, DomainError
+from ergochan.errors import (
+    DecompositionFailureError,
+    DegenerateInputError,
+    DomainError,
+    NumericError,
+)
 
 CATALOG_CHANNELS = [
     pauli_xy_channel(0.25),
@@ -116,6 +121,17 @@ class TestFixedSpace:
     def test_shift_empty(self):
         fs = fixed_space(superoperator(shift_channel(0.5, 16)), tol=1e-8)
         assert fs.dimension == 0
+
+    def test_near_identity_channel(self):
+        # ||I - L|| = 2e-9: a cut relative to it counted the round-off
+        # (1e-16) on the 8 even-gap fixed points as rank
+        L = superoperator(parity_fock_channel(1 - 1e-9, 4))
+        fs = fixed_space(L, 1e-10)
+        assert fs.dimension == 8
+        for B in fs.basis:
+            assert linalg.hs_norm(L(B) - B) <= 1e-15
+        rep = splitting_check(L, 1e-10)
+        assert (rep.fixed_dim, rep.range_dim) == (8, 8)
 
     def test_orthonormal_gram(self):
         fs = fixed_space(superoperator(parity_fock_channel(0.3, 6)))
@@ -336,6 +352,26 @@ class TestDecayFit:
         for k, norm in enumerate(fit.norms):
             # absolute slack covers the numerically-zero stable part
             assert norm <= fit.M / (1 + fit.epsilon) ** (k + 1) * (1 + 1e-12) + 1e-13
+
+    def test_tiny_rho_does_not_overflow(self):
+        # every eigenvalue of pauli-xy at p = 1 - 1e-9 is peripheral, so S
+        # is round-off, rho(S) ~ 2e-9, and (1 + eps)^40 ~ 1e348 > max float
+        decomp = peripheral_decomposition(superoperator(pauli_xy_channel(1 - 1e-9)))
+        rho = decomp.stable_spectral_radius
+        assert 1e-13 < rho < 2e-8
+        fit = decay_fit(decomp, 40)
+        assert fit.epsilon == (1 - 1e-3) / rho - 1
+        assert fit.M == pytest.approx(0.999, rel=1e-6)
+        for k, norm in enumerate(fit.norms):
+            if norm:
+                bound = np.log(fit.M) - (k + 1) * np.log1p(fit.epsilon)
+                assert np.log(norm) <= bound + 1e-12
+
+    def test_unrepresentable_constant_is_a_numeric_error(self):
+        # a 30 x 30 Jordan block at rho = 1e-12: ||S^40|| (1 + eps)^40 ~ 1e357
+        S = 1e-12 * np.eye(30) + np.diag(np.ones(29), k=1)
+        with pytest.raises(NumericError, match="overflows"):
+            decay_fit(S, 40)
 
     def test_expanding_rejected(self):
         with pytest.raises(DomainError):

@@ -207,8 +207,8 @@ class TestFactorisationCounts:
                 return _orig(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, typed)
-        decay_n_max = 40
-        rep = io.analyze_channel(ch, cesaro_n=200, decay_n_max=decay_n_max)
+        decay_n_max = io.DECAY_N_MAX
+        rep = io.analyze_channel(ch, cesaro_n=200)
         assert len(rep.peripheral["lambdas"]) == 1
         counts = Counter(calls)
         assert counts["eig", "float64"] == counts["eigvals", "float64"] == 1

@@ -155,6 +155,21 @@ class TestNullSpace:
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(basis.shape[1]), 2) < 1e-12
 
+    def test_cut_is_absolute_below_unit_scale(self):
+        # round-off-sized singular values are zero whatever sigma_max is
+        tiny = 1e-12 * np.diag([1.0, 0.5, 0.0])
+        assert linalg.null_space(tiny).shape == (3, 3)
+        assert linalg.column_space(tiny).shape == (3, 0)
+        big = 1e3 * np.diag([1.0, 1e-14, 0.0])
+        assert linalg.null_space(big).shape == (3, 2)
+        assert linalg.column_space(big).shape == (3, 1)
+
+    def test_tall_matrix(self):
+        stacked = np.vstack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+        basis = linalg.null_space(stacked)
+        assert basis.shape == (3, 1)
+        assert abs(abs(basis[2, 0]) - 1.0) < 1e-12
+
     def test_kernel_vectors_annihilated(self):
         rng = np.random.default_rng(6)
         M = random_complex(rng, 5, 2)

@@ -123,6 +123,25 @@ def test_verify(ch):
     assert rep.max_kraus_sum_eigenvalue <= 1 + 1e-12
 
 
+def unitary_mixture(seed, d, p=0.3):
+    """p U1 X U1^dag + (1 - p) U2 X U2^dag for two random unitaries."""
+    rng = np.random.default_rng(seed)
+    unitaries = [
+        np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        for _ in range(2)
+    ]
+    return KrausChannel(kraus=(np.sqrt(p) * unitaries[0], np.sqrt(1 - p) * unitaries[1]))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_hs_fixed_point_symmetry_of_unital_channels(d):
+    # unital and trace preserving: both fixed spaces are the commutant of
+    # the Kraus operators, here the multiples of I
+    rep = hs_fixed_point_symmetry(unitary_mixture(200 + d, d))
+    assert rep.equal
+    assert (rep.forward_fixed.dimension, rep.adjoint_fixed.dimension) == (1, 1)
+
+
 @pytest.mark.parametrize("ch", CHANNELS)
 def test_hs_fixed_point_symmetry(ch):
     # a trace-preserving random channel fixes one state, which is not
