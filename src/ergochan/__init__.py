@@ -43,6 +43,7 @@ from .ergodic import (  # noqa: F401
     peripheral_decomposition,
     peripheral_spectrum,
     peripheral_unitarity_check,
+    power_iterate,
     reconstruct_iterate,
     spectral_projectors,
     splitting_check,

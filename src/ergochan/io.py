@@ -121,8 +121,9 @@ def load_spec(path) -> KrausChannel:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, repr floats."""
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Canonical JSON text: sorted keys, compact separators, repr floats,
+    on one line.  Without ``indent`` json uses its C encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def save_json(doc: dict, path) -> None:

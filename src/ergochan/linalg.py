@@ -326,3 +326,31 @@ def from_hermitian_basis(R) -> np.ndarray:
         X += _mirror(X, up, lo)
         X *= 0.5
     return X
+
+
+def _vector_pairs(v) -> tuple:
+    """(complex copy of v, (up, lo)) for a length-d^2 vector v."""
+    v = np.array(v, dtype=complex)
+    pairs = _hermitian_pairs(v.shape[0]) if v.ndim == 1 else None
+    if pairs is None:
+        raise DimensionError(f"expected a vector of length d^2, got shape {v.shape}")
+    return v, pairs
+
+
+def to_hermitian_coordinates(v) -> np.ndarray:
+    """``B^H v``: vec(X) in the Hermitian basis, in O(d^2).
+
+    The coordinates are complex; they are real exactly when X is
+    Hermitian.  A Hermiticity-preserving map acts on them by the real
+    matrix :func:`to_hermitian_basis` gives.
+    """
+    w, pairs = _vector_pairs(v)
+    _mix_pairs(w, *pairs, 1, -1j)
+    return w
+
+
+def from_hermitian_coordinates(w) -> np.ndarray:
+    """``B w``: the inverse of :func:`to_hermitian_coordinates`."""
+    v, pairs = _vector_pairs(w)
+    _mix_pairs(v, *pairs, 1j, 1)
+    return v

@@ -147,6 +147,10 @@ class TestApplyN:
         with pytest.raises(DimensionError):
             apply_n(pauli_xy_channel(0.5), np.eye(3), 4)
 
+    def test_negative_n_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            apply_n(pauli_xy_channel(0.5), np.eye(2), -3)
+
 
 class TestAdjoint:
     def test_pauli_self_adjoint(self):

@@ -1,10 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergochan import ergodic, io
+from ergochan import channel, ergodic, io, linalg
 from ergochan.cli import (
     EXIT_DECOMPOSITION,
     EXIT_FORMAT,
@@ -123,6 +127,26 @@ class TestIterateCommand:
         # both Kraus terms swap the populations, so n=2 returns diag(1,0)
         assert np.allclose(direct, np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "entry, params", [("pauli-xy", ["p=0.25"]), ("parity-fock", ["p=0.3", "dim=8"])]
+    )
+    def test_large_n_by_binary_powering(self, entry, params, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterate stepped through apply_n")
+
+        spec, out = str(tmp_path / "spec.json"), tmp_path / "it.json"
+        args = [arg for param in params for arg in ("--param", param)]
+        assert main(["catalog", entry, *args, "--out", spec]) == EXIT_OK
+        monkeypatch.setattr(channel, "apply_n", refuse)
+        n = 10**6
+        argv = ["iterate", spec, "--n", str(n), "--cesaro-n", "200", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = json.loads(out.read_text())
+        d = len(report["direct"])
+        X = np.eye(d) / d  # the default state
+        bound = ergodic.POWER_DRIFT * n * d * 2.0**-53 * linalg.hs_norm(X)
+        assert report["disagreement_hs"] <= bound
+
     def test_state_shape_mismatch(self, pauli_spec, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps(io.matrix_to_pairs(np.eye(3))))
@@ -201,3 +225,17 @@ def test_one_cesaro_default():
     assert params["cesaro_n"].default == n
     params = inspect.signature(ergodic.peripheral_decomposition).parameters
     assert params["cesaro_check_n"].default == n
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # from a checkout, with src/ on the path and no installed script
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergochan", "catalog", "pauli-xy", "--param", "p=0.25"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["catalog"]["entry"] == "pauli-xy"

@@ -10,11 +10,13 @@ from ergochan import (
     fixed_space_intersection,
     hs_fixed_point_symmetry,
     parity_fock_channel,
+    parity_iterate_expected,
     pauli_decomposition_expected,
     pauli_xy_channel,
     peripheral_decomposition,
     peripheral_spectrum,
     peripheral_unitarity_check,
+    power_iterate,
     reconstruct_iterate,
     shift_channel,
     spectral_projectors,
@@ -26,6 +28,7 @@ from ergochan import ergodic, linalg
 from ergochan.errors import (
     DecompositionFailureError,
     DegenerateInputError,
+    DimensionError,
     DomainError,
     NumericError,
 )
@@ -42,6 +45,11 @@ CATALOG_IDS = ["pauli25", "pauli50", "pauli90", "shift8", "parity8"]
 
 def identity_channel(d):
     return KrausChannel(kraus=(np.eye(d),), label=f"identity({d})")
+
+
+def power_drift_bound(n, X):
+    """The documented error bound of power_iterate for a d x d input X."""
+    return ergodic.POWER_DRIFT * n * X.shape[0] * 2.0**-53 * linalg.hs_norm(X)
 
 
 def cesaro_loop(L, lam, n):
@@ -248,6 +256,52 @@ class TestReconstruction:
             assert err <= n * 1e-10 * linalg.hs_norm(X)
 
 
+class TestPowerIterate:
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_pauli_closed_form(self, p, n):
+        pe = pauli_decomposition_expected(p)
+        X = np.array([[0.7, 0.2 - 0.1j], [0.3j, 0.3]])
+        v = linalg.vec(X)
+        want = np.linalg.matrix_power(pe.stable, n) @ v
+        for lam, P in zip(pe.lambdas, pe.projectors):
+            want += lam**n * (P @ v)
+        got = power_iterate(superoperator(pauli_xy_channel(p)), n, X)
+        assert linalg.hs_norm(got - linalg.unvec(want, 2)) <= power_drift_bound(n, X)
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_parity_closed_form(self, p, d, n):
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        got = power_iterate(superoperator(parity_fock_channel(p, d)), n, X)
+        err = linalg.hs_norm(got - parity_iterate_expected(p, d, n, X))
+        assert err <= power_drift_bound(n, X)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power_iterate factorised L")
+
+        for name in ("eig", "eigvals", "svd", "matrix_power"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        ch = parity_fock_channel(0.3, 4)
+        X = np.eye(4) / 4
+        got = power_iterate(superoperator(ch), 1000, X)
+        assert linalg.hs_norm(got - X) <= power_drift_bound(1000, X)
+
+    def test_n0_returns_x(self):
+        X = np.array([[0.5, 1j], [0.25, -2.0]])
+        assert np.array_equal(power_iterate(superoperator(pauli_xy_channel(0.3)), 0, X), X)
+
+    def test_bad_input(self):
+        L = superoperator(pauli_xy_channel(0.3))
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            power_iterate(L, -3, np.eye(2))
+        with pytest.raises(DimensionError):
+            power_iterate(L, 2, np.eye(3))
+
+
 class TestConjugatePeripheralPair:
     """V1 = sqrt(p) U, V2 = sqrt(1-p) U Z with U = diag(e^{i k theta}),
     Z = diag(1, -1, 1): phi(E_jk) = e^{i(j-k) theta} (p + (1-p) z_j z_k) E_jk.
@@ -324,6 +378,23 @@ class TestNonHermiticityPreserving:
         for n in (1, 3, 20):
             want = np.linalg.matrix_power(self.A, n) @ X
             assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
+
+    def test_power_iterate_in_complex_arithmetic(self):
+        # A^n = P_A + c^n (I - P_A), against the closed form and the
+        # per-step loop Y -> A Y
+        L = np.kron(np.eye(2), self.A)
+        X = np.array([[1.0, 2.0 - 1j], [0.5j, -1.0]])
+        Q = np.eye(2) - self.P_A
+        step, done = X, 0
+        for n in (1, 2, 3, 5, 64, 1000, 10000):
+            for _ in range(n - done):
+                step = self.A @ step
+            done = n
+            got = power_iterate(L, n, X)
+            bound = ergodic.POWER_DRIFT * n * 2 * 2.0**-53 * linalg.hs_norm(X)
+            assert linalg.hs_norm(got - step) <= bound
+            closed = (self.P_A + self.c**n * Q) @ X
+            assert linalg.hs_norm(got - closed) <= bound
 
 
 class TestDecayFit:

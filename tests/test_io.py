@@ -163,7 +163,9 @@ class TestAnalysisReport:
     )
     def test_dumps_equals_asdict_dumps(self, ch):
         rep = io.analyze_channel(ch, cesaro_n=200)
-        reference = json.dumps(dataclasses.asdict(rep), sort_keys=True, indent=2)
+        reference = json.dumps(
+            dataclasses.asdict(rep), sort_keys=True, separators=(",", ":")
+        )
         assert io.dumps(rep.to_dict()) == reference
 
 

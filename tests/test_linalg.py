@@ -324,6 +324,26 @@ class TestHermitianBasis:
     def test_size_must_be_a_square(self):
         with pytest.raises(DimensionError):
             linalg.to_hermitian_basis(np.eye(3))
+        with pytest.raises(DimensionError):
+            linalg.to_hermitian_coordinates(np.ones(3))
+        with pytest.raises(DimensionError):
+            linalg.from_hermitian_coordinates(np.ones((4, 1)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_coordinates_equal_dense_basis_matrix(self, d):
+        B = hermitian_basis_matrix(d)
+        rng = np.random.default_rng(40 + d)
+        v = random_complex(rng, d, d).reshape(-1, order="F")
+        w = linalg.to_hermitian_coordinates(v)
+        assert np.allclose(w, B.conj().T @ v, atol=1e-15)
+        assert np.allclose(linalg.from_hermitian_coordinates(w), v, atol=1e-15)
+        assert np.allclose(linalg.from_hermitian_coordinates(v), B @ v, atol=1e-15)
+
+    def test_coordinates_of_a_hermitian_matrix_are_real(self):
+        rng = np.random.default_rng(45)
+        G = random_complex(rng, 4, 4)
+        w = linalg.to_hermitian_coordinates(linalg.vec(G + G.conj().T))
+        assert np.max(np.abs(w.imag)) <= 1e-15
 
 
 class TestAsMatrixDtype:

@@ -15,6 +15,7 @@ from ergochan import (
     apply_n,
     hs_fixed_point_symmetry,
     peripheral_decomposition,
+    power_iterate,
     reconstruct_iterate,
     splitting_check,
     superoperator,
@@ -22,6 +23,7 @@ from ergochan import (
 )
 from ergochan import linalg
 from ergochan.channel import ADJOINT, FORWARD
+from ergochan.ergodic import POWER_DRIFT
 
 DIMS = range(2, 9)
 
@@ -108,6 +110,22 @@ class TestRandomEnsemble:
             direct = apply_n(ch, X, n, adjoint=side == ADJOINT)
             err = linalg.hs_norm(reconstruct_iterate(decomp, n, X) - direct)
             assert err <= 1e-11 * linalg.hs_norm(X)
+
+    def test_power_iterate_against_apply_n(self, ch, side):
+        # the doubling path against the per-step Kraus loop; apply_n is
+        # continued from the previous n, which is bit-identical to a
+        # fresh run (the loop is deterministic step by step)
+        L = superoperator(ch, side)
+        d = ch.dim
+        rng = np.random.default_rng(50 + d)
+        X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        unit = d * 2.0**-53 * linalg.hs_norm(X)
+        direct, done = X, 0
+        for n in (1, 2, 3, 5, 64, 1000, 10000):
+            direct = apply_n(ch, direct, n - done, adjoint=side == ADJOINT)
+            done = n
+            err = linalg.hs_norm(power_iterate(L, n, X) - direct)
+            assert err <= POWER_DRIFT * n * unit
 
     def test_splitting(self, ch, side):
         rep = splitting_check(superoperator(ch, side))
