@@ -2,7 +2,7 @@
 
 A_n(L/lambda) = (1/n) sum_{i<=n} (L/lambda)^i tends to the projector
 onto the lambda-eigenspace.  This is the constructive route the package
-uses to cross-check the eigendecomposition-based projectors.
+uses to cross-check the projectors built from the kernels of L - lambda.
 """
 
 from ergochan import (

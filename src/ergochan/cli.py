@@ -5,8 +5,10 @@ Subcommands::
     ergochan verify <spec.json> [--tol ...]
     ergochan analyze <spec.json> [--adjoint] [--out report.json]
     ergochan iterate <spec.json> --n N [--state state.json]
-    ergochan fixed-space <spec.json>
+    ergochan fixed-space <spec.json> [--adjoint]
     ergochan catalog <entry> --param p=0.5 [--param dim=8] [--out spec.json]
+
+Each subcommand takes only the flags :func:`build_parser` gives it.
 
 Exit codes: 0 success, 1 invariant failure, 2 format error,
 3 validation/domain error, 4 numeric error, 5 decomposition failure.
@@ -86,10 +88,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_iterate(args) -> int:
     """``direct`` is L^n vec(X) by the binary powering of
     :func:`ergodic.power_iterate`, O(log n) products and independent of
-    the eigendecomposition; ``reconstructed`` is the spectral sum of
+    the decomposition; ``reconstructed`` is the spectral sum of
     :func:`ergodic.reconstruct_iterate`.  ``disagreement_hs`` is the HS
     norm of their difference, within the drift bound of ``power_iterate``
     (linear in n)."""
+    if args.n < 1:  # before the decomposition, which costs far more
+        raise DomainError(f"n must be >= 1, got {args.n}")
     ch = io.load_spec(args.spec)
     if args.state:
         try:
@@ -110,7 +114,7 @@ def _cmd_iterate(args) -> int:
     decomp = ergodic.peripheral_decomposition(
         L, peripheral_tol=args.peripheral_tol, cesaro_check_n=args.cesaro_n
     )
-    recon = ergodic.reconstruct_iterate(decomp, args.n, X)  # rejects n < 1
+    recon = ergodic.reconstruct_iterate(decomp, args.n, X)
     direct = ergodic.power_iterate(L, args.n, X)
     _emit(
         {
@@ -163,15 +167,22 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
-    p.add_argument(
-        "--peripheral-tol", type=float, default=ergodic.DEFAULT_PERIPHERAL_TOL
-    )
-    p.add_argument("--cesaro-n", type=int, default=ergodic.DEFAULT_CESARO_N)
-    p.add_argument("--adjoint", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out", type=str, default=None)
+_FLAGS = {
+    "--tol": dict(type=float, default=linalg.DEFAULT_TOL),
+    "--peripheral-tol": dict(type=float, default=ergodic.DEFAULT_PERIPHERAL_TOL),
+    "--cesaro-n": dict(type=int, default=ergodic.DEFAULT_CESARO_N),
+    "--adjoint": dict(action="store_true"),
+    "--seed": dict(type=int),  # default: ERGOCHAN_SEED, read in _add_flags
+    "--out": dict(type=str, default=None),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Give one subcommand ``--out`` and the named flags, no others."""
+    for flag in (*flags, "--out"):
+        p.add_argument(flag, **_FLAGS[flag])
+    if "--seed" in flags:
+        p.set_defaults(seed=_default_seed())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,30 +194,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the channel axioms")
     p.add_argument("spec")
-    _add_common(p)
+    _add_flags(p, "--tol", "--seed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("analyze", help="full ergodic analysis report")
     p.add_argument("spec")
-    _add_common(p)
+    _add_flags(p, "--tol", "--peripheral-tol", "--cesaro-n", "--adjoint", "--seed")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("iterate", help="n-th iterate, direct vs reconstructed")
     p.add_argument("spec")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--state", type=str, default=None)
-    _add_common(p)
+    _add_flags(p, "--tol", "--peripheral-tol", "--cesaro-n", "--adjoint", "--seed")
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("fixed-space", help="orthonormal fixed-space basis")
     p.add_argument("spec")
-    _add_common(p)
+    _add_flags(p, "--tol", "--adjoint", "--seed")
     p.set_defaults(func=_cmd_fixed_space)
 
     p = sub.add_parser("catalog", help="emit a spec file for a catalog entry")
     p.add_argument("entry", choices=sorted(catalog.CATALOG))
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--out", type=str, default=None)
+    _add_flags(p)
     p.set_defaults(func=_cmd_catalog)
 
     return parser

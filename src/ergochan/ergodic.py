@@ -39,10 +39,6 @@ DEFAULT_FIXED_TOL = 1e-8
 #: of ``io.analyze_channel`` and of the CLI's ``--cesaro-n``.
 DEFAULT_CESARO_N = 10000
 
-#: Largest cond(W) of the eigenvector matrix the projectors are built
-#: from; beyond it the decomposition is refused as ill-conditioned.
-COND_THRESHOLD = 1e10
-
 #: The Cesaro cross-check at length n accepts a residual up to
 #: ``CESARO_CHECK_FACTOR / n * max(1, ||L||)``.
 CESARO_CHECK_FACTOR = 50.0
@@ -117,11 +113,10 @@ class PeripheralDecomposition:
     of the computed ``stable`` (of its real form, :func:`_real_form`),
     stored when the decomposition is built (it is the value the
     ``rho(S) < 1`` check accepted), not recomputed on access.
-    ``eigvec_condition`` is cond(W) of the eigenvector matrix the
-    projectors were built from; for a Hermiticity-preserving input W
-    holds the eigenvectors of the real form, which are those of L
-    changed to the Hermitian basis (a unitary change, so cond is the
-    same up to LAPACK's choice of basis in repeated eigenspaces).
+    ``projector_norm``, recorded and not thresholded, is the largest
+    ||P_lambda||_2 (0 without lambdas).  ``fixed_space`` is the kernel of
+    L - 1 (empty when 1 is not peripheral); its dimension is the rank of
+    P_1, and for a Hermiticity-preserving L its matrices are Hermitian.
     """
 
     dim: int
@@ -131,7 +126,8 @@ class PeripheralDecomposition:
     stable_spectral_radius: float
     peripheral_tol: float
     cluster_tol: float
-    eigvec_condition: float
+    projector_norm: float
+    fixed_space: FixedSpaceBasis
 
     @property
     def projector_ranks(self) -> tuple:
@@ -205,10 +201,14 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
 def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     """Orthonormal basis of Ker(I - L) as d x d matrices."""
     M = _as_matrix(L)
-    d = _side_dim(M)
-    kernel = linalg.null_space(np.eye(M.shape[0]) - M, tol)
-    mats = tuple(linalg.unvec(kernel[:, k], d) for k in range(kernel.shape[1]))
-    return FixedSpaceBasis(basis=mats, tol=tol)
+    return _fixed_basis(linalg.null_space(np.eye(len(M)) - M, tol), _side_dim(M), tol)
+
+
+def _fixed_basis(K, d: int, tol: float, hp: bool = False) -> FixedSpaceBasis:
+    """The columns of K (vec of d x d matrices, or if ``hp`` their
+    Hermitian-basis coordinates) as a basis."""
+    to_vec = linalg.from_hermitian_coordinates if hp else np.asarray
+    return FixedSpaceBasis(tuple(linalg.unvec(to_vec(v), d) for v in K.T), tol)
 
 
 def peripheral_spectrum(
@@ -249,50 +249,61 @@ def spectral_projectors(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
 ) -> list:
-    """Spectral projector onto each peripheral cluster.
-
-    Built from the eigendecomposition: P = W[:, idx] @ inv(W)[idx, :]
-    over the eigenvalue indices assigned to the cluster.  An
-    ill-conditioned eigenvector matrix (cond(W) above
-    :data:`COND_THRESHOLD`) signals a near-defective peripheral
-    eigenvalue, which cannot occur for exactly power-bounded maps, so it
-    is reported as an error.
-    """
+    """Spectral projector onto each peripheral cluster, from the kernels
+    of L - lambda (:func:`_kernel_projectors`); a lambda that is not
+    semisimple raises :class:`IllConditionedDecompositionError`."""
     A, hp = _real_form(_as_matrix(L))
-    lam, W = linalg.eig_general(A)
-    projectors, _ = _projectors_from_eig(
-        lam, W, lambdas, cluster_tol, peripheral_tol, np.isrealobj(A)
+    projectors, _, _ = _kernel_projectors(
+        A, linalg.eigvals(A), lambdas, cluster_tol, peripheral_tol
     )
     return [_column_stacking(P, hp) for P in projectors]
 
 
-def _projectors_from_eig(lam, W, lambdas, cluster_tol, peripheral_tol, real) -> tuple:
-    """(projectors, cond(W)) from one eigendecomposition ``(lam, W)``.
-    If the matrix was ``real``, the projector of a real lambda is real
-    (eigenvalues and eigenvectors come in conjugate pairs), and it is
-    returned as a real matrix."""
-    cond = float(np.linalg.cond(W))
-    if cond > COND_THRESHOLD:
-        raise IllConditionedDecompositionError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds "
-            f"threshold {COND_THRESHOLD:.3e}",
-            condition_number=cond,
-        )
-    Winv = np.linalg.inv(W)
+def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> tuple:
+    """(projectors, kernels V, max ||P||_2) of A at the ``lambdas``.
+
+    A lambda's cluster is the m ``eigenvalues`` within ``cluster_tol + 10
+    * peripheral_tol`` of it.  The trailing m right and left singular
+    vectors of A - lambda span its kernels V and U, and P = V (U^H V)^-1 U^H,
+    of norm 1/sigma_min(U^H V), projects onto Ker(A - lambda) along
+    Rng(A - lambda): the spectral projector if lambda is semisimple, i.e.
+    if the kernel dimension (linalg's rank cut at the cluster's tolerance)
+    is m; else :class:`IllConditionedDecompositionError`.
+    On a real A, P is real at a real lambda, and P(conj lambda) = conj
+    P(lambda) reuses the SVD of the lambda before it."""
+    real, n = np.isrealobj(A), A.shape[0]
     match_tol = cluster_tol + 10.0 * peripheral_tol
-    projectors = []
-    for target in lambdas:
-        idx = [k for k, z in enumerate(lam) if abs(z - target) <= match_tol]
-        if not idx:
+    projectors, kernels, norms = [], [], [0.0]
+    for i, lam in enumerate(map(complex, lambdas)):
+        paired = i and abs(lambdas[i - 1] - lam.conjugate()) <= cluster_tol
+        if real and lam.imag < 0 and paired:
+            projectors.append(projectors[-1].conj())
+            kernels.append(kernels[-1].conj())
+            continue
+        m = int(np.sum(np.abs(eigenvalues - lam) <= match_tol))
+        if not m:
             raise DecompositionFailureError(
-                f"no eigenvalue of L within {match_tol:.1e} of {target}",
+                f"no eigenvalue of L within {match_tol:.1e} of {lam}",
                 spectral_radius=float("nan"),
             )
-        P = W[:, idx] @ Winv[idx, :]
-        if real and complex(target).imag == 0:
-            P = np.ascontiguousarray(P.real)
-        projectors.append(P)
-    return projectors, cond
+        shift = lam.real if real and not lam.imag else lam  # a real A stays real
+        U, s, Vh = linalg.svd(A - shift * np.eye(n))
+        kernel_dim = n - linalg._numerical_rank(s, match_tol)
+        if kernel_dim != m:
+            k = n - m if kernel_dim < m else n - m - 1  # the deciding singular value
+            raise IllConditionedDecompositionError(
+                f"lambda = {lam:.6g} is not semisimple: {m} eigenvalues cluster "
+                f"there, but Ker(L - lambda) has dimension {kernel_dim} (sigma_{k + 1} "
+                f"of L - lambda is {s[k]:.3e} against the cut "
+                f"{match_tol * max(1.0, s[0]):.3e})",
+                singular_value=float(s[k]),
+            )
+        V, U = Vh[n - m:].conj().T, U[:, n - m:]
+        Ug, g, Vgh = linalg.svd(U.conj().T @ V)
+        projectors.append((V @ Vgh.conj().T / g) @ (U @ Ug).conj().T)
+        kernels.append(V)
+        norms.append(1.0 / float(g[-1]))
+    return projectors, kernels, max(norms)
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
@@ -330,19 +341,19 @@ def peripheral_decomposition(
 ) -> PeripheralDecomposition:
     """Full decomposition L = sum lambda P_lambda + S with cross-check.
 
-    L is factorised once: the eigenvalues of that one eigendecomposition
-    are clustered into the peripheral set, and its eigenvectors give the
-    projectors and ``eigvec_condition``; a cond(W) above
-    :data:`COND_THRESHOLD` is refused.  The projectors are then
-    validated against Cesaro averages of length ``cesaro_check_n``
+    The eigenvalues of L (one ``eigvals``) are clustered into the
+    peripheral set; the kernels of L - lambda give the projectors,
+    ``projector_norm`` and the fixed space, and a lambda that is not
+    semisimple is refused (:func:`_kernel_projectors`).  The projectors
+    are then validated against Cesaro averages of length ``cesaro_check_n``
     (default :data:`DEFAULT_CESARO_N`); a disagreement larger than
     :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
     error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
 
     When L preserves Hermiticity (every quantum operation does), all of
     this runs on its real form in the Hermitian basis
-    (:func:`_real_form`): the eigendecomposition, the stable part and
-    rho(S), and the Cesaro products, which are real for lambda = +-1.
+    (:func:`_real_form`): the eigenvalues, the kernels, the stable part
+    and rho(S), and the Cesaro products, which are real for lambda = +-1.
     The projectors and S are then mapped back to the column-stacking
     basis, S symmetrised so that it preserves Hermiticity exactly.
     Other input runs the same code in complex arithmetic.
@@ -350,12 +361,13 @@ def peripheral_decomposition(
     M = _as_matrix(L)
     d = _side_dim(M)
     A, hp = _real_form(M)
-    eigenvalues, W = linalg.eig_general(A)
+    eigenvalues = linalg.eigvals(A)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
-    projectors, cond = _projectors_from_eig(
-        eigenvalues, W, lambdas, cluster_tol, peripheral_tol, np.isrealobj(A)
+    projectors, kernels, norm = _kernel_projectors(
+        A, eigenvalues, lambdas, cluster_tol, peripheral_tol
     )
-    del W  # a d^2 x d^2 array: free it before the Cesaro products are allocated
+    fixed = [V for lam, V in zip(lambdas, kernels) if abs(lam - 1) <= cluster_tol]
+    fixed = fixed[0] if fixed else np.zeros((A.shape[0], 0))
     S = _remainder(A, lambdas, projectors)
     if np.isrealobj(A):
         # the peripheral set of a real matrix is closed under conjugation,
@@ -395,7 +407,8 @@ def peripheral_decomposition(
         stable_spectral_radius=rho,
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
-        eigvec_condition=cond,
+        projector_norm=norm,
+        fixed_space=_fixed_basis(fixed, d, cluster_tol + 10 * peripheral_tol, hp),
     )
 
 
@@ -615,8 +628,6 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
 
 
 def _basis_matrix(fs: FixedSpaceBasis) -> np.ndarray:
-    if not fs.basis:
-        return np.zeros((0, 0), dtype=complex)
     return np.column_stack([linalg.vec(B) for B in fs.basis])
 
 
@@ -669,27 +680,13 @@ def fixed_space_intersection(
                 commute, linalg.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
             )
 
-    n = mats[0].shape[0]
-    I = np.eye(n)
+    I = np.eye(mats[0].shape[0])
     complements = []
-    empty = False
-    for Lm in mats:
+    for Lm in mats:  # a part with no fixed point contributes I: no kernel
         Q = linalg.null_space(I - Lm, tol)
-        if Q.shape[1] == 0:
-            empty = True
-            break
         complements.append(I - Q @ Q.conj().T)
-    d = channels[0].dim
-    if empty:
-        intersection = FixedSpaceBasis(basis=(), tol=tol)
-    else:
-        kernel = linalg.null_space(np.vstack(complements), tol)
-        intersection = FixedSpaceBasis(
-            basis=tuple(
-                linalg.unvec(kernel[:, k], d) for k in range(kernel.shape[1])
-            ),
-            tol=tol,
-        )
+    kernel = linalg.null_space(np.vstack(complements), tol)
+    intersection = _fixed_basis(kernel, channels[0].dim, tol)
 
     if commute <= tol:
         resid = _mutual_projection_residual(combined_fixed, intersection)
@@ -716,11 +713,8 @@ def peripheral_unitarity_check(L, decomp: PeripheralDecomposition) -> float:
     """
     if not decomp.lambdas:
         raise DegenerateInputError("peripheral spectrum is empty")
-    M = _as_matrix(L)
-    Psum = sum(decomp.projectors)
-    Q = linalg.column_space(Psum, tol=0.5)
-    R = Q.conj().T @ M @ Q
-    s = linalg.singular_values(R)
+    Q = linalg.svd(sum(decomp.projectors))[0][:, : sum(decomp.projector_ranks)]
+    s = linalg.singular_values(Q.conj().T @ _as_matrix(L) @ Q)
     return float(np.max(np.abs(s - 1.0)))
 
 

@@ -22,14 +22,13 @@ class NumericError(ErgochanError):
 
 
 class IllConditionedDecompositionError(ErgochanError):
-    """The eigenvector matrix is too ill-conditioned to trust the
-    spectral projectors.  Signals a near-defective peripheral cluster,
-    which for exactly power-bounded maps indicates tolerance
-    misconfiguration rather than genuine structure."""
+    """A peripheral eigenvalue is not semisimple: the kernel of L - lambda
+    is smaller or larger than its cluster of eigenvalues.  No power-bounded
+    map has one.  ``singular_value`` of L - lambda decided, against a cut."""
 
-    def __init__(self, message, condition_number):
+    def __init__(self, message, singular_value):
         super().__init__(message)
-        self.condition_number = condition_number
+        self.singular_value = singular_value
 
 
 class DecompositionFailureError(ErgochanError):

@@ -165,10 +165,6 @@ class AnalysisReport:
 DECAY_N_MAX = 40
 
 
-def _complex_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def analyze_channel(
     ch: KrausChannel,
     tol: float = linalg.DEFAULT_TOL,
@@ -179,16 +175,16 @@ def analyze_channel(
 ) -> AnalysisReport:
     """Run the full pipeline on one channel and collect the report.
 
-    The fixed space is cut at ``ergodic.DEFAULT_FIXED_TOL``, peripheral
-    eigenvalues are clustered at ``ergodic.DEFAULT_CLUSTER_TOL`` (both
-    recorded under ``tolerances``), the Cesaro cross-check runs
+    Peripheral eigenvalues are clustered at
+    ``ergodic.DEFAULT_CLUSTER_TOL`` (recorded under ``tolerances``); the
+    fixed space is the decomposition's kernel at lambda = 1, so its
+    dimension is the rank of P_1.  The Cesaro cross-check runs
     ``cesaro_n`` steps (default ``ergodic.DEFAULT_CESARO_N``) and the
     decay certificate norms :data:`DECAY_N_MAX` powers.
     """
     side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
     L = channel_mod.superoperator(ch, side)
     ver = channel_mod.verify(ch, tol=tol)
-    fs = ergodic.fixed_space(L)
     decomp = ergodic.peripheral_decomposition(
         L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
     )
@@ -225,18 +221,17 @@ def analyze_channel(
             "tol": tol,
             "peripheral_tol": peripheral_tol,
             "cluster_tol": ergodic.DEFAULT_CLUSTER_TOL,
-            "fixed_tol": ergodic.DEFAULT_FIXED_TOL,
             "cesaro_n": cesaro_n,
         },
         verification=asdict(ver),
         fixed_space={
-            "dimension": fs.dimension,
-            "basis": [matrix_to_pairs(B) for B in fs.basis],
+            "dimension": decomp.fixed_space.dimension,
+            "basis": [matrix_to_pairs(B) for B in decomp.fixed_space.basis],
         },
         peripheral={
-            "lambdas": [_complex_pair(lam) for lam in decomp.lambdas],
+            "lambdas": [[lam.real, lam.imag] for lam in decomp.lambdas],
             "projector_ranks": list(decomp.projector_ranks),
-            "eigvec_condition": decomp.eigvec_condition,
+            "projector_norm": decomp.projector_norm,
         },
         stable_spectral_radius=decomp.stable_spectral_radius,
         decay={"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},

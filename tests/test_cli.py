@@ -153,6 +153,37 @@ class TestIterateCommand:
         assert main(["iterate", pauli_spec, "--n", "1", "--state", str(state)]) == EXIT_VALIDATION
 
 
+    def test_bad_n_is_refused_before_the_decomposition(self, pauli_spec, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterate decomposed before checking --n")
+
+        monkeypatch.setattr(ergodic, "peripheral_decomposition", refuse)
+        assert main(["iterate", pauli_spec, "--n", "0"]) == EXIT_VALIDATION
+        assert "n must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_ladder_with_jordan_blocks_in_its_stable_part(d, tmp_path):
+    # V0 = diag(1, sqrt(1-g), ...), V1 = sqrt(g) sum_k |k-1><k|: the
+    # eigenvector matrix of its superoperator is numerically singular,
+    # and the peripheral eigenvalue 1 is semisimple
+    g = 0.5
+    kraus = [np.diag([1.0] + [np.sqrt(1 - g)] * (d - 1)), np.sqrt(g) * np.eye(d, k=1)]
+    spec = tmp_path / "ladder.json"
+    spec.write_text(json.dumps(
+        {"name": "ladder", "dim": d, "kraus": [io.matrix_to_pairs(V) for V in kraus]}
+    ))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(spec), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["peripheral"]["lambdas"] == [[1.0, 0.0]]
+    assert report["peripheral"]["projector_norm"] == pytest.approx(np.sqrt(d), abs=1e-10)
+    assert report["fixed_space"]["dimension"] == 1
+    assert report["stable_spectral_radius"] == pytest.approx(np.sqrt(1 - g), abs=1e-10)
+    assert main(["iterate", str(spec), "--n", "40", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["disagreement_hs"] <= 1e-10
+
+
 class TestFixedSpaceCommand:
     def test_listing(self, pauli_spec, capsys):
         assert main(["fixed-space", pauli_spec]) == EXIT_OK
@@ -239,3 +270,43 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["catalog"]["entry"] == "pauli-xy"
+
+
+# every flag a subcommand can take, with a value to pass
+FLAG_VALUES = {
+    "--tol": ["1e-9"],
+    "--peripheral-tol": ["1e-8"],
+    "--cesaro-n": ["10"],
+    "--adjoint": [],
+    "--seed": ["1"],
+    "--out": ["x.json"],
+}
+ALL_FLAGS = set(FLAG_VALUES)
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["verify", "s.json"], {"--tol", "--seed", "--out"}),
+        (["analyze", "s.json"], ALL_FLAGS),
+        (["iterate", "s.json", "--n", "1"], ALL_FLAGS),
+        (["fixed-space", "s.json"], {"--tol", "--adjoint", "--seed", "--out"}),
+        (["catalog", "pauli-xy"], {"--out"}),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_each_subcommand_takes_exactly_its_flags(argv, flags, capsys):
+    parser = build_parser()
+    for flag, value in FLAG_VALUES.items():
+        if flag in flags:
+            parser.parse_args([*argv, flag, *value])
+        else:
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([*argv, flag, *value])
+            assert info.value.code == 2, flag
+
+
+def test_verify_refuses_flags_it_does_not_read(pauli_spec, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", pauli_spec, "--cesaro-n", "-5", "--peripheral-tol", "7", "--adjoint"])
+    assert info.value.code == 2

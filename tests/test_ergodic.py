@@ -30,6 +30,7 @@ from ergochan.errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
+    IllConditionedDecompositionError,
     NumericError,
 )
 
@@ -357,12 +358,15 @@ class TestNonHermiticityPreserving:
         L = np.kron(I, self.A)
         assert not linalg.is_hermiticity_preserving(L)
         seen = []
-        orig = np.linalg.eig
+        orig = np.linalg.eigvals
         monkeypatch.setattr(
-            np.linalg, "eig", lambda a: seen.append(np.asarray(a).dtype) or orig(a)
+            np.linalg, "eigvals", lambda a: seen.append(np.array(a)) or orig(a)
         )
+        monkeypatch.delattr(np.linalg, "eig")
         decomp = peripheral_decomposition(L)
-        assert seen == [np.complex128]
+        # one eigen-analysis of L, then rho(S), both complex
+        assert [a.dtype for a in seen] == [np.complex128] * 2
+        assert np.array_equal(seen[0], L)
         assert decomp.lambdas == pytest.approx([1.0])
         assert np.allclose(decomp.projectors[0], np.kron(I, self.P_A), atol=1e-12)
         S_A = self.A - self.P_A
@@ -682,3 +686,54 @@ class TestCesaroSpectralAgreement:
         assert resid[0] > resid[1] > resid[2]
         for n, r in zip((10**2, 10**3, 10**4), resid):
             assert r <= 5.0 / n
+
+
+def ladder_channel(g, d):
+    """Amplitude-damping ladder: V0 = diag(1, sqrt(1-g), ...) and
+    V1 = sqrt(g) sum_k |k-1><k|.  Its stable part has Jordan blocks
+    (the populations form a chain at 1 - g), so its eigenvector matrix
+    is numerically singular, while 1 stays semisimple."""
+    V0 = np.diag([1.0] + [np.sqrt(1.0 - g)] * (d - 1))
+    V1 = np.sqrt(g) * np.eye(d, k=1)
+    return KrausChannel(kraus=(V0, V1), label=f"ladder({g}, {d})")
+
+
+class TestKernelProjectors:
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("g", [0.3, 0.7])
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_ladder_is_accepted(self, d, g, side):
+        ch = ladder_channel(g, d)
+        decomp = peripheral_decomposition(superoperator(ch, side))
+        assert decomp.lambdas == (1.0,)
+        assert decomp.stable_spectral_radius == pytest.approx(np.sqrt(1.0 - g), abs=1e-10)
+        assert decomp.projector_norm == pytest.approx(np.sqrt(d), abs=1e-10)
+        # fixed space span{|0><0|} forward, span{I} on the adjoint side
+        want = np.eye(d) / np.sqrt(d) if side == "adjoint" else np.diag(np.eye(d)[0])
+        (B,) = decomp.fixed_space.basis
+        assert abs(linalg.hs_inner(want, B)) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        for n in (1, 5, 40):
+            direct = apply_n(ch, X, n, adjoint=side == "adjoint")
+            err = linalg.hs_norm(reconstruct_iterate(decomp, n, X) - direct)
+            assert err <= 1e-11 * linalg.hs_norm(X)
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_jordan_block_is_refused(self, lam, dtype):
+        J = np.diag([lam, lam, 0.5, 0.2]).astype(dtype)
+        J[0, 1] = 1.0  # one 2 x 2 Jordan block at lam
+        with pytest.raises(IllConditionedDecompositionError, match="dimension 1") as info:
+            peripheral_decomposition(J, cesaro_check_n=0)
+        assert "2 eigenvalues" in str(info.value)
+        assert info.value.singular_value >= 0.5  # sigma_3 of J - lam, far above the cut
+        with pytest.raises(IllConditionedDecompositionError):
+            spectral_projectors(J, [lam])
+
+    def test_spectral_projectors_match_the_decomposition(self):
+        L = superoperator(parity_fock_channel(0.3, 4))
+        decomp = peripheral_decomposition(L)
+        (P,) = spectral_projectors(L, decomp.lambdas)
+        assert np.array_equal(P, decomp.projectors[0])
+        assert decomp.fixed_space.dimension == decomp.projector_ranks[0] == 8

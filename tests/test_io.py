@@ -7,10 +7,12 @@ import pytest
 
 from ergochan import (
     KrausChannel,
+    apply_n,
     ergodic,
     io,
     parity_fock_channel,
     pauli_xy_channel,
+    shift_channel,
     superoperator,
 )
 from ergochan.errors import (
@@ -169,6 +171,32 @@ class TestAnalysisReport:
         assert io.dumps(rep.to_dict()) == reference
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize(
+    "ch",
+    [
+        pauli_xy_channel(0.25),
+        pauli_xy_channel(1 - 1e-9),  # near the identity: fixed space of dimension 2
+        parity_fock_channel(0.3, 4),
+        shift_channel(0.5, 4),
+        random_channel(5, 3),
+    ],
+    ids=["pauli25", "pauli-near-identity", "parity4", "shift4", "random3"],
+)
+def test_fixed_space_is_the_range_of_p1(ch, adjoint):
+    rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
+    ranks = {
+        complex(re, im): rank
+        for (re, im), rank in zip(rep.peripheral["lambdas"], rep.peripheral["projector_ranks"])
+    }
+    assert rep.fixed_space["dimension"] == ranks.get(1.0, 0)
+    basis = [io.pairs_to_matrix(B) for B in rep.fixed_space["basis"]]
+    assert len(basis) == ranks.get(1.0, 0)
+    for B in basis:
+        assert np.allclose(B, B.conj().T, atol=1e-15)  # a Hermitian basis
+        assert np.allclose(apply_n(ch, B, 1, adjoint=adjoint), B, atol=1e-10)
+
+
 def count_linalg_calls(monkeypatch, names):
     """Record (name, trailing 2-d shape) of each numpy.linalg call."""
     calls = []
@@ -185,18 +213,29 @@ def count_linalg_calls(monkeypatch, names):
 
 class TestFactorisationCounts:
     def test_analyze_factorises_once(self, monkeypatch):
+        # one eigvals of L's real form, one of the stable part's for
+        # rho(S); the projectors come from kernels, with no eigenvectors
         d = 4
         ch = random_channel(2, d)
-        calls = count_linalg_calls(monkeypatch, ("eig", "eigvals", "cond", "svd"))
+        A = ergodic._real_form(superoperator(ch).matrix)[0]
+        seen = []
+        orig = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: seen.append(np.array(a)) or orig(a)
+        )
+        calls = count_linalg_calls(monkeypatch, ("eig", "cond", "inv", "svd"))
         io.analyze_channel(ch, cesaro_n=200)
         full = Counter(name for name, shape in calls if shape == (d * d, d * d))
-        assert (full["eig"], full["eigvals"], full["cond"]) == (1, 1, 1)
+        assert (full["eig"], full["cond"], full["inv"]) == (0, 0, 0)
+        assert [a.shape for a in seen] == [(d * d, d * d)] * 2
+        assert sum(np.array_equal(a, A) for a in seen) == 1
 
     def test_analyze_factorises_in_real_arithmetic(self, monkeypatch):
-        # a Kraus channel preserves Hermiticity: its eigen-analysis, decay
-        # norms and Cesaro check run on the real matrix in the Hermitian
-        # basis.  Only the fixed-space kernel and io's residual summary
-        # (one SVD per residual) stay in the complex column-stacking basis.
+        # a Kraus channel preserves Hermiticity: its eigenvalues, the
+        # kernel at lambda = 1, the decay norms and the Cesaro check run on
+        # the real matrix in the Hermitian basis.  Only io's residual
+        # summary (one SVD per residual) stays in the complex
+        # column-stacking basis.
         d = 4
         ch = random_channel(2, d)
         calls = []
@@ -213,11 +252,13 @@ class TestFactorisationCounts:
         rep = io.analyze_channel(ch, cesaro_n=200)
         assert len(rep.peripheral["lambdas"]) == 1
         counts = Counter(calls)
-        assert counts["eig", "float64"] == counts["eigvals", "float64"] == 1
-        # per-power norms, ||L|| for the Cesaro budget, the Cesaro residual
-        assert counts["svd", "float64"] == decay_n_max + 2
-        # fixed-space kernel, then ||P^2 - P||, ||L P - P||, ||P L - P||
-        assert counts["svd", "complex128"] == 4
+        assert counts["eig", "float64"] == 0
+        assert counts["eigvals", "float64"] == 2  # of L and of S, for rho(S)
+        # per-power norms, the kernels of L - 1, ||L|| for the Cesaro
+        # budget, the Cesaro residual
+        assert counts["svd", "float64"] == decay_n_max + 3
+        # ||P^2 - P||, ||L P - P||, ||P L - P||
+        assert counts["svd", "complex128"] == 3
         assert sum(counts.values()) == decay_n_max + 8
 
     def test_decay_fit_on_parity_makes_no_full_svd(self, monkeypatch):

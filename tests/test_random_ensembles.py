@@ -4,7 +4,9 @@ the analysis runs entirely on the real matrix in the Hermitian basis.
 Each channel comes from a random Stinespring isometry (the QR of a
 complex Gaussian matrix); the sub-unital variants drop one of its
 blocks, which makes the channel trace-decreasing and its adjoint
-sub-unital.  Both sides are analysed.
+sub-unital.  Both sides are analysed.  Random unitary channels, whose
+every eigenvalue is peripheral, test many clusters and conjugate pairs
+against the same eigenvector-based reference.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from ergochan import (
     superoperator,
     verify,
 )
-from ergochan import linalg
+from ergochan import io, linalg
 from ergochan.channel import ADJOINT, FORWARD
 from ergochan.ergodic import POWER_DRIFT
 
@@ -66,6 +68,17 @@ def reference_decomposition(L, peripheral_tol=1e-8, cluster_tol=1e-7):
         (z * P for z, P in zip(lambdas, projectors)), np.zeros(W.shape, dtype=complex)
     )
     return lambdas, projectors, stable
+
+
+def rank_of_p1(report):
+    """Rank of the spectral projector at lambda = 1 in an analyze report
+    (0 when 1 is not peripheral)."""
+    peripheral = report.peripheral
+    return sum(
+        rank
+        for (re, im), rank in zip(peripheral["lambdas"], peripheral["projector_ranks"])
+        if abs(complex(re, im) - 1) <= 1e-6
+    )
 
 
 def mirror(M):
@@ -132,6 +145,21 @@ class TestRandomEnsemble:
         assert rep.fixed_dim + rep.range_dim == ch.dim**2
         assert rep.dual_orthogonality_residual <= 1e-8
 
+    def test_projector_norm_is_at_most_sqrt_d(self, ch, side):
+        # ||X||_2 <= ||X||_1 <= sqrt(d) ||X||_2, and each P_lambda, a limit
+        # of Cesaro means of phi / lambda, contracts the trace norm (the
+        # operator norm on the adjoint side, with ||X|| <= ||X||_2 <=
+        # sqrt(d) ||X||), so ||P_lambda||_HS->HS <= sqrt(d)
+        decomp = peripheral_decomposition(superoperator(ch, side))
+        assert decomp.projector_norm <= np.sqrt(ch.dim) * (1 + 1e-12)
+        norms = [linalg.operator_norm(P) for P in decomp.projectors]
+        assert decomp.projector_norm == pytest.approx(max(norms, default=0.0), rel=1e-10)
+
+    def test_analyze_fixed_space_is_the_range_of_p1(self, ch, side):
+        rep = io.analyze_channel(ch, cesaro_n=200, adjoint=side == ADJOINT)
+        assert rep.fixed_space["dimension"] == rank_of_p1(rep)
+        assert len(rep.fixed_space["basis"]) == rank_of_p1(rep)
+
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
@@ -179,3 +207,29 @@ def test_hs_fixed_point_symmetry(ch):
     else:
         assert (rep.forward_fixed.dimension, rep.adjoint_fixed.dimension) == (0, 0)
         assert rep.equal
+
+
+def unitary_channel(seed, d):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return KrausChannel(kraus=(U,), label=f"unitary(d={d})")
+
+
+@pytest.mark.parametrize("side", (FORWARD, ADJOINT))
+@pytest.mark.parametrize("d", range(3, 7))
+def test_unitary_channels_match_complex_eig_reference(d, side):
+    # every eigenvalue exp(i(a_j - a_k)) of X -> U X U^dag is peripheral:
+    # 1 with multiplicity d, the others in conjugate pairs.  The Cesaro
+    # cross-check is off: its budget ignores the gaps between clusters
+    # and refuses some of these channels.
+    L = superoperator(unitary_channel(500 + d, d), side).matrix
+    decomp = peripheral_decomposition(L, cesaro_check_n=0)
+    lambdas, projectors, stable = reference_decomposition(L)
+    assert len(decomp.lambdas) == len(lambdas) == d * d - d + 1
+    for lam, P in zip(decomp.lambdas, decomp.projectors):
+        k = int(np.argmin([abs(lam - z) for z in lambdas]))
+        assert abs(lam - lambdas[k]) <= 1e-12
+        assert np.max(np.abs(P - projectors[k])) <= 1e-12
+    assert np.max(np.abs(decomp.stable - stable)) <= 1e-12
+    assert decomp.projector_norm == pytest.approx(1.0, abs=1e-12)  # L is normal
+    assert decomp.fixed_space.dimension == d  # the commutant of U
