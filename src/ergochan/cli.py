@@ -12,14 +12,12 @@ Each subcommand takes only the flags :func:`build_parser` gives it.
 
 Exit codes: 0 success, 1 invariant failure, 2 format error,
 3 validation/domain error, 4 numeric error, 5 decomposition failure.
-The seed defaults to the ``ERGOCHAN_SEED`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -43,16 +41,6 @@ EXIT_FORMAT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 EXIT_DECOMPOSITION = 5
-
-
-def _default_seed() -> int:
-    value = os.environ.get("ERGOCHAN_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise DomainError(
-            f"environment variable ERGOCHAN_SEED must be an integer, got {value!r}"
-        ) from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -172,7 +160,7 @@ _FLAGS = {
     "--peripheral-tol": dict(type=float, default=ergodic.DEFAULT_PERIPHERAL_TOL),
     "--cesaro-n": dict(type=int, default=ergodic.DEFAULT_CESARO_N),
     "--adjoint": dict(action="store_true"),
-    "--seed": dict(type=int),  # default: ERGOCHAN_SEED, read in _add_flags
+    "--seed": dict(type=int, default=0),
     "--out": dict(type=str, default=None),
 }
 
@@ -181,8 +169,6 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     """Give one subcommand ``--out`` and the named flags, no others."""
     for flag in (*flags, "--out"):
         p.add_argument(flag, **_FLAGS[flag])
-    if "--seed" in flags:
-        p.set_defaults(seed=_default_seed())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # inside the try: building the parser reads ERGOCHAN_SEED
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SpecFormatError as exc:

@@ -61,23 +61,17 @@ def _as_matrix(L) -> np.ndarray:
     return M
 
 
-def _real_form(M) -> tuple:
-    """(A, hp): for a Hermiticity-preserving M, A is its real (float64)
-    matrix in the Hermitian basis and hp is True; otherwise A is M.
-
-    Eigenvalues, spectral radii, operator norms and powers are the same
-    in either basis (the change is unitary), so they are computed on A:
-    a real A halves the work of LAPACK and of every product.  Map a
-    result back with :func:`_column_stacking`.
-    """
-    if linalg.is_hermiticity_preserving(M):
-        return np.ascontiguousarray(linalg.to_hermitian_basis(M).real), True
-    return M, False
-
-
-def _column_stacking(A, hp: bool) -> np.ndarray:
-    """Inverse of :func:`_real_form` for a matrix computed from A."""
-    return linalg.from_hermitian_basis(A) if hp else A
+def _hermitian_form(M) -> np.ndarray:
+    """M in the Hermitian basis (:func:`linalg.to_hermitian_basis`), real
+    (float64) when M preserves Hermiticity and complex otherwise; a
+    square matrix that is not d^2 x d^2 is returned as it is.  The change
+    of basis is unitary, so every factorisation and product runs on this
+    form, and results map back through ``linalg.from_hermitian_basis`` or
+    ``from_hermitian_coordinates``."""
+    if linalg._hermitian_pairs(len(M)) is None:
+        return M
+    H = linalg.to_hermitian_basis(M)
+    return np.ascontiguousarray(H.real) if linalg.is_hermiticity_preserving(M) else H
 
 
 def _side_dim(L) -> int:
@@ -110,9 +104,9 @@ class PeripheralDecomposition:
     ``projectors`` and ``stable`` are in the column-stacking basis; for
     a Hermiticity-preserving input ``stable`` preserves Hermiticity
     exactly.  ``stable_spectral_radius`` is rho(S) from the eigenvalues
-    of the computed ``stable`` (of its real form, :func:`_real_form`),
-    stored when the decomposition is built (it is the value the
-    ``rho(S) < 1`` check accepted), not recomputed on access.
+    of S in the Hermitian basis (:func:`_hermitian_form`), stored when
+    the decomposition is built (it is the value the ``rho(S) < 1``
+    check accepted), not recomputed on access.
     ``projector_norm``, recorded and not thresholded, is the largest
     ||P_lambda||_2 (0 without lambdas).  ``fixed_space`` is the kernel of
     L - 1 (empty when 1 is not peripheral); its dimension is the rank of
@@ -199,16 +193,24 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
 
 
 def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
-    """Orthonormal basis of Ker(I - L) as d x d matrices."""
+    """Orthonormal basis of Ker(I - L) as d x d matrices, computed on the
+    Hermitian form of L; the matrices are Hermitian when L preserves
+    Hermiticity."""
     M = _as_matrix(L)
-    return _fixed_basis(linalg.null_space(np.eye(len(M)) - M, tol), _side_dim(M), tol)
+    return _fixed_basis(_fixed_kernel(_hermitian_form(M), tol), _side_dim(M), tol)
 
 
-def _fixed_basis(K, d: int, tol: float, hp: bool = False) -> FixedSpaceBasis:
-    """The columns of K (vec of d x d matrices, or if ``hp`` their
-    Hermitian-basis coordinates) as a basis."""
-    to_vec = linalg.from_hermitian_coordinates if hp else np.asarray
-    return FixedSpaceBasis(tuple(linalg.unvec(to_vec(v), d) for v in K.T), tol)
+def _fixed_kernel(A, tol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of Ker(I - A)."""
+    return linalg.null_space(np.eye(len(A)) - A, tol)
+
+
+def _fixed_basis(K, d: int, tol: float) -> FixedSpaceBasis:
+    """The columns of K, Hermitian-basis coordinates of d x d matrices,
+    as a basis."""
+    return FixedSpaceBasis(
+        tuple(linalg.unvec(linalg.from_hermitian_coordinates(v), d) for v in K.T), tol
+    )
 
 
 def peripheral_spectrum(
@@ -221,7 +223,7 @@ def peripheral_spectrum(
     Eigenvalues within ``cluster_tol`` of each other merge to their
     mean; the empty list is a valid result (strictly contractive maps).
     """
-    A, _ = _real_form(_as_matrix(L))
+    A = _hermitian_form(_as_matrix(L))
     return _peripheral_clusters(linalg.eigvals(A), peripheral_tol, cluster_tol)
 
 
@@ -252,11 +254,11 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`."""
-    A, hp = _real_form(_as_matrix(L))
+    A = _hermitian_form(_as_matrix(L))
     projectors, _, _ = _kernel_projectors(
         A, linalg.eigvals(A), lambdas, cluster_tol, peripheral_tol
     )
-    return [_column_stacking(P, hp) for P in projectors]
+    return [linalg.from_hermitian_basis(P) for P in projectors]
 
 
 def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> tuple:
@@ -282,8 +284,12 @@ def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> 
             continue
         m = int(np.sum(np.abs(eigenvalues - lam) <= match_tol))
         if not m:
+            near = complex(eigenvalues[np.argmin(np.abs(eigenvalues - lam))])
+            why = f" > 1 + {peripheral_tol:.1e}: L is not power bounded"
             raise DecompositionFailureError(
-                f"no eigenvalue of L within {match_tol:.1e} of {lam}",
+                f"no eigenvalue of L within {match_tol:.1e} of {lam}; the nearest "
+                f"is {near:.9g}, of modulus {abs(near):.9g}"
+                + (why if abs(near) > 1.0 + peripheral_tol else ""),
                 spectral_radius=float("nan"),
             )
         shift = lam.real if real and not lam.imag else lam  # a real A stays real
@@ -309,7 +315,7 @@ def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
-    _stable_radius(S)
+    _stable_radius(_hermitian_form(S))
     return S
 
 
@@ -322,8 +328,8 @@ def _remainder(A, lambdas, projectors) -> np.ndarray:
 
 
 def _stable_radius(S) -> float:
-    """rho(S) from the eigenvalues of the real form of S; requires < 1."""
-    rho = linalg.spectral_radius(_real_form(S)[0])
+    """rho(S) from the eigenvalues of S; requires < 1."""
+    rho = linalg.spectral_radius(S)
     if rho >= 1.0 - 1e-12:
         raise DecompositionFailureError(
             f"stable part has spectral radius {rho:.6f} >= 1; the "
@@ -350,17 +356,17 @@ def peripheral_decomposition(
     :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
     error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
 
-    When L preserves Hermiticity (every quantum operation does), all of
-    this runs on its real form in the Hermitian basis
-    (:func:`_real_form`): the eigenvalues, the kernels, the stable part
-    and rho(S), and the Cesaro products, which are real for lambda = +-1.
+    All of this runs on the Hermitian form of L (:func:`_hermitian_form`):
+    the eigenvalues, the kernels, the stable part and rho(S), and the
+    Cesaro products.  When L preserves Hermiticity (every quantum
+    operation does) that form is real, and so are the products for
+    lambda = +-1; other input runs the same code in complex arithmetic.
     The projectors and S are then mapped back to the column-stacking
-    basis, S symmetrised so that it preserves Hermiticity exactly.
-    Other input runs the same code in complex arithmetic.
+    basis, a real S symmetrised so that it preserves Hermiticity exactly.
     """
     M = _as_matrix(L)
     d = _side_dim(M)
-    A, hp = _real_form(M)
+    A = _hermitian_form(M)
     eigenvalues = linalg.eigvals(A)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     projectors, kernels, norm = _kernel_projectors(
@@ -383,7 +389,6 @@ def peripheral_decomposition(
                 spectral_radius=float("nan"),
             )
         S = np.ascontiguousarray(S.real)
-    S = _column_stacking(S, hp)
     rho = _stable_radius(S)
 
     if cesaro_check_n:
@@ -402,13 +407,13 @@ def peripheral_decomposition(
     return PeripheralDecomposition(
         dim=d,
         lambdas=tuple(lambdas),
-        projectors=tuple(_column_stacking(P, hp) for P in projectors),
-        stable=S,
+        projectors=tuple(map(linalg.from_hermitian_basis, projectors)),
+        stable=linalg.from_hermitian_basis(S),
         stable_spectral_radius=rho,
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
         projector_norm=norm,
-        fixed_space=_fixed_basis(fixed, d, cluster_tol + 10 * peripheral_tol, hp),
+        fixed_space=_fixed_basis(fixed, d, cluster_tol + 10 * peripheral_tol),
     )
 
 
@@ -423,10 +428,10 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     involved, so this is independent of :func:`peripheral_decomposition`.
     n = 0 returns X; n < 0 raises :class:`DomainError`.
 
-    A Hermiticity-preserving L is powered as its real form A
-    (:func:`_real_form`) and applied to the Hermitian-basis coordinates
-    ``w = B^H vec(X)``, real and imaginary parts as one d^2 x 2 real
-    block; other L run the same code in complex arithmetic.
+    L is powered as its Hermitian form A (:func:`_hermitian_form`) and
+    applied to the Hermitian-basis coordinates ``w = B^H vec(X)``, real
+    and imaginary parts as one d^2 x 2 block: real arithmetic throughout
+    when L preserves Hermiticity, complex otherwise.
 
     Accuracy: a computed eigenvalue 1 of L is 1 + O(u), u = 2^-53, and
     L^(2^k) raises it to the power 2^k, so on the fixed space the error
@@ -452,13 +457,11 @@ def power_iterate(L, n: int, X) -> np.ndarray:
 
 
 def _power_apply(M, n: int, v) -> np.ndarray:
-    """M^n v for n >= 1 by right-to-left binary powering, on the real
-    form of M when it has one (:func:`power_iterate`)."""
-    A, hp = _real_form(M)
-    if hp:
-        w = linalg.to_hermitian_coordinates(v)
-        v = np.column_stack([w.real, w.imag])
-    power = A
+    """M^n v for n >= 1 by right-to-left binary powering, on the
+    Hermitian form of M (:func:`power_iterate`)."""
+    w = linalg.to_hermitian_coordinates(v)
+    v = np.column_stack([w.real, w.imag])
+    power = _hermitian_form(M)
     while True:
         if n & 1:
             v = power @ v
@@ -466,17 +469,15 @@ def _power_apply(M, n: int, v) -> np.ndarray:
         if not n:
             break
         power = power @ power
-    if hp:
-        return linalg.from_hermitian_coordinates(v[:, 0] + 1j * v[:, 1])
-    return v
+    return linalg.from_hermitian_coordinates(v[:, 0] + 1j * v[:, 1])
 
 
 def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarray:
     """phi^n(X) via sum lambda^n P_lambda(X) + S^n(X).
 
     S^n(X) is taken by the binary powering of :func:`power_iterate`, on
-    the real form of S when S preserves Hermiticity; S^n is never
-    formed.  Its error does not grow with n, since rho(S) < 1.
+    the Hermitian form of S; S^n is never formed.  Its error does not
+    grow with n, since rho(S) < 1.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -508,13 +509,12 @@ def decay_fit(S, n_max: int) -> DecayFit:
     from the eigenvalues of that same ``stable``.  For a bare matrix,
     rho(S) is taken from the eigenvalues of its blocks.
 
-    The norms are computed on the real form of S when S preserves
-    Hermiticity (:func:`_real_form`; the operator norm is invariant
-    under the unitary change of basis), and on the exact diagonal
-    blocks of that matrix (:func:`linalg.diagonal_blocks`): S^k is
-    block diagonal with the same blocks, so ``||S^k|| = max_b
-    ||B_b^k||``.  Blocks of one size are powered and normed as one
-    stack.
+    The norms are computed on the Hermitian form of S
+    (:func:`_hermitian_form`; the operator norm is invariant under the
+    change of basis), on the exact diagonal blocks of that matrix
+    (:func:`linalg.diagonal_blocks`): S^k is block diagonal with the
+    same blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size
+    are powered and normed as one stack.
     """
     if isinstance(S, PeripheralDecomposition):
         S, rho = S.stable, S.stable_spectral_radius
@@ -522,7 +522,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
         S, rho = _as_matrix(S), None
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    stacks = _block_stacks(_real_form(S)[0])
+    stacks = _block_stacks(_hermitian_form(S))
     if rho is None:
         rho = max(float(np.max(np.abs(np.linalg.eigvals(B)))) for B in stacks)
     if rho >= 1.0:
@@ -594,13 +594,13 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     of Rng(I-L) pair to zero with every fixed point of the adjoint.  Its
     residual is exact, ``||F^H R||`` for orthonormal bases F of
     Ker(I - L^H) and R of Rng(I-L): the largest pairing of a unit
-    vector of the range with a unit fixed point of the adjoint.
+    vector of the range with a unit fixed point of the adjoint.  All of
+    it runs on the Hermitian form of L.
     """
-    M = _as_matrix(L)
-    n = M.shape[0]
-    I = np.eye(n)
-    kernel = linalg.null_space(I - M, tol)
-    rng_basis = linalg.column_space(I - M, tol)
+    A = _hermitian_form(_as_matrix(L))
+    n = A.shape[0]
+    kernel = _fixed_kernel(A, tol)
+    rng_basis = linalg.column_space(np.eye(n) - A, tol)
     fixed_dim = kernel.shape[1]
     range_dim = rng_basis.shape[1]
 
@@ -608,7 +608,7 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     s = linalg.singular_values(stacked) if stacked.shape[1] else np.array([1.0])
     residual = float(s[-1])
 
-    dual_fixed = linalg.null_space(I - M.conj().T, tol)
+    dual_fixed = _fixed_kernel(A.conj().T, tol)
     if dual_fixed.shape[1] and range_dim:
         dual_residual = linalg.operator_norm(dual_fixed.conj().T @ rng_basis)
     else:
@@ -650,7 +650,8 @@ def fixed_space_intersection(
     """Fixed space of a convex combination vs. intersection of fixed
     spaces of the parts.
 
-    The intersection is the kernel of the stacked projectors onto the
+    Both are computed on the Hermitian forms of the parts.  The
+    intersection is the kernel of the stacked projectors onto the
     complements of the parts' fixed spaces, from
     :func:`linalg.null_space` with its rank cut ``tol * max(1,
     sigma_max)``, the cut every fixed space here uses.  Equality of the
@@ -669,9 +670,10 @@ def fixed_space_intersection(
     if len(dims) != 1:
         raise DimensionError(f"channels must share one dimension, got {dims}")
 
-    mats = [channel_mod.superoperator(ch).matrix for ch in channels]
-    combined = sum(w * Lm for w, Lm in zip(weights, mats))
-    combined_fixed = fixed_space(combined, tol)
+    d = channels[0].dim
+    mats = [_hermitian_form(channel_mod.superoperator(ch).matrix) for ch in channels]
+    combined = sum(w * A for w, A in zip(weights, mats))
+    combined_fixed = _fixed_basis(_fixed_kernel(combined, tol), d, tol)
 
     commute = 0.0
     for i in range(len(mats)):
@@ -680,13 +682,12 @@ def fixed_space_intersection(
                 commute, linalg.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
             )
 
-    I = np.eye(mats[0].shape[0])
     complements = []
-    for Lm in mats:  # a part with no fixed point contributes I: no kernel
-        Q = linalg.null_space(I - Lm, tol)
-        complements.append(I - Q @ Q.conj().T)
+    for A in mats:  # a part with no fixed point contributes I: no kernel
+        Q = _fixed_kernel(A, tol)
+        complements.append(np.eye(len(A)) - Q @ Q.conj().T)
     kernel = linalg.null_space(np.vstack(complements), tol)
-    intersection = _fixed_basis(kernel, channels[0].dim, tol)
+    intersection = _fixed_basis(kernel, d, tol)
 
     if commute <= tol:
         resid = _mutual_projection_residual(combined_fixed, intersection)
@@ -710,12 +711,45 @@ def peripheral_unitarity_check(L, decomp: PeripheralDecomposition) -> float:
     peripheral eigenspaces is unitary.  The classical statement is made
     on the union of the fixed spaces F(T/lambda), which is not a linear
     subspace; this check uses the span instead (interpretive choice).
+    It runs on the Hermitian forms of L and of the sum of the projectors.
     """
     if not decomp.lambdas:
         raise DegenerateInputError("peripheral spectrum is empty")
-    Q = linalg.svd(sum(decomp.projectors))[0][:, : sum(decomp.projector_ranks)]
-    s = linalg.singular_values(Q.conj().T @ _as_matrix(L) @ Q)
+    P = _hermitian_form(sum(decomp.projectors))
+    Q = linalg.svd(P)[0][:, : sum(decomp.projector_ranks)]
+    s = linalg.singular_values(Q.conj().T @ _hermitian_form(_as_matrix(L)) @ Q)
     return float(np.max(np.abs(s - 1.0)))
+
+
+def residual_summary(ch, L, decomp: PeripheralDecomposition, seed: int) -> dict:
+    """The report's residuals for the superoperator L of ``ch`` (either
+    side) and its decomposition: the largest ||P^2 - P||, ||P Q|| (P !=
+    Q), ||L P - lambda P|| and ||P L - lambda P||, on the Hermitian forms,
+    and the HS distance at n = 5 between :func:`reconstruct_iterate` and
+    ``channel.apply_n`` on a random X drawn from ``seed``."""
+    A = _hermitian_form(_as_matrix(L))
+    projectors = [_hermitian_form(P) for P in decomp.projectors]
+    idem = orth = comm = 0.0
+    for i, (lam, P) in enumerate(zip(decomp.lambdas, projectors)):
+        lam = lam.real if not lam.imag else lam  # a real P stays real
+        idem = max(idem, linalg.operator_norm(P @ P - P))
+        comm = max(
+            comm,
+            linalg.operator_norm(A @ P - lam * P),
+            linalg.operator_norm(P @ A - lam * P),
+        )
+        for Q in projectors[i + 1 :]:
+            orth = max(orth, linalg.operator_norm(P @ Q))
+    rng = np.random.default_rng(seed)
+    d = decomp.dim
+    X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    direct = channel_mod.apply_n(ch, X, 5, adjoint=L.side == channel_mod.ADJOINT)
+    return {
+        "projector_idempotency": idem,
+        "projector_orthogonality": orth,
+        "projector_commutation": comm,
+        "reconstruction_n5": linalg.hs_norm(direct - reconstruct_iterate(decomp, 5, X)),
+    }
 
 
 def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryReport:

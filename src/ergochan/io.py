@@ -180,7 +180,8 @@ def analyze_channel(
     fixed space is the decomposition's kernel at lambda = 1, so its
     dimension is the rank of P_1.  The Cesaro cross-check runs
     ``cesaro_n`` steps (default ``ergodic.DEFAULT_CESARO_N``) and the
-    decay certificate norms :data:`DECAY_N_MAX` powers.
+    decay certificate norms :data:`DECAY_N_MAX` powers.  The residuals
+    are :func:`ergodic.residual_summary`.
     """
     side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
     L = channel_mod.superoperator(ch, side)
@@ -189,28 +190,6 @@ def analyze_channel(
         L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
     )
     fit = ergodic.decay_fit(decomp, DECAY_N_MAX)
-
-    # residual summary for the projector algebra and reconstruction
-    proj_resid = 0.0
-    orth_resid = 0.0
-    comm_resid = 0.0
-    M = L.matrix
-    for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
-        proj_resid = max(proj_resid, linalg.operator_norm(P @ P - P))
-        comm_resid = max(
-            comm_resid,
-            linalg.operator_norm(M @ P - lam * P),
-            linalg.operator_norm(P @ M - lam * P),
-        )
-        for Q in decomp.projectors[i + 1 :]:
-            orth_resid = max(orth_resid, linalg.operator_norm(P @ Q))
-
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1, 1, (ch.dim, ch.dim)) + 1j * rng.uniform(-1, 1, (ch.dim, ch.dim))
-    direct = channel_mod.apply_n(ch, X, 5, adjoint=adjoint)
-    recon = ergodic.reconstruct_iterate(decomp, 5, X)
-    recon_resid = linalg.hs_norm(direct - recon)
-
     return AnalysisReport(
         tool_version=__version__,
         channel=ch.label or "channel",
@@ -235,10 +214,5 @@ def analyze_channel(
         },
         stable_spectral_radius=decomp.stable_spectral_radius,
         decay={"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},
-        residuals={
-            "projector_idempotency": proj_resid,
-            "projector_orthogonality": orth_resid,
-            "projector_commutation": comm_resid,
-            "reconstruction_n5": recon_resid,
-        },
+        residuals=ergodic.residual_summary(ch, L, decomp, seed),
     )

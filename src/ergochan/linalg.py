@@ -22,6 +22,7 @@ conventions are fixed here once and inherited everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -234,15 +235,19 @@ def diagonal_blocks(M) -> list:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=32)  # at small d they cost more than the change
 def _hermitian_pairs(n: int) -> tuple:
     """Column-stacking positions ``(up, lo)`` of ``E_jk`` and ``E_kj``,
-    j < k, for the d x d matrices, n = d^2; None if n is not a square."""
+    j < k, for the d x d matrices, n = d^2; None if n is not a square.
+    Cached, so the arrays are read-only."""
     d = math.isqrt(n)
     if d * d != n:
         return None
     position = np.arange(n).reshape(d, d, order="F")  # position[a, b] of E_ab
     j, k = np.triu_indices(d, 1)
-    return position[j, k], position[k, j]
+    up, lo = position[j, k], position[k, j]
+    up.flags.writeable = lo.flags.writeable = False
+    return up, lo
 
 
 def _mix_pairs(X: np.ndarray, up, lo, w: complex, v: complex) -> None:

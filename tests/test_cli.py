@@ -234,18 +234,11 @@ class TestCatalogSpecParams:
         assert "p must be a real number" in capsys.readouterr().err
 
 
-class TestSeedEnvFallback:
-    def test_env_seed_used(self, pauli_spec, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ERGOCHAN_SEED", "99")
-        out = tmp_path / "r.json"
-        argv = ["analyze", pauli_spec, "--cesaro-n", "200", "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        assert json.loads(out.read_text())["seed"] == 99
-
-    def test_bad_env_seed_is_a_validation_error(self, pauli_spec, monkeypatch, capsys):
-        monkeypatch.setenv("ERGOCHAN_SEED", "abc")
-        assert main(["verify", pauli_spec]) == EXIT_VALIDATION
-        assert "ERGOCHAN_SEED" in capsys.readouterr().err
+def test_analyze_seed_defaults_to_zero(pauli_spec, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["analyze", pauli_spec, "--cesaro-n", "200", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text())["seed"] == 0
 
 
 def test_one_cesaro_default():

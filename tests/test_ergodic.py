@@ -110,6 +110,35 @@ class TestCesaro:
         assert np.max(np.abs(cesaro_average(L, lam, n) - ref)) <= 1e-13
 
 
+def span_projector(fs, n):
+    """Q Q^H, n x n, for the vectorized basis Q of a FixedSpaceBasis."""
+    Q = np.column_stack([linalg.vec(B) for B in fs.basis] or [np.zeros((n, 0))])
+    return Q @ Q.conj().T
+
+
+def assert_fixed_orthonormal_basis(fs, channels, adjoint=False):
+    """Every matrix of ``fs`` is fixed by each channel (by its adjoint
+    when ``adjoint``), and the matrices are orthonormal, within 1e-10."""
+    Q = np.column_stack([linalg.vec(B) for B in fs.basis])
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(fs.dimension), 2) <= 1e-10
+    for B in fs.basis:
+        for ch in channels:
+            assert linalg.hs_norm(apply_n(ch, B, 1, adjoint=adjoint) - B) <= 1e-10
+
+
+def phase_channel(theta, W=np.eye(3)):
+    """X -> U X U^dag with U = W diag(1, 1, e^{i theta}) W^dag: its fixed
+    space is W span{E_00, E_01, E_10, E_11, E_22} W^dag."""
+    U = W @ np.diag([1.0, 1.0, np.exp(1j * theta)]) @ W.conj().T
+    return KrausChannel(kraus=(U,), label=f"phase({theta})")
+
+
+# the 3-point DFT: conjugating by it moves the fixed space off the
+# matrix units, so that a basis mapped back from the wrong coordinates
+# is no longer fixed
+DFT3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+
+
 class TestFixedSpace:
     def test_pauli_interior_p(self):
         fs = fixed_space(superoperator(pauli_xy_channel(0.4)))
@@ -146,6 +175,26 @@ class TestFixedSpace:
         fs = fixed_space(superoperator(parity_fock_channel(0.3, 6)))
         Q = np.column_stack([linalg.vec(B) for B in fs.basis])
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(fs.dimension), 2) < 1e-10
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize(
+        "ch",
+        CATALOG_CHANNELS
+        + [pauli_xy_channel(1 - 1e-9)]
+        + [random_stinespring_channel(30 + d, d, count) for d, count in ((3, 2), (4, 3), (6, 2))],
+        ids=CATALOG_IDS + ["pauli-near-identity", "random3", "random4", "random6"],
+    )
+    def test_matches_the_decomposition(self, ch, side):
+        # at the decomposition's own cut, fixed_space spans the kernel
+        # the decomposition takes from L - 1
+        L = superoperator(ch, side)
+        tol = ergodic.DEFAULT_CLUSTER_TOL + 10 * ergodic.DEFAULT_PERIPHERAL_TOL
+        fs, ref = fixed_space(L, tol), peripheral_decomposition(L).fixed_space
+        assert fs.dimension == ref.dimension
+        n = L.matrix.shape[0]
+        assert np.max(np.abs(span_projector(fs, n) - span_projector(ref, n))) <= 1e-12
+        for B in fs.basis + ref.basis:
+            assert np.array_equal(B, B.conj().T)
 
 
 class TestPeripheralSpectrum:
@@ -364,9 +413,10 @@ class TestNonHermiticityPreserving:
         )
         monkeypatch.delattr(np.linalg, "eig")
         decomp = peripheral_decomposition(L)
-        # one eigen-analysis of L, then rho(S), both complex
+        # one eigen-analysis of L in the Hermitian basis, then rho(S),
+        # both complex
         assert [a.dtype for a in seen] == [np.complex128] * 2
-        assert np.array_equal(seen[0], L)
+        assert np.array_equal(seen[0], linalg.to_hermitian_basis(L))
         assert decomp.lambdas == pytest.approx([1.0])
         assert np.allclose(decomp.projectors[0], np.kron(I, self.P_A), atol=1e-12)
         S_A = self.A - self.P_A
@@ -615,6 +665,15 @@ class TestIntersection:
         rep = fixed_space_intersection([pauli_xy_channel(0.3)], [1.0])
         assert rep.equal is True
 
+    @pytest.mark.parametrize("W", [np.eye(3), DFT3], ids=["diagonal", "dft"])
+    def test_bases_are_fixed_by_each_part(self, W):
+        chs = [phase_channel(0.7, W), phase_channel(1.3, W)]
+        rep = fixed_space_intersection(chs, [0.4, 0.6])
+        assert rep.equal is True
+        for fs in (rep.combined_fixed, rep.intersection):
+            assert fs.dimension == 5
+            assert_fixed_orthonormal_basis(fs, chs)
+
     def test_non_commuting_pair(self):
         # note sigma_x vs sigma_z conjugations commute as superoperators
         # (the sign cancels in V kron V); Hadamard vs sigma_z do not
@@ -667,6 +726,15 @@ class TestHsSymmetry:
         rep = hs_fixed_point_symmetry(KrausChannel(kraus=(U,)))
         assert rep.equal
         assert rep.forward_fixed.dimension == 2  # commutant of a generic diagonal
+
+    @pytest.mark.parametrize("W", [np.eye(3), DFT3], ids=["diagonal", "dft"])
+    def test_bases_are_fixed(self, W):
+        ch = phase_channel(0.9, W)
+        rep = hs_fixed_point_symmetry(ch)
+        assert rep.equal
+        assert (rep.forward_fixed.dimension, rep.adjoint_fixed.dimension) == (5, 5)
+        assert_fixed_orthonormal_basis(rep.forward_fixed, [ch])
+        assert_fixed_orthonormal_basis(rep.adjoint_fixed, [ch], adjoint=True)
 
     def test_shift_both_empty(self):
         rep = hs_fixed_point_symmetry(shift_channel(0.5, 8))
@@ -730,6 +798,23 @@ class TestKernelProjectors:
         assert info.value.singular_value >= 0.5  # sigma_3 of J - lam, far above the cut
         with pytest.raises(IllConditionedDecompositionError):
             spectral_projectors(J, [lam])
+
+    def test_eigenvalue_outside_the_unit_disk_is_named(self):
+        # eigenvalues 1 +- 1e-6: only 1 + 1e-6 is peripheral, and its
+        # cluster, put on the unit circle at 1, matches no eigenvalue
+        J = np.diag([1.0, 1.0, 0.5, 0.2])
+        J[0, 1], J[1, 0] = 1.0, 1e-12
+        with pytest.raises(DecompositionFailureError, match="not power bounded") as info:
+            peripheral_decomposition(J)
+        assert "the nearest is 1.000001+0j, of modulus 1.000001 > 1 + 1.0e-08" in str(
+            info.value
+        )
+
+    def test_unmatched_lambda_names_the_nearest_eigenvalue(self):
+        L = superoperator(pauli_xy_channel(0.3))  # eigenvalues 1, -1, 0.4, -0.4
+        with pytest.raises(DecompositionFailureError) as info:
+            spectral_projectors(L, [0.9])
+        assert str(info.value).endswith("the nearest is 1+0j, of modulus 1")
 
     def test_spectral_projectors_match_the_decomposition(self):
         L = superoperator(parity_fock_channel(0.3, 4))

@@ -211,13 +211,29 @@ def count_linalg_calls(monkeypatch, names):
     return calls
 
 
+def count_full_size_calls(monkeypatch, d):
+    """Record (name, dtype) of each numpy.linalg eig, eigvals and svd of
+    a d^2 x d^2 matrix."""
+    calls = []
+    for name in ("eig", "eigvals", "svd"):
+        orig = getattr(np.linalg, name)
+
+        def typed(a, *args, _orig=orig, _name=name, **kwargs):
+            if np.shape(a)[-2:] == (d * d, d * d):
+                calls.append((_name, np.asarray(a).dtype.name))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, typed)
+    return calls
+
+
 class TestFactorisationCounts:
     def test_analyze_factorises_once(self, monkeypatch):
         # one eigvals of L's real form, one of the stable part's for
         # rho(S); the projectors come from kernels, with no eigenvectors
         d = 4
         ch = random_channel(2, d)
-        A = ergodic._real_form(superoperator(ch).matrix)[0]
+        A = ergodic._hermitian_form(superoperator(ch).matrix)
         seen = []
         orig = np.linalg.eigvals
         monkeypatch.setattr(
@@ -232,22 +248,12 @@ class TestFactorisationCounts:
 
     def test_analyze_factorises_in_real_arithmetic(self, monkeypatch):
         # a Kraus channel preserves Hermiticity: its eigenvalues, the
-        # kernel at lambda = 1, the decay norms and the Cesaro check run on
-        # the real matrix in the Hermitian basis.  Only io's residual
-        # summary (one SVD per residual) stays in the complex
-        # column-stacking basis.
+        # kernel at lambda = 1, the decay norms, the Cesaro check and the
+        # residual summary all run on the real matrix in the Hermitian
+        # basis, with no complex factorisation of a full-size matrix
         d = 4
         ch = random_channel(2, d)
-        calls = []
-        for name in ("eig", "eigvals", "svd"):
-            orig = getattr(np.linalg, name)
-
-            def typed(a, *args, _orig=orig, _name=name, **kwargs):
-                if np.shape(a)[-2:] == (d * d, d * d):
-                    calls.append((_name, np.asarray(a).dtype.name))
-                return _orig(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, typed)
+        calls = count_full_size_calls(monkeypatch, d)
         decay_n_max = io.DECAY_N_MAX
         rep = io.analyze_channel(ch, cesaro_n=200)
         assert len(rep.peripheral["lambdas"]) == 1
@@ -255,11 +261,18 @@ class TestFactorisationCounts:
         assert counts["eig", "float64"] == 0
         assert counts["eigvals", "float64"] == 2  # of L and of S, for rho(S)
         # per-power norms, the kernels of L - 1, ||L|| for the Cesaro
-        # budget, the Cesaro residual
-        assert counts["svd", "float64"] == decay_n_max + 3
-        # ||P^2 - P||, ||L P - P||, ||P L - P||
-        assert counts["svd", "complex128"] == 3
+        # budget, the Cesaro residual, ||P^2 - P||, ||L P - P||, ||P L - P||
+        assert counts["svd", "float64"] == decay_n_max + 6
         assert sum(counts.values()) == decay_n_max + 8
+        assert not any(dtype == "complex128" for _, dtype in calls)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_fixed_space_factorises_in_real_arithmetic(self, monkeypatch, adjoint):
+        d = 4
+        L = superoperator(random_channel(2, d), "adjoint" if adjoint else "forward")
+        calls = count_full_size_calls(monkeypatch, d)
+        assert ergodic.fixed_space(L).dimension == 1
+        assert calls == [("svd", "float64")]  # one SVD of I - L, in the real form
 
     def test_decay_fit_on_parity_makes_no_full_svd(self, monkeypatch):
         d = 6
