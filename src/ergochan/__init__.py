@@ -25,6 +25,9 @@ from .channel import (  # noqa: F401
 from .catalog import (  # noqa: F401
     f_recursion,
     f_recursion_exact,
+    ladder_channel,
+    ladder_fixed_projector,
+    ladder_stable_radius,
     parity_fock_channel,
     parity_iterate_expected,
     pauli_decomposition_expected,

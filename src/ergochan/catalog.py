@@ -1,6 +1,6 @@
 """Built-in channel families with closed-form expected answers.
 
-Three families are provided:
+Four families are provided:
 
 * ``pauli-xy``: V1 = sqrt(p) sigma_x, V2 = sqrt(1-p) sigma_y on C^2.
   Everything about it (fixed spaces for p = 0, (0,1), 1; peripheral set
@@ -16,6 +16,11 @@ Three families are provided:
   diag((-1)^n) in the truncated number basis.  Iterates act entrywise:
   entries with even row-column gap are preserved, odd-gap entries are
   scaled by (2p-1)^n.
+* ``ladder``: amplitude damping down a truncated ladder, V0 =
+  diag(1, sqrt(1-g), ..., sqrt(1-g)) and V1 = sqrt(g) sum_k |k-1><k|.
+  It is trace preserving with the unique fixed state |0><0|; the
+  populations form a Jordan chain at 1 - g, so its stable part is
+  defective, with spectral radius sqrt(1-g).
 """
 
 from __future__ import annotations
@@ -73,6 +78,37 @@ def parity_fock_channel(p: float, dim: int) -> KrausChannel:
         kraus=(np.sqrt(p) * np.eye(dim, dtype=complex), np.sqrt(1.0 - p) * parity),
         label=f"parity-fock(p={p},dim={dim})",
     )
+
+
+def ladder_channel(g: float, dim: int) -> KrausChannel:
+    """Amplitude-damping ladder: each step moves |k> to |k-1> with
+    probability g (k >= 1) and damps the coherences."""
+    if not 0.0 < g < 1.0:
+        raise DomainError(f"g must lie in (0, 1), got {g}")
+    if dim < 2:
+        raise DomainError(f"dim must be >= 2, got {dim}")
+    V0 = np.diag([1.0] + [np.sqrt(1.0 - g)] * (dim - 1))
+    V1 = np.sqrt(g) * np.eye(dim, k=1)
+    return KrausChannel(kraus=(V0, V1), label=f"ladder(g={g},dim={dim})")
+
+
+def ladder_fixed_projector(dim: int) -> np.ndarray:
+    """Matrix (column stacking) of P_1(X) = Tr(X) |0><0|, the ladder's
+    peripheral projector on the forward side; on the adjoint side it is
+    the conjugate transpose, X -> <0|X|0> I."""
+    if dim < 2:
+        raise DomainError(f"dim must be >= 2, got {dim}")
+    ground = np.zeros((dim, dim))
+    ground[0, 0] = 1.0
+    return np.outer(vec(ground), vec(np.eye(dim)))
+
+
+def ladder_stable_radius(g: float) -> float:
+    """rho(S) = sqrt(1-g) of the ladder, either side: the coherences
+    |0><k| decay at that rate, the populations at 1 - g."""
+    if not 0.0 < g < 1.0:
+        raise DomainError(f"g must lie in (0, 1), got {g}")
+    return float(np.sqrt(1.0 - g))
 
 
 def _coefficient_row(i: int) -> list[int]:
@@ -178,6 +214,7 @@ CATALOG = {
     "pauli-xy": CatalogEntry("pauli-xy", ("p",), pauli_xy_channel),
     "shift": CatalogEntry("shift", ("p", "dim"), shift_channel),
     "parity-fock": CatalogEntry("parity-fock", ("p", "dim"), parity_fock_channel),
+    "ladder": CatalogEntry("ladder", ("g", "dim"), ladder_channel),
 }
 
 
@@ -196,11 +233,12 @@ def build(entry: str, params: dict) -> KrausChannel:
             f"missing {missing}, unexpected {extra}"
         )
     kwargs = {k: params[k] for k in meta.params}
-    if "p" in kwargs:
-        p = kwargs["p"]
+    for key in ("p", "g"):
         # "0.5" would otherwise escape as a TypeError and True pass as p = 1
-        if isinstance(p, bool) or not isinstance(p, numbers.Real):
-            raise DomainError(f"p must be a real number, got {p!r}")
+        if key in kwargs and (
+            isinstance(kwargs[key], bool) or not isinstance(kwargs[key], numbers.Real)
+        ):
+            raise DomainError(f"{key} must be a real number, got {kwargs[key]!r}")
     if "dim" in kwargs:
         dim = kwargs["dim"]
         # 8.0 (what ``--param dim=8`` parses to) is accepted; 8.7 and True are not

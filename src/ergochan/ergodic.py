@@ -14,6 +14,7 @@ same projectors at rate O(1/n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,14 +52,20 @@ POWER_DRIFT = 4.0
 DECAY_MARGIN = 1e-3
 
 
-def _as_matrix(L) -> np.ndarray:
-    """Accept a Superoperator or a raw square ndarray."""
+def _as_matrix(L, stack: bool = False) -> np.ndarray:
+    """Accept a Superoperator or a raw square ndarray, and with ``stack``
+    also a stack (m, k, k) of square matrices."""
     if isinstance(L, channel_mod.Superoperator):
         return np.asarray(L.matrix)
-    M = linalg.as_matrix(L)
-    if M.shape[0] != M.shape[1]:
+    M = linalg.as_stack(L) if stack else linalg.as_matrix(L)
+    if M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"superoperator matrix must be square, got {M.shape}")
     return M
+
+
+def _ct(X) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each member of a stack."""
+    return X.conj().swapaxes(-1, -2)
 
 
 def _hermitian_form(M) -> np.ndarray:
@@ -101,31 +108,53 @@ class PeripheralDecomposition:
     """Peripheral eigenvalues, their spectral projectors, and the stable
     remainder of one superoperator.
 
-    ``projectors`` and ``stable`` are in the column-stacking basis; for
-    a Hermiticity-preserving input ``stable`` preserves Hermiticity
+    The pieces are held block-wise in the Hermitian basis
+    (:func:`_hermitian_form`).  ``layout`` (a :class:`linalg.BlockLayout`)
+    gives the exact diagonal blocks of L there, the symmetry sectors of
+    L; every P_lambda and S has the same blocks.  ``projector_blocks``
+    holds, per lambda, the stacks of P_lambda, and ``stable_blocks`` those
+    of S.  A one-block L (any generic channel) has the plain matrices as
+    its only stacks.  ``projectors`` and ``stable`` are the dense
+    matrices in the column-stacking basis, assembled on first access;
+    for a Hermiticity-preserving input ``stable`` preserves Hermiticity
     exactly.  ``stable_spectral_radius`` is rho(S) from the eigenvalues
-    of S in the Hermitian basis (:func:`_hermitian_form`), stored when
-    the decomposition is built (it is the value the ``rho(S) < 1``
-    check accepted), not recomputed on access.
+    of S's blocks, stored when the decomposition is built (it is the
+    value the ``rho(S) < 1`` check accepted), not recomputed on access.
     ``projector_norm``, recorded and not thresholded, is the largest
-    ||P_lambda||_2 (0 without lambdas).  ``fixed_space`` is the kernel of
-    L - 1 (empty when 1 is not peripheral); its dimension is the rank of
-    P_1, and for a Hermiticity-preserving L its matrices are Hermitian.
+    ||P_lambda||_2 (0 without lambdas), the largest over the blocks.
+    ``fixed_space`` is the kernel of L - 1 (empty when 1 is not
+    peripheral), sector by sector; its dimension is the rank of P_1, and
+    for a Hermiticity-preserving L its matrices are Hermitian.
     """
 
     dim: int
     lambdas: tuple
-    projectors: tuple
-    stable: np.ndarray
+    layout: linalg.BlockLayout
+    projector_blocks: tuple
+    stable_blocks: tuple
     stable_spectral_radius: float
     peripheral_tol: float
     cluster_tol: float
     projector_norm: float
     fixed_space: FixedSpaceBasis
 
+    @functools.cached_property
+    def projectors(self) -> tuple:
+        return tuple(
+            linalg.from_hermitian_basis(self.layout.join(P))
+            for P in self.projector_blocks
+        )
+
+    @functools.cached_property
+    def stable(self) -> np.ndarray:
+        return linalg.from_hermitian_basis(self.layout.join(self.stable_blocks))
+
     @property
     def projector_ranks(self) -> tuple:
-        return tuple(int(round(np.real(np.trace(P)))) for P in self.projectors)
+        return tuple(
+            int(round(sum(np.trace(X, axis1=-2, axis2=-1).real.sum() for X in P)))
+            for P in self.projector_blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -171,9 +200,10 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
     sum costs O(log n) products instead of n (polynomial evaluation by
     doubling, Higham, *Functions of Matrices*, 2008).  Deliberately
     eigendecomposition-free: this is the constructive route the
-    spectral projectors are cross-checked against.
+    spectral projectors are cross-checked against.  L may also be a
+    stack (m, k, k), averaged member by member.
     """
-    M = _as_matrix(L)
+    M = _as_matrix(L, stack=True)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if abs(abs(lam) - 1.0) > 1e-12:
@@ -255,32 +285,48 @@ def spectral_projectors(
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`."""
     A = _hermitian_form(_as_matrix(L))
+    layout = linalg.BlockLayout(A)
+    stacks = layout.split(A)
     projectors, _, _ = _kernel_projectors(
-        A, linalg.eigvals(A), lambdas, cluster_tol, peripheral_tol
+        layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
     )
-    return [linalg.from_hermitian_basis(P) for P in projectors]
+    return [linalg.from_hermitian_basis(layout.join(P)) for P in projectors]
 
 
-def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> tuple:
-    """(projectors, kernels V, max ||P||_2) of A at the ``lambdas``.
+def _eigvals(stacks) -> np.ndarray:
+    """Sorted eigenvalues of the matrix whose stacks are ``stacks``."""
+    lam = np.concatenate([linalg.eigvals(X) for X in stacks])
+    return lam[linalg.eig_sort_order(lam)]
+
+
+def _kernel_projectors(
+    layout, stacks, eigenvalues, lambdas, cluster_tol, peripheral_tol
+) -> tuple:
+    """(projectors, fixed kernel, max ||P||_2) of the matrix A whose
+    stacks in ``layout`` are ``stacks``; each projector as its stacks.
 
     A lambda's cluster is the m ``eigenvalues`` within ``cluster_tol + 10
-    * peripheral_tol`` of it.  The trailing m right and left singular
-    vectors of A - lambda span its kernels V and U, and P = V (U^H V)^-1 U^H,
-    of norm 1/sigma_min(U^H V), projects onto Ker(A - lambda) along
-    Rng(A - lambda): the spectral projector if lambda is semisimple, i.e.
-    if the kernel dimension (linalg's rank cut at the cluster's tolerance)
-    is m; else :class:`IllConditionedDecompositionError`.
+    * peripheral_tol`` of it.  Ker(A - lambda) is the sum of the kernels
+    of the blocks B - lambda: in each block, the trailing singular
+    vectors below linalg's rank cut at the cluster's tolerance, with
+    sigma_max the largest over all blocks, so that the cut is that of
+    A - lambda.  lambda is semisimple if the kernel dimension is m; else
+    :class:`IllConditionedDecompositionError`.  With V and U a block's c
+    right and left kernel vectors, P = V (U^H V)^-1 U^H, of norm
+    1/sigma_min(U^H V), projects onto Ker(B - lambda) along
+    Rng(B - lambda); a block with no kernel gets P = 0.  The blocks of
+    one size with one kernel dimension are handled as one stack.
     On a real A, P is real at a real lambda, and P(conj lambda) = conj
-    P(lambda) reuses the SVD of the lambda before it."""
-    real, n = np.isrealobj(A), A.shape[0]
+    P(lambda) reuses the SVDs of the lambda before it.  The fixed kernel
+    is that of the lambda within ``cluster_tol`` of 1 (no columns if there
+    is none), as columns (:func:`_kernel_columns`)."""
+    real = np.isrealobj(stacks[0])
     match_tol = cluster_tol + 10.0 * peripheral_tol
-    projectors, kernels, norms = [], [], [0.0]
+    projectors, fixed, norm = [], np.zeros((layout.n, 0)), 0.0
     for i, lam in enumerate(map(complex, lambdas)):
         paired = i and abs(lambdas[i - 1] - lam.conjugate()) <= cluster_tol
         if real and lam.imag < 0 and paired:
-            projectors.append(projectors[-1].conj())
-            kernels.append(kernels[-1].conj())
+            projectors.append([P.conj() for P in projectors[-1]])
             continue
         m = int(np.sum(np.abs(eigenvalues - lam) <= match_tol))
         if not m:
@@ -293,29 +339,57 @@ def _kernel_projectors(A, eigenvalues, lambdas, cluster_tol, peripheral_tol) -> 
                 spectral_radius=float("nan"),
             )
         shift = lam.real if real and not lam.imag else lam  # a real A stays real
-        U, s, Vh = linalg.svd(A - shift * np.eye(n))
-        kernel_dim = n - linalg._numerical_rank(s, match_tol)
+        svds = [linalg.svd(X - shift * np.eye(X.shape[-1])) for X in stacks]
+        cut = match_tol * max(1.0, max(float(s.max()) for _, s, _ in svds))
+        dims = [np.sum(s < cut, axis=-1).reshape(-1) for _, s, _ in svds]
+        kernel_dim = int(sum(c.sum() for c in dims))
         if kernel_dim != m:
+            s = np.sort(np.concatenate([s.reshape(-1) for _, s, _ in svds]))[::-1]
+            n = s.size
             k = n - m if kernel_dim < m else n - m - 1  # the deciding singular value
             raise IllConditionedDecompositionError(
                 f"lambda = {lam:.6g} is not semisimple: {m} eigenvalues cluster "
                 f"there, but Ker(L - lambda) has dimension {kernel_dim} (sigma_{k + 1} "
-                f"of L - lambda is {s[k]:.3e} against the cut "
-                f"{match_tol * max(1.0, s[0]):.3e})",
+                f"of L - lambda is {s[k]:.3e} against the cut {cut:.3e})",
                 singular_value=float(s[k]),
             )
-        V, U = Vh[n - m:].conj().T, U[:, n - m:]
-        Ug, g, Vgh = linalg.svd(U.conj().T @ V)
-        projectors.append((V @ Vgh.conj().T / g) @ (U @ Ug).conj().T)
-        kernels.append(V)
-        norms.append(1.0 / float(g[-1]))
-    return projectors, kernels, max(norms)
+        blocks, pieces = [], []
+        for X, idx, (U, _, Vh), c_b in zip(stacks, layout.index, svds, dims):
+            k = X.shape[-1]
+            P = np.zeros(X.shape, dtype=np.result_type(U, Vh))
+            for c in np.unique(c_b[c_b > 0]):
+                sel = np.flatnonzero(c_b == c)
+                at = sel if X.ndim == 3 else ...  # a plain matrix stays 2-d
+                V, W = _ct(Vh[at][..., k - c :, :]), U[at][..., k - c :]
+                Ug, g, Vgh = linalg.svd(_ct(W) @ V)
+                P[at] = (V @ _ct(Vgh) / g[..., np.newaxis, :]) @ _ct(W @ Ug)
+                norm = max(norm, float(np.max(1.0 / g[..., -1])))
+                pieces.append((idx[sel], V.reshape(-1, k, c)))
+            blocks.append(P)
+        projectors.append(blocks)
+        if not fixed.shape[1] and abs(lam - 1) <= cluster_tol:
+            fixed = _kernel_columns(layout.n, pieces)
+    return projectors, fixed, norm
+
+
+def _kernel_columns(n: int, pieces) -> np.ndarray:
+    """The n x c matrix of the kernel vectors given per block, as pieces
+    (rows (m, k), V (m, k, c)) in the order of the layout's stacks."""
+    width = sum(V.shape[0] * V.shape[2] for _, V in pieces)
+    K = np.zeros((n, width), dtype=pieces[0][1].dtype)
+    col = 0
+    for rows, V in pieces:
+        m, _, c = V.shape
+        cols = col + np.arange(m * c).reshape(m, c)
+        K[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = V
+        col += m * c
+    return K
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
-    _stable_radius(_hermitian_form(S))
+    _stable_radius([_hermitian_form(S)])
     return S
 
 
@@ -327,9 +401,9 @@ def _remainder(A, lambdas, projectors) -> np.ndarray:
     return S
 
 
-def _stable_radius(S) -> float:
-    """rho(S) from the eigenvalues of S; requires < 1."""
-    rho = linalg.spectral_radius(S)
+def _stable_radius(stacks) -> float:
+    """rho(S) from the eigenvalues of the stacks of S; requires < 1."""
+    rho = max(map(linalg.spectral_radius, stacks))
     if rho >= 1.0 - 1e-12:
         raise DecompositionFailureError(
             f"stable part has spectral radius {rho:.6f} >= 1; the "
@@ -347,34 +421,45 @@ def peripheral_decomposition(
 ) -> PeripheralDecomposition:
     """Full decomposition L = sum lambda P_lambda + S with cross-check.
 
-    The eigenvalues of L (one ``eigvals``) are clustered into the
-    peripheral set; the kernels of L - lambda give the projectors,
-    ``projector_norm`` and the fixed space, and a lambda that is not
-    semisimple is refused (:func:`_kernel_projectors`).  The projectors
-    are then validated against Cesaro averages of length ``cesaro_check_n``
-    (default :data:`DEFAULT_CESARO_N`); a disagreement larger than
+    The eigenvalues of L are clustered into the peripheral set; the
+    kernels of L - lambda give the projectors, ``projector_norm`` and
+    the fixed space, and a lambda that is not semisimple is refused
+    (:func:`_kernel_projectors`).  The projectors are then validated
+    against Cesaro averages of length ``cesaro_check_n`` (default
+    :data:`DEFAULT_CESARO_N`); a disagreement larger than
     :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
     error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
 
-    All of this runs on the Hermitian form of L (:func:`_hermitian_form`):
-    the eigenvalues, the kernels, the stable part and rho(S), and the
-    Cesaro products.  When L preserves Hermiticity (every quantum
-    operation does) that form is real, and so are the products for
-    lambda = +-1; other input runs the same code in complex arithmetic.
-    The projectors and S are then mapped back to the column-stacking
-    basis, a real S symmetrised so that it preserves Hermiticity exactly.
+    All of this runs on the Hermitian form A of L (:func:`_hermitian_form`),
+    one exact diagonal block of A at a time (:class:`linalg.BlockLayout`,
+    found once).  These are symmetry sectors: when each Kraus operator
+    moves the number basis by a fixed offset (the shift, parity-fock and
+    ladder channels), L never mixes matrix units of different gap j - k.
+    Blocks of one size are factorised as one stack.  Per block come the
+    eigenvalues (clustered together), the kernels, S and rho(S), and the
+    Cesaro averages, which are checked on every block, also where lambda
+    has no eigenvalue and the average must vanish.  Every decision uses
+    the scale of the whole matrix: the rank cut the largest singular
+    value over the blocks, the Cesaro budget the largest ||A_b||.  A
+    one-block A (any generic channel) is its own only stack and takes
+    the dense path.  When L preserves Hermiticity (every quantum
+    operation does) A is real, and so are the products for lambda = +-1;
+    other input runs the same code in complex arithmetic.
     """
     M = _as_matrix(L)
     d = _side_dim(M)
     A = _hermitian_form(M)
-    eigenvalues = linalg.eigvals(A)
+    layout = linalg.BlockLayout(A)
+    stacks = layout.split(A)
+    eigenvalues = _eigvals(stacks)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
-    projectors, kernels, norm = _kernel_projectors(
-        A, eigenvalues, lambdas, cluster_tol, peripheral_tol
+    projectors, fixed, norm = _kernel_projectors(
+        layout, stacks, eigenvalues, lambdas, cluster_tol, peripheral_tol
     )
-    fixed = [V for lam, V in zip(lambdas, kernels) if abs(lam - 1) <= cluster_tol]
-    fixed = fixed[0] if fixed else np.zeros((A.shape[0], 0))
-    S = _remainder(A, lambdas, projectors)
+    S = [
+        _remainder(X, lambdas, [P[j] for P in projectors])
+        for j, X in enumerate(stacks)
+    ]
     if np.isrealobj(A):
         # the peripheral set of a real matrix is closed under conjugation,
         # so the sum is real and its imaginary part is round-off
@@ -388,15 +473,17 @@ def peripheral_decomposition(
                 "conjugate partner in the clustered set (tighten cluster_tol)",
                 spectral_radius=float("nan"),
             )
-        S = np.ascontiguousarray(S.real)
+        S = [np.ascontiguousarray(X.real) for X in S]
     rho = _stable_radius(S)
 
     if cesaro_check_n:
-        scale = max(1.0, linalg.operator_norm(A))
+        scale = max(1.0, max(map(linalg.operator_norm, stacks)))
         budget = CESARO_CHECK_FACTOR / cesaro_check_n * scale
         for lam, P in zip(lambdas, projectors):
-            C = cesaro_average(A, lam, cesaro_check_n)
-            resid = linalg.operator_norm(C - P)
+            resid = max(
+                linalg.operator_norm(cesaro_average(X, lam, cesaro_check_n) - Pb)
+                for X, Pb in zip(stacks, P)
+            )
             if resid > budget:
                 raise DecompositionFailureError(
                     f"Cesaro average at lambda={lam} disagrees with the "
@@ -407,8 +494,9 @@ def peripheral_decomposition(
     return PeripheralDecomposition(
         dim=d,
         lambdas=tuple(lambdas),
-        projectors=tuple(map(linalg.from_hermitian_basis, projectors)),
-        stable=linalg.from_hermitian_basis(S),
+        layout=layout,
+        projector_blocks=tuple(map(tuple, projectors)),
+        stable_blocks=tuple(S),
         stable_spectral_radius=rho,
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
@@ -453,31 +541,44 @@ def power_iterate(L, n: int, X) -> np.ndarray:
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
     if n == 0:
         return np.array(X, dtype=complex)
-    return linalg.unvec(_power_apply(M, n, linalg.vec(X)), d)
+    W = _power_apply(_hermitian_form(M), n, _coordinate_pair(X))
+    return _from_coordinate_pair(W, d)
 
 
-def _power_apply(M, n: int, v) -> np.ndarray:
-    """M^n v for n >= 1 by right-to-left binary powering, on the
-    Hermitian form of M (:func:`power_iterate`)."""
-    w = linalg.to_hermitian_coordinates(v)
-    v = np.column_stack([w.real, w.imag])
-    power = _hermitian_form(M)
+def _coordinate_pair(X) -> np.ndarray:
+    """The Hermitian-basis coordinates w of vec(X) as the real d^2 x 2
+    block [Re w, Im w]: a map acts on both columns alike."""
+    w = linalg.to_hermitian_coordinates(linalg.vec(X))
+    return np.column_stack([w.real, w.imag])
+
+
+def _from_coordinate_pair(W, d: int) -> np.ndarray:
+    """The d x d matrix whose coordinate pair is W."""
+    return linalg.unvec(linalg.from_hermitian_coordinates(W[:, 0] + 1j * W[:, 1]), d)
+
+
+def _power_apply(A, n: int, V) -> np.ndarray:
+    """A^n V for n >= 1 by right-to-left binary powering
+    (:func:`power_iterate`); A and V may be stacks."""
+    power = A
     while True:
         if n & 1:
-            v = power @ v
+            V = power @ V
         n >>= 1
         if not n:
             break
         power = power @ power
-    return linalg.from_hermitian_coordinates(v[:, 0] + 1j * v[:, 1])
+    return V
 
 
 def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarray:
     """phi^n(X) via sum lambda^n P_lambda(X) + S^n(X).
 
-    S^n(X) is taken by the binary powering of :func:`power_iterate`, on
-    the Hermitian form of S; S^n is never formed.  Its error does not
-    grow with n, since rho(S) < 1.
+    Everything runs on the decomposition's blocks in the Hermitian
+    basis, on the coordinate pair [Re w, Im w] of X: per block, the
+    projectors are applied and S^n is taken by the binary powering of
+    :func:`power_iterate`; neither S^n nor a dense matrix is formed.  Its
+    error does not grow with n, since rho(S) < 1.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -485,12 +586,14 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     d = decomp.dim
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
-    v = linalg.vec(X)
-    out = np.zeros(v.shape, dtype=complex)
-    for lam, P in zip(decomp.lambdas, decomp.projectors):
-        out += lam**n * (P @ v)
-    out += _power_apply(decomp.stable, n, v)
-    return linalg.unvec(out, d)
+    layout = decomp.layout
+    parts = []
+    for j, W in enumerate(layout.split_rows(_coordinate_pair(X))):
+        Y = _power_apply(decomp.stable_blocks[j], n, W)
+        for lam, P in zip(decomp.lambdas, decomp.projector_blocks):
+            Y = Y + (lam.real if not lam.imag else lam) ** n * (P[j] @ W)
+        parts.append(Y)
+    return _from_coordinate_pair(layout.join_rows(parts), d)
 
 
 def decay_fit(S, n_max: int) -> DecayFit:
@@ -506,25 +609,26 @@ def decay_fit(S, n_max: int) -> DecayFit:
 
     ``S`` is the stable part, or a :class:`PeripheralDecomposition`, whose
     stored ``stable_spectral_radius`` is then used as rho(S): it came
-    from the eigenvalues of that same ``stable``.  For a bare matrix,
+    from the eigenvalues of the same blocks of S.  For a bare matrix,
     rho(S) is taken from the eigenvalues of its blocks.
 
     The norms are computed on the Hermitian form of S
     (:func:`_hermitian_form`; the operator norm is invariant under the
     change of basis), on the exact diagonal blocks of that matrix
-    (:func:`linalg.diagonal_blocks`): S^k is block diagonal with the
-    same blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size
-    are powered and normed as one stack.
+    (:class:`linalg.BlockLayout`): S^k is block diagonal with the same
+    blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size are
+    powered and normed as one stack.  A decomposition's blocks are used
+    as they are, so S is not changed to that basis again.
     """
-    if isinstance(S, PeripheralDecomposition):
-        S, rho = S.stable, S.stable_spectral_radius
-    else:
-        S, rho = _as_matrix(S), None
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    stacks = _block_stacks(_hermitian_form(S))
+    if isinstance(S, PeripheralDecomposition):
+        stacks, rho = S.stable_blocks, S.stable_spectral_radius
+    else:
+        A = _hermitian_form(_as_matrix(S))
+        stacks, rho = linalg.BlockLayout(A).split(A), None
     if rho is None:
-        rho = max(float(np.max(np.abs(np.linalg.eigvals(B)))) for B in stacks)
+        rho = max(map(linalg.spectral_radius, stacks))
     if rho >= 1.0:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")
 
@@ -534,7 +638,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
         for k in range(n_max):
             if k:
                 power = power @ B
-            top = np.linalg.svd(power, compute_uv=False)[:, 0].max()
+            top = np.linalg.svd(power, compute_uv=False)[..., 0].max()
             norms[k] = max(norms[k], top)
     norms = norms.tolist()
 
@@ -566,24 +670,6 @@ def decay_fit(S, n_max: int) -> DecayFit:
                 f"> M/(1+eps)^n = {math.exp(log_bounds[k]):.6e}"
             )
     return fit
-
-
-def _block_stacks(S) -> list:
-    """The diagonal blocks of S as stacks (m, k, k), one per block size.
-
-    A matrix that is one block is returned as a view of S, not a copy.
-    """
-    blocks = linalg.diagonal_blocks(S)
-    if len(blocks) == 1:
-        return [S[np.newaxis]]
-    by_size: dict = {}
-    for idx in blocks:
-        by_size.setdefault(idx.size, []).append(idx)
-    stacks = []
-    for members in by_size.values():
-        idx = np.array(members)  # (m, k)
-        stacks.append(S[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
-    return stacks
 
 
 def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
@@ -715,7 +801,7 @@ def peripheral_unitarity_check(L, decomp: PeripheralDecomposition) -> float:
     """
     if not decomp.lambdas:
         raise DegenerateInputError("peripheral spectrum is empty")
-    P = _hermitian_form(sum(decomp.projectors))
+    P = decomp.layout.join([sum(Ps) for Ps in zip(*decomp.projector_blocks)])
     Q = linalg.svd(P)[0][:, : sum(decomp.projector_ranks)]
     s = linalg.singular_values(Q.conj().T @ _hermitian_form(_as_matrix(L)) @ Q)
     return float(np.max(np.abs(s - 1.0)))
@@ -726,20 +812,26 @@ def residual_summary(ch, L, decomp: PeripheralDecomposition, seed: int) -> dict:
     side) and its decomposition: the largest ||P^2 - P||, ||P Q|| (P !=
     Q), ||L P - lambda P|| and ||P L - lambda P||, on the Hermitian forms,
     and the HS distance at n = 5 between :func:`reconstruct_iterate` and
-    ``channel.apply_n`` on a random X drawn from ``seed``."""
+    ``channel.apply_n`` on a random X drawn from ``seed``.  The norms are
+    taken block by block in the decomposition's layout (the norm of a
+    block diagonal matrix is the largest over its blocks); an L with
+    entries outside those blocks is not the operator decomposed and
+    raises :class:`DimensionError`."""
     A = _hermitian_form(_as_matrix(L))
-    projectors = [_hermitian_form(P) for P in decomp.projectors]
+    if not decomp.layout.covers(A):
+        raise DimensionError("L has entries outside the blocks of its decomposition")
     idem = orth = comm = 0.0
-    for i, (lam, P) in enumerate(zip(decomp.lambdas, projectors)):
-        lam = lam.real if not lam.imag else lam  # a real P stays real
-        idem = max(idem, linalg.operator_norm(P @ P - P))
-        comm = max(
-            comm,
-            linalg.operator_norm(A @ P - lam * P),
-            linalg.operator_norm(P @ A - lam * P),
-        )
-        for Q in projectors[i + 1 :]:
-            orth = max(orth, linalg.operator_norm(P @ Q))
+    for B, projectors in zip(decomp.layout.split(A), zip(*decomp.projector_blocks)):
+        for i, (lam, P) in enumerate(zip(decomp.lambdas, projectors)):
+            lam = lam.real if not lam.imag else lam  # a real P stays real
+            idem = max(idem, linalg.operator_norm(P @ P - P))
+            comm = max(
+                comm,
+                linalg.operator_norm(B @ P - lam * P),
+                linalg.operator_norm(P @ B - lam * P),
+            )
+            for Q in projectors[i + 1 :]:
+                orth = max(orth, linalg.operator_norm(P @ Q))
     rng = np.random.default_rng(seed)
     d = decomp.dim
     X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))

@@ -18,6 +18,12 @@ conventions are fixed here once and inherited everywhere:
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
   that reports are deterministic.
+* A **stack** ``(m, k, k)`` of square matrices stands for the block
+  diagonal matrix of its members: :func:`eigvals`,
+  :func:`singular_values`, :func:`operator_norm` and
+  :func:`spectral_radius` report that matrix's values, and :func:`svd`
+  factorises each member.  :class:`BlockLayout` holds a matrix as the
+  stacks of its exact diagonal blocks.
 """
 
 from __future__ import annotations
@@ -42,20 +48,27 @@ EIG_TIE_TOL = 1e-12
 HERMITICITY_TOL = 1e-13
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d float64 (real input) or complex128 ndarray and
-    reject non-finite entries."""
+def as_stack(M) -> np.ndarray:
+    """Coerce a matrix, or a stack ``(..., k, l)`` of them, to float64
+    (real input) or complex128 and reject non-finite entries."""
     M = np.asarray(M)
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise DimensionError(f"expected a 2-d matrix, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-2] < 1 or M.shape[-1] < 1:
+        raise DimensionError(f"expected a matrix or a stack, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DimensionError("matrix contains NaN or Inf entries")
     return M
 
 
+def as_matrix(M) -> np.ndarray:
+    """:func:`as_stack` of exactly one 2-d matrix."""
+    if np.ndim(M) != 2:
+        raise DimensionError(f"expected a 2-d matrix, got shape {np.shape(M)}")
+    return as_stack(M)
+
+
 def _require_square(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if M.shape[0] != M.shape[1]:
+    if M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"{what} must be square, got shape {M.shape}")
     return M
 
@@ -95,15 +108,16 @@ def eig_general(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigvals(M) -> np.ndarray:
-    """Sorted eigenvalues only."""
-    M = _require_square(as_matrix(M))
-    lam = np.linalg.eigvals(M)
+    """Sorted eigenvalues only; of a stack, those of all its members."""
+    M = _require_square(as_stack(M))
+    lam = np.linalg.eigvals(M).reshape(-1)
     return lam[eig_sort_order(lam)]
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``M = U diag(s) Vh`` with descending nonnegative s."""
-    M = as_matrix(M)
+    """Full SVD ``M = U diag(s) Vh`` with descending nonnegative s, of a
+    matrix or of each member of a stack."""
+    M = as_stack(M)
     try:
         return np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -111,7 +125,9 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(M) -> np.ndarray:
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
+    """Descending singular values; of a stack, those of all its members."""
+    s = np.linalg.svd(as_stack(M), compute_uv=False)
+    return s if s.ndim == 1 else np.sort(s.reshape(-1))[::-1]
 
 
 def kron(A, B) -> np.ndarray:
@@ -211,25 +227,89 @@ def diagonal_blocks(M) -> list:
     ``M`` is block diagonal under the permutation that concatenates
     them, and so is every power of ``M``.  Blocks are ordered by their
     smallest index, each sorted ascending; a dense matrix is one block.
+
+    The components come from min-label propagation over the nonzero
+    entries: every index starts as its own label, each round gives both
+    ends of every edge the smaller of their labels and then replaces
+    each label by its label's label (pointer jumping), until nothing
+    changes.  A label is always an index of the same component and
+    never grows, so the fixed point labels each component by its
+    smallest index.
     """
     M = _require_square(as_matrix(M))
-    coupled = M != 0
-    coupled |= coupled.T
-    n = M.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():  # breadth-first, one frontier per step
-            frontier = coupled[frontier].any(axis=0) & ~members
-            members |= frontier
-        seen |= members
-        blocks.append(np.flatnonzero(members))
-    return blocks
+    i, j = np.nonzero(M)
+    off = i != j
+    i, j = i[off], j[off]
+    label = np.arange(M.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, i, label[j])
+        np.minimum.at(new, j, label[i])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")  # ascending within a block
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+class BlockLayout:
+    """Where the exact diagonal blocks of an n x n matrix lie
+    (:func:`diagonal_blocks`), grouped by size.
+
+    A matrix with these blocks is held as its *stacks*: one array
+    (m, k, k) per block size k, in order of the size's first block,
+    holding the m blocks of that size in order of their smallest index.
+    ``index`` holds the matching (m, k) arrays of row and column indices.
+    A matrix that is one block is its own single stack, the 2-d matrix
+    itself, so it takes the code path of any dense matrix; ``index``
+    is then ``(arange(n)[None],)``.  Rows of an (n, ...) array split the
+    same way into parts (m, k, ...).
+    """
+
+    def __init__(self, M):
+        M = _require_square(as_matrix(M))
+        self.n = M.shape[0]
+        blocks = diagonal_blocks(M)
+        self.single = len(blocks) == 1
+        by_size: dict = {}
+        for idx in blocks:
+            by_size.setdefault(idx.size, []).append(idx)
+        self.index = tuple(np.array(members) for members in by_size.values())
+
+    def split(self, M) -> list:
+        """The stacks of the n x n matrix M."""
+        if self.single:
+            return [M]
+        return [M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] for idx in self.index]
+
+    def join(self, stacks) -> np.ndarray:
+        """The n x n matrix whose stacks are ``stacks``."""
+        if self.single:
+            return stacks[0]
+        out = np.zeros((self.n, self.n), dtype=np.result_type(*stacks))
+        for idx, X in zip(self.index, stacks):
+            out[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = X
+        return out
+
+    def split_rows(self, v) -> list:
+        """The parts (m, k, ...) of an (n, ...) array."""
+        return [v] if self.single else [v[idx] for idx in self.index]
+
+    def join_rows(self, parts) -> np.ndarray:
+        """The (n, ...) array whose parts are ``parts``."""
+        if self.single:
+            return parts[0]
+        out = np.zeros((self.n,) + parts[0].shape[2:], dtype=np.result_type(*parts))
+        for idx, x in zip(self.index, parts):
+            out[idx] = x
+        return out
+
+    def covers(self, M) -> bool:
+        """Whether M is n x n and every nonzero entry of it lies in a block."""
+        if M.shape != (self.n, self.n):
+            return False
+        return sum(map(np.count_nonzero, self.split(M))) == np.count_nonzero(M)
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -4,6 +4,9 @@ import pytest
 from ergochan import (
     apply_n,
     f_recursion,
+    ladder_channel,
+    ladder_fixed_projector,
+    ladder_stable_radius,
     parity_fock_channel,
     parity_iterate_expected,
     pauli_decomposition_expected,
@@ -147,6 +150,62 @@ class TestParityOracle:
         recon = reconstruct_iterate(decomp, n, X)
         assert np.linalg.norm(oracle - direct) <= 1e-9
         assert np.linalg.norm(oracle - recon) <= 1e-9
+
+
+class TestLadderBuilder:
+    def test_kraus_operators(self):
+        g, d = 0.3, 4
+        V0, V1 = ladder_channel(g, d).kraus
+        assert np.allclose(V0, np.diag([1.0] + [np.sqrt(1 - g)] * (d - 1)))
+        for k in range(1, d):  # |k> -> sqrt(g) |k-1>
+            assert np.allclose(V1[:, k], np.sqrt(g) * np.eye(d)[k - 1])
+        assert np.allclose(V1[:, 0], 0.0)
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_trace_preserving_and_verified(self, d):
+        ch = ladder_channel(0.6, d)
+        assert np.allclose(sum(V.conj().T @ V for V in ch.kraus), np.eye(d))
+        assert verify(ch).all_ok
+
+    @pytest.mark.parametrize("g", [0.0, 1.0, -0.1, 1.5])
+    def test_g_out_of_range(self, g):
+        with pytest.raises(DomainError, match="g must lie"):
+            ladder_channel(g, 4)
+        with pytest.raises(DomainError, match="g must lie"):
+            ladder_stable_radius(g)
+
+    def test_dim_validated(self):
+        with pytest.raises(DomainError, match="dim"):
+            ladder_channel(0.5, 1)
+        with pytest.raises(DomainError, match="dim"):
+            build("ladder", {"g": 0.5, "dim": 4.5})
+
+    @pytest.mark.parametrize("g", ["0.5", True, None, 0.5 + 0j])
+    def test_non_real_g_rejected(self, g):
+        with pytest.raises(DomainError, match="g must be a real number"):
+            build("ladder", {"g": g, "dim": 4})
+
+    def test_built_through_the_registry(self):
+        ch = build("ladder", {"g": 0.25, "dim": 6.0})
+        assert ch.dim == 6
+        assert np.array_equal(ch.kraus[1], ladder_channel(0.25, 6).kraus[1])
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_closed_forms_against_brute_force(self, d):
+        g = 0.4
+        ch = ladder_channel(g, d)
+        P = ladder_fixed_projector(d)
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+        want = np.trace(X) * np.diag(np.eye(d)[0])
+        assert np.allclose(linalg.unvec(P @ linalg.vec(X), d), want, atol=1e-15)
+        # phi^n -> P_1 at rate rho(S)^n, up to the polynomial prefactor
+        # of the Jordan chains and round-off
+        n = 30
+        gap = linalg.hs_norm(apply_n(ch, X, n) - want)
+        assert gap <= n**d * ladder_stable_radius(g) ** n * linalg.hs_norm(X) + 1e-14
+        L = superoperator(ch).matrix
+        assert linalg.spectral_radius(L - P) == pytest.approx(np.sqrt(1 - g), abs=1e-10)
 
 
 class TestPauliExpected:

@@ -24,7 +24,7 @@ from ergochan import (
     stable_part,
     superoperator,
 )
-from ergochan import ergodic, linalg
+from ergochan import catalog, ergodic, linalg
 from ergochan.errors import (
     DecompositionFailureError,
     DegenerateInputError,
@@ -581,13 +581,14 @@ class TestDecayFitBlockwise:
         with pytest.raises(TypeError):
             decay_fit(np.zeros((2, 2)), 10, rho=0.0)
 
-    def test_one_block_is_a_view(self):
-        S = peripheral_decomposition(
-            superoperator(random_stinespring_channel(8, 3))
-        ).stable
-        (stack,) = ergodic._block_stacks(S)
-        assert stack.shape == (1,) + S.shape
-        assert np.shares_memory(stack, S)
+    def test_one_block_is_its_own_stack(self):
+        decomp = peripheral_decomposition(superoperator(random_stinespring_channel(8, 3)))
+        assert decomp.layout.single
+        (S,) = decomp.stable_blocks
+        assert S.shape == (9, 9)  # the plain matrix, not a (1, 9, 9) stack
+        A = ergodic._hermitian_form(decomp.stable)
+        (stack,) = linalg.BlockLayout(A).split(A)
+        assert stack is A
 
 
 def dual_orthogonality_by_eigh(L, tol=1e-8):
@@ -756,14 +757,10 @@ class TestCesaroSpectralAgreement:
             assert r <= 5.0 / n
 
 
-def ladder_channel(g, d):
-    """Amplitude-damping ladder: V0 = diag(1, sqrt(1-g), ...) and
-    V1 = sqrt(g) sum_k |k-1><k|.  Its stable part has Jordan blocks
-    (the populations form a chain at 1 - g), so its eigenvector matrix
-    is numerically singular, while 1 stays semisimple."""
-    V0 = np.diag([1.0] + [np.sqrt(1.0 - g)] * (d - 1))
-    V1 = np.sqrt(g) * np.eye(d, k=1)
-    return KrausChannel(kraus=(V0, V1), label=f"ladder({g}, {d})")
+# The amplitude-damping ladder: its stable part has Jordan blocks (the
+# populations form a chain at 1 - g), so its eigenvector matrix is
+# numerically singular, while 1 stays semisimple.
+ladder_channel = catalog.ladder_channel
 
 
 class TestKernelProjectors:
@@ -822,3 +819,160 @@ class TestKernelProjectors:
         (P,) = spectral_projectors(L, decomp.lambdas)
         assert np.array_equal(P, decomp.projectors[0])
         assert decomp.fixed_space.dimension == decomp.projector_ranks[0] == 8
+
+
+def covariant_channel(seed, d, offsets=(0, 1, -1, 2), scale=1.0):
+    """Random phase-covariant channel: V_k = diag(z_k) shift^{o_k}, each
+    moving the number basis by a fixed offset, normalised so that
+    sum V^dag V = scale * I (trace decreasing for scale < 1)."""
+    rng = np.random.default_rng(seed)
+    kraus = [
+        np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ np.eye(d, k=o)
+        for o in offsets
+    ]
+    total = np.real(np.diag(sum(V.conj().T @ V for V in kraus)))  # diagonal
+    return KrausChannel(kraus=tuple(V * np.sqrt(scale / total) for V in kraus))
+
+
+SECTOR_CHANNELS = [
+    pauli_xy_channel(0.3),
+    parity_fock_channel(0.3, 8),
+    shift_channel(0.4, 8),
+    ladder_channel(0.7, 8),
+    ladder_channel(0.3, 4),
+    TestConjugatePeripheralPair.ch,
+    covariant_channel(31, 5),
+    covariant_channel(32, 5, scale=0.9),
+]
+SECTOR_IDS = [
+    "pauli30", "parity8", "shift8", "ladder8", "ladder4", "conjpair3", "cov5", "cov5sub",
+]
+
+
+def joined(L, seed=0):
+    """L + 1e-300 R, R a random channel's superoperator: numerically L,
+    but with no zero entry, so its Hermitian form is one block."""
+    d = int(round(np.sqrt(L.matrix.shape[0])))
+    R = superoperator(random_stinespring_channel(seed, d, 3), L.side).matrix
+    return L.matrix + 1e-300 * R
+
+
+def span_projector_of(fs):
+    Q = np.column_stack([linalg.vec(B) for B in fs.basis]) if fs.basis else np.zeros((0, 0))
+    return Q @ Q.conj().T
+
+
+class TestSectors:
+    """peripheral_decomposition on the exact diagonal blocks of L."""
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("ch", SECTOR_CHANNELS, ids=SECTOR_IDS)
+    def test_sectors_agree_with_one_block(self, ch, side):
+        L = superoperator(ch, side)
+        sectors = peripheral_decomposition(L)
+        dense = peripheral_decomposition(joined(L))
+        assert not sectors.layout.single and dense.layout.single
+        assert len(sectors.lambdas) == len(dense.lambdas)
+        assert np.allclose(sectors.lambdas, dense.lambdas, rtol=0, atol=1e-12)
+        assert sectors.projector_ranks == dense.projector_ranks
+        for P, Q in zip(sectors.projectors, dense.projectors):
+            assert np.max(np.abs(P - Q)) <= 1e-12
+        assert np.max(np.abs(sectors.stable - dense.stable)) <= 1e-12
+        assert sectors.projector_norm == pytest.approx(dense.projector_norm, abs=1e-12)
+        assert sectors.stable_spectral_radius == pytest.approx(
+            dense.stable_spectral_radius, abs=1e-12
+        )
+        d = ch.dim
+        assert sectors.fixed_space.dimension == dense.fixed_space.dimension
+        gap = span_projector_of(sectors.fixed_space) - span_projector_of(dense.fixed_space)
+        assert np.max(np.abs(gap), initial=0.0) <= 1e-12
+        for B in sectors.fixed_space.basis:
+            assert np.array_equal(B, B.conj().T)
+        fit_s, fit_d = decay_fit(sectors, 20), decay_fit(dense, 20)
+        assert np.allclose(fit_s.norms, fit_d.norms, rtol=1e-12, atol=0)
+        X = np.random.default_rng(d).normal(size=(d, d)) + 1j
+        for n in (1, 7, 100):
+            got = reconstruct_iterate(sectors, n, X)
+            assert linalg.hs_norm(got - reconstruct_iterate(dense, n, X)) <= 1e-12
+            assert linalg.hs_norm(got - apply_n(ch, X, n, adjoint=side == "adjoint")) <= 1e-11
+
+    def test_one_block_channel_takes_the_dense_path(self, monkeypatch):
+        L = superoperator(random_stinespring_channel(5, 4, 3))
+        A = ergodic._hermitian_form(L.matrix)
+        seen = []
+        orig = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or orig(a))
+        decomp = peripheral_decomposition(L, cesaro_check_n=100)
+        assert decomp.layout.single
+        assert [np.shape(a) for a in seen] == [A.shape] * 2  # L, then S
+        assert [P.shape for (P,) in decomp.projector_blocks] == [A.shape]
+
+    def test_no_linalg_call_larger_than_a_sector(self, monkeypatch):
+        # shift d = 32: 63 sectors of size at most 32, against 1024 x 1024
+        d = 32
+        ch = shift_channel(0.5, d)
+        L = superoperator(ch)
+        shapes = []
+        for name in dir(np.linalg):
+            fn = getattr(np.linalg, name)
+            if name.startswith("_") or isinstance(fn, type) or not callable(fn):
+                continue
+
+            def recorded(*args, _fn=fn, **kwargs):
+                if args and np.ndim(args[0]) >= 2:
+                    shapes.append(np.shape(args[0])[-2:])
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        decomp = peripheral_decomposition(L)
+        decay_fit(decomp, 40)
+        X = np.eye(d) + 1j * np.diag(np.ones(d - 1), 1)
+        reconstruct_iterate(decomp, 9, X)
+        ergodic.residual_summary(ch, L, decomp, seed=0)
+        assert shapes and max(max(shape) for shape in shapes) <= d
+
+    @pytest.mark.parametrize("member", [True, False])
+    @pytest.mark.parametrize(
+        "ch", [parity_fock_channel(0.3, 4), ladder_channel(0.7, 4)], ids=["parity4", "ladder4"]
+    )
+    def test_perturbed_block_projector_fails_the_cesaro_check(
+        self, monkeypatch, ch, member
+    ):
+        # negative control: 1e-3 on one block of P_1, either a block that
+        # holds eigenvalues 1 or one with none (where the Cesaro average
+        # vanishes); at n = 10^6 the budget is 50/n * ||L|| ~ 5e-5
+        L = superoperator(ch)
+        n = 10**6
+        (P,) = peripheral_decomposition(L, cesaro_check_n=n).projector_blocks
+        at = next(
+            (j, b)
+            for j, stack in enumerate(P)
+            for b, block in enumerate(stack)
+            if (np.trace(block) > 0.5) == member
+        )
+        orig = ergodic._kernel_projectors
+
+        def perturbed(*args):
+            projectors, fixed, norm = orig(*args)
+            j, b = at
+            stack = projectors[0][j].copy()
+            stack[b] += 1e-3 * np.eye(stack.shape[-1])
+            projectors[0][j] = stack
+            return projectors, fixed, norm
+
+        monkeypatch.setattr(ergodic, "_kernel_projectors", perturbed)
+        with pytest.raises(DecompositionFailureError, match="Cesaro average") as info:
+            peripheral_decomposition(L, cesaro_check_n=n)
+        assert "residual 1.0" in str(info.value)  # the perturbation itself
+
+    def test_residual_summary_refuses_another_operator(self):
+        ch = parity_fock_channel(0.3, 4)
+        decomp = peripheral_decomposition(superoperator(ch))
+        other = superoperator(random_stinespring_channel(2, 4))
+        with pytest.raises(DimensionError, match="outside the blocks"):
+            ergodic.residual_summary(ch, other, decomp, seed=0)
+
+    def test_dense_fields_are_assembled_once(self):
+        decomp = peripheral_decomposition(superoperator(shift_channel(0.4, 4)))
+        assert decomp.stable is decomp.stable
+        assert decomp.projectors == ()

@@ -232,6 +232,122 @@ class TestDiagonalBlocks:
         M = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert [b.tolist() for b in linalg.diagonal_blocks(M)] == [[0, 1]]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_breadth_first_search_on_sparse_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        density = rng.choice([0.0, 0.01, 0.03, 0.08, 0.3])
+        M = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+        assert_same_blocks(linalg.diagonal_blocks(M), bfs_blocks(M))
+
+    def test_matches_breadth_first_search_on_catalog_forms(self):
+        from ergochan import catalog, channel
+
+        channels = [catalog.pauli_xy_channel(0.3)] + [
+            build(p, d)
+            for build, p in [
+                (catalog.parity_fock_channel, 0.3),
+                (catalog.shift_channel, 0.4),
+                (catalog.ladder_channel, 0.6),
+            ]
+            for d in (2, 5, 8, 16)
+        ]
+        for ch in channels:
+            for side in ("forward", "adjoint"):
+                L = channel.superoperator(ch, side).matrix
+                for M in (L, linalg.to_hermitian_basis(L).real):
+                    assert_same_blocks(linalg.diagonal_blocks(M), bfs_blocks(M))
+
+
+def bfs_blocks(M):
+    """Connected components of the support of M + M^H, one breadth-first
+    search per component: the reference for :func:`linalg.diagonal_blocks`."""
+    coupled = np.asarray(M) != 0
+    coupled |= coupled.T
+    n = len(coupled)
+    seen = np.zeros(n, dtype=bool)
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = coupled[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def assert_same_blocks(got, want):
+    assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
+
+class TestBlockLayout:
+    def test_split_and_join_round_trip(self):
+        rng = np.random.default_rng(21)
+        M = permuted_block_diagonal(rng, [2, 3, 1, 2, 3])
+        layout = linalg.BlockLayout(M)
+        stacks = layout.split(M)
+        assert not layout.single
+        assert [X.shape for X in stacks] == [(2, 2, 2), (2, 3, 3), (1, 1, 1)]
+        assert np.array_equal(layout.join(stacks), M)
+        v = random_complex(rng, M.shape[0], 2)
+        parts = layout.split_rows(v)
+        assert np.array_equal(layout.join_rows(parts), v)
+        product = layout.join_rows([X @ w for X, w in zip(stacks, parts)])
+        assert np.allclose(product, M @ v, rtol=0, atol=1e-14)
+
+    def test_blocks_of_one_size_keep_their_order(self):
+        M = permuted_block_diagonal(np.random.default_rng(22), [2, 2, 2])
+        layout = linalg.BlockLayout(M)
+        (idx,) = layout.index
+        assert [b.tolist() for b in idx] == [
+            b.tolist() for b in linalg.diagonal_blocks(M)
+        ]
+
+    def test_one_block_is_the_matrix_itself(self):
+        M = random_complex(np.random.default_rng(23), 5, 5)
+        layout = linalg.BlockLayout(M)
+        assert layout.single
+        (stack,) = layout.split(M)
+        assert stack is M
+        assert layout.join([M]) is M
+        assert np.array_equal(layout.index[0], np.arange(5)[np.newaxis])
+
+    def test_covers(self):
+        M = permuted_block_diagonal(np.random.default_rng(24), [2, 1, 3])
+        layout = linalg.BlockLayout(M)
+        assert layout.covers(M) and layout.covers(np.zeros_like(M))
+        col = np.flatnonzero(M[0] == 0)[0]  # outside the block of index 0
+        outside = M.copy()
+        outside[0, col] = 1e-300
+        assert not layout.covers(outside)
+        assert not layout.covers(np.zeros((2, 2)))
+
+    def test_stack_stands_for_its_block_diagonal_matrix(self):
+        rng = np.random.default_rng(25)
+        M = permuted_block_diagonal(rng, [3, 3, 1])
+        layout = linalg.BlockLayout(M)
+        want_eig = linalg.eigvals(M)
+        got_eig = np.concatenate([linalg.eigvals(X) for X in layout.split(M)])
+        assert np.allclose(
+            np.sort_complex(got_eig), np.sort_complex(want_eig), atol=1e-13
+        )
+        stack3, stack1 = layout.split(M)
+        full = np.linalg.svd(
+            layout.join([stack3, np.zeros_like(stack1)]), compute_uv=False
+        )
+        assert np.allclose(linalg.singular_values(stack3), full[:6], atol=1e-13)
+        assert linalg.operator_norm(stack3) == pytest.approx(full[0], rel=1e-13)
+        assert linalg.spectral_radius(stack3) == pytest.approx(
+            np.max(np.abs(np.linalg.eigvals(stack3))), rel=1e-15
+        )
+        U, s, Vh = linalg.svd(stack3)
+        assert np.allclose(U * s[:, np.newaxis, :] @ Vh, stack3, atol=1e-13)
+
 
 def hermitian_basis_matrix(d):
     """Dense unitary B whose column at the column-stacking position of
