@@ -111,12 +111,13 @@ class PeripheralDecomposition:
     The pieces are held block-wise in the Hermitian basis
     (:func:`_hermitian_form`).  ``layout`` (a :class:`linalg.BlockLayout`)
     gives the exact diagonal blocks of L there, the symmetry sectors of
-    L; every P_lambda and S has the same blocks.  ``projector_blocks``
-    holds, per lambda, the stacks of P_lambda, and ``stable_blocks`` those
-    of S.  A one-block L (any generic channel) has the plain matrices as
-    its only stacks.  ``projectors`` and ``stable`` are the dense
-    matrices in the column-stacking basis, assembled on first access;
-    for a Hermiticity-preserving input ``stable`` preserves Hermiticity
+    L; every P_lambda and S has the same blocks.  ``operator_blocks``
+    holds the stacks of L itself, ``projector_blocks``, per lambda, the
+    stacks of P_lambda, and ``stable_blocks`` those of S.  A one-block L
+    (any generic channel) has the plain matrices as its only stacks.
+    ``projectors`` and ``stable`` are the dense matrices in the
+    column-stacking basis, assembled on first access; for a
+    Hermiticity-preserving input ``stable`` preserves Hermiticity
     exactly.  ``stable_spectral_radius`` is rho(S) from the eigenvalues
     of S's blocks, stored when the decomposition is built (it is the
     value the ``rho(S) < 1`` check accepted), not recomputed on access.
@@ -130,6 +131,7 @@ class PeripheralDecomposition:
     dim: int
     lambdas: tuple
     layout: linalg.BlockLayout
+    operator_blocks: tuple
     projector_blocks: tuple
     stable_blocks: tuple
     stable_spectral_radius: float
@@ -495,6 +497,7 @@ def peripheral_decomposition(
         dim=d,
         lambdas=tuple(lambdas),
         layout=layout,
+        operator_blocks=tuple(stacks),
         projector_blocks=tuple(map(tuple, projectors)),
         stable_blocks=tuple(S),
         stable_spectral_radius=rho,
@@ -675,35 +678,36 @@ def decay_fit(S, n_max: int) -> DecayFit:
 def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     """Mean-ergodic splitting: the space is Ker(I-L) (+) Rng(I-L).
 
-    Verifies dim counts add up to d^2, that the concatenated bases have
+    One SVD ``I - L = U diag(s) V^H``, cut at linalg's rank cut, gives
+    the three bases: Ker(I - L) is spanned by the trailing right singular
+    vectors, Rng(I - L) by the leading left ones, and Ker(I - L^H) by the
+    trailing left ones, so the dimensions add up to d^2 by construction.
+    Verifies that the concatenated bases of the kernel and the range have
     full numerical rank, and the dual-orthogonality condition: elements
     of Rng(I-L) pair to zero with every fixed point of the adjoint.  Its
-    residual is exact, ``||F^H R||`` for orthonormal bases F of
-    Ker(I - L^H) and R of Rng(I-L): the largest pairing of a unit
-    vector of the range with a unit fixed point of the adjoint.  All of
-    it runs on the Hermitian form of L.
+    residual is exact, ``||F^H R||`` for the orthonormal bases F of
+    Ker(I - L^H) and R of Rng(I-L): the largest pairing of a unit vector
+    of the range with a unit fixed point of the adjoint.  All of it runs
+    on the Hermitian form of L.
     """
     A = _hermitian_form(_as_matrix(L))
     n = A.shape[0]
-    kernel = _fixed_kernel(A, tol)
-    rng_basis = linalg.column_space(np.eye(n) - A, tol)
-    fixed_dim = kernel.shape[1]
-    range_dim = rng_basis.shape[1]
+    U, s, Vh = linalg.svd(np.eye(n) - A)
+    range_dim = linalg._numerical_rank(s, tol)
+    fixed_dim = n - range_dim
+    kernel = Vh[range_dim:].conj().T
+    rng_basis, dual_fixed = U[:, :range_dim], U[:, range_dim:]
 
-    stacked = np.hstack([kernel, rng_basis])
-    s = linalg.singular_values(stacked) if stacked.shape[1] else np.array([1.0])
-    residual = float(s[-1])
-
-    dual_fixed = _fixed_kernel(A.conj().T, tol)
+    residual = float(linalg.singular_values(np.hstack([kernel, rng_basis]))[-1])
     if dual_fixed.shape[1] and range_dim:
         dual_residual = linalg.operator_norm(dual_fixed.conj().T @ rng_basis)
     else:
         dual_residual = 0.0
 
-    if fixed_dim + range_dim != n or residual <= tol:
+    if residual <= tol:
         raise SplittingViolationError(
             f"splitting failed: fixed_dim={fixed_dim}, range_dim={range_dim}, "
-            f"total={n}, direct-sum residual={residual:.3e}"
+            f"direct-sum residual={residual:.3e}"
         )
     return SplittingReport(
         fixed_dim=fixed_dim,
@@ -790,38 +794,37 @@ def fixed_space_intersection(
     )
 
 
-def peripheral_unitarity_check(L, decomp: PeripheralDecomposition) -> float:
+def peripheral_unitarity_check(decomp: PeripheralDecomposition) -> float:
     """max |sigma_k - 1| of L restricted to the peripheral span.
 
     The restriction of a mean-ergodic contraction to the span of its
     peripheral eigenspaces is unitary.  The classical statement is made
     on the union of the fixed spaces F(T/lambda), which is not a linear
     subspace; this check uses the span instead (interpretive choice).
-    It runs on the Hermitian forms of L and of the sum of the projectors.
+    It runs on the decomposition's Hermitian forms of L and of the sum
+    of the projectors.
     """
     if not decomp.lambdas:
         raise DegenerateInputError("peripheral spectrum is empty")
-    P = decomp.layout.join([sum(Ps) for Ps in zip(*decomp.projector_blocks)])
+    layout = decomp.layout
+    P = layout.join([sum(Ps) for Ps in zip(*decomp.projector_blocks)])
     Q = linalg.svd(P)[0][:, : sum(decomp.projector_ranks)]
-    s = linalg.singular_values(Q.conj().T @ _hermitian_form(_as_matrix(L)) @ Q)
+    s = linalg.singular_values(Q.conj().T @ layout.join(decomp.operator_blocks) @ Q)
     return float(np.max(np.abs(s - 1.0)))
 
 
-def residual_summary(ch, L, decomp: PeripheralDecomposition, seed: int) -> dict:
-    """The report's residuals for the superoperator L of ``ch`` (either
-    side) and its decomposition: the largest ||P^2 - P||, ||P Q|| (P !=
-    Q), ||L P - lambda P|| and ||P L - lambda P||, on the Hermitian forms,
-    and the HS distance at n = 5 between :func:`reconstruct_iterate` and
-    ``channel.apply_n`` on a random X drawn from ``seed``.  The norms are
-    taken block by block in the decomposition's layout (the norm of a
-    block diagonal matrix is the largest over its blocks); an L with
-    entries outside those blocks is not the operator decomposed and
-    raises :class:`DimensionError`."""
-    A = _hermitian_form(_as_matrix(L))
-    if not decomp.layout.covers(A):
-        raise DimensionError("L has entries outside the blocks of its decomposition")
+def residual_summary(
+    ch, decomp: PeripheralDecomposition, seed: int, adjoint: bool = False
+) -> dict:
+    """The report's residuals for the decomposition of the superoperator
+    of ``ch``, of phi* when ``adjoint``: the largest ||P^2 - P||, ||P Q||
+    (P != Q), ||L P - lambda P|| and ||P L - lambda P||, on the
+    decomposition's Hermitian forms, and the HS distance at n = 5 between
+    :func:`reconstruct_iterate` and ``channel.apply_n`` on a random X
+    drawn from ``seed``.  The norms are taken block by block (the norm of
+    a block diagonal matrix is the largest over its blocks)."""
     idem = orth = comm = 0.0
-    for B, projectors in zip(decomp.layout.split(A), zip(*decomp.projector_blocks)):
+    for B, projectors in zip(decomp.operator_blocks, zip(*decomp.projector_blocks)):
         for i, (lam, P) in enumerate(zip(decomp.lambdas, projectors)):
             lam = lam.real if not lam.imag else lam  # a real P stays real
             idem = max(idem, linalg.operator_norm(P @ P - P))
@@ -835,7 +838,7 @@ def residual_summary(ch, L, decomp: PeripheralDecomposition, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     d = decomp.dim
     X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-    direct = channel_mod.apply_n(ch, X, 5, adjoint=L.side == channel_mod.ADJOINT)
+    direct = channel_mod.apply_n(ch, X, 5, adjoint=adjoint)
     return {
         "projector_idempotency": idem,
         "projector_orthogonality": orth,

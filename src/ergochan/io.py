@@ -181,13 +181,17 @@ def analyze_channel(
     dimension is the rank of P_1.  The Cesaro cross-check runs
     ``cesaro_n`` steps (default ``ergodic.DEFAULT_CESARO_N``) and the
     decay certificate norms :data:`DECAY_N_MAX` powers.  The residuals
-    are :func:`ergodic.residual_summary`.
+    are :func:`ergodic.residual_summary`.  The superoperator and its
+    Hermitian form are built once, for the decomposition, and every later
+    stage reads the decomposition's blocks; ``channel.verify`` works from
+    the Kraus operators.
     """
     side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
-    L = channel_mod.superoperator(ch, side)
     ver = channel_mod.verify(ch, tol=tol)
     decomp = ergodic.peripheral_decomposition(
-        L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
+        channel_mod.superoperator(ch, side),
+        peripheral_tol=peripheral_tol,
+        cesaro_check_n=cesaro_n,
     )
     fit = ergodic.decay_fit(decomp, DECAY_N_MAX)
     return AnalysisReport(
@@ -214,5 +218,5 @@ def analyze_channel(
         },
         stable_spectral_radius=decomp.stable_spectral_radius,
         decay={"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},
-        residuals=ergodic.residual_summary(ch, L, decomp, seed),
+        residuals=ergodic.residual_summary(ch, decomp, seed, adjoint=adjoint),
     )

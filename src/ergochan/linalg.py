@@ -305,12 +305,6 @@ class BlockLayout:
             out[idx] = x
         return out
 
-    def covers(self, M) -> bool:
-        """Whether M is n x n and every nonzero entry of it lies in a block."""
-        if M.shape != (self.n, self.n):
-            return False
-        return sum(map(np.count_nonzero, self.split(M))) == np.count_nonzero(M)
-
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

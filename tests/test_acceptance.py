@@ -182,7 +182,7 @@ def test_criterion_5_structural_invariants():
                 sum(V.conj().T @ V for V in ch.kraus), np.eye(d)
             )
             if trace_preserving and decomp.lambdas:
-                assert peripheral_unitarity_check(L, decomp) <= 1e-8
+                assert peripheral_unitarity_check(decomp) <= 1e-8
 
 
 def test_criterion_6_cesaro_convergence():

@@ -284,7 +284,7 @@ class TestVerify:
     def test_pauli_all_flags(self, p):
         rep = verify(pauli_xy_channel(p))
         assert rep.all_ok
-        assert rep.duality_max_residual <= 1e-12
+        assert rep.min_choi_eigenvalue == 0.0  # 2 Kraus operators < d^2 = 4
 
     def test_shift_d16(self):
         rep = verify(shift_channel(0.5, 16))
@@ -311,7 +311,9 @@ class TestVerify:
     )
     def test_exact_contraction_agrees_with_sampling(self, ch):
         rep = verify(ch)
-        assert rep.contraction_ok == sampled_contraction_ok(ch, np.random.default_rng(8))
+        assert rep.trace_nonincreasing_ok == sampled_contraction_ok(
+            ch, np.random.default_rng(8)
+        )
         # Russo-Dye: no input is stretched beyond lambda_max(sum V^dag V)
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -324,5 +326,61 @@ class TestVerify:
         )
 
     def test_report_has_no_sampling_fields(self):
-        fields = set(vars(verify(pauli_xy_channel(0.3))))
-        assert not fields & {"seed", "sample_size"}
+        # nor fields that the Kraus form fixes (a duality residual, a
+        # contraction flag equal to trace_nonincreasing_ok)
+        assert set(vars(verify(pauli_xy_channel(0.3)))) == {
+            "cp_ok",
+            "min_choi_eigenvalue",
+            "trace_nonincreasing_ok",
+            "max_kraus_sum_eigenvalue",
+            "tol",
+        }
+
+
+def dependent_family(rng, d, count):
+    """``count`` >= d^2 Kraus operators, each a random combination of the
+    same d^2 - 1 matrices, so that they span d^2 - 1 dimensions only."""
+    span = [random_state_like(rng, d) for _ in range(d * d - 1)]
+    coeffs = rng.normal(size=(count, len(span)))
+    mats = (0.1 * sum(c * B for c, B in zip(row, span)) for row in coeffs)
+    return KrausChannel(kraus=tuple(mats))
+
+
+class TestClosedFormChoiWitness:
+    """``verify``'s least Choi eigenvalue, 0 for k < d^2 Kraus operators
+    and ``sigma_min(K)^2`` otherwise, against ``eigvalsh`` of the dense
+    Choi matrix."""
+
+    @pytest.mark.parametrize(
+        "d, count",
+        [(1, 1), (1, 3), (2, 3), (2, 4), (2, 6), (3, 2), (3, 9), (3, 12), (4, 17)],
+    )
+    def test_random_families(self, d, count):
+        ch = random_kraus_channel(np.random.default_rng(40 + 10 * d + count), d, count)
+        rep = verify(ch)
+        assert rep.min_choi_eigenvalue >= 0.0
+        assert rep.min_choi_eigenvalue == pytest.approx(
+            min_choi_eigenvalue(choi(ch)), abs=1e-12
+        )
+        if count < d * d:
+            assert rep.min_choi_eigenvalue == 0.0
+        else:  # K of full rank d^2
+            assert rep.min_choi_eigenvalue > 1e-3
+
+    @pytest.mark.parametrize("d, count", [(2, 4), (2, 6), (3, 9), (3, 12)])
+    def test_linearly_dependent_family(self, d, count):
+        ch = dependent_family(np.random.default_rng(50 + count), d, count)
+        rep = verify(ch)
+        assert 0.0 <= rep.min_choi_eigenvalue <= 1e-12
+        assert rep.min_choi_eigenvalue == pytest.approx(
+            min_choi_eigenvalue(choi(ch)), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, np.sqrt(2)])
+    def test_one_dimensional_channels(self, scale):
+        # d = 1: the Choi matrix is the 1 x 1 matrix sum |v_i|^2
+        ch = KrausChannel(kraus=(np.array([[scale]]),))
+        rep = verify(ch)
+        assert rep.min_choi_eigenvalue == pytest.approx(scale**2, abs=1e-15)
+        assert rep.cp_ok
+        assert rep.trace_nonincreasing_ok == (scale <= 1.0)

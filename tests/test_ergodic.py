@@ -632,15 +632,21 @@ class TestSplitting:
         assert abs(rep.dual_orthogonality_residual - want) <= 1e-12
 
     def test_dual_residual_is_the_exact_supremum(self, monkeypatch):
-        # tilt one range vector towards the adjoint's fixed point by theta:
+        # tilt one range vector (a leading left singular vector of I - L)
+        # towards the adjoint's fixed point (the trailing one) by theta:
         # the largest pairing over unit range vectors is then sin(theta)
         L = superoperator(pauli_xy_channel(0.3)).matrix
-        F = linalg.null_space(np.eye(4) - L.conj().T)
-        R = linalg.column_space(np.eye(4) - L)
         theta = 1e-3
-        tilted = R.copy()
-        tilted[:, 1] = np.cos(theta) * R[:, 1] + np.sin(theta) * F[:, 0]
-        monkeypatch.setattr(linalg, "column_space", lambda M, tol: tilted)
+        orig = linalg.svd
+
+        def tilted_svd(M):
+            U, s, Vh = orig(M)
+            assert s[-1] < 1e-12 < s[-2]  # Ker(I - L^H) is the last column
+            U = U.copy()
+            U[:, 1] = np.cos(theta) * U[:, 1] + np.sin(theta) * U[:, -1]
+            return U, s, Vh
+
+        monkeypatch.setattr(linalg, "svd", tilted_svd)
         rep = splitting_check(L)
         want = np.sin(theta)
         assert rep.dual_orthogonality_residual == pytest.approx(want, rel=1e-12)
@@ -648,6 +654,20 @@ class TestSplitting:
     def test_no_sampling_parameters(self):
         with pytest.raises(TypeError):
             splitting_check(superoperator(pauli_xy_channel(0.3)), seed=0)
+
+    def test_one_factorisation_of_I_minus_L(self, monkeypatch):
+        # the kernel, the range and the adjoint's fixed space all come from
+        # one SVD; the direct-sum residual takes singular values only
+        L = superoperator(parity_fock_channel(0.3, 3))
+        fixed_dim = fixed_space(L).dimension
+        calls = []
+        orig = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda M: calls.append(M.shape) or orig(M))
+        for name in ("null_space", "column_space"):
+            monkeypatch.setattr(linalg, name, None)
+        rep = splitting_check(L)
+        assert calls == [(9, 9)]
+        assert (rep.fixed_dim, rep.range_dim) == (fixed_dim, 9 - fixed_dim)
 
 
 class TestIntersection:
@@ -698,23 +718,23 @@ class TestPeripheralUnitarity:
     def test_pauli_restriction(self):
         L = superoperator(pauli_xy_channel(0.3))
         decomp = peripheral_decomposition(L)
-        assert peripheral_unitarity_check(L, decomp) <= 1e-8
+        assert peripheral_unitarity_check(decomp) <= 1e-8
 
     def test_identity_channel(self):
         L = superoperator(identity_channel(2))
         decomp = peripheral_decomposition(L)
-        assert peripheral_unitarity_check(L, decomp) <= 1e-12
+        assert peripheral_unitarity_check(decomp) <= 1e-12
 
     def test_parity_restriction(self):
         L = superoperator(parity_fock_channel(0.3, 8))
         decomp = peripheral_decomposition(L)
-        assert peripheral_unitarity_check(L, decomp) <= 1e-10
+        assert peripheral_unitarity_check(decomp) <= 1e-10
 
     def test_empty_peripheral_rejected(self):
         L = superoperator(shift_channel(0.5, 8))
         decomp = peripheral_decomposition(L)
         with pytest.raises(DegenerateInputError):
-            peripheral_unitarity_check(L, decomp)
+            peripheral_unitarity_check(decomp)
 
 
 class TestHsSymmetry:
@@ -928,7 +948,7 @@ class TestSectors:
         decay_fit(decomp, 40)
         X = np.eye(d) + 1j * np.diag(np.ones(d - 1), 1)
         reconstruct_iterate(decomp, 9, X)
-        ergodic.residual_summary(ch, L, decomp, seed=0)
+        ergodic.residual_summary(ch, decomp, seed=0)
         assert shapes and max(max(shape) for shape in shapes) <= d
 
     @pytest.mark.parametrize("member", [True, False])
@@ -964,13 +984,6 @@ class TestSectors:
         with pytest.raises(DecompositionFailureError, match="Cesaro average") as info:
             peripheral_decomposition(L, cesaro_check_n=n)
         assert "residual 1.0" in str(info.value)  # the perturbation itself
-
-    def test_residual_summary_refuses_another_operator(self):
-        ch = parity_fock_channel(0.3, 4)
-        decomp = peripheral_decomposition(superoperator(ch))
-        other = superoperator(random_stinespring_channel(2, 4))
-        with pytest.raises(DimensionError, match="outside the blocks"):
-            ergodic.residual_summary(ch, other, decomp, seed=0)
 
     def test_dense_fields_are_assembled_once(self):
         decomp = peripheral_decomposition(superoperator(shift_channel(0.4, 4)))

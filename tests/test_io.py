@@ -8,6 +8,7 @@ import pytest
 from ergochan import (
     KrausChannel,
     apply_n,
+    channel,
     ergodic,
     io,
     parity_fock_channel,
@@ -212,10 +213,10 @@ def count_linalg_calls(monkeypatch, names):
 
 
 def count_full_size_calls(monkeypatch, d):
-    """Record (name, dtype) of each numpy.linalg eig, eigvals and svd of
-    a d^2 x d^2 matrix."""
+    """Record (name, dtype) of each numpy.linalg eig, eigvals, eigvalsh
+    and svd of a d^2 x d^2 matrix."""
     calls = []
-    for name in ("eig", "eigvals", "svd"):
+    for name in ("eig", "eigvals", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
         def typed(a, *args, _orig=orig, _name=name, **kwargs):
@@ -265,6 +266,48 @@ class TestFactorisationCounts:
         assert counts["svd", "float64"] == decay_n_max + 6
         assert sum(counts.values()) == decay_n_max + 8
         assert not any(dtype == "complex128" for _, dtype in calls)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_analyze_builds_one_superoperator_and_one_hermitian_form(
+        self, monkeypatch, adjoint
+    ):
+        d = 4
+        ch = parity_fock_channel(0.3, d)
+        built = []
+        for module, name in ((channel, "superoperator"), (ergodic, "_hermitian_form")):
+            orig = getattr(module, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                built.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        calls = count_full_size_calls(monkeypatch, d)
+        rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
+        assert sorted(built) == ["_hermitian_form", "superoperator"]
+        assert not any(name == "eigvalsh" for name, _ in calls)
+        assert set(rep.verification) == {
+            "cp_ok",
+            "min_choi_eigenvalue",
+            "trace_nonincreasing_ok",
+            "max_kraus_sum_eigenvalue",
+            "tol",
+        }
+
+    @pytest.mark.parametrize("count", [2, 20])  # fewer and more than d^2
+    def test_verify_builds_no_superoperator(self, monkeypatch, count):
+        d = 4
+        ch = random_channel(7, d, count)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a d^2 x d^2 matrix")
+
+        for name in ("superoperator", "choi", "choi_from_superoperator"):
+            monkeypatch.setattr(channel, name, refuse)
+        calls = count_full_size_calls(monkeypatch, d)
+        rep = channel.verify(ch)
+        assert rep.all_ok
+        assert calls == []  # K is d^2 x count; sum V^dag V is d x d
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_fixed_space_factorises_in_real_arithmetic(self, monkeypatch, adjoint):

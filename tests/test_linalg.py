@@ -317,16 +317,6 @@ class TestBlockLayout:
         assert layout.join([M]) is M
         assert np.array_equal(layout.index[0], np.arange(5)[np.newaxis])
 
-    def test_covers(self):
-        M = permuted_block_diagonal(np.random.default_rng(24), [2, 1, 3])
-        layout = linalg.BlockLayout(M)
-        assert layout.covers(M) and layout.covers(np.zeros_like(M))
-        col = np.flatnonzero(M[0] == 0)[0]  # outside the block of index 0
-        outside = M.copy()
-        outside[0, col] = 1e-300
-        assert not layout.covers(outside)
-        assert not layout.covers(np.zeros((2, 2)))
-
     def test_stack_stands_for_its_block_diagonal_matrix(self):
         rng = np.random.default_rng(25)
         M = permuted_block_diagonal(rng, [3, 3, 1])
