@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -165,6 +166,15 @@ _FLAGS = {
 }
 
 
+def _check_tolerances(args) -> None:
+    """A tolerance flag must be finite and > 0: a cut at or below zero
+    counts round-off as rank and fails every check it gates."""
+    for flag in ("--tol", "--peripheral-tol"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not 0 < value < math.inf:
+            raise DomainError(f"{flag} must be finite and > 0, got {value}")
+
+
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     """Give one subcommand ``--out`` and the named flags, no others."""
     for flag in (*flags, "--out"):
@@ -212,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_tolerances(args)
         return args.func(args)
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

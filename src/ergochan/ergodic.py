@@ -81,6 +81,15 @@ def _hermitian_form(M) -> np.ndarray:
     return np.ascontiguousarray(H.real) if linalg.is_hermiticity_preserving(M) else H
 
 
+def _sectors(L) -> tuple:
+    """(layout, stacks) of the Hermitian form A of L (:func:`_hermitian_form`):
+    the exact diagonal blocks of A (:class:`linalg.BlockLayout`) and A
+    held as its stacks, the form every spectral stage runs on."""
+    A = _hermitian_form(_as_matrix(L))
+    layout = linalg.BlockLayout(A)
+    return layout, layout.split(A)
+
+
 def _side_dim(L) -> int:
     M = _as_matrix(L)
     d = int(round(np.sqrt(M.shape[0])))
@@ -113,8 +122,7 @@ class PeripheralDecomposition:
     gives the exact diagonal blocks of L there, the symmetry sectors of
     L; every P_lambda and S has the same blocks.  ``operator_blocks``
     holds the stacks of L itself, ``projector_blocks``, per lambda, the
-    stacks of P_lambda, and ``stable_blocks`` those of S.  A one-block L
-    (any generic channel) has the plain matrices as its only stacks.
+    stacks of P_lambda, and ``stable_blocks`` those of S.
     ``projectors`` and ``stable`` are the dense matrices in the
     column-stacking basis, assembled on first access; for a
     Hermiticity-preserving input ``stable`` preserves Hermiticity
@@ -255,8 +263,8 @@ def peripheral_spectrum(
     Eigenvalues within ``cluster_tol`` of each other merge to their
     mean; the empty list is a valid result (strictly contractive maps).
     """
-    A = _hermitian_form(_as_matrix(L))
-    return _peripheral_clusters(linalg.eigvals(A), peripheral_tol, cluster_tol)
+    _, stacks = _sectors(L)
+    return _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
 
 
 def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list:
@@ -286,9 +294,7 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`."""
-    A = _hermitian_form(_as_matrix(L))
-    layout = linalg.BlockLayout(A)
-    stacks = layout.split(A)
+    layout, stacks = _sectors(L)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
     )
@@ -361,10 +367,9 @@ def _kernel_projectors(
             P = np.zeros(X.shape, dtype=np.result_type(U, Vh))
             for c in np.unique(c_b[c_b > 0]):
                 sel = np.flatnonzero(c_b == c)
-                at = sel if X.ndim == 3 else ...  # a plain matrix stays 2-d
-                V, W = _ct(Vh[at][..., k - c :, :]), U[at][..., k - c :]
+                V, W = _ct(Vh[sel][..., k - c :, :]), U[sel][..., k - c :]
                 Ug, g, Vgh = linalg.svd(_ct(W) @ V)
-                P[at] = (V @ _ct(Vgh) / g[..., np.newaxis, :]) @ _ct(W @ Ug)
+                P[sel] = (V @ _ct(Vgh) / g[..., np.newaxis, :]) @ _ct(W @ Ug)
                 norm = max(norm, float(np.max(1.0 / g[..., -1])))
                 pieces.append((idx[sel], V.reshape(-1, k, c)))
             blocks.append(P)
@@ -391,7 +396,8 @@ def _kernel_columns(n: int, pieces) -> np.ndarray:
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
-    _stable_radius([_hermitian_form(S)])
+    _, stacks = _sectors(S)
+    _stable_radius(stacks)
     return S
 
 
@@ -442,17 +448,13 @@ def peripheral_decomposition(
     Cesaro averages, which are checked on every block, also where lambda
     has no eigenvalue and the average must vanish.  Every decision uses
     the scale of the whole matrix: the rank cut the largest singular
-    value over the blocks, the Cesaro budget the largest ||A_b||.  A
-    one-block A (any generic channel) is its own only stack and takes
-    the dense path.  When L preserves Hermiticity (every quantum
-    operation does) A is real, and so are the products for lambda = +-1;
-    other input runs the same code in complex arithmetic.
+    value over the blocks, the Cesaro budget the largest ||A_b||.  When
+    L preserves Hermiticity (every quantum operation does) A is real,
+    and so are the products for lambda = +-1; other input runs the same
+    code in complex arithmetic.
     """
-    M = _as_matrix(L)
-    d = _side_dim(M)
-    A = _hermitian_form(M)
-    layout = linalg.BlockLayout(A)
-    stacks = layout.split(A)
+    d = _side_dim(L)
+    layout, stacks = _sectors(L)
     eigenvalues = _eigvals(stacks)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     projectors, fixed, norm = _kernel_projectors(
@@ -462,7 +464,7 @@ def peripheral_decomposition(
         _remainder(X, lambdas, [P[j] for P in projectors])
         for j, X in enumerate(stacks)
     ]
-    if np.isrealobj(A):
+    if np.isrealobj(stacks[0]):
         # the peripheral set of a real matrix is closed under conjugation,
         # so the sum is real and its imaginary part is round-off
         unpaired = [
@@ -519,24 +521,26 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     involved, so this is independent of :func:`peripheral_decomposition`.
     n = 0 returns X; n < 0 raises :class:`DomainError`.
 
-    L is powered as its Hermitian form A (:func:`_hermitian_form`) and
-    applied to the Hermitian-basis coordinates ``w = B^H vec(X)``, real
-    and imaginary parts as one d^2 x 2 block: real arithmetic throughout
-    when L preserves Hermiticity, complex otherwise.
+    L is powered as the stacks of its Hermitian form A (:func:`_sectors`)
+    and applied to the Hermitian-basis coordinates ``w = B^H vec(X)``,
+    real and imaginary parts as one two-column block split by the same
+    blocks (:func:`_apply_by_sector`), so no product is larger than a
+    block of A: real arithmetic throughout when L preserves
+    Hermiticity, complex otherwise.
 
     Accuracy: a computed eigenvalue 1 of L is 1 + O(u), u = 2^-53, and
     L^(2^k) raises it to the power 2^k, so on the fixed space the error
     grows linearly in n, not in log n.  Measured in HS norm against the
     per-step ``channel.apply_n`` (random Stinespring channels d = 2..8,
-    12 and 16, both sides, n <= 10^4) and against the closed forms of pauli-xy and
-    parity-fock d = 2..16 (n <= 10^6), the error divided by
+    12 and 16, shift and ladder at d = 8, both sides, n <= 10^4) and
+    against the closed forms of pauli-xy and parity-fock d = 2..16
+    (n <= 10^6), the error divided by
     ``n * d * u * ||X||_HS`` was at most 2.0 (pauli-xy at p = 1/2, n = 1)
     and at most 1.5 for n >= 64.  The documented bound is twice that,
     :data:`POWER_DRIFT` ``* n * d * u * ||X||_HS``: 7e-11 at n = 10^4,
     d = 16, for a unit-norm X.
     """
-    M = _as_matrix(L)
-    d = _side_dim(M)
+    d = _side_dim(L)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     X = linalg.as_matrix(X)
@@ -544,20 +548,20 @@ def power_iterate(L, n: int, X) -> np.ndarray:
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
     if n == 0:
         return np.array(X, dtype=complex)
-    W = _power_apply(_hermitian_form(M), n, _coordinate_pair(X))
-    return _from_coordinate_pair(W, d)
+    layout, stacks = _sectors(L)
+    return _apply_by_sector(layout, X, lambda j, W: _power_apply(stacks[j], n, W))
 
 
-def _coordinate_pair(X) -> np.ndarray:
-    """The Hermitian-basis coordinates w of vec(X) as the real d^2 x 2
-    block [Re w, Im w]: a map acts on both columns alike."""
+def _apply_by_sector(layout, X, apply) -> np.ndarray:
+    """The d x d matrix Y of a map that ``layout``'s blocks reduce, block
+    by block.  The Hermitian-basis coordinates w of vec(X) are taken as
+    the real n x 2 block [Re w, Im w] (a map acts on both columns alike)
+    and split into the parts of the stacks; ``apply(j, W)`` maps the
+    part W (m, k, 2) of stack j, and the mapped parts are those of Y."""
     w = linalg.to_hermitian_coordinates(linalg.vec(X))
-    return np.column_stack([w.real, w.imag])
-
-
-def _from_coordinate_pair(W, d: int) -> np.ndarray:
-    """The d x d matrix whose coordinate pair is W."""
-    return linalg.unvec(linalg.from_hermitian_coordinates(W[:, 0] + 1j * W[:, 1]), d)
+    parts = layout.split_rows(np.column_stack([w.real, w.imag]))
+    W = layout.join_rows([apply(j, V) for j, V in enumerate(parts)])
+    return linalg.unvec(linalg.from_hermitian_coordinates(W[:, 0] + 1j * W[:, 1]), len(X))
 
 
 def _power_apply(A, n: int, V) -> np.ndarray:
@@ -578,8 +582,8 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     """phi^n(X) via sum lambda^n P_lambda(X) + S^n(X).
 
     Everything runs on the decomposition's blocks in the Hermitian
-    basis, on the coordinate pair [Re w, Im w] of X: per block, the
-    projectors are applied and S^n is taken by the binary powering of
+    basis (:func:`_apply_by_sector`): per block, the projectors are
+    applied and S^n is taken by the binary powering of
     :func:`power_iterate`; neither S^n nor a dense matrix is formed.  Its
     error does not grow with n, since rho(S) < 1.
     """
@@ -589,14 +593,14 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     d = decomp.dim
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
-    layout = decomp.layout
-    parts = []
-    for j, W in enumerate(layout.split_rows(_coordinate_pair(X))):
+
+    def part(j, W):
         Y = _power_apply(decomp.stable_blocks[j], n, W)
         for lam, P in zip(decomp.lambdas, decomp.projector_blocks):
             Y = Y + (lam.real if not lam.imag else lam) ** n * (P[j] @ W)
-        parts.append(Y)
-    return _from_coordinate_pair(layout.join_rows(parts), d)
+        return Y
+
+    return _apply_by_sector(decomp.layout, X, part)
 
 
 def decay_fit(S, n_max: int) -> DecayFit:
@@ -628,9 +632,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
     if isinstance(S, PeripheralDecomposition):
         stacks, rho = S.stable_blocks, S.stable_spectral_radius
     else:
-        A = _hermitian_form(_as_matrix(S))
-        stacks, rho = linalg.BlockLayout(A).split(A), None
-    if rho is None:
+        _, stacks = _sectors(S)
         rho = max(map(linalg.spectral_radius, stacks))
     if rho >= 1.0:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")

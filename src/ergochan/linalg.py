@@ -148,11 +148,6 @@ def unvec(v, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def trace_norm(M) -> float:
-    """Sum of singular values (Schatten 1-norm)."""
-    return float(np.sum(singular_values(M)))
-
-
 def operator_norm(M) -> float:
     """Largest singular value (spectral norm)."""
     s = singular_values(M)
@@ -162,15 +157,6 @@ def operator_norm(M) -> float:
 def hs_norm(M) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(as_matrix(M)))
-
-
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product Tr{A^dag B}, conjugate-linear in A."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
-    return complex(np.vdot(A, B))
 
 
 def _numerical_rank(s: np.ndarray, tol: float) -> int:
@@ -259,34 +245,26 @@ class BlockLayout:
 
     A matrix with these blocks is held as its *stacks*: one array
     (m, k, k) per block size k, in order of the size's first block,
-    holding the m blocks of that size in order of their smallest index.
-    ``index`` holds the matching (m, k) arrays of row and column indices.
-    A matrix that is one block is its own single stack, the 2-d matrix
-    itself, so it takes the code path of any dense matrix; ``index``
-    is then ``(arange(n)[None],)``.  Rows of an (n, ...) array split the
-    same way into parts (m, k, ...).
+    holding the m blocks of that size in order of their smallest index;
+    a matrix that is one block is one (1, n, n) stack.  ``index`` holds
+    the matching (m, k) arrays of row and column indices.  Rows of an
+    (n, ...) array split the same way into parts (m, k, ...).
     """
 
     def __init__(self, M):
         M = _require_square(as_matrix(M))
         self.n = M.shape[0]
-        blocks = diagonal_blocks(M)
-        self.single = len(blocks) == 1
         by_size: dict = {}
-        for idx in blocks:
+        for idx in diagonal_blocks(M):
             by_size.setdefault(idx.size, []).append(idx)
         self.index = tuple(np.array(members) for members in by_size.values())
 
     def split(self, M) -> list:
         """The stacks of the n x n matrix M."""
-        if self.single:
-            return [M]
         return [M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] for idx in self.index]
 
     def join(self, stacks) -> np.ndarray:
         """The n x n matrix whose stacks are ``stacks``."""
-        if self.single:
-            return stacks[0]
         out = np.zeros((self.n, self.n), dtype=np.result_type(*stacks))
         for idx, X in zip(self.index, stacks):
             out[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = X
@@ -294,12 +272,10 @@ class BlockLayout:
 
     def split_rows(self, v) -> list:
         """The parts (m, k, ...) of an (n, ...) array."""
-        return [v] if self.single else [v[idx] for idx in self.index]
+        return [v[idx] for idx in self.index]
 
     def join_rows(self, parts) -> np.ndarray:
         """The (n, ...) array whose parts are ``parts``."""
-        if self.single:
-            return parts[0]
         out = np.zeros((self.n,) + parts[0].shape[2:], dtype=np.result_type(*parts))
         for idx, x in zip(self.index, parts):
             out[idx] = x

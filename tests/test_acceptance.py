@@ -170,8 +170,8 @@ def test_criterion_5_structural_invariants():
                 resid = abs(
                     np.trace(apply(ch, X) @ A) - np.trace(X @ apply_adjoint(ch, A))
                 )
-                assert resid <= 1e-11 * linalg.trace_norm(X) * linalg.operator_norm(A)
-                assert linalg.trace_norm(apply(ch, X)) <= linalg.trace_norm(X) * (
+                assert resid <= 1e-11 * np.linalg.norm(X, "nuc") * linalg.operator_norm(A)
+                assert np.linalg.norm(apply(ch, X), "nuc") <= np.linalg.norm(X, "nuc") * (
                     1 + 1e-10
                 )
                 assert linalg.operator_norm(
@@ -233,7 +233,7 @@ def ladder_acceptance(g, d, side):
     ch = ladder_channel(g, d)
     decomp = peripheral_decomposition(superoperator(ch, side))
     # the sector path: the populations and each gap of coherences
-    assert not decomp.layout.single
+    assert sum(len(idx) for idx in decomp.layout.index) > 1
     assert decomp.lambdas == (1.0,)
     P = ladder_fixed_projector(d)
     P = P if side == "forward" else P.conj().T
@@ -242,7 +242,7 @@ def ladder_acceptance(g, d, side):
     assert decomp.stable_spectral_radius == pytest.approx(rho, abs=1e-10)
     (B,) = decomp.fixed_space.basis
     want = np.diag(np.eye(d)[0]) if side == "forward" else np.eye(d) / np.sqrt(d)
-    assert abs(linalg.hs_inner(want, B)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(want, B)) == pytest.approx(1.0, abs=1e-12)
     # the population sector of S (the block of E_00) is one Jordan chain:
     # eigenvalues 0 and d - 1 times 1 - g, but B - (1 - g) has rank d - 1
     [(j, b)] = [

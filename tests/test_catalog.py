@@ -227,7 +227,7 @@ class TestPauliExpected:
         exp = pauli_decomposition_expected(0.4)
         for i, Xi in enumerate(exp.basis):
             for j, Xj in enumerate(exp.basis):
-                assert linalg.hs_inner(Xi, Xj) == pytest.approx(float(i == j), abs=1e-14)
+                assert np.vdot(Xi, Xj) == pytest.approx(float(i == j), abs=1e-14)
 
     def test_p025_stable_eigenvalues(self):
         exp = pauli_decomposition_expected(0.25)

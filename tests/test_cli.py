@@ -200,6 +200,41 @@ class TestFixedSpaceCommand:
         assert json.loads(capsys.readouterr().out)["dimension"] == 8
 
 
+class TestToleranceFlags:
+    """--tol and --peripheral-tol must be finite and > 0; anything else is
+    a domain error (exit 3) that names the flag, with no report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--tol", "-1"],
+            ["analyze", "--tol", "-1"],
+            ["fixed-space", "--tol", "-1"],
+            ["fixed-space", "--tol", "0"],  # dimension 0 instead of span{I}
+            ["analyze", "--peripheral-tol", "-1"],
+            ["iterate", "--n", "3", "--peripheral-tol", "0"],
+            ["verify", "--tol", "nan"],
+            ["analyze", "--tol", "inf"],
+        ],
+        ids=[
+            "verify-negative", "analyze-negative", "fixed-space-negative",
+            "fixed-space-zero", "analyze-peripheral-negative",
+            "iterate-peripheral-zero", "verify-nan", "analyze-inf",
+        ],
+    )
+    def test_bad_tolerance_is_a_validation_error(self, pauli_spec, argv, capsys):
+        command, *flags = argv
+        assert main([command, pauli_spec, *flags]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        flag, value = flags[-2:]
+        assert f"{flag} must be finite and > 0, got {float(value)}" in err
+
+    def test_small_positive_tolerances_are_accepted(self, pauli_spec, capsys):
+        argv = ["--tol", "1e-10", "--peripheral-tol", "1e-8", "--cesaro-n", "200"]
+        assert main(["analyze", pauli_spec, *argv]) == EXIT_OK
+
+
 class TestCatalogCommand:
     def test_emit_and_reload(self, tmp_path, capsys):
         out = tmp_path / "spec.json"

@@ -53,6 +53,11 @@ def power_drift_bound(n, X):
     return ergodic.POWER_DRIFT * n * X.shape[0] * 2.0**-53 * linalg.hs_norm(X)
 
 
+def block_count(layout):
+    """Number of exact diagonal blocks a BlockLayout holds."""
+    return sum(len(idx) for idx in layout.index)
+
+
 def cesaro_loop(L, lam, n):
     """Reference A_n(L/lam) by n - 1 sequential products."""
     T = np.asarray(L, dtype=complex) / lam
@@ -329,6 +334,26 @@ class TestPowerIterate:
         err = linalg.hs_norm(got - parity_iterate_expected(p, d, n, X))
         assert err <= power_drift_bound(n, X)
 
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize(
+        "ch", [shift_channel(0.3, 8), catalog.ladder_channel(0.3, 8)], ids=["shift8", "ladder8"]
+    )
+    def test_sectors_of_several_sizes_match_apply_n(self, ch, side, monkeypatch):
+        # sectors of sizes 1..8; the ladder's population sector is a
+        # Jordan chain at 1 - g
+        sizes = []
+        orig = ergodic._power_apply
+        monkeypatch.setattr(
+            ergodic, "_power_apply", lambda A, n, V: sizes.append(A.shape[-1]) or orig(A, n, V)
+        )
+        L = superoperator(ch, side)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+        for n in (1, 2, 3, 5, 64, 1000, 10000):
+            want = apply_n(ch, X, n, adjoint=side == "adjoint")
+            assert linalg.hs_norm(power_iterate(L, n, X) - want) <= power_drift_bound(n, X)
+        assert len(set(sizes)) > 1 and max(sizes) <= 8  # never a d^2 x d^2 product
+
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("power_iterate factorised L")
@@ -416,7 +441,7 @@ class TestNonHermiticityPreserving:
         # one eigen-analysis of L in the Hermitian basis, then rho(S),
         # both complex
         assert [a.dtype for a in seen] == [np.complex128] * 2
-        assert np.array_equal(seen[0], linalg.to_hermitian_basis(L))
+        assert np.array_equal(seen[0], linalg.to_hermitian_basis(L)[np.newaxis])
         assert decomp.lambdas == pytest.approx([1.0])
         assert np.allclose(decomp.projectors[0], np.kron(I, self.P_A), atol=1e-12)
         S_A = self.A - self.P_A
@@ -583,12 +608,12 @@ class TestDecayFitBlockwise:
 
     def test_one_block_is_its_own_stack(self):
         decomp = peripheral_decomposition(superoperator(random_stinespring_channel(8, 3)))
-        assert decomp.layout.single
+        assert block_count(decomp.layout) == 1
         (S,) = decomp.stable_blocks
-        assert S.shape == (9, 9)  # the plain matrix, not a (1, 9, 9) stack
+        assert S.shape == (1, 9, 9)  # one stack of one block
         A = ergodic._hermitian_form(decomp.stable)
         (stack,) = linalg.BlockLayout(A).split(A)
-        assert stack is A
+        assert np.array_equal(stack[0], A)
 
 
 def dual_orthogonality_by_eigh(L, tol=1e-8):
@@ -796,7 +821,7 @@ class TestKernelProjectors:
         # fixed space span{|0><0|} forward, span{I} on the adjoint side
         want = np.eye(d) / np.sqrt(d) if side == "adjoint" else np.diag(np.eye(d)[0])
         (B,) = decomp.fixed_space.basis
-        assert abs(linalg.hs_inner(want, B)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(want, B)) == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(d)
         X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
         for n in (1, 5, 40):
@@ -891,7 +916,7 @@ class TestSectors:
         L = superoperator(ch, side)
         sectors = peripheral_decomposition(L)
         dense = peripheral_decomposition(joined(L))
-        assert not sectors.layout.single and dense.layout.single
+        assert block_count(sectors.layout) > 1 and block_count(dense.layout) == 1
         assert len(sectors.lambdas) == len(dense.lambdas)
         assert np.allclose(sectors.lambdas, dense.lambdas, rtol=0, atol=1e-12)
         assert sectors.projector_ranks == dense.projector_ranks
@@ -916,16 +941,18 @@ class TestSectors:
             assert linalg.hs_norm(got - reconstruct_iterate(dense, n, X)) <= 1e-12
             assert linalg.hs_norm(got - apply_n(ch, X, n, adjoint=side == "adjoint")) <= 1e-11
 
-    def test_one_block_channel_takes_the_dense_path(self, monkeypatch):
+    def test_one_block_channel_is_one_stack(self, monkeypatch):
         L = superoperator(random_stinespring_channel(5, 4, 3))
         A = ergodic._hermitian_form(L.matrix)
         seen = []
         orig = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or orig(a))
         decomp = peripheral_decomposition(L, cesaro_check_n=100)
-        assert decomp.layout.single
-        assert [np.shape(a) for a in seen] == [A.shape] * 2  # L, then S
-        assert [P.shape for (P,) in decomp.projector_blocks] == [A.shape]
+        assert block_count(decomp.layout) == 1
+        stack = (1,) + A.shape
+        assert [np.shape(a) for a in seen] == [stack] * 2  # L, then S
+        assert np.array_equal(seen[0][0], A)
+        assert [P.shape for (P,) in decomp.projector_blocks] == [stack]
 
     def test_no_linalg_call_larger_than_a_sector(self, monkeypatch):
         # shift d = 32: 63 sectors of size at most 32, against 1024 x 1024

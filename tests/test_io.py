@@ -244,8 +244,8 @@ class TestFactorisationCounts:
         io.analyze_channel(ch, cesaro_n=200)
         full = Counter(name for name, shape in calls if shape == (d * d, d * d))
         assert (full["eig"], full["cond"], full["inv"]) == (0, 0, 0)
-        assert [a.shape for a in seen] == [(d * d, d * d)] * 2
-        assert sum(np.array_equal(a, A) for a in seen) == 1
+        assert [a.shape for a in seen] == [(1, d * d, d * d)] * 2  # one stack each
+        assert sum(np.array_equal(a[0], A) for a in seen) == 1
 
     def test_analyze_factorises_in_real_arithmetic(self, monkeypatch):
         # a Kraus channel preserves Hermiticity: its eigenvalues, the
