@@ -76,8 +76,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_iterate(args) -> int:
     """``direct`` is L^n vec(X) by the binary powering of
-    :func:`ergodic.power_iterate`, O(log n) products and independent of
-    the decomposition; ``reconstructed`` is the spectral sum of
+    :func:`ergodic.power_iterate`, O(log n) products on the blocks of L
+    that the decomposition split, and independent of its spectral data;
+    ``reconstructed`` is the spectral sum of
     :func:`ergodic.reconstruct_iterate`.  ``disagreement_hs`` is the HS
     norm of their difference, within the drift bound of ``power_iterate``
     (linear in n)."""
@@ -104,7 +105,7 @@ def _cmd_iterate(args) -> int:
         L, peripheral_tol=args.peripheral_tol, cesaro_check_n=args.cesaro_n
     )
     recon = ergodic.reconstruct_iterate(decomp, args.n, X)
-    direct = ergodic.power_iterate(L, args.n, X)
+    direct = ergodic.power_iterate(decomp, args.n, X)
     _emit(
         {
             "tool_version": __version__,
@@ -175,6 +176,13 @@ def _check_tolerances(args) -> None:
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
 
 
+def _check_cesaro_n(args) -> None:
+    """``--cesaro-n`` must be >= 0 (0 skips the Cesaro cross-check)."""
+    value = getattr(args, "cesaro_n", None)
+    if value is not None and value < 0:
+        raise DomainError(f"--cesaro-n must be >= 0, got {value}")
+
+
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     """Give one subcommand ``--out`` and the named flags, no others."""
     for flag in (*flags, "--out"):
@@ -223,6 +231,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_tolerances(args)
+        _check_cesaro_n(args)
         return args.func(args)
     except SpecFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,36 +68,46 @@ def _ct(X) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def _hermitian_form(M) -> np.ndarray:
-    """M in the Hermitian basis (:func:`linalg.to_hermitian_basis`), real
-    (float64) when M preserves Hermiticity and complex otherwise; a
-    square matrix that is not d^2 x d^2 is returned as it is.  The change
-    of basis is unitary, so every factorisation and product runs on this
-    form, and results map back through ``linalg.from_hermitian_basis`` or
-    ``from_hermitian_coordinates``."""
-    if linalg._hermitian_pairs(len(M)) is None:
-        return M
-    H = linalg.to_hermitian_basis(M)
-    return np.ascontiguousarray(H.real) if linalg.is_hermiticity_preserving(M) else H
+def _sectors(L, *more, any_size: bool = False) -> tuple:
+    """``(d, layout, stacks)``: the one place an input becomes the form
+    every stage runs on.
 
+    L is a :class:`channel.Superoperator` or its d^2 x d^2 matrix; with
+    ``any_size`` a square matrix of another size is taken as it is, with
+    d None, else it raises :class:`DimensionError`.  Its Hermitian form
+    A = B^H L B (:func:`linalg.to_hermitian_basis`) is real (float64)
+    when L preserves Hermiticity and complex otherwise.  The change of
+    basis is unitary, so every factorisation and product runs on A, and
+    results map back through ``linalg.from_hermitian_basis`` or
+    ``from_hermitian_coordinates``.  ``layout`` holds the exact diagonal
+    blocks of A (:class:`linalg.BlockLayout`) and ``stacks`` is A held as
+    its stacks.  A :class:`PeripheralDecomposition` gives its own
+    ``dim``, ``layout`` and ``operator_blocks``, so nothing is changed
+    to the Hermitian basis or split again.
 
-def _sectors(L) -> tuple:
-    """(layout, stacks) of the Hermitian form A of L (:func:`_hermitian_form`):
-    the exact diagonal blocks of A (:class:`linalg.BlockLayout`) and A
-    held as its stacks, the form every spectral stage runs on."""
-    A = _hermitian_form(_as_matrix(L))
-    layout = linalg.BlockLayout(A)
-    return layout, layout.split(A)
-
-
-def _side_dim(L) -> int:
-    M = _as_matrix(L)
-    d = int(round(np.sqrt(M.shape[0])))
-    if d * d != M.shape[0]:
-        raise DimensionError(
-            f"superoperator size {M.shape[0]} is not a perfect square"
-        )
-    return d
+    With ``more`` maps of L's size the result is ``(d, layout, stacks,
+    more_stacks...)``: the layout is that of the union of the supports
+    of all the forms, which is block diagonal for each of them.
+    """
+    if isinstance(L, PeripheralDecomposition):
+        return L.dim, L.layout, L.operator_blocks
+    mats = [_as_matrix(M) for M in (L, *more)]
+    n = len(mats[0])
+    if any(M.shape != (n, n) for M in mats):
+        raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
+    d = math.isqrt(n)
+    if d * d == n:
+        forms = []
+        for M in mats:
+            H = linalg.to_hermitian_basis(M)
+            real = linalg.is_hermiticity_preserving(M)
+            forms.append(np.ascontiguousarray(H.real) if real else H)
+    elif any_size:
+        forms, d = mats, None
+    else:
+        raise DimensionError(f"superoperator size {n} is not a perfect square")
+    layout = linalg.BlockLayout(forms[0] if not more else sum(np.abs(A) for A in forms))
+    return (d, layout, *(layout.split(A) for A in forms))
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,7 @@ class PeripheralDecomposition:
     remainder of one superoperator.
 
     The pieces are held block-wise in the Hermitian basis
-    (:func:`_hermitian_form`).  ``layout`` (a :class:`linalg.BlockLayout`)
+    (:func:`_sectors`).  ``layout`` (a :class:`linalg.BlockLayout`)
     gives the exact diagonal blocks of L there, the symmetry sectors of
     L; every P_lambda and S has the same blocks.  ``operator_blocks``
     holds the stacks of L itself, ``projector_blocks``, per lambda, the
@@ -233,16 +243,25 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
 
 
 def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
-    """Orthonormal basis of Ker(I - L) as d x d matrices, computed on the
-    Hermitian form of L; the matrices are Hermitian when L preserves
-    Hermiticity."""
-    M = _as_matrix(L)
-    return _fixed_basis(_fixed_kernel(_hermitian_form(M), tol), _side_dim(M), tol)
+    """Orthonormal basis of Ker(I - L) as d x d matrices.
+
+    L is a superoperator, its matrix, or a :class:`PeripheralDecomposition`,
+    whose blocks are then used (:func:`_sectors`).  I - A, A the
+    Hermitian form of L, has the blocks of A, so its kernel is the sum
+    of the kernels of the blocks: one :func:`linalg.null_space` of the
+    stacks, with the rank cut of the whole matrix, ``tol * max(1,
+    sigma_max)`` and sigma_max the largest over all blocks.  Dimension
+    and span are those of the kernel of the whole I - A, no SVD is
+    larger than a block, and each basis vector lies in one block.  The
+    matrices are Hermitian when L preserves Hermiticity."""
+    d, layout, stacks = _sectors(L)
+    return _fixed_basis(_fixed_columns(layout, stacks, tol), d, tol)
 
 
-def _fixed_kernel(A, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of Ker(I - A)."""
-    return linalg.null_space(np.eye(len(A)) - A, tol)
+def _fixed_columns(layout, stacks, tol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of Ker(I - A), A the matrix whose
+    stacks in ``layout`` are ``stacks``."""
+    return linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout)
 
 
 def _fixed_basis(K, d: int, tol: float) -> FixedSpaceBasis:
@@ -263,7 +282,7 @@ def peripheral_spectrum(
     Eigenvalues within ``cluster_tol`` of each other merge to their
     mean; the empty list is a valid result (strictly contractive maps).
     """
-    _, stacks = _sectors(L)
+    _, _, stacks = _sectors(L, any_size=True)
     return _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
 
 
@@ -294,7 +313,7 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`."""
-    layout, stacks = _sectors(L)
+    _, layout, stacks = _sectors(L, any_size=True)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
     )
@@ -316,18 +335,18 @@ def _kernel_projectors(
     A lambda's cluster is the m ``eigenvalues`` within ``cluster_tol + 10
     * peripheral_tol`` of it.  Ker(A - lambda) is the sum of the kernels
     of the blocks B - lambda: in each block, the trailing singular
-    vectors below linalg's rank cut at the cluster's tolerance, with
-    sigma_max the largest over all blocks, so that the cut is that of
-    A - lambda.  lambda is semisimple if the kernel dimension is m; else
-    :class:`IllConditionedDecompositionError`.  With V and U a block's c
-    right and left kernel vectors, P = V (U^H V)^-1 U^H, of norm
-    1/sigma_min(U^H V), projects onto Ker(B - lambda) along
-    Rng(B - lambda); a block with no kernel gets P = 0.  The blocks of
-    one size with one kernel dimension are handled as one stack.
-    On a real A, P is real at a real lambda, and P(conj lambda) = conj
-    P(lambda) reuses the SVDs of the lambda before it.  The fixed kernel
-    is that of the lambda within ``cluster_tol`` of 1 (no columns if there
-    is none), as columns (:func:`_kernel_columns`)."""
+    vectors below the rank cut at the cluster's tolerance, with sigma_max
+    the largest over all blocks, so that the cut is that of A - lambda
+    (:func:`linalg.block_svd`).  lambda is semisimple if the kernel
+    dimension is m; else :class:`IllConditionedDecompositionError`.
+    With V and U a block's c right and left kernel vectors, P = V (U^H
+    V)^-1 U^H, of norm 1/sigma_min(U^H V), projects onto Ker(B - lambda)
+    along Rng(B - lambda); a block with no kernel gets P = 0.  The
+    blocks of one size with one kernel dimension are handled as one
+    stack.  On a real A, P is real at a real lambda, and P(conj lambda)
+    = conj P(lambda) reuses the SVDs of the lambda before it.  The fixed
+    kernel is that of the lambda within ``cluster_tol`` of 1 (no columns
+    if there is none), as :func:`linalg.kernel_columns`."""
     real = np.isrealobj(stacks[0])
     match_tol = cluster_tol + 10.0 * peripheral_tol
     projectors, fixed, norm = [], np.zeros((layout.n, 0)), 0.0
@@ -347,9 +366,10 @@ def _kernel_projectors(
                 spectral_radius=float("nan"),
             )
         shift = lam.real if real and not lam.imag else lam  # a real A stays real
-        svds = [linalg.svd(X - shift * np.eye(X.shape[-1])) for X in stacks]
-        cut = match_tol * max(1.0, max(float(s.max()) for _, s, _ in svds))
-        dims = [np.sum(s < cut, axis=-1).reshape(-1) for _, s, _ in svds]
+        svds, cut, ranks = linalg.block_svd(
+            [X - shift * np.eye(X.shape[-1]) for X in stacks], match_tol
+        )
+        dims = [X.shape[-1] - r for X, r in zip(stacks, ranks)]
         kernel_dim = int(sum(c.sum() for c in dims))
         if kernel_dim != m:
             s = np.sort(np.concatenate([s.reshape(-1) for _, s, _ in svds]))[::-1]
@@ -361,8 +381,8 @@ def _kernel_projectors(
                 f"of L - lambda is {s[k]:.3e} against the cut {cut:.3e})",
                 singular_value=float(s[k]),
             )
-        blocks, pieces = [], []
-        for X, idx, (U, _, Vh), c_b in zip(stacks, layout.index, svds, dims):
+        blocks = []
+        for X, (U, _, Vh), c_b in zip(stacks, svds, dims):
             k = X.shape[-1]
             P = np.zeros(X.shape, dtype=np.result_type(U, Vh))
             for c in np.unique(c_b[c_b > 0]):
@@ -371,32 +391,17 @@ def _kernel_projectors(
                 Ug, g, Vgh = linalg.svd(_ct(W) @ V)
                 P[sel] = (V @ _ct(Vgh) / g[..., np.newaxis, :]) @ _ct(W @ Ug)
                 norm = max(norm, float(np.max(1.0 / g[..., -1])))
-                pieces.append((idx[sel], V.reshape(-1, k, c)))
             blocks.append(P)
         projectors.append(blocks)
         if not fixed.shape[1] and abs(lam - 1) <= cluster_tol:
-            fixed = _kernel_columns(layout.n, pieces)
+            fixed = linalg.kernel_columns(layout.index, svds, ranks)
     return projectors, fixed, norm
-
-
-def _kernel_columns(n: int, pieces) -> np.ndarray:
-    """The n x c matrix of the kernel vectors given per block, as pieces
-    (rows (m, k), V (m, k, c)) in the order of the layout's stacks."""
-    width = sum(V.shape[0] * V.shape[2] for _, V in pieces)
-    K = np.zeros((n, width), dtype=pieces[0][1].dtype)
-    col = 0
-    for rows, V in pieces:
-        m, _, c = V.shape
-        cols = col + np.arange(m * c).reshape(m, c)
-        K[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = V
-        col += m * c
-    return K
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
     """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
-    _, stacks = _sectors(S)
+    _, _, stacks = _sectors(S, any_size=True)
     _stable_radius(stacks)
     return S
 
@@ -436,9 +441,11 @@ def peripheral_decomposition(
     against Cesaro averages of length ``cesaro_check_n`` (default
     :data:`DEFAULT_CESARO_N`); a disagreement larger than
     :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
-    error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
+    error, not a warning.  Set ``cesaro_check_n=0`` to skip the check; a
+    negative one raises :class:`DomainError` before anything is
+    factorised.
 
-    All of this runs on the Hermitian form A of L (:func:`_hermitian_form`),
+    All of this runs on the Hermitian form A of L (:func:`_sectors`),
     one exact diagonal block of A at a time (:class:`linalg.BlockLayout`,
     found once).  These are symmetry sectors: when each Kraus operator
     moves the number basis by a fixed offset (the shift, parity-fock and
@@ -453,8 +460,9 @@ def peripheral_decomposition(
     and so are the products for lambda = +-1; other input runs the same
     code in complex arithmetic.
     """
-    d = _side_dim(L)
-    layout, stacks = _sectors(L)
+    if cesaro_check_n < 0:
+        raise DomainError(f"cesaro_check_n must be >= 0, got {cesaro_check_n}")
+    d, layout, stacks = _sectors(L)
     eigenvalues = _eigvals(stacks)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     projectors, fixed, norm = _kernel_projectors(
@@ -521,12 +529,16 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     involved, so this is independent of :func:`peripheral_decomposition`.
     n = 0 returns X; n < 0 raises :class:`DomainError`.
 
-    L is powered as the stacks of its Hermitian form A (:func:`_sectors`)
-    and applied to the Hermitian-basis coordinates ``w = B^H vec(X)``,
-    real and imaginary parts as one two-column block split by the same
-    blocks (:func:`_apply_by_sector`), so no product is larger than a
-    block of A: real arithmetic throughout when L preserves
-    Hermiticity, complex otherwise.
+    L is a superoperator, its matrix, or a :class:`PeripheralDecomposition`,
+    of which only ``operator_blocks``, the stacks of L itself, are read
+    (:func:`_sectors`): no projector, stable part or eigenvalue, so the
+    result stays independent of the decomposition's spectral data while
+    L is split into blocks only once.  L is powered as the stacks of
+    its Hermitian form A and applied to the Hermitian-basis coordinates
+    ``w = B^H vec(X)``, real and imaginary parts as one two-column block
+    split by the same blocks (:func:`_apply_by_sector`), so no product is
+    larger than a block of A: real arithmetic throughout when L
+    preserves Hermiticity, complex otherwise.
 
     Accuracy: a computed eigenvalue 1 of L is 1 + O(u), u = 2^-53, and
     L^(2^k) raises it to the power 2^k, so on the fixed space the error
@@ -540,15 +552,14 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     :data:`POWER_DRIFT` ``* n * d * u * ||X||_HS``: 7e-11 at n = 10^4,
     d = 16, for a unit-norm X.
     """
-    d = _side_dim(L)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    d, layout, stacks = _sectors(L)
     X = linalg.as_matrix(X)
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
     if n == 0:
         return np.array(X, dtype=complex)
-    layout, stacks = _sectors(L)
     return _apply_by_sector(layout, X, lambda j, W: _power_apply(stacks[j], n, W))
 
 
@@ -620,7 +631,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
     rho(S) is taken from the eigenvalues of its blocks.
 
     The norms are computed on the Hermitian form of S
-    (:func:`_hermitian_form`; the operator norm is invariant under the
+    (:func:`_sectors`; the operator norm is invariant under the
     change of basis), on the exact diagonal blocks of that matrix
     (:class:`linalg.BlockLayout`): S^k is block diagonal with the same
     blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size are
@@ -632,7 +643,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
     if isinstance(S, PeripheralDecomposition):
         stacks, rho = S.stable_blocks, S.stable_spectral_radius
     else:
-        _, stacks = _sectors(S)
+        _, _, stacks = _sectors(S, any_size=True)
         rho = max(map(linalg.spectral_radius, stacks))
     if rho >= 1.0:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")
@@ -680,31 +691,37 @@ def decay_fit(S, n_max: int) -> DecayFit:
 def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     """Mean-ergodic splitting: the space is Ker(I-L) (+) Rng(I-L).
 
-    One SVD ``I - L = U diag(s) V^H``, cut at linalg's rank cut, gives
-    the three bases: Ker(I - L) is spanned by the trailing right singular
-    vectors, Rng(I - L) by the leading left ones, and Ker(I - L^H) by the
-    trailing left ones, so the dimensions add up to d^2 by construction.
-    Verifies that the concatenated bases of the kernel and the range have
-    full numerical rank, and the dual-orthogonality condition: elements
-    of Rng(I-L) pair to zero with every fixed point of the adjoint.  Its
-    residual is exact, ``||F^H R||`` for the orthonormal bases F of
-    Ker(I - L^H) and R of Rng(I-L): the largest pairing of a unit vector
-    of the range with a unit fixed point of the adjoint.  All of it runs
-    on the Hermitian form of L.
+    I - A, A the Hermitian form of L (:func:`_sectors`; L may also be a
+    :class:`PeripheralDecomposition`), has the blocks of A, and so do the
+    three subspaces.  One SVD per block stack, ``I - B = U diag(s) V^H``
+    cut at the rank cut of the whole matrix (:func:`linalg.block_svd`),
+    gives a block's three bases: Ker(I - B) is spanned by the trailing
+    right singular vectors, Rng(I - B) by the leading left ones, and
+    Ker(I - B^H) by the trailing left ones, so the dimensions add up to
+    d^2 by construction.  Verifies that the bases of the kernel and the
+    range together have full numerical rank (the direct-sum residual is
+    the least singular value of [range, kernel], the least over the
+    blocks), and the dual-orthogonality condition: elements of Rng(I-L)
+    pair to zero with every fixed point of the adjoint.  Its residual is
+    exact, ``||F^H R||`` for the orthonormal bases F of Ker(I - L^H) and
+    R of Rng(I-L), the largest over the blocks: the largest pairing of a
+    unit vector of the range with a unit fixed point of the adjoint.
     """
-    A = _hermitian_form(_as_matrix(L))
-    n = A.shape[0]
-    U, s, Vh = linalg.svd(np.eye(n) - A)
-    range_dim = linalg._numerical_rank(s, tol)
-    fixed_dim = n - range_dim
-    kernel = Vh[range_dim:].conj().T
-    rng_basis, dual_fixed = U[:, :range_dim], U[:, range_dim:]
-
-    residual = float(linalg.singular_values(np.hstack([kernel, rng_basis]))[-1])
-    if dual_fixed.shape[1] and range_dim:
-        dual_residual = linalg.operator_norm(dual_fixed.conj().T @ rng_basis)
-    else:
-        dual_residual = 0.0
+    _, layout, stacks = _sectors(L, any_size=True)
+    svds, _, ranks = linalg.block_svd([np.eye(X.shape[-1]) - X for X in stacks], tol)
+    range_dim = int(sum(r.sum() for r in ranks))
+    fixed_dim = layout.n - range_dim
+    residual, dual_residual = math.inf, 0.0
+    for (U, _, Vh), r_b in zip(svds, ranks):
+        for r in np.unique(r_b):  # the blocks of one rank as one stack
+            sel = np.flatnonzero(r_b == r)
+            rng_basis, dual_fixed = U[sel][..., :r], U[sel][..., r:]
+            kernel = _ct(Vh[sel][..., r:, :])
+            both = np.concatenate([rng_basis, kernel], axis=-1)
+            residual = min(residual, float(linalg.singular_values(both)[-1]))
+            if r and dual_fixed.shape[-1]:
+                pairing = linalg.operator_norm(_ct(dual_fixed) @ rng_basis)
+                dual_residual = max(dual_residual, pairing)
 
     if residual <= tol:
         raise SplittingViolationError(
@@ -742,14 +759,17 @@ def fixed_space_intersection(
     """Fixed space of a convex combination vs. intersection of fixed
     spaces of the parts.
 
-    Both are computed on the Hermitian forms of the parts.  The
-    intersection is the kernel of the stacked projectors onto the
-    complements of the parts' fixed spaces, from
-    :func:`linalg.null_space` with its rank cut ``tol * max(1,
-    sigma_max)``, the cut every fixed space here uses.  Equality of the
-    two spaces is the content of the commuting-family lemma, so it is
-    asserted only when the superoperators commute within ``tol``;
-    otherwise ``equal`` is None and the commutator residual is reported.
+    Both are computed on the Hermitian forms of the parts, split by one
+    layout whose blocks reduce every part and so the combination
+    (:func:`_sectors`), one block at a time.  The intersection is the
+    kernel of the stacked projectors onto the complements of the parts'
+    fixed spaces.  Every kernel here comes from :func:`linalg.null_space`
+    with the rank cut of the whole matrix, ``tol * max(1, sigma_max)``,
+    sigma_max the largest over all blocks, the cut every fixed space
+    here uses.  Equality of the two spaces is the content of the
+    commuting-family lemma, so it is asserted only when the
+    superoperators commute within ``tol``; otherwise ``equal`` is None
+    and the commutator residual is reported.
     """
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
@@ -762,24 +782,22 @@ def fixed_space_intersection(
     if len(dims) != 1:
         raise DimensionError(f"channels must share one dimension, got {dims}")
 
-    d = channels[0].dim
-    mats = [_hermitian_form(channel_mod.superoperator(ch).matrix) for ch in channels]
-    combined = sum(w * A for w, A in zip(weights, mats))
-    combined_fixed = _fixed_basis(_fixed_kernel(combined, tol), d, tol)
+    d, layout, *parts = _sectors(*map(channel_mod.superoperator, channels))
+    combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
+    combined_fixed = _fixed_basis(_fixed_columns(layout, combined, tol), d, tol)
 
     commute = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            commute = max(
-                commute, linalg.operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            )
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            for A, B in zip(parts[i], parts[j]):
+                commute = max(commute, linalg.operator_norm(A @ B - B @ A))
 
     complements = []
-    for A in mats:  # a part with no fixed point contributes I: no kernel
-        Q = _fixed_kernel(A, tol)
-        complements.append(np.eye(len(A)) - Q @ Q.conj().T)
-    kernel = linalg.null_space(np.vstack(complements), tol)
-    intersection = _fixed_basis(kernel, d, tol)
+    for stacks in parts:  # a part with no fixed point contributes I: no kernel
+        Q = layout.split_rows(_fixed_columns(layout, stacks, tol))
+        complements.append([np.eye(V.shape[1]) - V @ _ct(V) for V in Q])
+    stacked = [np.concatenate(C, axis=-2) for C in zip(*complements)]
+    intersection = _fixed_basis(linalg.null_space(stacked, tol, layout), d, tol)
 
     if commute <= tol:
         resid = _mutual_projection_residual(combined_fixed, intersection)

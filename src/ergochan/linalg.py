@@ -23,7 +23,9 @@ conventions are fixed here once and inherited everywhere:
   :func:`singular_values`, :func:`operator_norm` and
   :func:`spectral_radius` report that matrix's values, and :func:`svd`
   factorises each member.  :class:`BlockLayout` holds a matrix as the
-  stacks of its exact diagonal blocks.
+  stacks of its exact diagonal blocks; :func:`block_svd` and
+  :func:`null_space` cut the singular values of such stacks at the rank
+  cut of the whole matrix.
 """
 
 from __future__ import annotations
@@ -159,9 +161,9 @@ def hs_norm(M) -> float:
     return float(np.linalg.norm(as_matrix(M)))
 
 
-def _numerical_rank(s: np.ndarray, tol: float) -> int:
-    """Number of singular values ``s`` (descending) at or above the cut
-    ``tol * max(1, sigma_max)``.
+def _rank_cut(sigma_max: float, tol: float) -> float:
+    """The numerical-rank cut ``tol * max(1, sigma_max)``: singular values
+    below it count as zero.
 
     The cut is absolute below unit scale: the matrices whose rank the
     package needs, such as I - L for a channel L, are differences of
@@ -169,27 +171,79 @@ def _numerical_rank(s: np.ndarray, tol: float) -> int:
     is tiny (a channel near the identity), and a cut relative to
     sigma_max would count that round-off as rank.
     """
-    return int(np.sum(s >= tol * max(1.0, float(s[0]))))
+    return tol * max(1.0, sigma_max)
 
 
-def null_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
+def block_svd(stacks, tol: float) -> tuple:
+    """``(svds, cut, ranks)`` of the block diagonal matrix whose blocks
+    are the members of ``stacks`` (arrays (m, r, k)): the SVD of each
+    stack (:func:`svd`), the rank cut (:func:`_rank_cut`) with sigma_max
+    the largest singular value over all blocks, so that it is the cut of
+    the whole matrix, and per stack the (m,) numerical ranks of its
+    members.  A member of rank r has its range spanned by the leading r
+    columns of its U and its kernel by the trailing k - r rows of its
+    Vh."""
+    svds = [svd(X) for X in stacks]
+    cut = _rank_cut(max(float(s.max()) for _, s, _ in svds), tol)
+    return svds, cut, [np.sum(s >= cut, axis=-1) for _, s, _ in svds]
+
+
+def kernel_columns(index, svds, ranks) -> np.ndarray:
+    """The kernel vectors of :func:`block_svd`'s ``svds`` and ``ranks`` as
+    the columns of an n x c matrix.  ``index`` holds, per stack, the
+    (m, k) array of the rows its blocks take (``BlockLayout.index``), n
+    rows in all.  Per stack, the blocks of one kernel dimension c are
+    taken together, in order of c and then of the blocks; each block's
+    c kernel vectors are zero outside its rows."""
+    groups = []
+    for idx, (_, _, Vh), r in zip(index, svds, ranks):
+        k = Vh.shape[-1]
+        dims = k - r
+        for c in np.unique(dims[dims > 0]):
+            sel = np.flatnonzero(dims == c)
+            V = Vh[sel][..., k - c :, :].conj().swapaxes(-1, -2)
+            groups.append((idx[sel], V))
+    n = sum(idx.size for idx in index)
+    width = sum(V.shape[0] * V.shape[2] for _, V in groups)
+    K = np.zeros((n, width), dtype=np.result_type(*(Vh for _, _, Vh in svds)))
+    col = 0
+    for rows, V in groups:
+        m, _, c = V.shape
+        cols = col + np.arange(m * c).reshape(m, c)
+        K[rows[:, :, np.newaxis], cols[:, np.newaxis, :]] = V
+        col += m * c
+    return K
+
+
+def null_space(M, tol: float = DEFAULT_TOL, layout=None) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of M.
 
-    M may be square or tall (or wide).  Singular values below
-    ``tol * max(1, sigma_max)`` count as zero (:func:`_numerical_rank`),
-    so the zero matrix has the whole space as its kernel.  The result
-    has a row per column of M and a column per kernel vector (possibly
-    none).
+    M is a matrix, square or tall (or wide), or, with ``layout`` (a
+    :class:`BlockLayout`), the stacks of a block diagonal matrix whose
+    blocks take the layout's columns: one array (m, r, k) per (m, k)
+    array of ``layout.index``, square as ``layout.split`` gives them or
+    taller.  Singular values below ``tol * max(1, sigma_max)`` count as
+    zero, with sigma_max the largest over all blocks
+    (:func:`block_svd`), so the zero matrix has the whole space as its
+    kernel, and the kernel of the stacks is that of the whole matrix,
+    though no SVD is larger than a block.  The result has a row per
+    column of M (``layout.n`` for stacks) and a column per kernel vector
+    (possibly none), in the order of :func:`kernel_columns`.
     """
-    _, s, Vh = svd(M)
-    return Vh[_numerical_rank(s, tol):].conj().T
+    if layout is None:
+        M = as_matrix(M)
+        M, index = [M[np.newaxis]], (np.arange(M.shape[1])[np.newaxis],)
+    else:
+        index = layout.index
+    svds, _, ranks = block_svd(M, tol)
+    return kernel_columns(index, svds, ranks)
 
 
 def column_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical range of M, with the
     rank cut of :func:`null_space`."""
     U, s, _ = svd(M)
-    return U[:, :_numerical_rank(s, tol)]
+    return U[:, : int(np.sum(s >= _rank_cut(float(s[0]), tol)))]
 
 
 def hermitize(M) -> np.ndarray:

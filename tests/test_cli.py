@@ -152,6 +152,23 @@ class TestIterateCommand:
         state.write_text(json.dumps(io.matrix_to_pairs(np.eye(3))))
         assert main(["iterate", pauli_spec, "--n", "1", "--state", str(state)]) == EXIT_VALIDATION
 
+    def test_splits_L_once(self, tmp_path, monkeypatch):
+        # the direct power reads the blocks the decomposition split
+        made = []
+
+        class Counted(linalg.BlockLayout):
+            def __init__(self, M):
+                made.append(np.shape(M))
+                super().__init__(M)
+
+        spec, out = str(tmp_path / "s.json"), str(tmp_path / "it.json")
+        args = ["--param", "p=0.5", "--param", "dim=8", "--out", spec]
+        assert main(["catalog", "shift", *args]) == EXIT_OK
+        monkeypatch.setattr(linalg, "BlockLayout", Counted)
+        argv = ["iterate", spec, "--n", "1000", "--cesaro-n", "200", "--out", out]
+        assert main(argv) == EXIT_OK
+        assert made == [(64, 64)]
+        assert json.loads(Path(out).read_text())["disagreement_hs"] <= 1e-10
 
     def test_bad_n_is_refused_before_the_decomposition(self, pauli_spec, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -201,34 +218,50 @@ class TestFixedSpaceCommand:
 
 
 class TestToleranceFlags:
-    """--tol and --peripheral-tol must be finite and > 0; anything else is
-    a domain error (exit 3) that names the flag, with no report."""
+    """--tol and --peripheral-tol must be finite and > 0, and --cesaro-n
+    must be >= 0; anything else is a domain error (exit 3) that names the
+    flag, with no report."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, rule",
         [
-            ["verify", "--tol", "-1"],
-            ["analyze", "--tol", "-1"],
-            ["fixed-space", "--tol", "-1"],
-            ["fixed-space", "--tol", "0"],  # dimension 0 instead of span{I}
-            ["analyze", "--peripheral-tol", "-1"],
-            ["iterate", "--n", "3", "--peripheral-tol", "0"],
-            ["verify", "--tol", "nan"],
-            ["analyze", "--tol", "inf"],
+            (["verify", "--tol", "-1"], "finite and > 0"),
+            (["analyze", "--tol", "-1"], "finite and > 0"),
+            (["fixed-space", "--tol", "-1"], "finite and > 0"),
+            # dimension 0 instead of span{I}
+            (["fixed-space", "--tol", "0"], "finite and > 0"),
+            (["analyze", "--peripheral-tol", "-1"], "finite and > 0"),
+            (["iterate", "--n", "3", "--peripheral-tol", "0"], "finite and > 0"),
+            (["verify", "--tol", "nan"], "finite and > 0"),
+            (["analyze", "--tol", "inf"], "finite and > 0"),
+            (["analyze", "--cesaro-n", "-3"], ">= 0"),
+            (["iterate", "--n", "3", "--cesaro-n", "-3"], ">= 0"),
         ],
         ids=[
             "verify-negative", "analyze-negative", "fixed-space-negative",
             "fixed-space-zero", "analyze-peripheral-negative",
             "iterate-peripheral-zero", "verify-nan", "analyze-inf",
+            "analyze-cesaro-negative", "iterate-cesaro-negative",
         ],
     )
-    def test_bad_tolerance_is_a_validation_error(self, pauli_spec, argv, capsys):
+    def test_bad_tolerance_is_a_validation_error(
+        self, pauli_spec, argv, rule, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed before checking the flags")
+
+        monkeypatch.setattr(ergodic, "peripheral_decomposition", refuse)
         command, *flags = argv
         assert main([command, pauli_spec, *flags]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
         flag, value = flags[-2:]
-        assert f"{flag} must be finite and > 0, got {float(value)}" in err
+        value = int(value) if flag == "--cesaro-n" else float(value)
+        assert f"{flag} must be {rule}, got {value}" in err
+
+    def test_zero_cesaro_n_skips_the_check(self, pauli_spec, capsys):
+        assert main(["analyze", pauli_spec, "--cesaro-n", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tolerances"]["cesaro_n"] == 0
 
     def test_small_positive_tolerances_are_accepted(self, pauli_spec, capsys):
         argv = ["--tol", "1e-10", "--peripheral-tol", "1e-8", "--cesaro-n", "200"]

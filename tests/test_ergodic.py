@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,22 @@ class TestPowerIterate:
             assert linalg.hs_norm(power_iterate(L, n, X) - want) <= power_drift_bound(n, X)
         assert len(set(sizes)) > 1 and max(sizes) <= 8  # never a d^2 x d^2 product
 
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize(
+        "ch", [shift_channel(0.3, 8), catalog.ladder_channel(0.3, 8)], ids=["shift8", "ladder8"]
+    )
+    def test_decomposition_is_powered_by_its_operator_blocks(self, ch, side):
+        # the same bits as from L itself, with the spectral data taken away
+        L = superoperator(ch, side)
+        decomp = dataclasses.replace(
+            peripheral_decomposition(L, cesaro_check_n=200),
+            lambdas=None, projector_blocks=None, stable_blocks=None,
+        )
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
+        for n in (0, 1, 2, 3, 64, 1000, 10**4, 10**6):
+            assert np.array_equal(power_iterate(decomp, n, X), power_iterate(L, n, X))
+
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("power_iterate factorised L")
@@ -611,8 +629,8 @@ class TestDecayFitBlockwise:
         assert block_count(decomp.layout) == 1
         (S,) = decomp.stable_blocks
         assert S.shape == (1, 9, 9)  # one stack of one block
-        A = ergodic._hermitian_form(decomp.stable)
-        (stack,) = linalg.BlockLayout(A).split(A)
+        A = linalg.to_hermitian_basis(decomp.stable).real
+        _, _, (stack,) = ergodic._sectors(decomp.stable)
         assert np.array_equal(stack[0], A)
 
 
@@ -657,22 +675,27 @@ class TestSplitting:
         assert abs(rep.dual_orthogonality_residual - want) <= 1e-12
 
     def test_dual_residual_is_the_exact_supremum(self, monkeypatch):
-        # tilt one range vector (a leading left singular vector of I - L)
-        # towards the adjoint's fixed point (the trailing one) by theta:
+        # tilt one range vector (a leading left singular vector of I - B,
+        # B the 2 x 2 block of pauli-xy's Hermitian form on E_00, E_11)
+        # towards the adjoint's fixed point (its trailing one) by theta:
         # the largest pairing over unit range vectors is then sin(theta)
         L = superoperator(pauli_xy_channel(0.3)).matrix
         theta = 1e-3
         orig = linalg.svd
+        tilted = []
 
         def tilted_svd(M):
             U, s, Vh = orig(M)
-            assert s[-1] < 1e-12 < s[-2]  # Ker(I - L^H) is the last column
-            U = U.copy()
-            U[:, 1] = np.cos(theta) * U[:, 1] + np.sin(theta) * U[:, -1]
+            if M.shape == (1, 2, 2):
+                assert s[0, -1] < 1e-12 < s[0, -2]  # Ker(I - B^H) is the last column
+                U = U.copy()
+                U[0, :, 0] = np.cos(theta) * U[0, :, 0] + np.sin(theta) * U[0, :, -1]
+                tilted.append(M.shape)
             return U, s, Vh
 
         monkeypatch.setattr(linalg, "svd", tilted_svd)
         rep = splitting_check(L)
+        assert tilted == [(1, 2, 2)]
         want = np.sin(theta)
         assert rep.dual_orthogonality_residual == pytest.approx(want, rel=1e-12)
 
@@ -682,16 +705,19 @@ class TestSplitting:
 
     def test_one_factorisation_of_I_minus_L(self, monkeypatch):
         # the kernel, the range and the adjoint's fixed space all come from
-        # one SVD; the direct-sum residual takes singular values only
+        # one SVD per block stack of I - L; the direct-sum residual takes
+        # singular values only
         L = superoperator(parity_fock_channel(0.3, 3))
         fixed_dim = fixed_space(L).dimension
+        _, layout, stacks = ergodic._sectors(L)
+        assert block_count(layout) == 9  # parity-fock is diagonal: 9 blocks of size 1
         calls = []
         orig = linalg.svd
         monkeypatch.setattr(linalg, "svd", lambda M: calls.append(M.shape) or orig(M))
         for name in ("null_space", "column_space"):
             monkeypatch.setattr(linalg, name, None)
         rep = splitting_check(L)
-        assert calls == [(9, 9)]
+        assert calls == [X.shape for X in stacks]
         assert (rep.fixed_dim, rep.range_dim) == (fixed_dim, 9 - fixed_dim)
 
 
@@ -719,6 +745,21 @@ class TestIntersection:
         for fs in (rep.combined_fixed, rep.intersection):
             assert fs.dimension == 5
             assert_fixed_orthonormal_basis(fs, chs)
+
+    def test_parts_with_different_sectors(self):
+        # parity-fock's Hermitian form is diagonal; a diagonal unitary's
+        # mixes each pair (E_jk, E_kj) into a 2 x 2 block.  They commute,
+        # and the fixed spaces meet in the diagonal matrices
+        chs = [parity_fock_channel(0.3, 4), self.diag_unitary_channel(0.7, 4)]
+        layouts = [ergodic._sectors(superoperator(ch))[1] for ch in chs]
+        assert [max(idx.shape[1] for idx in lay.index) for lay in layouts] == [1, 2]
+        rep = fixed_space_intersection(chs, [0.5, 0.5])
+        assert rep.equal is True
+        for fs in (rep.combined_fixed, rep.intersection):
+            assert fs.dimension == 4
+            assert_fixed_orthonormal_basis(fs, chs)
+            for B in fs.basis:
+                assert np.array_equal(B, np.diag(np.diag(B)))
 
     def test_non_commuting_pair(self):
         # note sigma_x vs sigma_z conjugations commute as superoperators
@@ -943,7 +984,7 @@ class TestSectors:
 
     def test_one_block_channel_is_one_stack(self, monkeypatch):
         L = superoperator(random_stinespring_channel(5, 4, 3))
-        A = ergodic._hermitian_form(L.matrix)
+        A = linalg.to_hermitian_basis(L.matrix).real
         seen = []
         orig = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or orig(a))
@@ -1016,3 +1057,132 @@ class TestSectors:
         decomp = peripheral_decomposition(superoperator(shift_channel(0.4, 4)))
         assert decomp.stable is decomp.stable
         assert decomp.projectors == ()
+
+
+def dense_kernel_oracle(L, tol):
+    """(kernel projector, fixed_dim, range_dim, direct-sum residual, dual
+    residual) of I - L from one np.linalg.svd of the whole matrix in the
+    column-stacking basis, at the cut tol * max(1, sigma_max)."""
+    M = np.asarray(L.matrix if hasattr(L, "matrix") else L)
+    n = len(M)
+    U, s, Vh = np.linalg.svd(np.eye(n) - M)
+    r = int(np.sum(s >= tol * max(1.0, s[0])))
+    K, R, F = Vh[r:].conj().T, U[:, :r], U[:, r:]
+    direct = np.linalg.svd(np.hstack([K, R]), compute_uv=False)[-1]
+    dual = np.linalg.norm(F.conj().T @ R, 2) if r and n - r else 0.0
+    return K @ K.conj().T, n - r, r, direct, dual
+
+
+def assert_matches_dense_oracle(L, tol):
+    P, fixed_dim, range_dim, direct, dual = dense_kernel_oracle(L, tol)
+    fs = fixed_space(L, tol)
+    assert fs.dimension == fixed_dim
+    assert np.max(np.abs(span_projector(fs, len(P)) - P), initial=0.0) <= 1e-12
+    rep = splitting_check(L, tol)
+    assert (rep.fixed_dim, rep.range_dim) == (fixed_dim, range_dim)
+    assert abs(rep.direct_sum_residual - direct) <= 1e-12
+    assert abs(rep.dual_orthogonality_residual - dual) <= 1e-12
+    return fixed_dim
+
+
+ORACLE_CHANNELS = [
+    *(make(p, d) for d in (8, 16) for make, p in (
+        (shift_channel, 0.5), (parity_fock_channel, 0.3), (ladder_channel, 0.7)
+    )),
+    pauli_xy_channel(0.3),
+    ladder_channel(0.3, 4),
+    random_stinespring_channel(40, 3),
+    random_stinespring_channel(41, 4, 3),
+    random_stinespring_channel(42, 6),
+    parity_fock_channel(1 - 1e-9, 4),
+]
+ORACLE_IDS = [
+    "shift8", "parity8", "ladder8", "shift16", "parity16", "ladder16",
+    "pauli30", "ladder4", "random3", "random4", "random6", "parity-near-identity",
+]
+
+
+class TestKernelsAgainstDenseOracle:
+    """fixed_space and splitting_check run on L's blocks; their kernels,
+    dimensions and residuals are those of one SVD of the whole I - L."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("ch", ORACLE_CHANNELS, ids=ORACLE_IDS)
+    def test_sector_kernels_match_one_dense_svd(self, ch, side, tol):
+        assert_matches_dense_oracle(superoperator(ch, side), tol)
+
+    def test_near_identity_cut_is_absolute(self):
+        # I - L has singular values 2e-9 on the odd-gap matrix units: kernel
+        # at tol 1e-8, range at 1e-10, as for the whole matrix
+        L = superoperator(parity_fock_channel(1 - 1e-9, 4))
+        assert assert_matches_dense_oracle(L, 1e-8) == 16
+        assert assert_matches_dense_oracle(L, 1e-10) == 8
+
+    def test_cut_is_that_of_the_whole_matrix(self):
+        # negative control: a raw matrix whose blocks differ in scale.  In
+        # the Hermitian basis (d = 3) I - A has a block of scale 1e2 on the
+        # diagonal units and one of scale 0.5 on the pair of E_01, whose
+        # least singular value is 1e-7: below the whole-matrix cut 1e-8 *
+        # 1e2 = 1e-6, above that block's own cut 1e-8
+        rng = np.random.default_rng(12)
+        R = np.zeros((9, 9))
+        for rows, sigma in (
+            ([0, 4, 8], [1e2, 1.0, 0.0]),
+            ([3, 1], [0.5, 1e-7]),
+            ([6, 2], [0.6, 0.4]),
+            ([7, 5], [0.7, 0.3]),
+        ):
+            Q, _ = np.linalg.qr(rng.normal(size=(len(rows), len(rows))))
+            R[np.ix_(rows, rows)] = np.eye(len(rows)) - Q @ np.diag(sigma) @ Q.T
+        L = linalg.from_hermitian_basis(R)
+        tol = 1e-8
+        _, layout, stacks = ergodic._sectors(L)
+        assert sorted(map(len, (i for idx in layout.index for i in idx))) == [2, 2, 2, 3]
+        per_block = 0
+        for X in stacks:
+            s = np.linalg.svd(np.eye(X.shape[-1]) - X, compute_uv=False)
+            per_block += int(np.sum(s < tol * np.maximum(1.0, s[..., :1])))
+        assert per_block == 1  # a cut per block misses the 1e-7
+        assert assert_matches_dense_oracle(L, tol) == 2
+        assert fixed_space(L, tol).dimension == 2
+
+    def test_no_svd_larger_than_a_sector(self, monkeypatch):
+        # shift d = 16: blocks of size at most 16 against a 256 x 256 I - L
+        L = superoperator(shift_channel(0.5, 16))
+        shapes = []
+        orig = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        fixed_space(L)
+        splitting_check(L)
+        assert shapes and max(max(shape) for shape in shapes) <= 16
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    def test_decomposition_gives_its_blocks(self, side, monkeypatch):
+        # on a decomposition the kernels read its operator blocks: no
+        # second basis change or block search, and the same bits
+        L = superoperator(ladder_channel(0.7, 8), side)
+        decomp = peripheral_decomposition(L, cesaro_check_n=200)
+        fs, rep = fixed_space(L), splitting_check(L)
+        for name in ("to_hermitian_basis", "BlockLayout"):
+            monkeypatch.setattr(linalg, name, None)
+        fs_d, rep_d = fixed_space(decomp), splitting_check(decomp)
+        assert rep_d == rep
+        assert all(np.array_equal(A, B) for A, B in zip(fs.basis, fs_d.basis))
+        assert fs.dimension == fs_d.dimension == 1
+
+    def test_negative_cesaro_n_is_refused_before_any_factorisation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorised before checking cesaro_check_n")
+
+        L = superoperator(shift_channel(0.5, 4))
+        for name in ("eigvals", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(linalg, "to_hermitian_basis", refuse)
+        with pytest.raises(DomainError, match="cesaro_check_n must be >= 0, got -3"):
+            peripheral_decomposition(L, cesaro_check_n=-3)

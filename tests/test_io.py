@@ -11,6 +11,7 @@ from ergochan import (
     channel,
     ergodic,
     io,
+    linalg,
     parity_fock_channel,
     pauli_xy_channel,
     shift_channel,
@@ -234,7 +235,8 @@ class TestFactorisationCounts:
         # rho(S); the projectors come from kernels, with no eigenvectors
         d = 4
         ch = random_channel(2, d)
-        A = ergodic._hermitian_form(superoperator(ch).matrix)
+        _, _, (stack,) = ergodic._sectors(superoperator(ch))
+        A = stack[0]
         seen = []
         orig = np.linalg.eigvals
         monkeypatch.setattr(
@@ -274,7 +276,7 @@ class TestFactorisationCounts:
         d = 4
         ch = parity_fock_channel(0.3, d)
         built = []
-        for module, name in ((channel, "superoperator"), (ergodic, "_hermitian_form")):
+        for module, name in ((channel, "superoperator"), (linalg, "to_hermitian_basis")):
             orig = getattr(module, name)
 
             def counted(*args, _orig=orig, _name=name, **kwargs):
@@ -284,7 +286,7 @@ class TestFactorisationCounts:
             monkeypatch.setattr(module, name, counted)
         calls = count_full_size_calls(monkeypatch, d)
         rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
-        assert sorted(built) == ["_hermitian_form", "superoperator"]
+        assert sorted(built) == ["superoperator", "to_hermitian_basis"]
         assert not any(name == "eigvalsh" for name, _ in calls)
         assert set(rep.verification) == {
             "cp_ok",
