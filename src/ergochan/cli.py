@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 invariant failure, 2 format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,7 +72,8 @@ def _cmd_analyze(args) -> int:
         adjoint=args.adjoint,
     )
     _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.verification["cp_ok"] else EXIT_INVARIANT
+    ok = report.verification["cp_ok"] and report.verification["trace_nonincreasing_ok"]
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _cmd_iterate(args) -> int:
@@ -189,7 +191,11 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (it costs
+    about as much as a small ``verify``) and shared by every caller,
+    which must not change it: parsing does not."""
     parser = argparse.ArgumentParser(
         prog="ergochan", description="Analyze iterates of quantum operations."
     )

@@ -255,13 +255,53 @@ def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     larger than a block, and each basis vector lies in one block.  The
     matrices are Hermitian when L preserves Hermiticity."""
     d, layout, stacks = _sectors(L)
-    return _fixed_basis(_fixed_columns(layout, stacks, tol), d, tol)
+    return _fixed_basis(
+        linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), d, tol
+    )
 
 
-def _fixed_columns(layout, stacks, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of Ker(I - A), A the matrix whose
-    stacks in ``layout`` are ``stacks``."""
-    return linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout)
+def _fixed_svd(stacks, tol: float) -> tuple:
+    """``(svds, ranks)`` of I - A, A the matrix whose stacks are
+    ``stacks``, cut at the rank cut of the whole (:func:`linalg.block_svd`)."""
+    svds, _, ranks = linalg.block_svd([np.eye(X.shape[-1]) - X for X in stacks], tol)
+    return svds, ranks
+
+
+def _kernel_basis(layout, svds, ranks, d: int, tol: float) -> FixedSpaceBasis:
+    """The kernel of :func:`linalg.block_svd`'s ``svds`` and ``ranks`` on
+    ``layout`` as a basis of d x d matrices."""
+    return _fixed_basis(linalg.kernel_columns(layout.index, svds, ranks), d, tol)
+
+
+def _kernel_parts(svds, ranks) -> list:
+    """Per stack of :func:`linalg.block_svd`'s ``svds`` and ``ranks``,
+    each block's kernel vectors padded with zero columns to the block
+    size: its V with the leading r columns zeroed, an (m, k, k) array.
+    Given the SVDs of the adjoints, ``(V, s, U^H)``, these are the left
+    kernels."""
+    return [
+        _ct(Vh) * (np.arange(Vh.shape[-1]) >= r[:, np.newaxis])[:, np.newaxis, :]
+        for (_, _, Vh), r in zip(svds, ranks)
+    ]
+
+
+def _span_residual(parts_a, parts_b) -> float:
+    """max over both directions of ||(I - P_b) Q_a||, Q_a an orthonormal
+    basis of one span and P_b the orthogonal projector onto the other.
+
+    Both spans are given as their :func:`_kernel_parts` on one layout,
+    so each basis vector lies in one block, (I - P_b) Q_a is block
+    diagonal and its norm is the largest over the blocks.  A block where
+    one span has more dimensions than the other gives 1, so spans of
+    different dimension are 1 apart and two empty spans 0."""
+    resid = 0.0
+    for Qa, Qb in zip(parts_a, parts_b):
+        resid = max(
+            resid,
+            linalg.operator_norm(Qa - Qb @ (_ct(Qb) @ Qa)),
+            linalg.operator_norm(Qb - Qa @ (_ct(Qa) @ Qb)),
+        )
+    return resid
 
 
 def _fixed_basis(K, d: int, tol: float) -> FixedSpaceBasis:
@@ -312,8 +352,11 @@ def spectral_projectors(
 ) -> list:
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
-    semisimple raises :class:`IllConditionedDecompositionError`."""
-    _, layout, stacks = _sectors(L, any_size=True)
+    semisimple raises :class:`IllConditionedDecompositionError`.  L is a
+    superoperator or its d^2 x d^2 matrix, since the projectors are
+    mapped back to column stacking; another size raises
+    :class:`DimensionError` before anything is factorised."""
+    _, layout, stacks = _sectors(L)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
     )
@@ -708,7 +751,7 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     unit vector of the range with a unit fixed point of the adjoint.
     """
     _, layout, stacks = _sectors(L, any_size=True)
-    svds, _, ranks = linalg.block_svd([np.eye(X.shape[-1]) - X for X in stacks], tol)
+    svds, ranks = _fixed_svd(stacks, tol)
     range_dim = int(sum(r.sum() for r in ranks))
     fixed_dim = layout.n - range_dim
     residual, dual_residual = math.inf, 0.0
@@ -736,23 +779,6 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     )
 
 
-def _basis_matrix(fs: FixedSpaceBasis) -> np.ndarray:
-    return np.column_stack([linalg.vec(B) for B in fs.basis])
-
-
-def _mutual_projection_residual(fa: FixedSpaceBasis, fb: FixedSpaceBasis) -> float:
-    """max over both directions of || (I - P_other) basis ||."""
-    if fa.dimension != fb.dimension:
-        return 1.0
-    if fa.dimension == 0:
-        return 0.0
-    Qa = _basis_matrix(fa)
-    Qb = _basis_matrix(fb)
-    ra = linalg.operator_norm(Qa - Qb @ (Qb.conj().T @ Qa))
-    rb = linalg.operator_norm(Qb - Qa @ (Qa.conj().T @ Qb))
-    return max(ra, rb)
-
-
 def fixed_space_intersection(
     channels, weights, tol: float = DEFAULT_FIXED_TOL
 ) -> IntersectionReport:
@@ -763,13 +789,16 @@ def fixed_space_intersection(
     layout whose blocks reduce every part and so the combination
     (:func:`_sectors`), one block at a time.  The intersection is the
     kernel of the stacked projectors onto the complements of the parts'
-    fixed spaces.  Every kernel here comes from :func:`linalg.null_space`
+    fixed spaces, factorised through its k x k triangular factor R (QR),
+    which has the singular values and right singular vectors of the
+    stack.  Every kernel here comes from one :func:`linalg.block_svd`
     with the rank cut of the whole matrix, ``tol * max(1, sigma_max)``,
     sigma_max the largest over all blocks, the cut every fixed space
-    here uses.  Equality of the two spaces is the content of the
-    commuting-family lemma, so it is asserted only when the
-    superoperators commute within ``tol``; otherwise ``equal`` is None
-    and the commutator residual is reported.
+    here uses; no SVD is larger than a block.  Equality of the two
+    spaces is the content of the commuting-family lemma, so it is
+    asserted only when the superoperators commute within ``tol``;
+    otherwise ``equal`` is None and the commutator residual is reported.
+    The two spaces are compared block by block (:func:`_span_residual`).
     """
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
@@ -784,7 +813,8 @@ def fixed_space_intersection(
 
     d, layout, *parts = _sectors(*map(channel_mod.superoperator, channels))
     combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
-    combined_fixed = _fixed_basis(_fixed_columns(layout, combined, tol), d, tol)
+    svds, ranks = _fixed_svd(combined, tol)
+    combined_fixed = _kernel_basis(layout, svds, ranks, d, tol)
 
     commute = 0.0
     for i in range(len(parts)):
@@ -794,13 +824,14 @@ def fixed_space_intersection(
 
     complements = []
     for stacks in parts:  # a part with no fixed point contributes I: no kernel
-        Q = layout.split_rows(_fixed_columns(layout, stacks, tol))
-        complements.append([np.eye(V.shape[1]) - V @ _ct(V) for V in Q])
+        Q = _kernel_parts(*_fixed_svd(stacks, tol))
+        complements.append([np.eye(V.shape[-1]) - V @ _ct(V) for V in Q])
     stacked = [np.concatenate(C, axis=-2) for C in zip(*complements)]
-    intersection = _fixed_basis(linalg.null_space(stacked, tol, layout), d, tol)
+    isvds, _, iranks = linalg.block_svd([np.linalg.qr(C, mode="r") for C in stacked], tol)
+    intersection = _kernel_basis(layout, isvds, iranks, d, tol)
 
     if commute <= tol:
-        resid = _mutual_projection_residual(combined_fixed, intersection)
+        resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(isvds, iranks))
         equal: bool | None = resid <= tol
     else:
         resid = None
@@ -821,16 +852,26 @@ def peripheral_unitarity_check(decomp: PeripheralDecomposition) -> float:
     peripheral eigenspaces is unitary.  The classical statement is made
     on the union of the fixed spaces F(T/lambda), which is not a linear
     subspace; this check uses the span instead (interpretive choice).
-    It runs on the decomposition's Hermitian forms of L and of the sum
-    of the projectors.
+    It runs on the decomposition's blocks of L and of P, the sum of the
+    projectors, which has the same blocks: per block B, Q is an
+    orthonormal basis of the range of the block of P, its r leading left
+    singular vectors, r the trace of that block (P is a projector), and
+    the singular values are those of Q^H B Q.  The blocks of one rank
+    are taken as one stack.
     """
     if not decomp.lambdas:
         raise DegenerateInputError("peripheral spectrum is empty")
-    layout = decomp.layout
-    P = layout.join([sum(Ps) for Ps in zip(*decomp.projector_blocks)])
-    Q = linalg.svd(P)[0][:, : sum(decomp.projector_ranks)]
-    s = linalg.singular_values(Q.conj().T @ layout.join(decomp.operator_blocks) @ Q)
-    return float(np.max(np.abs(s - 1.0)))
+    resid = 0.0
+    for B, projectors in zip(decomp.operator_blocks, zip(*decomp.projector_blocks)):
+        P = sum(projectors)
+        U = linalg.svd(P)[0]
+        r_b = np.rint(np.trace(P, axis1=-2, axis2=-1).real).astype(int)
+        for r in np.unique(r_b[r_b > 0]):
+            sel = np.flatnonzero(r_b == r)
+            Q = U[sel][..., :r]
+            s = linalg.singular_values(_ct(Q) @ B[sel] @ Q)
+            resid = max(resid, float(np.max(np.abs(s - 1.0))))
+    return resid
 
 
 def residual_summary(
@@ -871,21 +912,27 @@ def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryRep
     """Compare the fixed spaces F(phi) and F(phi*) on the Hilbert-Schmidt
     space.
 
-    Their dimensions always agree, since rank(I - L) = rank(I - L^H).
-    The spaces themselves agree when phi is unital and trace preserving:
-    both are then the commutant of the Kraus operators (Arias, Gheondea
-    & Gudder, J. Math. Phys. 43 (2002) 5872).  Otherwise they may
-    differ: for a trace-preserving phi that is not unital, phi* fixes I
-    and phi does not, so ``equal`` is False.
+    One superoperator L of phi is built and split once (:func:`_sectors`).
+    The Hermitian form of the adjoint phi* is A^H, A that of L, so one
+    SVD per block stack of I - A = U diag(s) V^H (:func:`_fixed_svd`)
+    gives both spaces: F(phi) from the trailing right singular vectors,
+    F(phi*) from the trailing left ones.  Both are cut at the same
+    singular values, so their dimensions agree by construction, as
+    rank(I - L) = rank(I - L^H) says.  The spaces themselves agree when
+    phi is unital and trace preserving: both are then the commutant of
+    the Kraus operators (Arias, Gheondea & Gudder, J. Math. Phys. 43
+    (2002) 5872).  Otherwise they may differ: for a trace-preserving phi
+    that is not unital, phi* fixes I and phi does not, so ``equal`` is
+    False.  The spans are compared block by block
+    (:func:`_span_residual`).
     """
-    Lf = channel_mod.superoperator(ch, channel_mod.FORWARD)
-    La = channel_mod.superoperator(ch, channel_mod.ADJOINT)
-    ff = fixed_space(Lf, tol)
-    fa = fixed_space(La, tol)
-    resid = _mutual_projection_residual(ff, fa)
+    d, layout, stacks = _sectors(channel_mod.superoperator(ch, channel_mod.FORWARD))
+    svds, ranks = _fixed_svd(stacks, tol)
+    adjoint = [(_ct(Vh), s, _ct(U)) for U, s, Vh in svds]  # the SVDs of I - A^H
+    resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(adjoint, ranks))
     return HsSymmetryReport(
-        forward_fixed=ff,
-        adjoint_fixed=fa,
-        equal=ff.dimension == fa.dimension and resid <= tol,
+        forward_fixed=_kernel_basis(layout, svds, ranks, d, tol),
+        adjoint_fixed=_kernel_basis(layout, adjoint, ranks, d, tol),
+        equal=resid <= tol,
         projection_residual=resid,
     )

@@ -106,6 +106,19 @@ class TestAnalyzeCommand:
         assert report["side"] == "adjoint"
         assert report["stable_spectral_radius"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_trace_increasing_channel_exits_one(self, tmp_path):
+        # (1 + 1e-9) I is CP and its iterates are analysable, but it
+        # increases the trace: analyze writes the report and, like
+        # verify, exits 1
+        spec, out = tmp_path / "grow.json", tmp_path / "report.json"
+        kraus = [io.matrix_to_pairs((1 + 1e-9) * np.eye(2))]
+        spec.write_text(json.dumps({"name": "grow", "dim": 2, "kraus": kraus}))
+        assert main(["verify", str(spec)]) == EXIT_INVARIANT
+        assert main(["analyze", str(spec), "--cesaro-n", "200", "--out", str(out)]) == EXIT_INVARIANT
+        verification = json.loads(out.read_text())["verification"]
+        assert verification["cp_ok"] is True
+        assert verification["trace_nonincreasing_ok"] is False
+
 
 class TestIterateCommand:
     def test_n1_disagreement_tiny(self, pauli_spec, tmp_path):
@@ -371,3 +384,24 @@ def test_verify_refuses_flags_it_does_not_read(pauli_spec, capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", pauli_spec, "--cesaro-n", "-5", "--peripheral-tol", "7", "--adjoint"])
     assert info.value.code == 2
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    # the parser is built once per process, not once per call
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "ergochan":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for name in ("a.json", "b.json"):
+        argv = ["catalog", "pauli-xy", "--param", "p=0.25", "--out", str(tmp_path / name)]
+        assert main(argv) == EXIT_OK
+    assert len(built) == 1
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()

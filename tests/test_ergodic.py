@@ -27,6 +27,8 @@ from ergochan import (
     superoperator,
 )
 from ergochan import catalog, ergodic, linalg
+from ergochan import channel as channel_mod
+from ergochan.channel import ADJOINT, FORWARD
 from ergochan.errors import (
     DecompositionFailureError,
     DegenerateInputError,
@@ -234,6 +236,19 @@ class TestSpectralProjectors:
         L = superoperator(identity_channel(3))
         projs = spectral_projectors(L, [1.0])
         assert np.allclose(projs[0], np.eye(9))
+
+    def test_non_superoperator_size_is_refused_before_factorising(self, monkeypatch):
+        # a 3 x 3 matrix is no superoperator: the projectors could not be
+        # mapped back to column stacking, so nothing is factorised
+        calls = []
+        for name in ("eig", "eigvals", "svd", "qr", "inv", "solve", "matrix_power"):
+            orig = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, f=orig, n=name, **k: calls.append(n) or f(*a, **k)
+            )
+        with pytest.raises(DimensionError, match="not a perfect square"):
+            spectral_projectors(np.diag([1.0, 0.5, 0.2]), [1.0])
+        assert calls == []
 
     @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
     def test_projector_algebra(self, ch):
@@ -828,6 +843,209 @@ class TestHsSymmetry:
         assert rep.equal
         assert rep.forward_fixed.dimension == 0
         assert rep.adjoint_fixed.dimension == 0
+
+
+def stinespring_channel(seed, d, count=3, drop=0):
+    """A random channel from the QR of a complex Gaussian; dropping
+    ``drop`` of its Kraus operators makes it trace-decreasing."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
+    Q, _ = np.linalg.qr(G)
+    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count - drop)))
+
+
+def dense_fixed_columns(L, tol=ergodic.DEFAULT_FIXED_TOL):
+    """Oracle: orthonormal basis of Ker(I - L) in column stacking, from
+    one SVD of the whole matrix at the rank cut tol * max(1, sigma_max)."""
+    return dense_null_space(np.eye(len(L)) - L, tol)
+
+
+def dense_null_space(M, tol=ergodic.DEFAULT_FIXED_TOL):
+    _, s, Vh = np.linalg.svd(M)
+    rank = int(np.sum(s >= tol * max(1.0, s[0])))
+    return Vh[rank:].conj().T
+
+
+def dense_span_residual(Qa, Qb):
+    """Oracle: max over both directions of ||(I - P_other) Q|| for dense
+    orthonormal bases; 1 for different dimensions, 0 for two empty ones."""
+    if Qa.shape[1] != Qb.shape[1]:
+        return 1.0
+    if Qa.shape[1] == 0:
+        return 0.0
+    return max(
+        np.linalg.norm(Qa - Qb @ (Qb.conj().T @ Qa), 2),
+        np.linalg.norm(Qb - Qa @ (Qa.conj().T @ Qb), 2),
+    )
+
+
+def basis_columns(fs, n):
+    """The vectorized basis matrices of ``fs`` as the columns of n rows."""
+    return np.column_stack([linalg.vec(B) for B in fs.basis] or [np.zeros((n, 0))])
+
+
+def joined_unitarity(decomp, L):
+    """Oracle: the check on the whole matrices, with one SVD of the
+    summed dense projector and one of Q^H L Q."""
+    P = sum(decomp.projectors)
+    Q = np.linalg.svd(P)[0][:, : sum(decomp.projector_ranks)]
+    s = np.linalg.svd(Q.conj().T @ L @ Q, compute_uv=False)
+    return float(np.max(np.abs(s - 1.0)))
+
+
+# (id, channel, a second channel of the same family)
+FIXED_POINT_CASES = [
+    pytest.param(make(0.3, d), make(0.6, d), id=f"{name}{d}")
+    for name, make in (
+        ("shift", shift_channel),
+        ("parity", parity_fock_channel),
+        ("ladder", catalog.ladder_channel),
+    )
+    for d in (4, 8, 16)
+] + [
+    pytest.param(pauli_xy_channel(0.3), pauli_xy_channel(0.7), id="pauli"),
+    pytest.param(stinespring_channel(31, 3), stinespring_channel(32, 3), id="random3-tp"),
+    pytest.param(stinespring_channel(33, 6), stinespring_channel(34, 6), id="random6-tp"),
+    pytest.param(
+        stinespring_channel(35, 3, drop=1), stinespring_channel(36, 3, drop=1),
+        id="random3-decreasing",
+    ),
+    pytest.param(
+        stinespring_channel(37, 6, drop=1), stinespring_channel(38, 6, drop=1),
+        id="random6-decreasing",
+    ),
+    pytest.param(parity_fock_channel(0.5, 8), parity_fock_channel(0.5, 8), id="unital-parity8"),
+]
+
+
+class TestFixedPointChecksAgainstDenseOracles:
+    """The three checks run on the blocks of the Hermitian forms; the
+    oracles run on the whole matrices in column stacking."""
+
+    TOL = ergodic.DEFAULT_FIXED_TOL
+
+    @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
+    def test_hs_fixed_point_symmetry(self, ch, _):
+        Lf = superoperator(ch, FORWARD).matrix
+        La = superoperator(ch, ADJOINT).matrix
+        Qf, Qa = dense_fixed_columns(Lf), dense_fixed_columns(La)
+        resid = dense_span_residual(Qf, Qa)
+        rep = hs_fixed_point_symmetry(ch)
+        assert rep.forward_fixed.dimension == Qf.shape[1]
+        assert rep.adjoint_fixed.dimension == Qa.shape[1]
+        assert rep.equal == (Qf.shape[1] == Qa.shape[1] and resid <= self.TOL)
+        assert abs(rep.projection_residual - resid) <= 1e-12
+        n = len(Lf)
+        assert dense_span_residual(basis_columns(rep.forward_fixed, n), Qf) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.adjoint_fixed, n), Qa) <= 1e-12
+        if rep.adjoint_fixed.dimension:
+            assert_fixed_orthonormal_basis(rep.adjoint_fixed, [ch], adjoint=True)
+
+    @pytest.mark.parametrize("ch, other", FIXED_POINT_CASES)
+    @pytest.mark.parametrize("same", [True, False], ids=["self", "pair"])
+    def test_fixed_space_intersection(self, ch, other, same):
+        channels = [ch, ch if same else other]
+        weights = [0.4, 0.6]
+        Ls = [superoperator(c).matrix for c in channels]
+        n = len(Ls[0])
+        combined = dense_fixed_columns(sum(w * L for w, L in zip(weights, Ls)))
+        complements = [np.eye(n) - Q @ Q.conj().T for Q in map(dense_fixed_columns, Ls)]
+        intersection = dense_null_space(np.vstack(complements))
+        commute = np.linalg.norm(Ls[0] @ Ls[1] - Ls[1] @ Ls[0], 2)
+        rep = fixed_space_intersection(channels, weights)
+        assert rep.combined_fixed.dimension == combined.shape[1]
+        assert rep.intersection.dimension == intersection.shape[1]
+        assert abs(rep.commute_residual - commute) <= 1e-12
+        if commute <= self.TOL:
+            resid = dense_span_residual(combined, intersection)
+            assert rep.equal == (resid <= self.TOL)
+            assert abs(rep.projection_residual - resid) <= 1e-12
+        else:
+            assert rep.equal is None and rep.projection_residual is None
+        assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
+
+    @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
+    def test_peripheral_unitarity_check(self, ch, _):
+        L = superoperator(ch).matrix
+        decomp = peripheral_decomposition(L, cesaro_check_n=0)
+        if not decomp.lambdas:
+            with pytest.raises(DegenerateInputError):
+                peripheral_unitarity_check(decomp)
+            return
+        assert abs(peripheral_unitarity_check(decomp) - joined_unitarity(decomp, L)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+    def test_non_normal_peripheral_block_is_not_unitary(self, c):
+        # T = [[1, c], [0, -1]] has T^2 = I, so the map is power bounded
+        # with the semisimple peripheral eigenvalues 1 and -1, but T is not
+        # unitary: its singular values are sqrt(1 + c^2/4) +- c/2
+        A = np.diag([1.0, -1.0, 0.5, 0.2])
+        A[0, 1] = c
+        L = linalg.from_hermitian_basis(A)
+        decomp = peripheral_decomposition(L)
+        assert decomp.lambdas == (1.0, -1.0)
+        got = peripheral_unitarity_check(decomp)
+        assert abs(got - joined_unitarity(decomp, L)) <= 1e-12
+        assert got == pytest.approx(np.sqrt(1 + c * c / 4) + c / 2 - 1, rel=1e-12)
+
+    def test_span_residual_sees_different_block_dimensions(self):
+        # two spans of dimension 2 on two blocks of size 2: one lies in the
+        # first block, the other takes one dimension of each
+        layout = linalg.BlockLayout(np.kron(np.eye(2), np.ones((2, 2))))
+        X = np.stack([np.zeros((2, 2)), np.eye(2)])  # kernel dims 2, 0
+        Y = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])  # kernel dims 1, 1
+        parts, columns = [], []
+        for M in (X, Y):
+            svds, _, ranks = linalg.block_svd([M], 1e-10)
+            parts.append(ergodic._kernel_parts(svds, ranks))
+            columns.append(linalg.kernel_columns(layout.index, svds, ranks))
+        assert [K.shape[1] for K in columns] == [2, 2]
+        resid = ergodic._span_residual(*parts)
+        assert resid == pytest.approx(1.0, abs=1e-12)
+        assert abs(resid - dense_span_residual(*columns)) <= 1e-12
+        # and the same span compares equal to itself in another basis
+        assert ergodic._span_residual(parts[0], [Q[..., ::-1] for Q in parts[0]]) <= 1e-15
+
+
+class TestFixedPointChecksRunPerBlock:
+    def test_hs_symmetry_builds_one_superoperator_and_one_form(self, monkeypatch):
+        built, forms = [], []
+        orig_super, orig_form = channel_mod.superoperator, linalg.to_hermitian_basis
+        monkeypatch.setattr(
+            channel_mod, "superoperator",
+            lambda *a, **k: built.append(a[1:]) or orig_super(*a, **k),
+        )
+        monkeypatch.setattr(
+            linalg, "to_hermitian_basis", lambda M: forms.append(M.shape) or orig_form(M)
+        )
+        rep = hs_fixed_point_symmetry(parity_fock_channel(0.3, 4))
+        assert rep.equal and rep.forward_fixed.dimension == 8
+        assert len(built) == 1 and forms == [(16, 16)]
+
+    @pytest.mark.parametrize("make", [shift_channel, parity_fock_channel], ids=["shift", "parity"])
+    def test_no_svd_larger_than_a_block_and_no_join(self, make, monkeypatch):
+        d = 16
+        decomp = peripheral_decomposition(superoperator(make(0.3, d)), cesaro_check_n=0)
+        shapes = []
+        orig_svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda M, *a, **k: shapes.append(M.shape) or orig_svd(M, *a, **k)
+        )
+
+        def refuse(self, stacks):
+            raise AssertionError("joined the blocks")
+
+        monkeypatch.setattr(linalg.BlockLayout, "join", refuse)
+        hs_fixed_point_symmetry(make(0.5, d))
+        fixed_space_intersection([make(0.3, d), make(0.6, d)], [0.4, 0.6])
+        if decomp.lambdas:
+            peripheral_unitarity_check(decomp)
+        else:
+            with pytest.raises(DegenerateInputError):
+                peripheral_unitarity_check(decomp)
+        assert shapes
+        assert max(max(shape[-2:]) for shape in shapes) <= d
 
 
 class TestCesaroSpectralAgreement:
