@@ -8,9 +8,10 @@ Subcommands::
     ergochan fixed-space <spec.json> [--adjoint]
     ergochan catalog <entry> --param p=0.5 [--param dim=8] [--out spec.json]
 
-Each subcommand takes only the flags :func:`build_parser` gives it.
-
-Exit codes: 0 success, 1 invariant failure, 2 format error,
+Each subcommand takes only the flags :func:`build_parser` gives it, checked
+here; :mod:`ergochan.io` reads the files, runs the pipeline and writes the
+document.  Exit codes: 0 success, 1 invariant failure, 2 format error (an
+input or ``--out`` file that cannot be read, decoded or written),
 3 validation/domain error, 4 numeric error, 5 decomposition failure.
 """
 
@@ -18,13 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, catalog, channel, ergodic, io, linalg
+from . import __version__, catalog, io
+from .ergodic import DEFAULT_CESARO_N, DEFAULT_PERIPHERAL_TOL
 from .errors import (
     CatalogLookupError,
     DecompositionFailureError,
@@ -36,6 +35,7 @@ from .errors import (
     SpecValidationError,
     SplittingViolationError,
 )
+from .linalg import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -44,98 +44,50 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 EXIT_DECOMPOSITION = 5
 
+#: The exit code of each error a command reports; any other escapes.
+_EXIT_CODES = {
+    SpecFormatError: EXIT_FORMAT,
+    SpecValidationError: EXIT_VALIDATION,
+    DomainError: EXIT_VALIDATION,
+    DimensionError: EXIT_VALIDATION,
+    CatalogLookupError: EXIT_VALIDATION,
+    NumericError: EXIT_NUMERIC,
+    IllConditionedDecompositionError: EXIT_NUMERIC,
+    DecompositionFailureError: EXIT_DECOMPOSITION,
+    SplittingViolationError: EXIT_DECOMPOSITION,
+}
 
-def _emit(doc: dict, out: str | None) -> None:
-    if out:
-        io.save_json(doc, out)
-    else:
-        print(io.dumps(doc))
+
+def _emit(doc: dict, out: str | None, ok: bool = True) -> int:
+    io.save_json(doc, out)
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _cmd_verify(args) -> int:
-    ch = io.load_spec(args.spec)
-    report = channel.verify(ch, tol=args.tol)
-    from dataclasses import asdict
-
-    _emit(asdict(report), args.out)
-    return EXIT_OK if report.all_ok else EXIT_INVARIANT
+    doc = io.verify_channel(io.load_spec(args.spec), args.tol)
+    return _emit(doc, args.out, io.all_ok(doc))
 
 
 def _cmd_analyze(args) -> int:
     ch = io.load_spec(args.spec)
-    report = io.analyze_channel(
-        ch,
-        tol=args.tol,
-        peripheral_tol=args.peripheral_tol,
-        cesaro_n=args.cesaro_n,
-        seed=args.seed,
-        adjoint=args.adjoint,
+    doc = io.analyze_channel(
+        ch, args.tol, args.peripheral_tol, args.cesaro_n, args.seed, args.adjoint
     )
-    _emit(report.to_dict(), args.out)
-    ok = report.verification["cp_ok"] and report.verification["trace_nonincreasing_ok"]
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _emit(doc, args.out, io.all_ok(doc["verification"]))
 
 
 def _cmd_iterate(args) -> int:
-    """``direct`` is L^n vec(X) by the binary powering of
-    :func:`ergodic.power_iterate`, O(log n) products on the blocks of L
-    that the decomposition split, and independent of its spectral data;
-    ``reconstructed`` is the spectral sum of
-    :func:`ergodic.reconstruct_iterate`.  ``disagreement_hs`` is the HS
-    norm of their difference, within the drift bound of ``power_iterate``
-    (linear in n)."""
-    if args.n < 1:  # before the decomposition, which costs far more
-        raise DomainError(f"n must be >= 1, got {args.n}")
     ch = io.load_spec(args.spec)
-    if args.state:
-        try:
-            with open(args.state, "r", encoding="utf-8") as fh:
-                rows = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SpecFormatError(f"cannot read state file {args.state}: {exc}")
-        X = io.pairs_to_matrix(rows, context="state")
-        if X.shape != (ch.dim, ch.dim):
-            raise SpecValidationError(
-                f"state has shape {X.shape}, channel dim is {ch.dim}"
-            )
-    else:
-        X = np.eye(ch.dim, dtype=complex) / ch.dim  # maximally mixed default
-
-    side = channel.ADJOINT if args.adjoint else channel.FORWARD
-    L = channel.superoperator(ch, side)
-    decomp = ergodic.peripheral_decomposition(
-        L, peripheral_tol=args.peripheral_tol, cesaro_check_n=args.cesaro_n
+    state = io.load_state(args.state, ch.dim) if args.state else None
+    doc = io.iterate_channel(
+        ch, args.n, state, args.peripheral_tol, args.cesaro_n, args.adjoint
     )
-    recon = ergodic.reconstruct_iterate(decomp, args.n, X)
-    direct = ergodic.power_iterate(decomp, args.n, X)
-    _emit(
-        {
-            "tool_version": __version__,
-            "n": args.n,
-            "side": side,
-            "direct": io.matrix_to_pairs(direct),
-            "reconstructed": io.matrix_to_pairs(recon),
-            "disagreement_hs": linalg.hs_norm(direct - recon),
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return _emit(doc, args.out)
 
 
 def _cmd_fixed_space(args) -> int:
     ch = io.load_spec(args.spec)
-    side = channel.ADJOINT if args.adjoint else channel.FORWARD
-    fs = ergodic.fixed_space(channel.superoperator(ch, side), args.tol)
-    _emit(
-        {
-            "tool_version": __version__,
-            "side": side,
-            "dimension": fs.dimension,
-            "basis": [io.matrix_to_pairs(B) for B in fs.basis],
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return _emit(io.fixed_space_channel(ch, args.tol, args.adjoint), args.out)
 
 
 def _parse_params(pairs) -> dict:
@@ -154,35 +106,31 @@ def _parse_params(pairs) -> dict:
 
 
 def _cmd_catalog(args) -> int:
-    doc = io.catalog_spec(args.entry, _parse_params(args.param))
-    _emit(doc, args.out)
-    return EXIT_OK
+    return _emit(io.catalog_spec(args.entry, _parse_params(args.param)), args.out)
 
 
 _FLAGS = {
-    "--tol": dict(type=float, default=linalg.DEFAULT_TOL),
-    "--peripheral-tol": dict(type=float, default=ergodic.DEFAULT_PERIPHERAL_TOL),
-    "--cesaro-n": dict(type=int, default=ergodic.DEFAULT_CESARO_N),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--peripheral-tol": dict(type=float, default=DEFAULT_PERIPHERAL_TOL),
+    "--cesaro-n": dict(type=int, default=DEFAULT_CESARO_N),
     "--adjoint": dict(action="store_true"),
     "--seed": dict(type=int, default=0),
     "--out": dict(type=str, default=None),
 }
 
 
-def _check_tolerances(args) -> None:
-    """A tolerance flag must be finite and > 0: a cut at or below zero
-    counts round-off as rank and fails every check it gates."""
+def _check_flags(args) -> None:
+    """Refuse a bad flag value before any file is read.  A tolerance must
+    be finite and > 0 (a cut at or below zero counts round-off as rank),
+    ``--cesaro-n`` >= 0 (0 skips the Cesaro check) and ``--n`` >= 1."""
     for flag in ("--tol", "--peripheral-tol"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not 0 < value < math.inf:
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
-
-
-def _check_cesaro_n(args) -> None:
-    """``--cesaro-n`` must be >= 0 (0 skips the Cesaro cross-check)."""
-    value = getattr(args, "cesaro_n", None)
-    if value is not None and value < 0:
-        raise DomainError(f"--cesaro-n must be >= 0, got {value}")
+    if getattr(args, "cesaro_n", 0) < 0:
+        raise DomainError(f"--cesaro-n must be >= 0, got {args.cesaro_n}")
+    if getattr(args, "n", 1) < 1:
+        raise DomainError(f"n must be >= 1, got {args.n}")
 
 
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -236,26 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_tolerances(args)
-        _check_cesaro_n(args)
+        _check_flags(args)
         return args.func(args)
-    except SpecFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (
-        SpecValidationError,
-        DomainError,
-        DimensionError,
-        CatalogLookupError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NumericError, IllConditionedDecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (DecompositionFailureError, SplittingViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSITION
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -16,10 +16,6 @@ class DomainError(ErgochanError, ValueError):
 class NumericError(ErgochanError):
     """An iterative linear-algebra routine failed to converge."""
 
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class IllConditionedDecompositionError(ErgochanError):
     """A peripheral eigenvalue is not semisimple: the kernel of L - lambda
@@ -51,7 +47,8 @@ class DegenerateInputError(ErgochanError):
 
 
 class SpecFormatError(ErgochanError):
-    """A channel spec file could not be parsed."""
+    """An input file could not be read, decoded or parsed as JSON, or an
+    output file could not be written."""
 
 
 class SpecValidationError(ErgochanError):

@@ -1,21 +1,22 @@
-"""Channel spec files, analysis reports, and their JSON serialization.
+"""Input files, the pipeline of each command, and its JSON document.
 
 A channel spec is a JSON document with fields ``name``, ``dim``, and
-exactly one of
-
-* ``kraus``: a list of dim x dim matrices, each entry a [re, im] pair;
-* ``catalog``: ``{"entry": <name>, "params": {...}}`` routed through the
-  model catalog.
-
-Reports serialize complex numbers the same way.  Floats are emitted via
-``repr``, the shortest decimal that round-trips exactly, so
-serialize -> parse -> serialize is byte-identical.
+exactly one of ``kraus`` (a list of dim x dim matrices, each entry a
+[re, im] pair) and ``catalog`` (``{"entry": <name>, "params": {...}}``,
+built by the model catalog).  A state file holds one dim x dim matrix of
+[re, im] pairs.  Unreadable, non-UTF-8 or non-JSON files raise
+:class:`SpecFormatError`; a field of the wrong type or shape raises
+:class:`SpecValidationError` naming the field.  Documents serialize
+complex numbers the same way.  Floats are emitted via ``repr``, the
+shortest decimal that round-trips exactly, so serialize -> parse ->
+serialize is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -34,18 +35,23 @@ def matrix_to_pairs(M) -> list:
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
+    """The complex matrix of rows of [re, im] pairs, each exactly two
+    numbers; a bool is not a number here, as in ``catalog.build``."""
     try:
-        out = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        entries = list(chain.from_iterable(rows))
+        numbers = list(chain.from_iterable(entries))
+    except TypeError:
+        numbers = None
+    if (  # in this order: with an entry there is a row to divide by
+        numbers is None
+        or not set(map(type, numbers)) <= {int, float}
+        or set(map(len, entries)) != {2}
+        or set(map(len, rows)) != {len(entries) // len(rows)}
+    ):
         raise SpecValidationError(
-            f"{context}: entries must be nested [re, im] pairs ({exc})"
-        ) from exc
-    if out.ndim != 2:
-        raise SpecValidationError(f"{context}: not a 2-d matrix")
-    return out
+            f"{context}: must be a matrix of [re, im] pairs of real numbers"
+        )
+    return np.array(numbers, dtype=float).view(complex).reshape(len(rows), -1)
 
 
 def channel_to_spec(ch: KrausChannel) -> dict:
@@ -56,25 +62,28 @@ def channel_to_spec(ch: KrausChannel) -> dict:
     }
 
 
-def catalog_spec(entry: str, params: dict, name: str | None = None) -> dict:
+def catalog_spec(entry: str, params: dict) -> dict:
     """Spec document that defers to a catalog builder (validated now)."""
     ch = catalog_mod.build(entry, params)  # fail fast on bad entry/params
     return {
-        "name": name or f"{entry}",
+        "name": entry,
         "dim": ch.dim,
         "catalog": {"entry": entry, "params": dict(params)},
     }
 
 
+def _require(value, kind: type, field: str, what: str) -> None:
+    if not isinstance(value, kind):
+        raise SpecValidationError(f"{field} must be {what}, got {type(value).__name__}")
+
+
 def parse_spec(doc: dict) -> KrausChannel:
-    if not isinstance(doc, dict):
-        raise SpecValidationError("spec document must be a JSON object")
+    _require(doc, dict, "spec document", "a JSON object")
     for key in ("name", "dim"):
         if key not in doc:
             raise SpecValidationError(f"spec is missing required field {key!r}")
-    has_kraus = "kraus" in doc
     has_catalog = "catalog" in doc
-    if has_kraus == has_catalog:
+    if ("kraus" in doc) == has_catalog:
         raise SpecValidationError(
             "spec must contain exactly one of 'kraus' or 'catalog'"
         )
@@ -86,13 +95,17 @@ def parse_spec(doc: dict) -> KrausChannel:
         cat = doc["catalog"]
         if not isinstance(cat, dict) or "entry" not in cat:
             raise SpecValidationError("catalog must be {'entry': ..., 'params': ...}")
-        ch = catalog_mod.build(cat["entry"], cat.get("params", {}))
+        params = cat.get("params", {})
+        _require(cat["entry"], str, "catalog.entry", "a string")
+        _require(params, dict, "catalog.params", "a JSON object")
+        ch = catalog_mod.build(cat["entry"], params)
         if ch.dim != dim:
             raise SpecValidationError(
                 f"catalog channel has dim {ch.dim}, spec says {dim}"
             )
         return KrausChannel(kraus=ch.kraus, label=str(doc["name"]))
 
+    _require(doc["kraus"], list, "kraus", "a list of matrices")
     mats = []
     for k, rows in enumerate(doc["kraus"]):
         M = pairs_to_matrix(rows, context=f"kraus[{k}]")
@@ -106,18 +119,34 @@ def parse_spec(doc: dict) -> KrausChannel:
     return KrausChannel(kraus=tuple(mats), label=str(doc["name"]))
 
 
-def load_spec(path) -> KrausChannel:
+def _read_json(path, what: str):
+    """The JSON document in the file at ``path`` (``what`` names it)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SpecFormatError(f"cannot read spec file {path}: {exc}") from exc
+        raise SpecFormatError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{what} file {path} is not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFormatError(f"{what} file {path} is nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(
-            f"spec file {path} is not valid JSON (line {exc.lineno}, "
+            f"{what} file {path} is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}"
         ) from exc
-    return parse_spec(doc)
+
+
+def load_spec(path) -> KrausChannel:
+    return parse_spec(_read_json(path, "spec"))
+
+
+def load_state(path, dim: int) -> np.ndarray:
+    """The dim x dim state matrix in the file at ``path``."""
+    X = pairs_to_matrix(_read_json(path, "state"), context="state")
+    if X.shape != (dim, dim):
+        raise SpecValidationError(f"state has shape {X.shape}, channel dim is {dim}")
+    return X
 
 
 def dumps(doc: dict) -> str:
@@ -126,38 +155,44 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def save_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
-        fh.write("\n")
+def save_json(doc: dict, path=None) -> None:
+    """Write ``dumps(doc)`` and a newline to ``path``, or to stdout."""
+    if not path:
+        print(dumps(doc))
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+            fh.write("\n")
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything one analysis run produced, JSON-round-trippable."""
+def all_ok(verification: dict) -> bool:
+    """``VerificationReport.all_ok`` of a verification document."""
+    return channel_mod.VerificationReport(**verification).all_ok
 
-    tool_version: str
-    channel: str
-    dim: int
-    side: str
-    seed: int
-    tolerances: dict
-    verification: dict
-    fixed_space: dict
-    peripheral: dict
-    stable_spectral_radius: float
-    decay: dict
-    residuals: dict
 
-    def to_dict(self) -> dict:
-        """The fields as a dict.  Unlike ``dataclasses.asdict`` this does
-        not deep-copy the nested lists: the dict shares them with the
-        report, and serializes to the same JSON text."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+def _superoperator(ch: KrausChannel, adjoint: bool):
+    side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
+    return side, channel_mod.superoperator(ch, side)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AnalysisReport":
-        return cls(**doc)
+
+def _decompose(ch: KrausChannel, adjoint: bool, peripheral_tol: float, cesaro_n: int):
+    """The side, and the peripheral decomposition of L on it."""
+    side, L = _superoperator(ch, adjoint)
+    return side, ergodic.peripheral_decomposition(
+        L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
+    )
+
+
+def _basis_doc(fs) -> dict:
+    return {"dimension": fs.dimension, "basis": [matrix_to_pairs(B) for B in fs.basis]}
+
+
+def verify_channel(ch: KrausChannel, tol: float = linalg.DEFAULT_TOL) -> dict:
+    """The ``verify`` document: the fields of ``channel.verify``."""
+    return asdict(channel_mod.verify(ch, tol=tol))
 
 
 #: Number of powers of the stable part that :func:`analyze_channel`
@@ -172,51 +207,83 @@ def analyze_channel(
     cesaro_n: int = ergodic.DEFAULT_CESARO_N,
     seed: int = 0,
     adjoint: bool = False,
-) -> AnalysisReport:
-    """Run the full pipeline on one channel and collect the report.
+) -> dict:
+    """The ``analyze`` document: the full pipeline on one channel.
 
-    Peripheral eigenvalues are clustered at
-    ``ergodic.DEFAULT_CLUSTER_TOL`` (recorded under ``tolerances``); the
-    fixed space is the decomposition's kernel at lambda = 1, so its
-    dimension is the rank of P_1.  The Cesaro cross-check runs
-    ``cesaro_n`` steps (default ``ergodic.DEFAULT_CESARO_N``) and the
-    decay certificate norms :data:`DECAY_N_MAX` powers.  The residuals
-    are :func:`ergodic.residual_summary`.  The superoperator and its
-    Hermitian form are built once, for the decomposition, and every later
-    stage reads the decomposition's blocks; ``channel.verify`` works from
-    the Kraus operators.
+    Peripheral eigenvalues are clustered at ``ergodic.DEFAULT_CLUSTER_TOL``
+    (recorded under ``tolerances``); the fixed space is the
+    decomposition's kernel at lambda = 1, so its dimension is the rank of
+    P_1.  The decay certificate norms :data:`DECAY_N_MAX` powers, and the
+    residuals are :func:`ergodic.residual_summary`.  The superoperator and
+    its Hermitian form are built once, for the decomposition, and every
+    later stage reads its blocks; ``channel.verify`` works from the Kraus
+    operators.
     """
-    side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
-    ver = channel_mod.verify(ch, tol=tol)
-    decomp = ergodic.peripheral_decomposition(
-        channel_mod.superoperator(ch, side),
-        peripheral_tol=peripheral_tol,
-        cesaro_check_n=cesaro_n,
-    )
+    verification = verify_channel(ch, tol)
+    side, decomp = _decompose(ch, adjoint, peripheral_tol, cesaro_n)
     fit = ergodic.decay_fit(decomp, DECAY_N_MAX)
-    return AnalysisReport(
-        tool_version=__version__,
-        channel=ch.label or "channel",
-        dim=ch.dim,
-        side=side,
-        seed=seed,
-        tolerances={
+    return {
+        "tool_version": __version__,
+        "channel": ch.label or "channel",
+        "dim": ch.dim,
+        "side": side,
+        "seed": seed,
+        "tolerances": {
             "tol": tol,
             "peripheral_tol": peripheral_tol,
             "cluster_tol": ergodic.DEFAULT_CLUSTER_TOL,
             "cesaro_n": cesaro_n,
         },
-        verification=asdict(ver),
-        fixed_space={
-            "dimension": decomp.fixed_space.dimension,
-            "basis": [matrix_to_pairs(B) for B in decomp.fixed_space.basis],
-        },
-        peripheral={
+        "verification": verification,
+        "fixed_space": _basis_doc(decomp.fixed_space),
+        "peripheral": {
             "lambdas": [[lam.real, lam.imag] for lam in decomp.lambdas],
             "projector_ranks": list(decomp.projector_ranks),
             "projector_norm": decomp.projector_norm,
         },
-        stable_spectral_radius=decomp.stable_spectral_radius,
-        decay={"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},
-        residuals=ergodic.residual_summary(ch, decomp, seed, adjoint=adjoint),
-    )
+        "stable_spectral_radius": decomp.stable_spectral_radius,
+        "decay": {"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},
+        "residuals": ergodic.residual_summary(ch, decomp, seed, adjoint=adjoint),
+    }
+
+
+def iterate_channel(
+    ch: KrausChannel,
+    n: int,
+    state=None,
+    peripheral_tol: float = ergodic.DEFAULT_PERIPHERAL_TOL,
+    cesaro_n: int = ergodic.DEFAULT_CESARO_N,
+    adjoint: bool = False,
+) -> dict:
+    """The ``iterate`` document of phi^n (or phi*^n) at ``state``, by
+    default the maximally mixed state.
+
+    ``direct`` is L^n vec(X) by the binary powering of
+    :func:`ergodic.power_iterate`, O(log n) products on the blocks of L
+    that the decomposition split, and independent of its spectral data;
+    ``reconstructed`` is the spectral sum of
+    :func:`ergodic.reconstruct_iterate`.  ``disagreement_hs`` is the HS
+    norm of their difference, within the drift bound of ``power_iterate``
+    (linear in n)."""
+    X = np.eye(ch.dim, dtype=complex) / ch.dim if state is None else state
+    side, decomp = _decompose(ch, adjoint, peripheral_tol, cesaro_n)
+    recon = ergodic.reconstruct_iterate(decomp, n, X)
+    direct = ergodic.power_iterate(decomp, n, X)
+    return {
+        "tool_version": __version__,
+        "n": n,
+        "side": side,
+        "direct": matrix_to_pairs(direct),
+        "reconstructed": matrix_to_pairs(recon),
+        "disagreement_hs": linalg.hs_norm(direct - recon),
+    }
+
+
+def fixed_space_channel(
+    ch: KrausChannel, tol: float = linalg.DEFAULT_TOL, adjoint: bool = False
+) -> dict:
+    """The ``fixed-space`` document: an orthonormal basis of Ker(I - L),
+    cut at ``tol``."""
+    side, L = _superoperator(ch, adjoint)
+    fs = ergodic.fixed_space(L, tol)
+    return {"tool_version": __version__, "side": side, **_basis_doc(fs)}

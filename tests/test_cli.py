@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergochan.cli
 from ergochan import channel, ergodic, io, linalg
 from ergochan.cli import (
     EXIT_DECOMPOSITION,
@@ -332,16 +333,21 @@ def test_one_cesaro_default():
     assert params["cesaro_check_n"].default == n
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    # from a checkout, with src/ on the path and no installed script
+def run_module(argv, cwd):
+    """``python -m ergochan`` from a checkout, with src/ on the path and
+    no installed script."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     src = str(root / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ergochan", "catalog", "pauli-xy", "--param", "p=0.25"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "ergochan", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = run_module(["catalog", "pauli-xy", "--param", "p=0.25"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["catalog"]["entry"] == "pauli-xy"
 
@@ -405,3 +411,124 @@ def test_main_builds_one_parser(tmp_path, monkeypatch):
         assert main(argv) == EXIT_OK
     assert len(built) == 1
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+PAULI = {"name": "pauli", "dim": 2, "catalog": {"entry": "pauli-xy", "params": {"p": 0.25}}}
+IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def kraus_doc(entry):
+    """A d = 2 Kraus spec whose first entry is ``entry``."""
+    return {"name": "k", "dim": 2, "kraus": [[[entry, [0, 0]], [[0, 0], [1, 0]]]]}
+
+
+def state_doc(entry):
+    return [[entry, [0, 0]], [[0, 0], [0.0, 0.0]]]
+
+
+NOT_UTF8 = b'{"name": "caf\xe9", "dim": 2}'  # Latin-1, not UTF-8
+
+# (command, spec file, state file or None, exit code, text of the error line);
+# a file is a JSON document, or bytes written as they are
+MALFORMED = {
+    "kraus-not-a-list": ("verify", {"name": "k", "dim": 2, "kraus": 5}, None,
+                         EXIT_VALIDATION, "kraus must be a list"),
+    "params-not-an-object": ("analyze", {"name": "s", "dim": 4, "catalog":
+                             {"entry": "shift", "params": 5}}, None,
+                             EXIT_VALIDATION, "catalog.params must be a JSON object"),
+    "entry-not-a-string": ("verify", {"name": "x", "dim": 2, "catalog":
+                           {"entry": ["x"], "params": {}}}, None,
+                           EXIT_VALIDATION, "catalog.entry must be a string"),
+    "kraus-entry-object": ("verify", kraus_doc({"re": 1}), None,
+                           EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
+    "kraus-entry-triple": ("verify", kraus_doc([1, 0, 7]), None,
+                           EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
+    "kraus-entry-bool": ("verify", kraus_doc([True, 0]), None,
+                         EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
+    "kraus-entry-string": ("analyze", kraus_doc(["1", 0]), None,
+                           EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
+    "state-entry-object": ("iterate", PAULI, state_doc({"re": 1}),
+                           EXIT_VALIDATION, "state: must be a matrix of [re, im] pairs"),
+    "state-entry-triple": ("iterate", PAULI, state_doc([1, 0, 7]),
+                           EXIT_VALIDATION, "state: must be a matrix of [re, im] pairs"),
+    "state-entry-bool": ("iterate", PAULI, state_doc([True, 0]),
+                         EXIT_VALIDATION, "state: must be a matrix of [re, im] pairs"),
+    "spec-not-utf8": ("verify", NOT_UTF8, None, EXIT_FORMAT, "is not UTF-8"),
+    "analyze-spec-not-utf8": ("analyze", NOT_UTF8, None, EXIT_FORMAT, "is not UTF-8"),
+    "state-not-utf8": ("iterate", PAULI, NOT_UTF8, EXIT_FORMAT, "state file"),
+    "state-not-json": ("iterate", PAULI, b"[[1, 0]", EXIT_FORMAT, "is not valid JSON"),
+    "spec-nested-too-deeply": ("verify", b"[" * 100000 + b"]" * 100000, None,
+                               EXIT_FORMAT, "nested too deeply"),
+    "out-unwritable": ("iterate", PAULI, state_doc([1, 0]), EXIT_FORMAT, "cannot write"),
+    "analyze-out-unwritable": ("analyze", PAULI, None, EXIT_FORMAT, "cannot write"),
+}
+# these rows also run through the real entry point
+SUBPROCESS_ROWS = {"kraus-not-a-list", "spec-not-utf8"}
+
+
+def _write_input(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED))
+def test_malformed_input_is_an_error_line_not_a_traceback(row, tmp_path, capsys):
+    command, spec, state, code, message = MALFORMED[row]
+    argv = [command, _write_input(tmp_path / "spec.json", spec)]
+    if command != "verify":
+        argv += ["--cesaro-n", "200"]
+    if command == "iterate":
+        argv += ["--n", "2"]
+        if state is not None:
+            argv += ["--state", _write_input(tmp_path / "state.json", state)]
+    if row.endswith("out-unwritable"):
+        argv += ["--out", str(tmp_path / "missing" / "x.json")]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    if row.endswith("out-unwritable"):
+        assert f"cannot write {tmp_path / 'missing' / 'x.json'}: " in err
+    if row in SUBPROCESS_ROWS:
+        proc = run_module(argv, tmp_path)
+        assert proc.returncode == code
+        assert proc.stdout == "" and proc.stderr == err
+        assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_style_pairs_stay_valid(tmp_path, capsys):
+    # integers and floats, as ``json.dump`` writes Python floats and ints
+    spec = {"name": "id", "dim": 2, "kraus": [IDENTITY]}
+    state = [[[1, 0], [0.0, 0.0]], [[0, 0], [0, -0.0]]]
+    argv = ["iterate", _write_input(tmp_path / "s.json", spec), "--n", "3",
+            "--state", _write_input(tmp_path / "x.json", state), "--cesaro-n", "200"]
+    assert main(argv) == EXIT_OK
+    assert io.pairs_to_matrix(json.loads(capsys.readouterr().out)["direct"])[0, 0] == 1
+
+
+def test_cli_only_routes():
+    # the command-line module reads no file and runs no numerics itself:
+    # io reads the files and builds the documents
+    for name in ("json", "np", "numpy", "channel", "ergodic", "linalg"):
+        assert not hasattr(ergochan.cli, name), name
+    assert "open(" not in inspect.getsource(ergochan.cli)
+
+
+def test_iterate_reads_its_state_through_load_state_once(pauli_spec, tmp_path, monkeypatch, capsys):
+    state = _write_input(tmp_path / "state.json", io.matrix_to_pairs(np.diag([1.0, 0.0])))
+    calls = []
+    load_state = io.load_state
+
+    def counted(path, dim):
+        calls.append((path, dim))
+        return load_state(path, dim)
+
+    monkeypatch.setattr(io, "load_state", counted)
+    argv = ["iterate", pauli_spec, "--n", "2", "--state", state, "--cesaro-n", "200"]
+    assert main(argv) == EXIT_OK
+    assert calls == [(state, 2)]
+    direct = io.pairs_to_matrix(json.loads(capsys.readouterr().out)["direct"])
+    assert np.allclose(direct, np.diag([1.0, 0.0]))

@@ -73,7 +73,7 @@ def reference_decomposition(L, peripheral_tol=1e-8, cluster_tol=1e-7):
 def rank_of_p1(report):
     """Rank of the spectral projector at lambda = 1 in an analyze report
     (0 when 1 is not peripheral)."""
-    peripheral = report.peripheral
+    peripheral = report["peripheral"]
     return sum(
         rank
         for (re, im), rank in zip(peripheral["lambdas"], peripheral["projector_ranks"])
@@ -157,8 +157,8 @@ class TestRandomEnsemble:
 
     def test_analyze_fixed_space_is_the_range_of_p1(self, ch, side):
         rep = io.analyze_channel(ch, cesaro_n=200, adjoint=side == ADJOINT)
-        assert rep.fixed_space["dimension"] == rank_of_p1(rep)
-        assert len(rep.fixed_space["basis"]) == rank_of_p1(rep)
+        assert rep["fixed_space"]["dimension"] == rank_of_p1(rep)
+        assert len(rep["fixed_space"]["basis"]) == rank_of_p1(rep)
 
 
 
