@@ -680,6 +680,14 @@ def decay_fit(S, n_max: int) -> DecayFit:
     blocks, so ``||S^k|| = max_b ||B_b^k||``.  Blocks of one size are
     powered and normed as one stack.  A decomposition's blocks are used
     as they are, so S is not changed to that basis again.
+
+    Each norm is the square root of the top eigenvalue of a Gram matrix
+    (:func:`linalg.top_singular_values`), exact to a few machine
+    epsilons, not a full SVD.  The powers of a stack (m, k, k) go to it
+    in batches (c, m, k, k) of ``c = min(n_max, n^2 // (m k^2))``, for
+    S n x n: a batch never holds more entries than S, so a one-block S
+    takes one power per call and a stack of many small blocks takes
+    many.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -692,13 +700,21 @@ def decay_fit(S, n_max: int) -> DecayFit:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")
 
     norms = np.zeros(n_max)
+    n = sum(len(B) * B.shape[-1] for B in stacks)
     for B in stacks:
-        power = B
-        for k in range(n_max):
-            if k:
-                power = power @ B
-            top = np.linalg.svd(power, compute_uv=False)[..., 0].max()
-            norms[k] = max(norms[k], top)
+        # powers start+1 .. stop of B as one (c, m, k, k) stack, at most
+        # the n^2 entries of S (B.size <= n^2, so c >= 1)
+        c = min(n_max, n * n // B.size)
+        batch = np.empty((c,) + B.shape, B.dtype)
+        batch[0] = B
+        for start in range(0, n_max, c):
+            stop = min(start + c, n_max)
+            for j in range(1, stop - start):
+                np.matmul(batch[j - 1], B, out=batch[j])
+            top = linalg.top_singular_values(batch[: stop - start]).max(axis=-1)
+            norms[start:stop] = np.maximum(norms[start:stop], top)
+            if stop < n_max:
+                batch[0] = batch[stop - start - 1] @ B
     norms = norms.tolist()
 
     if max(norms) <= 1e-13:

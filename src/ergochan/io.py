@@ -36,7 +36,7 @@ def matrix_to_pairs(M) -> list:
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
     """The complex matrix of rows of [re, im] pairs, each exactly two
-    numbers; a bool is not a number here, as in ``catalog.build``."""
+    finite numbers; a bool is not a number here, as in ``catalog.build``."""
     try:
         entries = list(chain.from_iterable(rows))
         numbers = list(chain.from_iterable(entries))
@@ -51,7 +51,13 @@ def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
         raise SpecValidationError(
             f"{context}: must be a matrix of [re, im] pairs of real numbers"
         )
-    return np.array(numbers, dtype=float).view(complex).reshape(len(rows), -1)
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        values = None
+    if values is None or not np.all(np.isfinite(values)):  # json reads NaN, 1e400
+        raise SpecValidationError(f"{context}: entries must be finite numbers")
+    return values.view(complex).reshape(len(rows), -1)
 
 
 def channel_to_spec(ch: KrausChannel) -> dict:
@@ -135,6 +141,8 @@ def _read_json(path, what: str):
             f"{what} file {path} is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def load_spec(path) -> KrausChannel:

@@ -447,6 +447,14 @@ MALFORMED = {
                          EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
     "kraus-entry-string": ("analyze", kraus_doc(["1", 0]), None,
                            EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
+    "kraus-entry-nan": ("verify", kraus_doc([float("nan"), 0]), None,
+                        EXIT_VALIDATION, "kraus[0]: entries must be finite numbers"),
+    "kraus-entry-overflow": ("analyze", b'{"name": "k", "dim": 1, "kraus": [[[[1e400, 0]]]]}',
+                             None, EXIT_VALIDATION, "kraus[0]: entries must be finite numbers"),
+    "kraus-entry-huge-int": ("verify", kraus_doc([10**400, 0]), None,
+                             EXIT_VALIDATION, "kraus[0]: entries must be finite numbers"),
+    "state-entry-nan": ("iterate", PAULI, state_doc([float("nan"), 0]),
+                        EXIT_VALIDATION, "state: entries must be finite numbers"),
     "state-entry-object": ("iterate", PAULI, state_doc({"re": 1}),
                            EXIT_VALIDATION, "state: must be a matrix of [re, im] pairs"),
     "state-entry-triple": ("iterate", PAULI, state_doc([1, 0, 7]),
@@ -457,6 +465,8 @@ MALFORMED = {
     "analyze-spec-not-utf8": ("analyze", NOT_UTF8, None, EXIT_FORMAT, "is not UTF-8"),
     "state-not-utf8": ("iterate", PAULI, NOT_UTF8, EXIT_FORMAT, "state file"),
     "state-not-json": ("iterate", PAULI, b"[[1, 0]", EXIT_FORMAT, "is not valid JSON"),
+    "spec-integer-too-long": ("verify", b'{"name": "k", "dim": 1, "kraus": [[[[' + b"1" * 5000
+                              + b', 0]]]]}', None, EXIT_FORMAT, "is not valid JSON"),
     "spec-nested-too-deeply": ("verify", b"[" * 100000 + b"]" * 100000, None,
                                EXIT_FORMAT, "nested too deeply"),
     "out-unwritable": ("iterate", PAULI, state_doc([1, 0]), EXIT_FORMAT, "cannot write"),

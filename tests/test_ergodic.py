@@ -574,8 +574,10 @@ BLOCKWISE_CHANNELS = [
     parity_fock_channel(0.3, 8),
     shift_channel(0.4, 8),
     random_stinespring_channel(7, 3),
+    shift_channel(0.4, 16),
+    catalog.ladder_channel(0.7, 16),
 ]
-BLOCKWISE_IDS = ["pauli30", "parity8", "shift8", "random3"]
+BLOCKWISE_IDS = ["pauli30", "parity8", "shift8", "random3", "shift16", "ladder16"]
 
 
 def assert_norms_match_loop(S, n_max=40, rtol=1e-13):

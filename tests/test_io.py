@@ -209,11 +209,14 @@ def count_linalg_calls(monkeypatch, names):
     return calls
 
 
+FACTORISATIONS = ("svd", "eig", "eigvals", "eigvalsh")
+
+
 def count_full_size_calls(monkeypatch, d):
     """Record (name, dtype) of each numpy.linalg eig, eigvals, eigvalsh
     and svd of a d^2 x d^2 matrix."""
     calls = []
-    for name in ("eig", "eigvals", "eigvalsh", "svd"):
+    for name in FACTORISATIONS:
         orig = getattr(np.linalg, name)
 
         def typed(a, *args, _orig=orig, _name=name, **kwargs):
@@ -259,9 +262,11 @@ class TestFactorisationCounts:
         counts = Counter(calls)
         assert counts["eig", "float64"] == 0
         assert counts["eigvals", "float64"] == 2  # of L and of S, for rho(S)
-        # per-power norms, the kernels of L - 1, ||L|| for the Cesaro
-        # budget, the Cesaro residual, ||P^2 - P||, ||L P - P||, ||P L - P||
-        assert counts["svd", "float64"] == decay_n_max + 6
+        # the kernels of L - 1, ||L|| for the Cesaro budget, the Cesaro
+        # residual, ||P^2 - P||, ||L P - P||, ||P L - P||; and per power
+        # one Gram matrix eigenvalue problem for ||S^k||
+        assert counts["svd", "float64"] == 6
+        assert counts["eigvalsh", "float64"] == decay_n_max
         assert sum(counts.values()) == decay_n_max + 8
         assert not any(dtype == "complex128" for _, dtype in calls)
 
@@ -323,9 +328,22 @@ class TestFactorisationCounts:
         dense = ergodic.peripheral_decomposition(
             superoperator(random_channel(3, d)), cesaro_check_n=0
         ).stable
-        calls = count_linalg_calls(monkeypatch, ("svd",))
+        calls = count_linalg_calls(monkeypatch, FACTORISATIONS)
         ergodic.decay_fit(S, 20)
         assert calls and all(shape != (d * d, d * d) for _, shape in calls)
         del calls[:]
-        ergodic.decay_fit(dense, 20)  # one block: the counter does see full SVDs
-        assert [shape for _, shape in calls] == [(d * d, d * d)] * 20
+        ergodic.decay_fit(dense, 20)  # one block: the counter does see full size
+        full = [name for name, shape in calls if shape == (d * d, d * d)]
+        # the eigenvalues for rho(S), then one Gram matrix per power
+        assert full == ["eigvals"] + ["eigvalsh"] * 20
+
+    def test_decay_fit_batches_the_powers_of_each_stack(self, monkeypatch):
+        # shift d = 16 has 16 block-size stacks; one call per stack and
+        # power would make 640
+        decomp = ergodic.peripheral_decomposition(
+            superoperator(shift_channel(0.4, 16)), cesaro_check_n=0
+        )
+        calls = count_linalg_calls(monkeypatch, FACTORISATIONS)
+        fit = ergodic.decay_fit(decomp, 40)
+        assert len(fit.norms) == 40
+        assert 0 < len(calls) <= 60

@@ -66,6 +66,60 @@ class TestSvd:
         assert np.linalg.norm(M - (U * s) @ Vh, 2) <= 1e-10 * linalg.operator_norm(M) * d
 
 
+def hard_matrix(kind, n, rng):
+    """An n x n matrix (n + 3 rows or columns for tall and wide) of one
+    kind whose largest singular value is hard for some method."""
+    g = rng.normal(size=(n, n))
+    if kind == "orthogonal":  # every singular value is 1
+        return np.linalg.qr(g)[0]
+    if kind == "graded":  # columns from 1 down to 1e-12
+        return g * np.logspace(0, -12, n)
+    if kind in ("tiny", "huge"):  # the Gram matrix under- or overflows unscaled
+        return g * (1e-200 if kind == "tiny" else 1e200)
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "complex":
+        return g + 1j * rng.normal(size=(n, n))
+    if kind == "tall":
+        return rng.normal(size=(n + 3, n))
+    if kind == "wide":
+        return rng.normal(size=(n, n + 3))
+    return g
+
+
+def top_by_svd(M):
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+TOP_KINDS = ["gaussian", "orthogonal", "graded", "tiny", "huge", "zero", "complex", "tall", "wide"]
+
+
+class TestTopSingularValues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 256])
+    @pytest.mark.parametrize("kind", TOP_KINDS)
+    def test_matches_svd(self, kind, n):
+        M = hard_matrix(kind, n, np.random.default_rng([n, TOP_KINDS.index(kind)]))
+        got, want = linalg.top_singular_values(M), top_by_svd(M)
+        assert got.shape == ()
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_stack_of_powers(self):
+        # a (c, m, k, k) stack, one member zero and one scaled far down,
+        # gives each member's own largest singular value
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
+        M[1, 2] = 0.0
+        M[2, 0] *= 1e-150
+        got, want = linalg.top_singular_values(M), top_by_svd(M)
+        assert got.shape == (3, 4)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert got[1, 2] == 0.0
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(DimensionError):
+            linalg.top_singular_values(np.array([[np.inf]]))
+
+
 class TestKronVec:
     def test_kron_identity(self):
         assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
