@@ -254,9 +254,9 @@ def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     and span are those of the kernel of the whole I - A, no SVD is
     larger than a block, and each basis vector lies in one block.  The
     matrices are Hermitian when L preserves Hermiticity."""
-    d, layout, stacks = _sectors(L)
+    _, layout, stacks = _sectors(L)
     return _fixed_basis(
-        linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), d, tol
+        linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), tol
     )
 
 
@@ -267,10 +267,10 @@ def _fixed_svd(stacks, tol: float) -> tuple:
     return svds, ranks
 
 
-def _kernel_basis(layout, svds, ranks, d: int, tol: float) -> FixedSpaceBasis:
+def _kernel_basis(layout, svds, ranks, tol: float) -> FixedSpaceBasis:
     """The kernel of :func:`linalg.block_svd`'s ``svds`` and ``ranks`` on
     ``layout`` as a basis of d x d matrices."""
-    return _fixed_basis(linalg.kernel_columns(layout.index, svds, ranks), d, tol)
+    return _fixed_basis(linalg.kernel_columns(layout.index, svds, ranks), tol)
 
 
 def _kernel_parts(svds, ranks) -> list:
@@ -304,12 +304,10 @@ def _span_residual(parts_a, parts_b) -> float:
     return resid
 
 
-def _fixed_basis(K, d: int, tol: float) -> FixedSpaceBasis:
+def _fixed_basis(K, tol: float) -> FixedSpaceBasis:
     """The columns of K, Hermitian-basis coordinates of d x d matrices,
-    as a basis."""
-    return FixedSpaceBasis(
-        tuple(linalg.unvec(linalg.from_hermitian_coordinates(v), d) for v in K.T), tol
-    )
+    as a basis of views of one (m, d, d) array."""
+    return FixedSpaceBasis(tuple(linalg.matrices_from_hermitian_columns(K)), tol)
 
 
 def peripheral_spectrum(
@@ -557,7 +555,7 @@ def peripheral_decomposition(
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
         projector_norm=norm,
-        fixed_space=_fixed_basis(fixed, d, cluster_tol + 10 * peripheral_tol),
+        fixed_space=_fixed_basis(fixed, cluster_tol + 10 * peripheral_tol),
     )
 
 
@@ -827,10 +825,10 @@ def fixed_space_intersection(
     if len(dims) != 1:
         raise DimensionError(f"channels must share one dimension, got {dims}")
 
-    d, layout, *parts = _sectors(*map(channel_mod.superoperator, channels))
+    _, layout, *parts = _sectors(*map(channel_mod.superoperator, channels))
     combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
     svds, ranks = _fixed_svd(combined, tol)
-    combined_fixed = _kernel_basis(layout, svds, ranks, d, tol)
+    combined_fixed = _kernel_basis(layout, svds, ranks, tol)
 
     commute = 0.0
     for i in range(len(parts)):
@@ -844,7 +842,7 @@ def fixed_space_intersection(
         complements.append([np.eye(V.shape[-1]) - V @ _ct(V) for V in Q])
     stacked = [np.concatenate(C, axis=-2) for C in zip(*complements)]
     isvds, _, iranks = linalg.block_svd([np.linalg.qr(C, mode="r") for C in stacked], tol)
-    intersection = _kernel_basis(layout, isvds, iranks, d, tol)
+    intersection = _kernel_basis(layout, isvds, iranks, tol)
 
     if commute <= tol:
         resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(isvds, iranks))
@@ -942,13 +940,13 @@ def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryRep
     False.  The spans are compared block by block
     (:func:`_span_residual`).
     """
-    d, layout, stacks = _sectors(channel_mod.superoperator(ch, channel_mod.FORWARD))
+    _, layout, stacks = _sectors(channel_mod.superoperator(ch, channel_mod.FORWARD))
     svds, ranks = _fixed_svd(stacks, tol)
     adjoint = [(_ct(Vh), s, _ct(U)) for U, s, Vh in svds]  # the SVDs of I - A^H
     resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(adjoint, ranks))
     return HsSymmetryReport(
-        forward_fixed=_kernel_basis(layout, svds, ranks, d, tol),
-        adjoint_fixed=_kernel_basis(layout, adjoint, ranks, d, tol),
+        forward_fixed=_kernel_basis(layout, svds, ranks, tol),
+        adjoint_fixed=_kernel_basis(layout, adjoint, ranks, tol),
         equal=resid <= tol,
         projection_residual=resid,
     )

@@ -10,6 +10,11 @@ built by the model catalog).  A state file holds one dim x dim matrix of
 complex numbers the same way.  Floats are emitted via ``repr``, the
 shortest decimal that round-trips exactly, so serialize -> parse ->
 serialize is byte-identical.
+
+The document functions return complex matrices as numpy arrays;
+:func:`dumps` is the one writer of their ``[re, im]`` pairs, and
+``json.loads(dumps(doc))`` gives the nested-list form
+(:func:`matrix_to_pairs`).
 """
 
 from __future__ import annotations
@@ -61,10 +66,12 @@ def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
 
 
 def channel_to_spec(ch: KrausChannel) -> dict:
+    """The spec of ``ch``, its Kraus operators as arrays: :func:`parse_spec`
+    reads it as it is, and :func:`dumps` writes it as a spec file."""
     return {
         "name": ch.label or "channel",
         "dim": ch.dim,
-        "kraus": [matrix_to_pairs(V) for V in ch.kraus],
+        "kraus": list(ch.kraus),
     }
 
 
@@ -114,7 +121,8 @@ def parse_spec(doc: dict) -> KrausChannel:
     _require(doc["kraus"], list, "kraus", "a list of matrices")
     mats = []
     for k, rows in enumerate(doc["kraus"]):
-        M = pairs_to_matrix(rows, context=f"kraus[{k}]")
+        # an array is a matrix as channel_to_spec gives it, not yet written
+        M = rows if isinstance(rows, np.ndarray) else pairs_to_matrix(rows, f"kraus[{k}]")
         if M.shape != (dim, dim):
             raise SpecValidationError(
                 f"kraus[{k}] has shape {M.shape}, expected ({dim}, {dim})"
@@ -157,10 +165,79 @@ def load_state(path, dim: int) -> np.ndarray:
     return X
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(doc: dict) -> str:
     """Canonical JSON text: sorted keys, compact separators, repr floats,
-    on one line.  Without ``indent`` json uses its C encoder."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    on one line.  A numpy array is written as ``matrix_to_pairs`` of it
+    (:func:`_write_matrix`), every other value by json's C encoder (there
+    is no ``indent``), so the text is ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` of the document whose arrays are
+    ``matrix_to_pairs`` lists.  The pieces are joined once, so no part
+    of the text is copied per level of nesting."""
+    parts: list = []
+    _write(doc, parts.append)
+    return "".join(parts)
+
+
+def _write(value, put) -> None:
+    """Pass the pieces of the JSON text of ``value`` to ``put``, in order:
+    an array by :func:`_write_matrix`, any other value by one call of
+    the encoder, unless json meets an array inside it; such a dict (its
+    keys strings) or list is written item by item."""
+    if isinstance(value, np.ndarray):
+        _write_matrix(value, put)
+        return
+    try:
+        put(_encode(value))
+        return
+    except TypeError:
+        if not isinstance(value, (dict, list, tuple)):
+            raise
+    if isinstance(value, dict):
+        put("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(("," if i else "") + _encode(key) + ":")
+            _write(value[key], put)
+        put("}")
+    else:
+        put("[")
+        for i, item in enumerate(value):
+            put("," if i else "")
+            _write(item, put)
+        put("]")
+
+
+def _write_matrix(M, put) -> None:
+    """The pieces of ``json.dumps(matrix_to_pairs(M))``.  A matrix with a
+    zero row is written row by row, each row whose re and im bits are
+    all zero (+0.0, not -0.0) as one shared string; a matrix without one
+    is one call of the encoder."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        put(_encode(matrix_to_pairs(M)))
+        return
+    rows, cols = M.shape
+    pairs = np.ascontiguousarray(M).view(np.float64).reshape(rows, cols, 2)
+    nonzero = np.flatnonzero(pairs.view(np.int64).reshape(rows, 2 * cols).any(axis=1))
+    if len(nonzero) == rows:
+        put(_encode(pairs.tolist()))
+        return
+    text = ["[" + ",".join(("[0.0,0.0]",) * cols) + "]"] * rows
+    for i in nonzero:
+        text[i] = _row_text(pairs[i])
+    put("[" + ",".join(text) + "]")
+
+
+def _row_text(pairs: np.ndarray) -> str:
+    """The JSON text of one matrix row, given as its (cols, 2) [re, im]
+    floats."""
+    return _encode(pairs.tolist())
 
 
 def save_json(doc: dict, path=None) -> None:
@@ -195,7 +272,7 @@ def _decompose(ch: KrausChannel, adjoint: bool, peripheral_tol: float, cesaro_n:
 
 
 def _basis_doc(fs) -> dict:
-    return {"dimension": fs.dimension, "basis": [matrix_to_pairs(B) for B in fs.basis]}
+    return {"dimension": fs.dimension, "basis": list(fs.basis)}
 
 
 def verify_channel(ch: KrausChannel, tol: float = linalg.DEFAULT_TOL) -> dict:
@@ -281,8 +358,8 @@ def iterate_channel(
         "tool_version": __version__,
         "n": n,
         "side": side,
-        "direct": matrix_to_pairs(direct),
-        "reconstructed": matrix_to_pairs(recon),
+        "direct": direct,
+        "reconstructed": recon,
         "disagreement_hs": linalg.hs_norm(direct - recon),
     }
 

@@ -488,3 +488,22 @@ def from_hermitian_coordinates(w) -> np.ndarray:
     v, pairs = _vector_pairs(w)
     _mix_pairs(v, *pairs, 1j, 1)
     return v
+
+
+def matrices_from_hermitian_columns(K) -> np.ndarray:
+    """The d x d matrices ``unvec(B k)`` of the columns k of the d^2 x m
+    matrix K, as one C-contiguous (m, d, d) array.  The change of
+    :func:`from_hermitian_coordinates` is made on d columns at a time,
+    so its temporaries hold O(d^3) entries however large m is (m is up
+    to d^2)."""
+    K = np.asarray(K)
+    pairs = _hermitian_pairs(K.shape[0]) if K.ndim == 2 and len(K) else None
+    if pairs is None:
+        raise DimensionError(f"expected a d^2 x m matrix, got shape {K.shape}")
+    d = math.isqrt(K.shape[0])
+    out = np.empty((K.shape[1], d, d), dtype=complex)
+    for k in range(0, K.shape[1], d):
+        V = np.array(K[:, k : k + d], dtype=complex)
+        _mix_pairs(V, *pairs, 1j, 1)
+        out[k : k + d] = V.T.reshape(-1, d, d).transpose(0, 2, 1)
+    return out

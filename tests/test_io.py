@@ -10,6 +10,7 @@ from ergochan import (
     channel,
     ergodic,
     io,
+    ladder_channel,
     linalg,
     parity_fock_channel,
     pauli_xy_channel,
@@ -111,11 +112,30 @@ def pairs_loop(M):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
-def random_channel(seed, d, count=2):
+def random_channel(seed, d, count=2, drop=0):
+    """A random Stinespring channel; without ``drop`` of its ``count``
+    Kraus operators it is trace decreasing."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
     Q, _ = np.linalg.qr(G)
-    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count)))
+    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count - drop)))
+
+
+def as_pairs(value):
+    """``value`` with every numpy array replaced by its ``matrix_to_pairs``
+    nested list."""
+    if isinstance(value, np.ndarray):
+        return io.matrix_to_pairs(value)
+    if isinstance(value, dict):
+        return {key: as_pairs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_pairs(item) for item in value]
+    return value
+
+
+def canonical_json(doc) -> str:
+    """The stdlib encoding of ``doc`` in the nested-list form."""
+    return json.dumps(as_pairs(doc), sort_keys=True, separators=(",", ":"))
 
 
 class TestMatrixPairs:
@@ -165,8 +185,103 @@ class TestAnalyzeDocument:
     )
     def test_dumps_equals_canonical_json_dumps(self, ch):
         doc = io.analyze_channel(ch, cesaro_n=200)
-        reference = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert io.dumps(doc) == reference
+        assert io.dumps(doc) == canonical_json(doc)
+
+
+def neg_zero(M, re: bool):
+    """M with the entry (0, 1) set to -0.0 in its real or imaginary part."""
+    M = np.array(M, dtype=complex)
+    M[0, 1] = complex(-0.0, 0.0) if re else complex(0.0, -0.0)
+    return M
+
+
+DUMPS_CHANNELS = [pauli_xy_channel(0.3)] + [
+    build(0.6 if build is ladder_channel else 0.3, d)
+    for d in range(2, 17)
+    for build in (parity_fock_channel, shift_channel, ladder_channel)
+] + [random_channel(11, 5), random_channel(12, 8, count=3, drop=1)]
+
+
+class TestDumpsWritesArrays:
+    """``io.dumps`` of a document holding arrays is the stdlib encoding of
+    the same document with each array as its ``matrix_to_pairs`` list."""
+
+    @pytest.mark.parametrize(
+        "ch",
+        DUMPS_CHANNELS,
+        ids=[ch.label for ch in DUMPS_CHANNELS[:-2]] + ["random-d5", "trace-decreasing-d8"],
+    )
+    def test_documents_equal_the_stdlib_encoding(self, ch):
+        docs = [
+            io.analyze_channel(ch, cesaro_n=100),
+            io.analyze_channel(ch, cesaro_n=100, adjoint=True),
+            io.iterate_channel(ch, 7),
+            io.fixed_space_channel(ch),
+            io.channel_to_spec(ch),
+        ]
+        assert isinstance(docs[2]["direct"], np.ndarray)
+        for doc in docs:
+            assert io.dumps(doc) == canonical_json(doc)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            neg_zero(np.zeros((3, 3)), re=True),
+            neg_zero(np.zeros((3, 3)), re=False),
+            neg_zero(np.eye(2), re=True),
+            np.zeros((4, 4), dtype=complex),
+            np.array([[2.5 - 1e-300j]]),
+            np.zeros((1, 1), dtype=complex),
+            np.diag([0.0, 0.0, 1e-17j]),  # rows 0 and 1 zero, row 2 one nonzero
+            np.array([[0, 0, 0], [1, 2j, -3], [0, 0, 0], [0, 0, 0.5]]),
+            np.arange(12.0).reshape(3, 4) * (0.1 + 0.3j),  # dense but for one entry
+            np.random.default_rng(3).normal(size=(5, 5)) + 1j,  # fully dense
+            np.random.default_rng(4).normal(size=(2, 6)),  # real, not square
+            np.zeros((0, 0), dtype=complex),
+        ],
+        ids=[
+            "neg-zero-re", "neg-zero-im", "neg-zero-in-identity", "all-zero",
+            "one-by-one", "one-by-one-zero", "one-nonzero-row", "two-nonzero-rows",
+            "mostly-dense",
+            "dense", "real-wide", "empty",
+        ],
+    )
+    def test_matrix_edge_cases(self, M):
+        doc = {"m": M, "ms": [M, {"inner": M.T}], "x": -0.0, "n": [1, 2.5]}
+        text = io.dumps(doc)
+        assert text == canonical_json(doc)
+        assert json.loads(text)["m"] == io.matrix_to_pairs(M)
+
+    def test_negative_zero_survives(self):
+        text = io.dumps({"m": neg_zero(np.zeros((2, 2)), re=False)})
+        assert text == '{"m":[[[0.0,0.0],[0.0,-0.0]],[[0.0,0.0],[0.0,0.0]]]}'
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            io.dumps({1: np.eye(2)})
+        with pytest.raises(TypeError, match="set"):
+            io.dumps({"m": np.eye(2), "s": {1, 2}})
+
+    def test_json_round_trip_gives_the_nested_lists(self):
+        doc = io.iterate_channel(pauli_xy_channel(0.25), 3)
+        assert json.loads(io.dumps(doc)) == as_pairs(doc)
+
+    def test_rows_are_encoded_only_where_nonzero(self, monkeypatch):
+        # parity-fock d = 16: 128 fixed-space matrices of 16 rows, almost
+        # all of them zero
+        doc = io.fixed_space_channel(parity_fock_channel(0.3, 16))
+        basis = doc["basis"]
+        nonzero_rows = sum(
+            int(np.count_nonzero(np.any(B.view(np.int64) != 0, axis=1))) for B in basis
+        )
+        leaves = len(doc) - 1  # every field but the basis is one value
+        assert nonzero_rows < sum(len(B) for B in basis) // 4
+        calls = []
+        encode_row = io._row_text
+        monkeypatch.setattr(io, "_row_text", lambda row: calls.append(1) or encode_row(row))
+        text = io.dumps(doc)
+        assert 0 < len(calls) <= nonzero_rows + leaves
+        assert text == canonical_json(doc)
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -188,7 +303,8 @@ def test_fixed_space_is_the_range_of_p1(ch, adjoint):
         for (re, im), rank in zip(rep["peripheral"]["lambdas"], rep["peripheral"]["projector_ranks"])
     }
     assert rep["fixed_space"]["dimension"] == ranks.get(1.0, 0)
-    basis = [io.pairs_to_matrix(B) for B in rep["fixed_space"]["basis"]]
+    written = json.loads(io.dumps(rep))["fixed_space"]["basis"]
+    basis = [io.pairs_to_matrix(B) for B in written]
     assert len(basis) == ranks.get(1.0, 0)
     for B in basis:
         assert np.allclose(B, B.conj().T, atol=1e-15)  # a Hermitian basis

@@ -487,6 +487,23 @@ class TestHermitianBasis:
         assert np.allclose(linalg.from_hermitian_coordinates(w), v, atol=1e-15)
         assert np.allclose(linalg.from_hermitian_coordinates(v), B @ v, atol=1e-15)
 
+    @pytest.mark.parametrize("d, m", [(1, 1), (3, 4), (4, 0), (5, 7)])
+    def test_columns_to_matrices_equal_each_column_bitwise(self, d, m):
+        rng = np.random.default_rng(50 + d)
+        K = rng.normal(size=(d * d, m))
+        mats = linalg.matrices_from_hermitian_columns(K)
+        assert mats.shape == (m, d, d) and mats.flags.c_contiguous
+        for B, w in zip(mats, K.T):
+            ref = linalg.unvec(linalg.from_hermitian_coordinates(w), d)
+            assert np.array_equal(B.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
+
+    def test_columns_must_have_square_length(self):
+        for shape in [(3, 2), (0, 2)]:
+            with pytest.raises(DimensionError):
+                linalg.matrices_from_hermitian_columns(np.ones(shape))
+        with pytest.raises(DimensionError):
+            linalg.matrices_from_hermitian_columns(np.ones(4))
+
     def test_coordinates_of_a_hermitian_matrix_are_real(self):
         rng = np.random.default_rng(45)
         G = random_complex(rng, 4, 4)
