@@ -68,17 +68,19 @@ def _ct(X) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def _sectors(L, *more, any_size: bool = False) -> tuple:
+def _sectors(L, *more) -> tuple:
     """``(d, layout, stacks)``: the one place an input becomes the form
     every stage runs on.
 
-    L is a :class:`channel.Superoperator` or its d^2 x d^2 matrix; with
-    ``any_size`` a square matrix of another size is taken as it is, with
-    d None, else it raises :class:`DimensionError`.  Its Hermitian form
-    A = B^H L B (:func:`linalg.to_hermitian_basis`) is real (float64)
-    when L preserves Hermiticity and complex otherwise.  The change of
-    basis is unitary, so every factorisation and product runs on A, and
-    results map back through ``linalg.from_hermitian_basis`` or
+    L is a :class:`channel.Superoperator` or its d^2 x d^2 matrix, else
+    :class:`DimensionError`.  Its Hermitian form A = B^H L B
+    (:func:`linalg.to_hermitian_basis`) is real when L preserves
+    Hermiticity, as every quantum operation does; an imaginary part above
+    :data:`linalg.HERMITICITY_TOL` times the largest entry of A raises
+    :class:`DomainError`, and the real part of A is kept.  Nothing is
+    factorised before either refusal.  The change of basis is unitary,
+    so every factorisation and product runs on A, and results map back
+    through ``linalg.from_hermitian_basis`` or
     ``from_hermitian_coordinates``.  ``layout`` holds the exact diagonal
     blocks of A (:class:`linalg.BlockLayout`) and ``stacks`` is A held as
     its stacks.  A :class:`PeripheralDecomposition` gives its own
@@ -95,19 +97,19 @@ def _sectors(L, *more, any_size: bool = False) -> tuple:
     n = len(mats[0])
     if any(M.shape != (n, n) for M in mats):
         raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
-    d = math.isqrt(n)
-    if d * d == n:
-        forms = []
-        for M in mats:
-            H = linalg.to_hermitian_basis(M)
-            real = linalg.is_hermiticity_preserving(M)
-            forms.append(np.ascontiguousarray(H.real) if real else H)
-    elif any_size:
-        forms, d = mats, None
-    else:
-        raise DimensionError(f"superoperator size {n} is not a perfect square")
+    forms = []
+    for M in mats:
+        H = linalg.to_hermitian_basis(M)
+        imag, top = float(np.max(np.abs(H.imag))), float(np.max(np.abs(H)))
+        if imag > linalg.HERMITICITY_TOL * top:  # so top > 0
+            raise DomainError(
+                "the map does not preserve Hermiticity: the imaginary part of its "
+                f"Hermitian form is {imag / top:.1e} times its largest entry, "
+                f"above HERMITICITY_TOL = {linalg.HERMITICITY_TOL:.0e}"
+            )
+        forms.append(np.ascontiguousarray(H.real))
     layout = linalg.BlockLayout(forms[0] if not more else sum(np.abs(A) for A in forms))
-    return (d, layout, *(layout.split(A) for A in forms))
+    return (math.isqrt(n), layout, *(layout.split(A) for A in forms))
 
 
 @dataclass(frozen=True)
@@ -134,16 +136,18 @@ class PeripheralDecomposition:
     holds the stacks of L itself, ``projector_blocks``, per lambda, the
     stacks of P_lambda, and ``stable_blocks`` those of S.
     ``projectors`` and ``stable`` are the dense matrices in the
-    column-stacking basis, assembled on first access; for a
-    Hermiticity-preserving input ``stable`` preserves Hermiticity
-    exactly.  ``stable_spectral_radius`` is rho(S) from the eigenvalues
+    column-stacking basis, assembled on first access; ``stable``
+    preserves Hermiticity exactly.  The blocks of L and S are real, and
+    so is P_lambda at a real lambda; ``lambdas`` is closed under exact
+    conjugation and P(conj lambda) is conj P(lambda), bit for bit.
+    ``stable_spectral_radius`` is rho(S) from the eigenvalues
     of S's blocks, stored when the decomposition is built (it is the
     value the ``rho(S) < 1`` check accepted), not recomputed on access.
     ``projector_norm``, recorded and not thresholded, is the largest
     ||P_lambda||_2 (0 without lambdas), the largest over the blocks.
     ``fixed_space`` is the kernel of L - 1 (empty when 1 is not
     peripheral), sector by sector; its dimension is the rank of P_1, and
-    for a Hermiticity-preserving L its matrices are Hermitian.
+    its matrices are Hermitian.
     """
 
     dim: int
@@ -252,8 +256,8 @@ def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     stacks, with the rank cut of the whole matrix, ``tol * max(1,
     sigma_max)`` and sigma_max the largest over all blocks.  Dimension
     and span are those of the kernel of the whole I - A, no SVD is
-    larger than a block, and each basis vector lies in one block.  The
-    matrices are Hermitian when L preserves Hermiticity."""
+    larger than a block, and each basis vector lies in one block.  A is
+    real, so the matrices are Hermitian."""
     _, layout, stacks = _sectors(L)
     return _fixed_basis(
         linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), tol
@@ -315,30 +319,41 @@ def peripheral_spectrum(
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list:
-    """Unit-modulus eigenvalues of L, clustered and radially projected.
-
-    Eigenvalues within ``cluster_tol`` of each other merge to their
-    mean; the empty list is a valid result (strictly contractive maps).
-    """
-    _, _, stacks = _sectors(L, any_size=True)
+    """Unit-modulus eigenvalues of L, clustered by their arguments
+    (:func:`_peripheral_clusters`); the empty list is a valid result
+    (strictly contractive maps)."""
+    _, _, stacks = _sectors(L)
     return _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
 
 
 def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list:
-    peripheral = [z for z in lam if abs(z) >= 1.0 - peripheral_tol]
-    clusters: list[list[complex]] = []
-    for z in peripheral:
-        for members in clusters:
-            if abs(z - np.mean(members)) <= cluster_tol:
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
+    """The eigenvalues ``lam`` of modulus at least ``1 - peripheral_tol``
+    as clusters on the unit circle, sorted as :func:`linalg.eig_sort_order`.
+
+    ``lam`` are those of a real matrix, which LAPACK gives in exact
+    conjugate pairs, so the clusters are single linkage on |arg| in [0,
+    pi], split where neighbours are more than ``cluster_tol`` apart,
+    whatever the order of ``lam``.  A cluster within ``cluster_tol / 2``
+    of 0 or pi, which links with its own mirror image, is exactly 1 or
+    -1.  Any other gives the mean of its members with Im > 0, divided by
+    its modulus, and the exact conjugate of that point."""
+    z = np.asarray(lam)[np.abs(lam) >= 1.0 - peripheral_tol]
+    if not z.size:
+        return []
+    folded = np.abs(np.angle(z))
+    order = np.lexsort((z.imag, z.real, folded))
+    folded, z = folded[order], z[order]
+    cuts = np.flatnonzero(np.diff(folded) > cluster_tol) + 1
     out = []
-    for members in clusters:
-        m = complex(np.mean(members))
-        out.append(m / abs(m))
-    order = linalg.eig_sort_order(np.array(out)) if out else []
+    for arg, members in zip(np.split(folded, cuts), np.split(z, cuts)):
+        if arg[0] <= cluster_tol / 2:
+            out.append(1.0 + 0j)
+        elif arg[-1] >= math.pi - cluster_tol / 2:
+            out.append(-1.0 + 0j)
+        else:
+            m = complex(np.mean(members[members.imag > 0]))
+            out += [m / abs(m), (m / abs(m)).conjugate()]
+    order = linalg.eig_sort_order(np.array(out))
     return [out[i] for i in order]
 
 
@@ -351,9 +366,8 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`.  L is a
-    superoperator or its d^2 x d^2 matrix, since the projectors are
-    mapped back to column stacking; another size raises
-    :class:`DimensionError` before anything is factorised."""
+    superoperator or its d^2 x d^2 matrix (:func:`_sectors`), since the
+    projectors are mapped back to column stacking."""
     _, layout, stacks = _sectors(L)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
@@ -370,45 +384,46 @@ def _eigvals(stacks) -> np.ndarray:
 def _kernel_projectors(
     layout, stacks, eigenvalues, lambdas, cluster_tol, peripheral_tol
 ) -> tuple:
-    """(projectors, fixed kernel, max ||P||_2) of the matrix A whose
+    """(projectors, fixed space, max ||P||_2) of the real matrix A whose
     stacks in ``layout`` are ``stacks``; each projector as its stacks.
 
-    A lambda's cluster is the m ``eigenvalues`` within ``cluster_tol + 10
-    * peripheral_tol`` of it.  Ker(A - lambda) is the sum of the kernels
-    of the blocks B - lambda: in each block, the trailing singular
-    vectors below the rank cut at the cluster's tolerance, with sigma_max
-    the largest over all blocks, so that the cut is that of A - lambda
-    (:func:`linalg.block_svd`).  lambda is semisimple if the kernel
-    dimension is m; else :class:`IllConditionedDecompositionError`.
-    With V and U a block's c right and left kernel vectors, P = V (U^H
-    V)^-1 U^H, of norm 1/sigma_min(U^H V), projects onto Ker(B - lambda)
-    along Rng(B - lambda); a block with no kernel gets P = 0.  The
-    blocks of one size with one kernel dimension are handled as one
-    stack.  On a real A, P is real at a real lambda, and P(conj lambda)
-    = conj P(lambda) reuses the SVDs of the lambda before it.  The fixed
-    kernel is that of the lambda within ``cluster_tol`` of 1 (no columns
-    if there is none), as :func:`linalg.kernel_columns`."""
-    real = np.isrealobj(stacks[0])
-    match_tol = cluster_tol + 10.0 * peripheral_tol
+    A lambda's cluster is the m ``eigenvalues`` within the kernel
+    tolerance ``cluster_tol + 10 * peripheral_tol`` of it.  Ker(A -
+    lambda) is the sum of the kernels of the blocks B - lambda: in each
+    block, the trailing singular vectors below the rank cut at the
+    kernel tolerance, with sigma_max the largest over all blocks, so that
+    the cut is that of A - lambda (:func:`linalg.block_svd`).  lambda is
+    semisimple if the kernel dimension is m; else
+    :class:`IllConditionedDecompositionError`.  With V and U a block's c
+    right and left kernel vectors, P = V (U^H V)^-1 U^H, of norm
+    1/sigma_min(U^H V), projects onto Ker(B - lambda) along Rng(B -
+    lambda); a block with no kernel gets P = 0.  The blocks of one size
+    with one kernel dimension are handled as one stack.  A is real, so P
+    is real at a real lambda, and P(conj lambda) is conj P(lambda),
+    taken from P(lambda) when the exact conjugate of lambda came earlier
+    in ``lambdas``.  The fixed space is the kernel at lambda = 1 (empty
+    if 1 is not in ``lambdas``), as :func:`linalg.kernel_columns`, cut at
+    the kernel tolerance."""
+    tol = cluster_tol + 10.0 * peripheral_tol
     projectors, fixed, norm = [], np.zeros((layout.n, 0)), 0.0
-    for i, lam in enumerate(map(complex, lambdas)):
-        paired = i and abs(lambdas[i - 1] - lam.conjugate()) <= cluster_tol
-        if real and lam.imag < 0 and paired:
-            projectors.append([P.conj() for P in projectors[-1]])
+    done = {}  # lambda -> its projector, for the conjugates
+    for lam in map(complex, lambdas):
+        if lam.imag and lam.conjugate() in done:
+            projectors.append([P.conj() for P in done[lam.conjugate()]])
             continue
-        m = int(np.sum(np.abs(eigenvalues - lam) <= match_tol))
+        m = int(np.sum(np.abs(eigenvalues - lam) <= tol))
         if not m:
             near = complex(eigenvalues[np.argmin(np.abs(eigenvalues - lam))])
             why = f" > 1 + {peripheral_tol:.1e}: L is not power bounded"
             raise DecompositionFailureError(
-                f"no eigenvalue of L within {match_tol:.1e} of {lam}; the nearest "
+                f"no eigenvalue of L within {tol:.1e} of {lam}; the nearest "
                 f"is {near:.9g}, of modulus {abs(near):.9g}"
                 + (why if abs(near) > 1.0 + peripheral_tol else ""),
                 spectral_radius=float("nan"),
             )
-        shift = lam.real if real and not lam.imag else lam  # a real A stays real
+        shift = lam.real if not lam.imag else lam  # A - lambda stays real
         svds, cut, ranks = linalg.block_svd(
-            [X - shift * np.eye(X.shape[-1]) for X in stacks], match_tol
+            [X - shift * np.eye(X.shape[-1]) for X in stacks], tol
         )
         dims = [X.shape[-1] - r for X, r in zip(stacks, ranks)]
         kernel_dim = int(sum(c.sum() for c in dims))
@@ -434,15 +449,18 @@ def _kernel_projectors(
                 norm = max(norm, float(np.max(1.0 / g[..., -1])))
             blocks.append(P)
         projectors.append(blocks)
-        if not fixed.shape[1] and abs(lam - 1) <= cluster_tol:
+        done[lam] = blocks
+        if lam == 1:
             fixed = linalg.kernel_columns(layout.index, svds, ranks)
-    return projectors, fixed, norm
+    return projectors, _fixed_basis(fixed, tol), norm
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
-    """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1."""
+    """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1, and S
+    must preserve Hermiticity (:func:`_sectors`), as it does when the
+    lambdas are closed under conjugation with their projectors."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
-    _, _, stacks = _sectors(S, any_size=True)
+    _, _, stacks = _sectors(S)
     _stable_radius(stacks)
     return S
 
@@ -496,10 +514,9 @@ def peripheral_decomposition(
     Cesaro averages, which are checked on every block, also where lambda
     has no eigenvalue and the average must vanish.  Every decision uses
     the scale of the whole matrix: the rank cut the largest singular
-    value over the blocks, the Cesaro budget the largest ||A_b||.  When
-    L preserves Hermiticity (every quantum operation does) A is real,
-    and so are the products for lambda = +-1; other input runs the same
-    code in complex arithmetic.
+    value over the blocks, the Cesaro budget the largest ||A_b||.  A is
+    real, since L preserves Hermiticity (a map that does not is refused),
+    and so are the products for lambda = +-1.
     """
     if cesaro_check_n < 0:
         raise DomainError(f"cesaro_check_n must be >= 0, got {cesaro_check_n}")
@@ -509,24 +526,12 @@ def peripheral_decomposition(
     projectors, fixed, norm = _kernel_projectors(
         layout, stacks, eigenvalues, lambdas, cluster_tol, peripheral_tol
     )
+    # the lambdas are closed under conjugation and P(conj lambda) = conj
+    # P(lambda), so the sum is real and its imaginary part is round-off
     S = [
-        _remainder(X, lambdas, [P[j] for P in projectors])
+        np.ascontiguousarray(_remainder(X, lambdas, [P[j] for P in projectors]).real)
         for j, X in enumerate(stacks)
     ]
-    if np.isrealobj(stacks[0]):
-        # the peripheral set of a real matrix is closed under conjugation,
-        # so the sum is real and its imaginary part is round-off
-        unpaired = [
-            lam for lam in lambdas
-            if min(abs(mu - lam.conjugate()) for mu in lambdas) > cluster_tol
-        ]
-        if unpaired:
-            raise DecompositionFailureError(
-                f"peripheral eigenvalues {unpaired} of a real matrix have no "
-                "conjugate partner in the clustered set (tighten cluster_tol)",
-                spectral_radius=float("nan"),
-            )
-        S = [np.ascontiguousarray(X.real) for X in S]
     rho = _stable_radius(S)
 
     if cesaro_check_n:
@@ -555,7 +560,7 @@ def peripheral_decomposition(
         peripheral_tol=peripheral_tol,
         cluster_tol=cluster_tol,
         projector_norm=norm,
-        fixed_space=_fixed_basis(fixed, cluster_tol + 10 * peripheral_tol),
+        fixed_space=fixed,
     )
 
 
@@ -578,8 +583,7 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     its Hermitian form A and applied to the Hermitian-basis coordinates
     ``w = B^H vec(X)``, real and imaginary parts as one two-column block
     split by the same blocks (:func:`_apply_by_sector`), so no product is
-    larger than a block of A: real arithmetic throughout when L
-    preserves Hermiticity, complex otherwise.
+    larger than a block of A, in real arithmetic throughout.
 
     Accuracy: a computed eigenvalue 1 of L is 1 + O(u), u = 2^-53, and
     L^(2^k) raises it to the power 2^k, so on the fixed space the error
@@ -692,7 +696,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
     if isinstance(S, PeripheralDecomposition):
         stacks, rho = S.stable_blocks, S.stable_spectral_radius
     else:
-        _, _, stacks = _sectors(S, any_size=True)
+        _, _, stacks = _sectors(S)
         rho = max(map(linalg.spectral_radius, stacks))
     if rho >= 1.0:
         raise DomainError(f"stable part must satisfy rho(S) < 1, got {rho}")
@@ -764,7 +768,7 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     R of Rng(I-L), the largest over the blocks: the largest pairing of a
     unit vector of the range with a unit fixed point of the adjoint.
     """
-    _, layout, stacks = _sectors(L, any_size=True)
+    _, layout, stacks = _sectors(L)
     svds, ranks = _fixed_svd(stacks, tol)
     range_dim = int(sum(r.sum() for r in ranks))
     fixed_dim = layout.n - range_dim

@@ -12,8 +12,9 @@ conventions are fixed here once and inherited everywhere:
   consists of Hermitian matrices: ``E_kk``, ``(E_jk + E_kj)/sqrt(2)`` and
   ``i (E_jk - E_kj)/sqrt(2)`` for j < k, stored at the column-stacking
   positions of ``E_kk``, ``E_jk`` and ``E_kj``.  A superoperator that
-  preserves Hermiticity is a real matrix in this basis
-  (:func:`to_hermitian_basis`); results are always reported in the
+  preserves Hermiticity, as every quantum operation does, is a real
+  matrix in this basis (:func:`to_hermitian_basis`), and the analysis
+  runs on that real matrix only; results are always reported in the
   column-stacking basis.
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
@@ -45,9 +46,10 @@ DEFAULT_TOL = 1e-10
 #: this (times max(1, largest modulus)) compare as ties.
 EIG_TIE_TOL = 1e-12
 
-#: Largest entry of ``M - mirror(M)``, relative to the largest entry of
-#: M, that :func:`is_hermiticity_preserving` still counts as round-off:
-#: about the backward error of one eigendecomposition at d = 16.
+#: Largest imaginary part of the Hermitian form of a superoperator,
+#: relative to the form's largest entry, that still counts as the
+#: round-off of a Hermiticity-preserving map: about the backward error of
+#: one eigendecomposition at d = 16.
 HERMITICITY_TOL = 1e-13
 
 
@@ -408,24 +410,6 @@ def _mirror(M: np.ndarray, up, lo) -> np.ndarray:
     perm[up], perm[lo] = lo, up
     out = M[np.ix_(perm, perm)]
     return np.conjugate(out, out=out)
-
-
-def is_hermiticity_preserving(M) -> bool:
-    """Whether the superoperator matrix M satisfies phi(X^dag) = phi(X)^dag.
-
-    In column stacking that is ``M = Pi conj(M) Pi`` with Pi the
-    permutation vec(X) -> vec(X^T); it is accepted when the largest
-    entry of the difference is at most :data:`HERMITICITY_TOL` times the
-    largest entry of M.  A matrix that is not d^2 x d^2 is not a
-    superoperator and gives False.
-    """
-    M = as_matrix(M)
-    pairs = _hermitian_pairs(M.shape[0])
-    if M.shape[0] != M.shape[1] or pairs is None:
-        return False
-    gap = _mirror(M, *pairs)
-    gap -= M
-    return bool(np.max(np.abs(gap)) <= HERMITICITY_TOL * np.max(np.abs(M)))
 
 
 def to_hermitian_basis(M) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ergochan.errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
+    ErgochanError,
     IllConditionedDecompositionError,
     NumericError,
 )
@@ -82,6 +84,16 @@ def decay_norms_loop(S, n_max):
         power = power @ S
         norms.append(linalg.operator_norm(power))
     return norms
+
+
+def form_map(R):
+    """The Hermiticity-preserving map, in column stacking, whose Hermitian
+    form is the real matrix R zero-padded to the next size d^2."""
+    n = len(R)
+    d = math.isqrt(n - 1) + 1
+    padded = np.zeros((d * d, d * d), dtype=R.dtype)
+    padded[:n, :n] = R
+    return linalg.from_hermitian_basis(padded)
 
 
 def random_stinespring_channel(seed, d, count=2):
@@ -224,6 +236,19 @@ class TestPeripheralSpectrum:
             assert abs(abs(lam) - 1.0) < 1e-14
 
 
+# Every entry point that takes a superoperator, with its other arguments.
+ENTRY_POINTS = {
+    "decay_fit": lambda M: decay_fit(M, 10),
+    "fixed_space": fixed_space,
+    "peripheral_decomposition": peripheral_decomposition,
+    "peripheral_spectrum": peripheral_spectrum,
+    "power_iterate": lambda M: power_iterate(M, 2, np.eye(3)),
+    "spectral_projectors": lambda M: spectral_projectors(M, [1.0]),
+    "splitting_check": splitting_check,
+    "stable_part": lambda M: stable_part(M, [], []),
+}
+
+
 class TestSpectralProjectors:
     def test_pauli_matches_closed_form(self):
         L = superoperator(pauli_xy_channel(0.3))
@@ -237,17 +262,25 @@ class TestSpectralProjectors:
         projs = spectral_projectors(L, [1.0])
         assert np.allclose(projs[0], np.eye(9))
 
-    def test_non_superoperator_size_is_refused_before_factorising(self, monkeypatch):
-        # a 3 x 3 matrix is no superoperator: the projectors could not be
-        # mapped back to column stacking, so nothing is factorised
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_superoperator_size_is_refused_before_factorising(self, entry, monkeypatch):
+        # a 3 x 3 matrix is no superoperator, and X -> A X with a complex A
+        # does not preserve Hermiticity: neither has a real Hermitian form,
+        # so nothing is factorised
         calls = []
-        for name in ("eig", "eigvals", "svd", "qr", "inv", "solve", "matrix_power"):
+        for name in np.linalg.__all__:
             orig = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda *a, f=orig, n=name, **k: calls.append(n) or f(*a, **k)
-            )
+            if callable(orig) and name != "LinAlgError":
+                monkeypatch.setattr(
+                    np.linalg, name,
+                    lambda *a, f=orig, n=name, **k: calls.append(n) or f(*a, **k),
+                )
+        run = ENTRY_POINTS[entry]
         with pytest.raises(DimensionError, match="not a perfect square"):
-            spectral_projectors(np.diag([1.0, 0.5, 0.2]), [1.0])
+            run(np.diag([1.0, 0.5, 0.2]))
+        A = np.array([[1.0, 0.3 + 0.2j, 0.0], [0.0, 0.5j, 0.1], [0.2, 0.0, -0.4j]])
+        with pytest.raises(DomainError, match="does not preserve Hermiticity"):
+            run(np.kron(np.eye(3), A))  # X -> A X
         assert calls == []
 
     @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
@@ -442,71 +475,141 @@ class TestConjugatePeripheralPair:
             want = apply_n(self.ch, X, n)
             assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
 
-    def test_unpaired_peripheral_eigenvalue_rejected(self, monkeypatch):
-        clusters = ergodic._peripheral_clusters
-        monkeypatch.setattr(
-            ergodic, "_peripheral_clusters",
-            lambda *args: [z for z in clusters(*args) if z.imag >= 0],
+
+def random_unitary_channel(seed, d):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return KrausChannel(kraus=(Q,))
+
+
+UNITARY_SEEDS = [405, 406, 407, 408]
+
+
+class TestPeripheralClusters:
+    """Single linkage on the folded arguments |arg| in [0, pi]."""
+
+    def test_order_of_the_eigenvalues_does_not_matter(self):
+        # a chain 0.9e-7 apart, within cluster_tol link by link but not end
+        # to end: the greedy running mean split it or not, by order
+        z = np.exp(1j * (0.3 + np.array([0.0, 0.9e-7, 1.8e-7])))
+        chain = np.concatenate([z, z.conj(), [1.0, 1.0, -1.0, 0.5]])
+        sets = [chain]
+        for seed in UNITARY_SEEDS:
+            _, _, stacks = ergodic._sectors(superoperator(random_unitary_channel(seed, 4)))
+            sets.append(ergodic._eigvals(stacks))
+        rng = np.random.default_rng(0)
+        for lam in sets:
+            want = ergodic._peripheral_clusters(lam, 1e-8, 1e-7)
+            for _ in range(20):
+                got = ergodic._peripheral_clusters(rng.permutation(lam), 1e-8, 1e-7)
+                assert got == want
+        want = ergodic._peripheral_clusters(chain, 1e-8, 1e-7)
+        c = complex(np.mean(z)) / abs(np.mean(z))
+        assert want == [1.0, c, c.conjugate(), -1.0]
+
+    def test_clusters_at_zero_and_pi_are_exact(self):
+        # within cluster_tol / 2 of 0 or pi a pair links with its mirror
+        for t, want in [(0.4e-7, [1.0]), (np.pi - 0.4e-7, [-1.0])]:
+            z = np.exp(1j * t)
+            assert ergodic._peripheral_clusters(np.array([z, z.conjugate()]), 1e-8, 1e-7) == want
+        z = np.exp(0.6e-7j)
+        assert ergodic._peripheral_clusters(np.array([z, z.conjugate()]), 1e-8, 1e-7) == [
+            z, z.conjugate()
+        ]
+
+    @pytest.mark.parametrize("seed", UNITARY_SEEDS)
+    def test_lambdas_and_projectors_are_exact_conjugates(self, seed):
+        # the Cesaro check is off: its budget is that of the known
+        # Cesaro defect, not of the clustering
+        d = seed - 402
+        decomp = peripheral_decomposition(
+            superoperator(random_unitary_channel(seed, d)), cesaro_check_n=0
         )
-        with pytest.raises(DecompositionFailureError, match="conjugate"):
-            peripheral_decomposition(superoperator(self.ch))
+        lambdas = list(decomp.lambdas)
+        assert len(lambdas) == d * d - d + 1  # 1, and each e^{i(a_j - a_k)}
+        assert set(lambdas) == {lam.conjugate() for lam in lambdas}
+        for lam, P in zip(lambdas, decomp.projector_blocks):
+            Q = decomp.projector_blocks[lambdas.index(lam.conjugate())]
+            assert all(np.array_equal(A.conj(), B) for A, B in zip(P, Q))
+
+    @pytest.mark.parametrize("seed", UNITARY_SEEDS)
+    def test_a_conjugate_alone(self, seed):
+        L = superoperator(random_unitary_channel(seed, 3))
+        decomp = peripheral_decomposition(L, cesaro_check_n=0)
+        lambdas = list(decomp.lambdas)
+        lam = next(lam for lam in lambdas if lam.imag > 0)
+        (P,) = spectral_projectors(L, [lam.conjugate()])
+        want = decomp.projectors[lambdas.index(lam.conjugate())]
+        assert linalg.operator_norm(P - want) <= 1e-10
 
 
-class TestNonHermiticityPreserving:
-    """X -> A X with a complex, non-Hermitian A: L = I kron A does not
-    preserve Hermiticity, so it is analysed in complex arithmetic."""
+def planted_channel(seed, delta):
+    """V_i = U (x) W_i on C^2 (x) C^3, U = diag(e^{0.3i}, e^{i(0.3 + delta)})
+    and W a random 2-Kraus channel: peripheral eigenvalues 1 (twice) and
+    e^{+-i delta}, once each, so Ker(I - L) has dimension 2."""
+    U = np.diag(np.exp(1j * np.array([0.3, 0.3 + delta])))
+    W = random_stinespring_channel(seed, 3).kraus
+    return KrausChannel(kraus=tuple(np.kron(U, V) for V in W))
 
-    b, c = 0.3 + 0.2j, 0.5j
-    A = np.array([[1.0, b], [0.0, c]])
-    P_A = np.array([[1.0, b / (1.0 - c)], [0.0, 0.0]])  # spectral projector at 1
 
-    def test_stays_complex_and_matches_closed_form(self, monkeypatch):
-        I = np.eye(2)
-        L = np.kron(I, self.A)
-        assert not linalg.is_hermiticity_preserving(L)
-        seen = []
-        orig = np.linalg.eigvals
-        monkeypatch.setattr(
-            np.linalg, "eigvals", lambda a: seen.append(np.array(a)) or orig(a)
+def planted_outcome(seed, delta, side):
+    try:
+        peripheral_decomposition(
+            superoperator(planted_channel(seed, delta), side), cesaro_check_n=0
         )
-        monkeypatch.delattr(np.linalg, "eig")
-        decomp = peripheral_decomposition(L)
-        # one eigen-analysis of L in the Hermitian basis, then rho(S),
-        # both complex
-        assert [a.dtype for a in seen] == [np.complex128] * 2
-        assert np.array_equal(seen[0], linalg.to_hermitian_basis(L)[np.newaxis])
-        assert decomp.lambdas == pytest.approx([1.0])
-        assert np.allclose(decomp.projectors[0], np.kron(I, self.P_A), atol=1e-12)
-        S_A = self.A - self.P_A
-        assert np.allclose(decomp.stable, np.kron(I, S_A), atol=1e-12)
-        assert decomp.stable_spectral_radius == pytest.approx(abs(self.c), rel=1e-12)
+    except ErgochanError as exc:
+        return str(exc)
+    return "ok"
 
-        fit = decay_fit(decomp, 10)  # S^k = c^(k-1) S
-        norm = np.linalg.norm(S_A, 2)
-        want = [abs(self.c) ** (k - 1) * norm for k in range(1, 11)]
-        assert np.allclose(fit.norms, want, rtol=1e-12)
 
-        X = np.array([[1.0, 2.0 - 1j], [0.5j, -1.0]])
-        for n in (1, 3, 20):
-            want = np.linalg.matrix_power(self.A, n) @ X
-            assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
+PLANTED_DELTAS = [3e-8, 5e-8, 7e-8, 1e-7, 1.5e-7, 3e-7, 5e-7, 7e-7, 1e-6, 2e-6]
+# At delta = 2e-7 the eigenvalues e^{+-i delta} are as far from 1 as the
+# kernel tolerance cluster_tol + 10 peripheral_tol: the recount of
+# _kernel_projectors then takes them into the projector at 1 as well.
+RECOUNT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2, the kernel-tolerance recount: 'stable part has spectral "
+    "radius 2.000000 >= 1; the peripheral set was incomplete (loosen peripheral_tol)'",
+)
+RECOUNT_CASES = {(2, "adjoint"), (8, "forward"), (16, "forward"), (16, "adjoint"),
+                 (18, "forward"), (22, "adjoint"), (29, "forward"), (29, "adjoint")}
 
-    def test_power_iterate_in_complex_arithmetic(self):
-        # A^n = P_A + c^n (I - P_A), against the closed form and the
-        # per-step loop Y -> A Y
-        L = np.kron(np.eye(2), self.A)
-        X = np.array([[1.0, 2.0 - 1j], [0.5j, -1.0]])
-        Q = np.eye(2) - self.P_A
-        step, done = X, 0
-        for n in (1, 2, 3, 5, 64, 1000, 10000):
-            for _ in range(n - done):
-                step = self.A @ step
-            done = n
-            got = power_iterate(L, n, X)
-            bound = ergodic.POWER_DRIFT * n * 2 * 2.0**-53 * linalg.hs_norm(X)
-            assert linalg.hs_norm(got - step) <= bound
-            closed = (self.P_A + self.c**n * Q) @ X
-            assert linalg.hs_norm(got - closed) <= bound
+
+class TestPlantedPhaseGap:
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("delta", [5e-7, 1e-6, 2e-6, 1e-4, 1e-2, 0.1])
+    def test_matches_closed_form(self, delta, side):
+        decomp = peripheral_decomposition(
+            superoperator(planted_channel(1, delta), side), cesaro_check_n=0
+        )
+        z = np.exp(1j * delta)
+        want = {1.0: 2, z: 1, z.conjugate(): 1}
+        assert len(decomp.lambdas) == 3
+        assert set(decomp.lambdas) == {lam.conjugate() for lam in decomp.lambdas}
+        for lam, rank in zip(decomp.lambdas, decomp.projector_ranks):
+            (near,) = [w for w in want if abs(lam - w) <= 1e-12]
+            assert rank == want.pop(near)
+        assert decomp.fixed_space.dimension == 2
+
+    def test_gap_of_one_cluster_tol_is_not_blamed_on_peripheral_tol(self):
+        assert "loosen peripheral_tol" not in planted_outcome(1, 1e-7, "forward")
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("seed", range(1, 31))
+    def test_no_incomplete_peripheral_set(self, seed, side):
+        for delta in PLANTED_DELTAS:
+            assert "loosen peripheral_tol" not in planted_outcome(seed, delta, side)
+
+    @pytest.mark.parametrize(
+        "seed, side",
+        [
+            pytest.param(seed, side, marks=RECOUNT if (seed, side) in RECOUNT_CASES else ())
+            for seed in range(1, 31)
+            for side in ("forward", "adjoint")
+        ],
+    )
+    def test_no_incomplete_peripheral_set_at_the_kernel_tolerance(self, seed, side):
+        assert "loosen peripheral_tol" not in planted_outcome(seed, 2e-7, side)
 
 
 class TestDecayFit:
@@ -552,17 +655,17 @@ class TestDecayFit:
 
     def test_unrepresentable_constant_is_a_numeric_error(self):
         # a 30 x 30 Jordan block at rho = 1e-12: ||S^40|| (1 + eps)^40 ~ 1e357
-        S = 1e-12 * np.eye(30) + np.diag(np.ones(29), k=1)
+        S = form_map(1e-12 * np.eye(30) + np.diag(np.ones(29), k=1))
         with pytest.raises(NumericError, match="overflows"):
             decay_fit(S, 40)
 
     def test_expanding_rejected(self):
         with pytest.raises(DomainError):
-            decay_fit(2.0 * np.eye(3), 5)
+            decay_fit(form_map(2.0 * np.eye(3)), 5)
 
     def test_certificate_holds_under_transient_growth(self):
         # non-normal: rho(S) = 0.5, yet ||S|| and ||S^2|| exceed 1
-        S = np.array([[0.5, 1.0], [0.0, 0.5]])
+        S = form_map(np.array([[0.5, 1.0], [0.0, 0.5]]))
         fit = decay_fit(S, 40)
         assert min(fit.norms[:2]) > 1.0
         for k, norm in enumerate(fit.norms):
@@ -603,25 +706,30 @@ class TestDecayFitBlockwise:
         assert_norms_match_loop(np.zeros((4, 4)))
 
     def test_transient_growth(self):
-        assert_norms_match_loop(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        assert_norms_match_loop(form_map(np.array([[0.5, 1.0], [0.0, 0.5]])))
 
     def test_permuted_blocks_with_jordan_block(self):
         rng = np.random.default_rng(3)
         jordan = 0.6 * np.eye(3) + np.diag([1.0, 1.0], k=1)  # defective
-        dense = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dense = rng.normal(size=(4, 4))
         dense *= 0.7 / np.max(np.abs(np.linalg.eigvals(dense)))
         small = np.array([[0.2, 0.3], [-0.1, 0.4]])
         blocks = [jordan, dense, small, np.array([[-0.5]])]
         n = sum(B.shape[0] for B in blocks)
-        S = np.zeros((n, n), dtype=complex)
+        R = np.zeros((n, n))
         start = 0
         for B in blocks:
             k = B.shape[0]
-            S[start : start + k, start : start + k] = B
+            R[start : start + k, start : start + k] = B
             start += k
         perm = rng.permutation(n)
-        S = S[np.ix_(perm, perm)]
-        assert len(linalg.diagonal_blocks(S)) == 4
+        R = R[np.ix_(perm, perm)]
+        assert len(linalg.diagonal_blocks(R)) == 4
+        S = form_map(R)
+        # the form of S is R padded with zeros: its blocks and one 1 x 1
+        # block per zero row
+        _, layout, _ = ergodic._sectors(S)
+        assert block_count(layout) == 4 + 16 - n
         assert_norms_match_loop(S)
         fit = decay_fit(S, 40)
         assert fit.epsilon == pytest.approx((1 - 1e-3) / 0.7 - 1, rel=1e-12)
@@ -1095,6 +1203,7 @@ class TestKernelProjectors:
     def test_jordan_block_is_refused(self, lam, dtype):
         J = np.diag([lam, lam, 0.5, 0.2]).astype(dtype)
         J[0, 1] = 1.0  # one 2 x 2 Jordan block at lam
+        J = form_map(J)  # a complex-typed form is changed back unsymmetrised
         with pytest.raises(IllConditionedDecompositionError, match="dimension 1") as info:
             peripheral_decomposition(J, cesaro_check_n=0)
         assert "2 eigenvalues" in str(info.value)
@@ -1107,6 +1216,7 @@ class TestKernelProjectors:
         # cluster, put on the unit circle at 1, matches no eigenvalue
         J = np.diag([1.0, 1.0, 0.5, 0.2])
         J[0, 1], J[1, 0] = 1.0, 1e-12
+        J = form_map(J)
         with pytest.raises(DecompositionFailureError, match="not power bounded") as info:
             peripheral_decomposition(J)
         assert "the nearest is 1.000001+0j, of modulus 1.000001 > 1 + 1.0e-08" in str(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ergochan import linalg
-from ergochan.errors import DimensionError
+from ergochan import ergodic, linalg
+from ergochan.errors import DimensionError, DomainError
 
 
 def random_complex(rng, rows, cols):
@@ -441,33 +441,47 @@ class TestHermitianBasis:
         L = kraus_superoperator(np.random.default_rng(20 + d), d)
         # exact in exact arithmetic; a fused multiply-add leaves round-off
         assert np.max(np.abs(L - mirror(L))) <= 1e-15 * np.max(np.abs(L))
-        assert linalg.is_hermiticity_preserving(L)
         R = linalg.to_hermitian_basis(L)
         assert np.max(np.abs(R.imag)) <= 1e-14 * np.max(np.abs(R))
+
+    # ergodic._sectors is the one place a superoperator's Hermitian form
+    # is taken for analysis, and refused when it is not real
 
     def test_not_hermiticity_preserving(self):
         rng = np.random.default_rng(30)
         A = random_complex(rng, 3, 3)
-        assert not linalg.is_hermiticity_preserving(np.kron(np.eye(3), A))  # X -> A X
-        assert not linalg.is_hermiticity_preserving(random_complex(rng, 9, 9))
-        assert not linalg.is_hermiticity_preserving(np.eye(2))  # 2 is no d^2
-        assert not linalg.is_hermiticity_preserving(np.ones((4, 9)))
+        with pytest.raises(DomainError):
+            ergodic._sectors(np.kron(np.eye(3), A))  # X -> A X
+        with pytest.raises(DomainError):
+            ergodic._sectors(random_complex(rng, 9, 9))
+        with pytest.raises(DimensionError):
+            ergodic._sectors(np.eye(2))  # 2 is no d^2
+        with pytest.raises(DimensionError):
+            ergodic._sectors(np.ones((4, 9)))
 
     def test_round_off_bound(self):
+        # E moves i * eps into two entries of the form, each of modulus
+        # eps / sqrt 2, so 0.5x reads 0.35 of the threshold and 4x 2.8
         L = kraus_superoperator(np.random.default_rng(31), 3)
         scale = np.max(np.abs(L))
         E = np.zeros(L.shape, dtype=complex)
         E[0, 1] = 1j
         small = L + 0.5 * linalg.HERMITICITY_TOL * scale * E
         large = L + 4 * linalg.HERMITICITY_TOL * scale * E
-        assert linalg.is_hermiticity_preserving(small)
-        assert not linalg.is_hermiticity_preserving(large)
+        H = linalg.to_hermitian_basis(small)
+        ratio = np.max(np.abs(H.imag)) / np.max(np.abs(H)) / linalg.HERMITICITY_TOL
+        assert 0.3 < ratio < 0.4
+        _, _, (A,) = ergodic._sectors(small)
+        assert A.dtype == np.float64
+        with pytest.raises(DomainError, match=r"is 2\.8e-13 times its largest entry"):
+            ergodic._sectors(large)
 
     def test_transpose_map_and_zero_preserve_hermiticity(self):
         d = 3
         perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
-        assert linalg.is_hermiticity_preserving(np.eye(d * d)[perm])
-        assert linalg.is_hermiticity_preserving(np.zeros((d * d, d * d)))
+        for M in (np.eye(d * d)[perm], np.zeros((d * d, d * d))):
+            _, _, stacks = ergodic._sectors(M)
+            assert all(X.dtype == np.float64 for X in stacks)
 
     def test_size_must_be_a_square(self):
         with pytest.raises(DimensionError):
