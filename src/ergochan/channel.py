@@ -141,18 +141,19 @@ def kraus_sum(ch: KrausChannel) -> np.ndarray:
     return linalg.hermitize(out)
 
 
+def adjoint_channel(ch: KrausChannel) -> KrausChannel:
+    """The Kraus family {V_i^dag} of phi*, under the same label."""
+    return KrausChannel(kraus=tuple(V.conj().T for V in ch.kraus), label=ch.label)
+
+
 def superoperator(ch: KrausChannel, side: str = FORWARD) -> Superoperator:
-    """Matrix form of phi (side='forward') or phi* (side='adjoint')."""
-    d = ch.dim
-    L = np.zeros((d * d, d * d), dtype=complex)
-    for V in ch.kraus:
-        if side == FORWARD:
-            L += np.kron(V.conj(), V)
-        elif side == ADJOINT:
-            L += np.kron(V.T, V.conj().T)
-        else:
-            raise DomainError(f"unknown side {side!r}")
-    return Superoperator(dim=d, side=side, matrix=L)
+    """Matrix form of phi (side='forward') or phi* (side='adjoint'), the
+    latter that of the channel of the V_i^dag (:func:`adjoint_channel`):
+    ``sum_i V_i^T kron V_i^dag``."""
+    if side not in (FORWARD, ADJOINT):
+        raise DomainError(f"unknown side {side!r}")
+    kraus = ch.kraus if side == FORWARD else adjoint_channel(ch).kraus
+    return Superoperator(dim=ch.dim, side=side, matrix=linalg.kraus_superoperator(kraus))
 
 
 def choi(ch: KrausChannel) -> np.ndarray:

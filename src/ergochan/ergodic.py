@@ -1,6 +1,7 @@
 """Ergodic analysis of power-bounded superoperators.
 
-Given the matrix L of a quantum operation, the iterates split as
+Given a quantum operation, as its Kraus operators or as its matrix L,
+the iterates split as
 
     L^n = sum_lambda lambda^n P_lambda  +  S^n
 
@@ -10,6 +11,13 @@ stable remainder S has spectral radius < 1 so its powers decay
 geometrically.  This module computes each piece and cross-checks the
 spectral construction against Cesaro averaging, which converges to the
 same projectors at rate O(1/n).
+
+Every stage runs on the exact diagonal blocks of the real Hermitian
+form of L, which :func:`_sectors` builds once per input.  From a
+:class:`channel.KrausChannel` it builds them from the Kraus operators,
+without the d^2 x d^2 matrix L where they have enough zeros; a
+:class:`channel.Superoperator` or a raw matrix is changed to the
+Hermitian basis whole.  All routes give the same blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +59,19 @@ POWER_DRIFT = 4.0
 #: :func:`decay_fit` puts 1 + eps at ``(1 - DECAY_MARGIN) / rho(S)``.
 DECAY_MARGIN = 1e-3
 
+#: :func:`_sectors` builds a Kraus channel's form from the entries that
+#: may be nonzero (:func:`linalg.kraus_form_entries`) when ENTRY_COST
+#: times its pairs of nonzero Kraus entries (:func:`linalg.kraus_pairs`),
+#: plus ENTRY_OVERHEAD pairs, are fewer than the d^4 entries of the whole
+#: form, else the whole form (:func:`linalg.kraus_hermitian_form`).  Per
+#: pair the entry path takes 290-390 ns (shift, d = 32-128), the whole
+#: form 17-25 ns per entry (random, d = 12-24), one core.  The overhead
+#: is the entry path's fixed cost: the two paths tie near d = 8 on the
+#: shift, parity-fock and ladder channels (about 2 d^2 pairs), and below
+#: that the whole form is faster.
+ENTRY_COST = 16
+ENTRY_OVERHEAD = 256
+
 
 def _as_matrix(L, stack: bool = False) -> np.ndarray:
     """Accept a Superoperator or a raw square ndarray, and with ``stack``
@@ -72,44 +93,80 @@ def _sectors(L, *more) -> tuple:
     """``(d, layout, stacks)``: the one place an input becomes the form
     every stage runs on.
 
-    L is a :class:`channel.Superoperator` or its d^2 x d^2 matrix, else
-    :class:`DimensionError`.  Its Hermitian form A = B^H L B
-    (:func:`linalg.to_hermitian_basis`) is real when L preserves
-    Hermiticity, as every quantum operation does; an imaginary part above
+    L is a :class:`channel.KrausChannel`, a :class:`channel.Superoperator`
+    or its d^2 x d^2 matrix, else :class:`DimensionError`.  Its Hermitian
+    form A = B^H L B is real when L preserves Hermiticity, as every
+    quantum operation does; an imaginary part above
     :data:`linalg.HERMITICITY_TOL` times the largest entry of A raises
     :class:`DomainError`, and the real part of A is kept.  Nothing is
     factorised before either refusal.  The change of basis is unitary,
     so every factorisation and product runs on A, and results map back
     through ``linalg.from_hermitian_basis`` or
     ``from_hermitian_coordinates``.  ``layout`` holds the exact diagonal
-    blocks of A (:class:`linalg.BlockLayout`) and ``stacks`` is A held as
-    its stacks.  A :class:`PeripheralDecomposition` gives its own
-    ``dim``, ``layout`` and ``operator_blocks``, so nothing is changed
-    to the Hermitian basis or split again.
+    blocks of A (:class:`linalg.BlockLayout`), the components of its
+    support, and ``stacks`` is A held as its stacks.
 
-    With ``more`` maps of L's size the result is ``(d, layout, stacks,
-    more_stacks...)``: the layout is that of the union of the supports
-    of all the forms, which is block diagonal for each of them.
+    For a Kraus channel, the entries of A that may be nonzero are
+    computed from the pairs of nonzeros of each V_i, without forming L
+    (:func:`linalg.kraus_form_entries`), the blocks are the components of
+    the nonzero ones (:func:`linalg.components`), and the stacks are
+    filled from them (:meth:`linalg.BlockLayout.split_entries`).  Where
+    that costs more than the whole form, because the V_i have few zeros
+    or d is small (:data:`ENTRY_COST`), A is built whole from the
+    Kronecker sum instead (:func:`linalg.kraus_hermitian_form`).  Either way the layout and
+    the stacks are those of the superoperator ``channel.superoperator``
+    builds, bit for bit; the adjoint phi* is the channel of the V_i^dag
+    (``channel.adjoint_channel``).  A matrix is changed to the basis
+    whole (:func:`linalg.to_hermitian_basis`) and its blocks are the
+    components of its nonzeros (:func:`linalg.support_components`).  A
+    :class:`PeripheralDecomposition` gives its own ``dim``, ``layout``
+    and ``operator_blocks``, so nothing is changed to the Hermitian basis
+    or split again.
+
+    With ``more`` maps of L's kind and size the result is ``(d, layout,
+    stacks, more_stacks...)``: the layout is that of the union of the
+    supports of all the forms, which is block diagonal for each of them.
     """
     if isinstance(L, PeripheralDecomposition):
         return L.dim, L.layout, L.operator_blocks
-    mats = [_as_matrix(M) for M in (L, *more)]
-    n = len(mats[0])
-    if any(M.shape != (n, n) for M in mats):
-        raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
-    forms = []
-    for M in mats:
-        H = linalg.to_hermitian_basis(M)
-        imag, top = float(np.max(np.abs(H.imag))), float(np.max(np.abs(H)))
-        if imag > linalg.HERMITICITY_TOL * top:  # so top > 0
-            raise DomainError(
-                "the map does not preserve Hermiticity: the imaginary part of its "
-                f"Hermitian form is {imag / top:.1e} times its largest entry, "
-                f"above HERMITICITY_TOL = {linalg.HERMITICITY_TOL:.0e}"
-            )
-        forms.append(np.ascontiguousarray(H.real))
-    layout = linalg.BlockLayout(forms[0] if not more else sum(np.abs(A) for A in forms))
+    maps = (L, *more)
+    if all(isinstance(M, channel_mod.KrausChannel) for M in maps):
+        if len({ch.dim for ch in maps}) != 1:
+            raise DimensionError(f"channels of different dimensions: {[ch.dim for ch in maps]}")
+        families = [ch.kraus for ch in maps]
+        n = L.dim**2
+        if ENTRY_COST * (linalg.kraus_pairs(families) + ENTRY_OVERHEAD) < n * n:
+            p, q, values = linalg.kraus_form_entries(families, L.dim)
+            forms = [_real_form(x) for x in values]  # the entries of each form
+            nonzero = np.logical_or.reduce([x != 0 for x in forms])
+            order, sizes = linalg.components(n, p[nonzero], q[nonzero])
+            layout = linalg.BlockLayout.from_components(order, sizes)
+            return (L.dim, layout, *layout.split_entries(p, q, *forms))
+        forms = [linalg.kraus_hermitian_form(kraus) for kraus in families]
+    else:
+        mats = [_as_matrix(M) for M in maps]
+        n = len(mats[0])
+        if any(M.shape != (n, n) for M in mats):
+            raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
+        forms = [linalg.to_hermitian_basis(M) for M in mats]
+    forms = [_real_form(H) for H in forms]
+    nonzero = sum(np.abs(A) for A in forms) if more else forms[0]
+    layout = linalg.BlockLayout.from_components(*linalg.support_components(nonzero))
     return (math.isqrt(n), layout, *(layout.split(A) for A in forms))
+
+
+def _real_form(H) -> np.ndarray:
+    """The real part of the Hermitian form (or entries of it) H of a map,
+    which must preserve Hermiticity (:func:`_sectors`)."""
+    imag = float(np.max(np.abs(H.imag), initial=0.0))
+    top = float(np.max(np.abs(H), initial=0.0))
+    if imag > linalg.HERMITICITY_TOL * top:  # so top > 0
+        raise DomainError(
+            "the map does not preserve Hermiticity: the imaginary part of its "
+            f"Hermitian form is {imag / top:.1e} times its largest entry, "
+            f"above HERMITICITY_TOL = {linalg.HERMITICITY_TOL:.0e}"
+        )
+    return np.ascontiguousarray(H.real)
 
 
 @dataclass(frozen=True)
@@ -249,8 +306,9 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
 def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     """Orthonormal basis of Ker(I - L) as d x d matrices.
 
-    L is a superoperator, its matrix, or a :class:`PeripheralDecomposition`,
-    whose blocks are then used (:func:`_sectors`).  I - A, A the
+    L is a Kraus channel, a superoperator, its matrix, or a
+    :class:`PeripheralDecomposition`, whose blocks are then used
+    (:func:`_sectors`).  I - A, A the
     Hermitian form of L, has the blocks of A, so its kernel is the sum
     of the kernels of the blocks: one :func:`linalg.null_space` of the
     stacks, with the rank cut of the whole matrix, ``tol * max(1,
@@ -366,8 +424,9 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`.  L is a
-    superoperator or its d^2 x d^2 matrix (:func:`_sectors`), since the
-    projectors are mapped back to column stacking."""
+    Kraus channel, a superoperator or its d^2 x d^2 matrix
+    (:func:`_sectors`), since the projectors are mapped back to column
+    stacking."""
     _, layout, stacks = _sectors(L)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
@@ -575,9 +634,10 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     involved, so this is independent of :func:`peripheral_decomposition`.
     n = 0 returns X; n < 0 raises :class:`DomainError`.
 
-    L is a superoperator, its matrix, or a :class:`PeripheralDecomposition`,
-    of which only ``operator_blocks``, the stacks of L itself, are read
-    (:func:`_sectors`): no projector, stable part or eigenvalue, so the
+    L is a Kraus channel, a superoperator, its matrix, or a
+    :class:`PeripheralDecomposition`, of which only ``operator_blocks``,
+    the stacks of L itself, are read (:func:`_sectors`): no projector,
+    stable part or eigenvalue, so the
     result stays independent of the decomposition's spectral data while
     L is split into blocks only once.  L is powered as the stacks of
     its Hermitian form A and applied to the Hermitian-basis coordinates
@@ -829,7 +889,7 @@ def fixed_space_intersection(
     if len(dims) != 1:
         raise DimensionError(f"channels must share one dimension, got {dims}")
 
-    _, layout, *parts = _sectors(*map(channel_mod.superoperator, channels))
+    _, layout, *parts = _sectors(*channels)
     combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
     svds, ranks = _fixed_svd(combined, tol)
     combined_fixed = _kernel_basis(layout, svds, ranks, tol)
@@ -930,7 +990,8 @@ def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryRep
     """Compare the fixed spaces F(phi) and F(phi*) on the Hilbert-Schmidt
     space.
 
-    One superoperator L of phi is built and split once (:func:`_sectors`).
+    The Hermitian form of phi is built from its Kraus operators and split
+    once (:func:`_sectors`).
     The Hermitian form of the adjoint phi* is A^H, A that of L, so one
     SVD per block stack of I - A = U diag(s) V^H (:func:`_fixed_svd`)
     gives both spaces: F(phi) from the trailing right singular vectors,
@@ -944,7 +1005,7 @@ def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryRep
     False.  The spans are compared block by block
     (:func:`_span_residual`).
     """
-    _, layout, stacks = _sectors(channel_mod.superoperator(ch, channel_mod.FORWARD))
+    _, layout, stacks = _sectors(ch)
     svds, ranks = _fixed_svd(stacks, tol)
     adjoint = [(_ct(Vh), s, _ct(U)) for U, s, Vh in svds]  # the SVDs of I - A^H
     resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(adjoint, ranks))

@@ -258,16 +258,20 @@ def all_ok(verification: dict) -> bool:
     return channel_mod.VerificationReport(**verification).all_ok
 
 
-def _superoperator(ch: KrausChannel, adjoint: bool):
-    side = channel_mod.ADJOINT if adjoint else channel_mod.FORWARD
-    return side, channel_mod.superoperator(ch, side)
+def _side(ch: KrausChannel, adjoint: bool):
+    """The side, and the channel of phi on it: phi* is the channel of the
+    V_i^dag.  ``ergodic``'s entry points take the channel and build the
+    Hermitian form from its Kraus operators."""
+    if adjoint:
+        return channel_mod.ADJOINT, channel_mod.adjoint_channel(ch)
+    return channel_mod.FORWARD, ch
 
 
 def _decompose(ch: KrausChannel, adjoint: bool, peripheral_tol: float, cesaro_n: int):
-    """The side, and the peripheral decomposition of L on it."""
-    side, L = _superoperator(ch, adjoint)
+    """The side, and the peripheral decomposition of phi on it."""
+    side, phi = _side(ch, adjoint)
     return side, ergodic.peripheral_decomposition(
-        L, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
+        phi, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
     )
 
 
@@ -299,10 +303,10 @@ def analyze_channel(
     (recorded under ``tolerances``); the fixed space is the
     decomposition's kernel at lambda = 1, so its dimension is the rank of
     P_1.  The decay certificate norms :data:`DECAY_N_MAX` powers, and the
-    residuals are :func:`ergodic.residual_summary`.  The superoperator and
-    its Hermitian form are built once, for the decomposition, and every
-    later stage reads its blocks; ``channel.verify`` works from the Kraus
-    operators.
+    residuals are :func:`ergodic.residual_summary`.  The blocks of the
+    Hermitian form are built once, from the Kraus operators, for the
+    decomposition, and every later stage reads them; ``channel.verify``
+    also works from the Kraus operators.
     """
     verification = verify_channel(ch, tol)
     side, decomp = _decompose(ch, adjoint, peripheral_tol, cesaro_n)
@@ -369,6 +373,6 @@ def fixed_space_channel(
 ) -> dict:
     """The ``fixed-space`` document: an orthonormal basis of Ker(I - L),
     cut at ``tol``."""
-    side, L = _superoperator(ch, adjoint)
-    fs = ergodic.fixed_space(L, tol)
+    side, phi = _side(ch, adjoint)
+    fs = ergodic.fixed_space(phi, tol)
     return {"tool_version": __version__, "side": side, **_basis_doc(fs)}

@@ -15,7 +15,12 @@ conventions are fixed here once and inherited everywhere:
   preserves Hermiticity, as every quantum operation does, is a real
   matrix in this basis (:func:`to_hermitian_basis`), and the analysis
   runs on that real matrix only; results are always reported in the
-  column-stacking basis.
+  column-stacking basis.  The form of a Kraus family's superoperator is
+  built from the Kraus operators: only its entries that may be nonzero,
+  with no d^2 x d^2 matrix formed (:func:`kraus_form_entries`), or,
+  when the operators have few zeros, whole from the Kronecker sum
+  (:func:`kraus_hermitian_form`); both are bit for bit
+  :func:`to_hermitian_basis` of the superoperator.
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
   that reports are deterministic.
@@ -26,8 +31,10 @@ conventions are fixed here once and inherited everywhere:
   factorises each member, and :func:`top_singular_values` gives each
   member's largest singular value (of any stack ``(..., k, l)``).
   :class:`BlockLayout` holds a matrix as the stacks of its exact
-  diagonal blocks; :func:`block_svd` and :func:`null_space` cut the
-  singular values of such stacks at the rank cut of the whole matrix.
+  diagonal blocks, the connected components (:func:`components`) of
+  its support, given as a matrix or as a list of entries;
+  :func:`block_svd` and :func:`null_space` cut the singular values of
+  such stacks at the rank cut of the whole matrix.
 """
 
 from __future__ import annotations
@@ -163,6 +170,17 @@ def kron(A, B) -> np.ndarray:
     return np.kron(as_matrix(A), as_matrix(B))
 
 
+def kraus_superoperator(kraus) -> np.ndarray:
+    """``sum_i conj(V_i) kron V_i``, complex: the matrix of
+    ``X -> sum_i V_i X V_i^dag`` under column stacking, the Kronecker
+    products added up in the order of the V_i, from +0."""
+    d = kraus[0].shape[0]
+    L = np.zeros((d * d, d * d), dtype=complex)
+    for V in kraus:
+        L += np.kron(V.conj(), V)
+    return L
+
+
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization: vec([[1,3],[2,4]]) = (1,2,3,4)."""
     M = as_matrix(M)
@@ -284,45 +302,62 @@ def spectral_radius(M) -> float:
     return float(np.abs(lam[0])) if lam.size else 0.0
 
 
-def diagonal_blocks(M) -> list:
-    """Index sets of the exact diagonal blocks of a square matrix.
+def components(n: int, i, j) -> tuple:
+    """``(order, sizes)``: the connected components of the graph on the
+    indices 0..n-1 with an edge ``i[e] -- j[e]`` for each e (loops and
+    repeated edges allowed).  ``order`` concatenates the components,
+    each sorted ascending and the components in order of their smallest
+    index, and ``sizes`` holds their sizes.
 
-    The blocks are the connected components of the graph with an edge
-    i -- j wherever ``M[i, j] != 0`` or ``M[j, i] != 0`` (the structural
-    support of ``M + M^H``, so entries that would cancel in the sum
-    still couple).  Every entry outside the blocks is exactly zero, so
-    ``M`` is block diagonal under the permutation that concatenates
-    them, and so is every power of ``M``.  Blocks are ordered by their
-    smallest index, each sorted ascending; a dense matrix is one block.
-
-    The components come from min-label propagation over the nonzero
-    entries: every index starts as its own label, each round gives both
-    ends of every edge the smaller of their labels and then replaces
-    each label by its label's label (pointer jumping), until nothing
-    changes.  A label is always an index of the same component and
-    never grows, so the fixed point labels each component by its
-    smallest index.
+    The components come from min-label propagation over the edge list:
+    every index starts as its own label, each round gives both ends of
+    every edge the smaller of their labels and then replaces each label
+    by its label's label (pointer jumping), until nothing changes.  A
+    label is always an index of the same component and never grows, so
+    the fixed point labels each component by its smallest index.
     """
-    M = _require_square(as_matrix(M))
-    i, j = np.nonzero(M)
     off = i != j
     i, j = i[off], j[off]
-    label = np.arange(M.shape[0])
+    label = np.arange(n)
     while True:
         new = label.copy()
         np.minimum.at(new, i, label[j])
         np.minimum.at(new, j, label[i])
         new = new[new]
-        if np.array_equal(new, label):
+        if (new == label).all():
             break
         label = new
-    order = np.argsort(label, kind="stable")  # ascending within a block
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    order = np.argsort(label, kind="stable")  # ascending within a component
+    label = label[order]
+    bounds = np.flatnonzero(np.concatenate(([True], label[1:] != label[:-1], [True])))
+    return order, np.diff(bounds)
+
+
+def support_components(M) -> tuple:
+    """:func:`components` of the structural support of the square matrix
+    M: an edge i -- j wherever ``M[i, j] != 0`` (so entries of M + M^H
+    that would cancel still couple).  A matrix with no zero entry is one
+    component, found without propagation."""
+    M = _require_square(as_matrix(M))
+    if M.all():
+        return np.arange(len(M)), np.array([len(M)])
+    return components(len(M), *np.nonzero(M))
+
+
+def diagonal_blocks(M) -> list:
+    """Index sets of the exact diagonal blocks of a square matrix: the
+    components of its support (:func:`support_components`).  Every entry
+    outside the blocks is exactly zero, so ``M`` is block diagonal under
+    the permutation that concatenates them, and so is every power of
+    ``M``.  Blocks are ordered by their smallest index, each sorted
+    ascending; a dense matrix is one block."""
+    order, sizes = support_components(M)
+    return np.split(order, np.cumsum(sizes[:-1]))
 
 
 class BlockLayout:
-    """Where the exact diagonal blocks of an n x n matrix lie
-    (:func:`diagonal_blocks`), grouped by size.
+    """Where the exact diagonal blocks of an n x n matrix lie, grouped by
+    size.
 
     A matrix with these blocks is held as its *stacks*: one array
     (m, k, k) per block size k, in order of the size's first block,
@@ -330,19 +365,69 @@ class BlockLayout:
     a matrix that is one block is one (1, n, n) stack.  ``index`` holds
     the matching (m, k) arrays of row and column indices.  Rows of an
     (n, ...) array split the same way into parts (m, k, ...).
+
+    A layout is built from its index sets (:meth:`from_components`);
+    ``BlockLayout(M)`` is that of the blocks of the square matrix M
+    (:func:`support_components`).
     """
 
     def __init__(self, M):
-        M = _require_square(as_matrix(M))
-        self.n = M.shape[0]
-        by_size: dict = {}
-        for idx in diagonal_blocks(M):
-            by_size.setdefault(idx.size, []).append(idx)
-        self.index = tuple(np.array(members) for members in by_size.values())
+        self._group(*support_components(M))
+
+    @classmethod
+    def from_components(cls, order, sizes) -> "BlockLayout":
+        """The layout of the index sets that ``order`` concatenates, of
+        sizes ``sizes``, as :func:`components` gives them."""
+        layout = cls.__new__(cls)
+        layout._group(order, sizes)
+        return layout
+
+    def _group(self, order, sizes) -> None:
+        self.n = order.size
+        size_set, first, size_of = np.unique(sizes, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.size)
+        group = rank[size_of]  # of each block: its size's rank by first block
+        blocks = np.argsort(group, kind="stable")  # in layout order
+        k = sizes[blocks]
+        skip = np.cumsum(sizes)[blocks] - np.cumsum(k)  # block start - layout start
+        nodes = order[np.repeat(skip, k) + np.arange(self.n)]
+        self.index, start = [], 0
+        for m, k in zip(np.bincount(group).tolist(), size_set[by_first].tolist()):
+            self.index.append(nodes[start : start + m * k].reshape(m, k))
+            start += m * k
+        self.index = tuple(self.index)
 
     def split(self, M) -> list:
         """The stacks of the n x n matrix M."""
         return [M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] for idx in self.index]
+
+    def split_entries(self, p, q, *values) -> list:
+        """Per array of ``values``, the stacks of the n x n matrix with
+        those values at rows p and columns q (each position at most once)
+        and zeros elsewhere: the values inside the blocks are placed in
+        one zero array, and the stacks are views of it."""
+        m = np.array([idx.shape[0] for idx in self.index])
+        k = np.array([idx.shape[1] for idx in self.index])
+        area = np.cumsum(m * k * k)
+        nodes = np.concatenate([idx.reshape(-1) for idx in self.index])
+        t = np.arange(self.n) - np.repeat(np.cumsum(m * k) - m * k, m * k)  # in its stack
+        size = np.repeat(k, m * k)
+        block, row_at, col_at = np.empty((3, self.n), dtype=np.intp)
+        block[nodes] = np.repeat(np.cumsum(m) - m, m * k) + t // size
+        row_at[nodes] = np.repeat(area - m * k * k, m * k) + t * size
+        col_at[nodes] = t % size
+        inside = block[p] == block[q]
+        at = row_at[p[inside]] + col_at[q[inside]]
+        bounds = zip(area - m * k * k, area, m, k)
+        shapes = [(start, stop, (m, k, k)) for start, stop, m, k in bounds]
+        out = []
+        for x in values:
+            flat = np.zeros(area[-1], dtype=x.dtype)
+            flat[at] = x[inside]
+            out.append([flat[start:stop].reshape(shape) for start, stop, shape in shapes])
+        return out
 
     def join(self, stacks) -> np.ndarray:
         """The n x n matrix whose stacks are ``stacks``."""
@@ -421,11 +506,17 @@ def to_hermitian_basis(M) -> np.ndarray:
     result is complex; it is real (up to round-off) exactly when M
     preserves Hermiticity.
     """
-    M, (up, lo) = _superoperator_pairs(M)
+    M, pairs = _superoperator_pairs(M)
     X = np.array(M, dtype=complex)
-    _mix_pairs(X, up, lo, 1, -1j)  # B^H on the left
-    _mix_pairs(X.T, up, lo, 1, 1j)  # B on the right
+    _form_in_place(X, pairs)
     return X
+
+
+def _form_in_place(X: np.ndarray, pairs) -> None:
+    """X becomes ``B^H X B``, X a complex d^2 x d^2 matrix and ``pairs``
+    its ``_hermitian_pairs``."""
+    _mix_pairs(X, *pairs, 1, -1j)  # B^H on the left
+    _mix_pairs(X.T, *pairs, 1, 1j)  # B on the right
 
 
 def from_hermitian_basis(R) -> np.ndarray:
@@ -443,6 +534,85 @@ def from_hermitian_basis(R) -> np.ndarray:
     if not np.iscomplexobj(R):
         X += _mirror(X, up, lo)
         X *= 0.5
+    return X
+
+
+def kraus_form_entries(families, d: int):
+    """The entries of the Hermitian forms ``B^H L B`` of the
+    superoperators ``L = sum_i conj(V_i) kron V_i`` of the Kraus families
+    ``families`` on C^d that may be nonzero, found from the supports of
+    the V_i with no d^2 x d^2 matrix formed: ``(p, q, values)``, their
+    rows, their columns and per family (first axis) their complex values.
+    The work is linear in the number of pairs of nonzero entries of one
+    V_i (:func:`kraus_pairs`), up to a sort.
+
+    The entry of L at the column-stacking positions p of E_{a_p b_p} and
+    q of E_{a_q b_q} is ``sum_i conj(V_i[b_p, b_q]) V_i[a_p, a_q]``, so
+    each pair of nonzero entries of one V_i gives one product of the
+    Kronecker products, and they are added up in the order of the V_i.
+    The change of basis mixes rows p and p' of E_ab and E_ba, then
+    columns q and q' alike (:func:`_mix_pairs`), so the entries taken are
+    those of the 2 x 2 (or smaller) quads (p, p') x (q, q') that meet the
+    support of L; the rest of the form is zero.  Every value is that of
+    :func:`to_hermitian_basis` of ``channel.superoperator``, bit for bit:
+    the same products, added in the same order (skipping the products
+    that are zero changes no bit, as a sum started at +0 never holds
+    -0), and the same float operations on each quad.
+    """
+    n = d * d
+    ops = np.array([V for kraus in families for V in kraus])
+    family = np.repeat(np.arange(len(families)), [len(kraus) for kraus in families])
+    o, a, b = np.nonzero(ops)
+    count = np.bincount(o, minlength=len(ops))
+    # the pairs (f, e) of nonzero entries of one operator, f-major; each
+    # side of a product is gathered into a contiguous array, as np.kron's
+    # are broadcast ones (numpy may round a product of two broadcast
+    # scalars by another loop)
+    partners = count[o]
+    f = np.repeat(np.arange(o.size), partners)
+    firsts = np.cumsum(partners) - partners
+    e = (np.cumsum(count) - count)[o[f]] + np.arange(f.size) - np.repeat(firsts, partners)
+    v = ops[o, a, b]
+    p, q = a[e] + d * a[f], b[e] + d * b[f]  # of L[p, q]
+
+    # the quads (p, p') x (q, q') of E_ab and E_ba, E_ab with a < b first
+    # (a diagonal E_aa is its own quad row or column, and the second is
+    # zero and never used): X has axes (family, row, column, quad), and
+    # L is added up into it in op order, from +0
+    node = np.arange(n)
+    mirror = node.reshape(d, d).T.reshape(-1)  # E_ab -> E_ba
+    second = (node % d > node // d).astype(np.intp)  # the quad row of E_ab
+    first = np.where(second, mirror, node)
+    quads, at = np.unique(first[p] * n + first[q], return_inverse=True)
+    X = np.zeros((len(families), 2, 2, quads.size), dtype=complex)
+    np.add.at(X, (family[o[f]], second[p], second[q], at), v[f].conj() * v[e])
+    p, q = np.divmod(quads, n)
+    keys = np.array([p, mirror[p]])[:, np.newaxis, :] * n + np.array([q, mirror[q]])
+    row_pair, col_pair = p != mirror[p], q != mirror[q]
+    whole = slice(None)
+    _mix_pairs(X, (whole, 0, whole, row_pair), (whole, 1, whole, row_pair), 1, -1j)  # B^H
+    _mix_pairs(X, (whole, whole, 0, col_pair), (whole, whole, 1, col_pair), 1, 1j)  # B
+    used = np.ones(keys.shape, dtype=bool)
+    used[1] = row_pair
+    used[:, 1] &= col_pair
+    p, q = np.divmod(keys[used], n)
+    return p, q, X[:, used]
+
+
+def kraus_pairs(families) -> int:
+    """The number of pairs of nonzero entries of one Kraus operator, over
+    all operators of the families: the nonzero products of the Kronecker
+    products of their superoperators."""
+    return sum(int(np.count_nonzero(V)) ** 2 for kraus in families for V in kraus)
+
+
+def kraus_hermitian_form(kraus) -> np.ndarray:
+    """The complex Hermitian form ``B^H L B`` of ``L =``
+    :func:`kraus_superoperator` ``(kraus)``, as :func:`to_hermitian_basis`
+    builds it, changed in place, without a copy or that function's
+    checks."""
+    X = kraus_superoperator(kraus)
+    _form_in_place(X, _hermitian_pairs(len(X)))
     return X
 
 

@@ -1119,19 +1119,21 @@ class TestFixedPointChecksAgainstDenseOracles:
 
 
 class TestFixedPointChecksRunPerBlock:
-    def test_hs_symmetry_builds_one_superoperator_and_one_form(self, monkeypatch):
-        built, forms = [], []
-        orig_super, orig_form = channel_mod.superoperator, linalg.to_hermitian_basis
-        monkeypatch.setattr(
-            channel_mod, "superoperator",
-            lambda *a, **k: built.append(a[1:]) or orig_super(*a, **k),
-        )
-        monkeypatch.setattr(
-            linalg, "to_hermitian_basis", lambda M: forms.append(M.shape) or orig_form(M)
-        )
-        rep = hs_fixed_point_symmetry(parity_fock_channel(0.3, 4))
-        assert rep.equal and rep.forward_fixed.dimension == 8
-        assert len(built) == 1 and forms == [(16, 16)]
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_hs_symmetry_builds_no_superoperator_and_no_dense_form(self, d, monkeypatch):
+        # the form comes from the Kraus operators: L is never built, nor
+        # changed to the Hermitian basis, and at d = 12 the whole form is
+        # not built either, only its blocks
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a d^2 x d^2 matrix")
+
+        refused = [(channel_mod, "superoperator"), (linalg, "to_hermitian_basis")]
+        if d == 12:
+            refused.append((linalg, "kraus_hermitian_form"))
+        for module, name in refused:
+            monkeypatch.setattr(module, name, refuse)
+        rep = hs_fixed_point_symmetry(parity_fock_channel(0.3, d))
+        assert rep.equal and rep.forward_fixed.dimension == d * d // 2
 
     @pytest.mark.parametrize("make", [shift_channel, parity_fock_channel], ids=["shift", "parity"])
     def test_no_svd_larger_than_a_block_and_no_join(self, make, monkeypatch):
@@ -1516,3 +1518,220 @@ class TestKernelsAgainstDenseOracle:
         monkeypatch.setattr(linalg, "to_hermitian_basis", refuse)
         with pytest.raises(DomainError, match="cesaro_check_n must be >= 0, got -3"):
             peripheral_decomposition(L, cesaro_check_n=-3)
+
+
+def catalog_formula_d1(name, p):
+    """The catalog's parity-fock, shift and ladder formulas at d = 1, which
+    the catalog refuses: sqrt(p) I and sqrt(1 - p) parity, two zero
+    shifts, and diag(1) with a zero lowering operator."""
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    kraus = {
+        "parity-fock": (np.sqrt(p) * one, np.sqrt(1.0 - p) * one),
+        "shift": (zero, zero),
+        "ladder": (one, zero),
+    }[name]
+    return KrausChannel(kraus=kraus)
+
+
+def sparse_kraus_family(seed):
+    """1-4 complex d x d operators, d = 2..12, each entry nonzero with
+    probability 0.05-0.5, scaled to a channel-like size."""
+    rng = np.random.default_rng(seed)
+    d, count = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+    density = rng.uniform(0.05, 0.5)
+    kraus = []
+    for _ in range(count):
+        V = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        kraus.append(np.where(rng.random((d, d)) < density, V, 0) / np.sqrt(count * d))
+    return KrausChannel(kraus=tuple(kraus))
+
+
+def kraus_sectors(ch, side):
+    return ergodic._sectors(ch if side == FORWARD else channel_mod.adjoint_channel(ch))
+
+
+def assert_same_sectors(ch, side):
+    """The Kraus path gives the layout and the stacks of the superoperator,
+    bit for bit, signs of zeros included."""
+    d, layout, stacks = kraus_sectors(ch, side)
+    d0, layout0, stacks0 = ergodic._sectors(superoperator(ch, side))
+    assert d == d0 and layout.n == layout0.n
+    assert len(layout.index) == len(layout0.index)
+    for idx, idx0 in zip(layout.index, layout0.index):
+        assert idx.dtype == idx0.dtype and np.array_equal(idx, idx0)
+    assert len(stacks) == len(stacks0)
+    for X, X0 in zip(stacks, stacks0):
+        assert X.dtype == X0.dtype == np.float64 and X.shape == X0.shape
+        assert np.array_equal(X, X0) and np.array_equal(np.signbit(X), np.signbit(X0))
+    return layout
+
+
+SIDES = pytest.mark.parametrize("side", [FORWARD, ADJOINT])
+
+
+class TestKrausSectors:
+    """ergodic._sectors of a KrausChannel builds the Hermitian form from
+    the Kraus operators, from the entries that may be nonzero or whole,
+    yet equals that of channel.superoperator exactly.  Each test runs on
+    both ways of building it and on the one _sectors chooses."""
+
+    @pytest.fixture(autouse=True, params=["chosen", "entries", "whole"])
+    def path(self, request, monkeypatch):
+        cost = {"chosen": ergodic.ENTRY_COST, "entries": 0, "whole": 10**30}
+        monkeypatch.setattr(ergodic, "ENTRY_COST", cost[request.param])
+        return request.param
+
+    @SIDES
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_pauli_xy(self, p, side):
+        assert_same_sectors(pauli_xy_channel(p), side)
+
+    @SIDES
+    @pytest.mark.parametrize("name", ["parity-fock", "shift", "ladder"])
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_catalog_sector_channels(self, name, d, side):
+        param = {"ladder": "g"}.get(name, "p")
+        ch = (
+            catalog_formula_d1(name, 0.3)
+            if d == 1
+            else catalog.build(name, {param: 0.3, "dim": d})
+        )
+        layout = assert_same_sectors(ch, side)
+        if d >= 3:
+            assert block_count(layout) > 1
+
+    @SIDES
+    @pytest.mark.parametrize("drop", [0, 1], ids=["trace-preserving", "trace-decreasing"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stinespring_channels(self, d, drop, side):
+        assert_same_sectors(stinespring_channel(40 + d, d, drop=drop), side)
+
+    @SIDES
+    def test_sparse_kraus_families(self, side):
+        for seed in range(200):
+            assert_same_sectors(sparse_kraus_family(seed), side)
+
+    @SIDES
+    @pytest.mark.parametrize("seed", [1, 4, 11])
+    def test_planted_family(self, seed, side):
+        assert_same_sectors(planted_channel(seed, 1e-3), side)
+
+    @SIDES
+    def test_edge_cases(self, side):
+        rng = np.random.default_rng(50)
+        unitary, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        cases = [
+            KrausChannel(kraus=(np.array([[0.6 + 0.8j]]),)),  # d = 1
+            KrausChannel(kraus=(np.array([[0.6]]), np.array([[0.0]]), np.array([[0.8j]]))),
+            KrausChannel(kraus=(*shift_channel(0.3, 4).kraus, np.zeros((4, 4)))),
+            KrausChannel(kraus=(np.zeros((3, 3)), np.zeros((3, 3)))),  # the zero map
+            KrausChannel(kraus=(unitary,)),  # dense: the whole form
+            KrausChannel(kraus=(np.eye(5)[[2, 0, 4, 1, 3]],)),  # a permutation
+        ]
+        for ch in cases:
+            assert_same_sectors(ch, side)
+        zero = assert_same_sectors(cases[3], side)
+        assert block_count(zero) == 9  # no entry couples: nine 1 x 1 blocks
+
+    @SIDES
+    def test_cancelling_entries_are_cut(self, side):
+        # L[0, 1] and L[0, 2] are 1/2 - 1/2: the supports couple all four
+        # positions, the nonzeros of L only E_00 and E_11
+        V1 = np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2)
+        V2 = np.array([[1.0, -1.0], [0.0, 0.0]]) / np.sqrt(2)
+        ch = KrausChannel(kraus=(V1, V2))
+        layout = assert_same_sectors(ch, side)
+        blocks = sorted(b.tolist() for idx in layout.index for b in idx)
+        assert blocks == [[0, 3], [1], [2]]
+
+    @pytest.mark.parametrize(
+        "ch",
+        [parity_fock_channel(0.3, 6), shift_channel(0.3, 6), stinespring_channel(9, 3)],
+        ids=["parity", "shift", "random"],
+    )
+    def test_entry_points_take_a_channel(self, ch):
+        # every entry point that reads _sectors gives, from the channel,
+        # what it gives from the channel's superoperator, bit for bit
+        L = superoperator(ch)
+        X = np.diag(np.arange(1.0, ch.dim + 1))
+        for compute in (
+            lambda M: fixed_space(M).basis,
+            lambda M: peripheral_spectrum(M),
+            lambda M: spectral_projectors(M, peripheral_spectrum(M)),
+            lambda M: peripheral_decomposition(M, cesaro_check_n=400).stable,
+            lambda M: power_iterate(M, 1000, X),
+            lambda M: dataclasses.astuple(splitting_check(M)),
+        ):
+            got, want = compute(ch), compute(L)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_adjoint_channel_has_the_adjoint_superoperator(self):
+        # sum_i V_i^T kron V_i^dag, the matrix of X -> sum_i V_i^dag X V_i
+        for ch in (stinespring_channel(3, 4), shift_channel(0.3, 5)):
+            want = sum(np.kron(V.T, V.conj().T) for V in ch.kraus)
+            got = superoperator(channel_mod.adjoint_channel(ch)).matrix
+            assert np.array_equal(got, want)
+            assert np.array_equal(superoperator(ch, ADJOINT).matrix, want)
+            X = np.arange(ch.dim**2).reshape(ch.dim, ch.dim) * (1 + 0.5j)
+            direct = sum(V.conj().T @ X @ V for V in ch.kraus)
+            assert np.allclose(linalg.unvec(want @ linalg.vec(X), ch.dim), direct)
+
+    @SIDES
+    def test_intersection_blocks_are_those_of_the_superoperators(self, side):
+        chs = [parity_fock_channel(0.3, 6), shift_channel(0.4, 6), stinespring_channel(7, 3)]
+        for parts in (chs[:2], [pauli_xy_channel(0.2), pauli_xy_channel(0.7)], chs[2:]):
+            kraus = [c if side == FORWARD else channel_mod.adjoint_channel(c) for c in parts]
+            _, layout, *stacks = ergodic._sectors(*kraus)
+            _, layout0, *stacks0 = ergodic._sectors(*(superoperator(c, side) for c in parts))
+            for idx, idx0 in zip(layout.index, layout0.index, strict=True):
+                assert np.array_equal(idx, idx0)
+            for X, X0 in zip(sum(stacks, []), sum(stacks0, []), strict=True):
+                assert np.array_equal(X, X0) and np.array_equal(np.signbit(X), np.signbit(X0))
+
+    @pytest.mark.parametrize(
+        "ch",
+        [parity_fock_channel(0.3, 6), shift_channel(0.4, 7), stinespring_channel(8, 3)],
+        ids=["parity", "shift", "random"],
+    )
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_documents_are_byte_identical(self, ch, adjoint, monkeypatch):
+        from ergochan import io
+
+        def documents():
+            return [
+                io.dumps(io.analyze_channel(ch, cesaro_n=400, adjoint=adjoint)),
+                io.dumps(io.iterate_channel(ch, 1000, cesaro_n=400, adjoint=adjoint)),
+                io.dumps(io.fixed_space_channel(ch, adjoint=adjoint)),
+            ]
+
+        kraus_docs = documents()
+        orig = ergodic._sectors
+
+        def dense(*maps):  # the superoperator of each channel instead
+            return orig(*(superoperator(m) if isinstance(m, KrausChannel) else m for m in maps))
+
+        monkeypatch.setattr(ergodic, "_sectors", dense)
+        assert documents() == kraus_docs
+
+
+@pytest.mark.parametrize(
+    "ch, route",
+    [
+        (shift_channel(0.3, 12), "entries"),
+        (parity_fock_channel(0.3, 16), "entries"),
+        (shift_channel(0.3, 6), "whole"),  # the entry path's fixed cost
+        (parity_fock_channel(0.3, 8), "whole"),
+        (stinespring_channel(5, 16), "whole"),  # no zeros: d^4 pairs
+    ],
+    ids=["shift-12", "parity-16", "shift-6", "parity-8", "random-16"],
+)
+def test_kraus_route_is_chosen_by_cost(ch, route, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the other route")
+
+    other = {"entries": "kraus_hermitian_form", "whole": "kraus_form_entries"}[route]
+    monkeypatch.setattr(linalg, other, refuse)
+    ergodic._sectors(ch)
+    ergodic._sectors(channel_mod.adjoint_channel(ch))

@@ -387,31 +387,48 @@ class TestFactorisationCounts:
         assert not any(dtype == "complex128" for _, dtype in calls)
 
     @pytest.mark.parametrize("adjoint", [False, True])
-    def test_analyze_builds_one_superoperator_and_one_hermitian_form(
-        self, monkeypatch, adjoint
+    @pytest.mark.parametrize(
+        "command, make, d",
+        [
+            ("analyze", parity_fock_channel, 4),
+            ("analyze", shift_channel, 16),
+            ("iterate", shift_channel, 16),
+            ("fixed-space", shift_channel, 16),
+        ],
+    )
+    def test_builds_no_superoperator_and_no_dense_form(
+        self, monkeypatch, command, make, d, adjoint
     ):
-        d = 4
-        ch = parity_fock_channel(0.3, d)
-        built = []
-        for module, name in ((channel, "superoperator"), (linalg, "to_hermitian_basis")):
-            orig = getattr(module, name)
+        # the Hermitian form comes from the Kraus operators: L is never
+        # built, nor changed to the Hermitian basis, on either side; at
+        # d = 16 the whole form is not built either, only its blocks
+        ch = make(0.3, d)
 
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                built.append(_name)
-                return _orig(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a d^2 x d^2 matrix")
 
-            monkeypatch.setattr(module, name, counted)
+        refused = [(channel, "superoperator"), (linalg, "to_hermitian_basis")]
+        if d == 16:
+            refused.append((linalg, "kraus_hermitian_form"))
+        for module, name in refused:
+            monkeypatch.setattr(module, name, refuse)
         calls = count_full_size_calls(monkeypatch, d)
-        rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
-        assert sorted(built) == ["superoperator", "to_hermitian_basis"]
-        assert not any(name == "eigvalsh" for name, _ in calls)
-        assert set(rep["verification"]) == {
-            "cp_ok",
-            "min_choi_eigenvalue",
-            "trace_nonincreasing_ok",
-            "max_kraus_sum_eigenvalue",
-            "tol",
-        }
+        if command == "analyze":
+            rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
+            assert set(rep["verification"]) == {
+                "cp_ok",
+                "min_choi_eigenvalue",
+                "trace_nonincreasing_ok",
+                "max_kraus_sum_eigenvalue",
+                "tol",
+            }
+        elif command == "iterate":
+            rep = io.iterate_channel(ch, 100, cesaro_n=200, adjoint=adjoint)
+            assert rep["disagreement_hs"] <= 1e-10
+        else:
+            rep = io.fixed_space_channel(ch, adjoint=adjoint)
+            assert rep["dimension"] == 0  # the truncated shift fixes nothing
+        assert calls == []
 
     @pytest.mark.parametrize("count", [2, 20])  # fewer and more than d^2
     def test_verify_builds_no_superoperator(self, monkeypatch, count):
