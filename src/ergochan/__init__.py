@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .channel import (  # noqa: F401
     KrausChannel,
-    Superoperator,
     VerificationReport,
     apply,
     apply_adjoint,

@@ -1,10 +1,13 @@
 """Quantum operations in Kraus form and their superoperator matrices.
 
 A channel acts on d x d matrices as ``phi(X) = sum_i V_i X V_i^dag`` and
-its adjoint under the trace pairing as ``phi*(A) = sum_i V_i^dag A V_i``.
-Under the column-stacking convention of :mod:`ergochan.linalg` the
-matrix of ``phi`` is ``sum_i conj(V_i) kron V_i`` and the matrix of
-``phi*`` is ``sum_i V_i^T kron V_i^dag``.
+its adjoint under the trace pairing as ``phi*(A) = sum_i V_i^dag A V_i``,
+the channel of the V_i^dag (:func:`adjoint_channel`).  Under the
+column-stacking convention of :mod:`ergochan.linalg` the matrix of
+``phi`` (:func:`superoperator`, a plain d^2 x d^2 ndarray) is ``sum_i
+conj(V_i) kron V_i``, and so the matrix of ``phi*`` is ``sum_i V_i^T
+kron V_i^dag``.  ``FORWARD`` and ``ADJOINT`` name the two sides in
+reports.
 """
 
 from __future__ import annotations
@@ -51,35 +54,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """The d^2 x d^2 matrix of phi (or phi*) under vectorization."""
-
-    dim: int
-    side: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.side not in (FORWARD, ADJOINT):
-            raise DomainError(f"side must be {FORWARD!r} or {ADJOINT!r}")
-        # a read-only view: the caller's array stays writable, uncopied
-        M = linalg.as_matrix(self.matrix).view()
-        if M.shape != (self.dim**2, self.dim**2):
-            raise DimensionError(
-                f"superoperator for dim {self.dim} must be "
-                f"{self.dim**2}x{self.dim**2}, got {M.shape}"
-            )
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-    def __call__(self, X) -> np.ndarray:
-        """Apply the map to a d x d matrix via vec/unvec."""
-        X = linalg.as_matrix(X)
-        if X.shape != (self.dim, self.dim):
-            raise DimensionError(f"expected {self.dim}x{self.dim}, got {X.shape}")
-        return linalg.unvec(self.matrix @ linalg.vec(X), self.dim)
 
 
 @dataclass(frozen=True)
@@ -146,19 +120,15 @@ def adjoint_channel(ch: KrausChannel) -> KrausChannel:
     return KrausChannel(kraus=tuple(V.conj().T for V in ch.kraus), label=ch.label)
 
 
-def superoperator(ch: KrausChannel, side: str = FORWARD) -> Superoperator:
-    """Matrix form of phi (side='forward') or phi* (side='adjoint'), the
-    latter that of the channel of the V_i^dag (:func:`adjoint_channel`):
-    ``sum_i V_i^T kron V_i^dag``."""
-    if side not in (FORWARD, ADJOINT):
-        raise DomainError(f"unknown side {side!r}")
-    kraus = ch.kraus if side == FORWARD else adjoint_channel(ch).kraus
-    return Superoperator(dim=ch.dim, side=side, matrix=linalg.kraus_superoperator(kraus))
+def superoperator(ch: KrausChannel) -> np.ndarray:
+    """The complex d^2 x d^2 matrix ``sum_i conj(V_i) kron V_i`` of phi;
+    that of phi* is ``superoperator(adjoint_channel(ch))``."""
+    return linalg.kraus_superoperator(ch.kraus)
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
     """Choi matrix C = sum_ij E_ij kron phi(E_ij); PSD iff CP."""
-    return choi_from_superoperator(superoperator(ch).matrix)
+    return choi_from_superoperator(superoperator(ch))
 
 
 def choi_from_superoperator(L) -> np.ndarray:
@@ -179,13 +149,13 @@ def choi_from_superoperator(L) -> np.ndarray:
     return L.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1).copy().reshape(n, n)
 
 
-def transpose_superoperator(d: int) -> Superoperator:
+def transpose_superoperator(d: int) -> np.ndarray:
     """Matrix of X -> X^T: the canonical non-CP witness.
 
     The permutation matrix with vec(X^T)[i*d + j] = vec(X)[j*d + i].
     """
     perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    return Superoperator(dim=d, side=FORWARD, matrix=np.eye(d * d)[perm])
+    return np.eye(d * d)[perm]
 
 
 def min_choi_eigenvalue(C) -> float:
@@ -204,8 +174,10 @@ def verify(ch: KrausChannel, tol: float = DEFAULT_TOL) -> VerificationReport:
     ``lambda_max(sum V^dag V) <= 1``.  By Russo-Dye ``||phi*||_{inf->inf}
     = ||phi*(I)|| = lambda_max(sum V^dag V)``, and the trace-norm bound
     ``||phi||_{1->1}`` is its dual, so this is also contraction in both
-    norms.  No d^2 x d^2 matrix is formed.
+    norms.  No d^2 x d^2 matrix is formed.  A ``tol`` that is not finite
+    and > 0 raises :class:`DomainError` (:func:`linalg.check_tol`).
     """
+    linalg.check_tol(tol)
     d = ch.dim
     lam_min = 0.0
     if len(ch.kraus) >= d * d:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__, catalog, io
@@ -35,7 +34,7 @@ from .errors import (
     SpecValidationError,
     SplittingViolationError,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -121,12 +120,12 @@ _FLAGS = {
 
 def _check_flags(args) -> None:
     """Refuse a bad flag value before any file is read.  A tolerance must
-    be finite and > 0 (a cut at or below zero counts round-off as rank),
-    ``--cesaro-n`` >= 0 (0 skips the Cesaro check) and ``--n`` >= 1."""
+    be finite and > 0 (``linalg.check_tol``), ``--cesaro-n`` >= 0 (0
+    skips the Cesaro check) and ``--n`` >= 1."""
     for flag in ("--tol", "--peripheral-tol"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not 0 < value < math.inf:
-            raise DomainError(f"{flag} must be finite and > 0, got {value}")
+        if value is not None:
+            check_tol(value, flag)
     if getattr(args, "cesaro_n", 0) < 0:
         raise DomainError(f"--cesaro-n must be >= 0, got {args.cesaro_n}")
     if getattr(args, "n", 1) < 1:

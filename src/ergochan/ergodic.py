@@ -15,15 +15,16 @@ same projectors at rate O(1/n).
 Every stage runs on the exact diagonal blocks of the real Hermitian
 form of L, which :func:`_sectors` builds once per input.  From a
 :class:`channel.KrausChannel` it builds them from the Kraus operators,
-without the d^2 x d^2 matrix L where they have enough zeros; a
-:class:`channel.Superoperator` or a raw matrix is changed to the
-Hermitian basis whole.  All routes give the same blocks, bit for bit.
+without the d^2 x d^2 matrix L where they have enough zeros; the matrix
+L (``channel.superoperator``) is changed to the Hermitian basis whole.
+All routes give the same blocks, bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,8 @@ ENTRY_OVERHEAD = 256
 
 
 def _as_matrix(L, stack: bool = False) -> np.ndarray:
-    """Accept a Superoperator or a raw square ndarray, and with ``stack``
-    also a stack (m, k, k) of square matrices."""
-    if isinstance(L, channel_mod.Superoperator):
-        return np.asarray(L.matrix)
+    """Accept a square matrix, and with ``stack`` also a stack (m, k, k)
+    of square matrices."""
     M = linalg.as_stack(L) if stack else linalg.as_matrix(L)
     if M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"superoperator matrix must be square, got {M.shape}")
@@ -89,14 +88,31 @@ def _ct(X) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """Refuse a count that is not an integer >= ``least``, naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_tols(peripheral_tol: float, cluster_tol: float) -> None:
+    """Refuse a peripheral or cluster tolerance that is not finite and
+    > 0 (:func:`linalg.check_tol`), before anything is factorised."""
+    linalg.check_tol(peripheral_tol, "peripheral_tol")
+    linalg.check_tol(cluster_tol, "cluster_tol")
+
+
 def _sectors(L, *more) -> tuple:
     """``(d, layout, stacks)``: the one place an input becomes the form
     every stage runs on.
 
-    L is a :class:`channel.KrausChannel`, a :class:`channel.Superoperator`
-    or its d^2 x d^2 matrix, else :class:`DimensionError`.  Its Hermitian
-    form A = B^H L B is real when L preserves Hermiticity, as every
-    quantum operation does; an imaginary part above
+    L is one of three inputs: a :class:`channel.KrausChannel`, its
+    d^2 x d^2 matrix (``channel.superoperator``), or a
+    :class:`PeripheralDecomposition`; a matrix of another shape raises
+    :class:`DimensionError`.  Its Hermitian form A = B^H L B is real
+    when L preserves Hermiticity, as every quantum operation does; an
+    imaginary part above
     :data:`linalg.HERMITICITY_TOL` times the largest entry of A raises
     :class:`DomainError`, and the real part of A is kept.  Nothing is
     factorised before either refusal.  The change of basis is unitary,
@@ -140,7 +156,7 @@ def _sectors(L, *more) -> tuple:
             forms = [_real_form(x) for x in values]  # the entries of each form
             nonzero = np.logical_or.reduce([x != 0 for x in forms])
             order, sizes = linalg.components(n, p[nonzero], q[nonzero])
-            layout = linalg.BlockLayout.from_components(order, sizes)
+            layout = linalg.BlockLayout(order, sizes)
             return (L.dim, layout, *layout.split_entries(p, q, *forms))
         forms = [linalg.kraus_hermitian_form(kraus) for kraus in families]
     else:
@@ -151,7 +167,7 @@ def _sectors(L, *more) -> tuple:
         forms = [linalg.to_hermitian_basis(M) for M in mats]
     forms = [_real_form(H) for H in forms]
     nonzero = sum(np.abs(A) for A in forms) if more else forms[0]
-    layout = linalg.BlockLayout.from_components(*linalg.support_components(nonzero))
+    layout = linalg.BlockLayout(*linalg.support_components(nonzero))
     return (math.isqrt(n), layout, *(layout.split(A) for A in forms))
 
 
@@ -285,9 +301,8 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
     stack (m, k, k), averaged member by member.
     """
     M = _as_matrix(L, stack=True)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if abs(abs(lam) - 1.0) > 1e-12:
+    _check_count(n, "n", 1)
+    if not abs(abs(lam) - 1.0) <= 1e-12:  # also refuses NaN
         raise DomainError(f"lambda must have unit modulus, got |{lam}| = {abs(lam)}")
     lam = complex(lam)
     T = M / (lam.real if lam.imag == 0 else lam)  # a real M stays real for lam = +-1
@@ -306,16 +321,16 @@ def cesaro_average(L, lam: complex, n: int) -> np.ndarray:
 def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     """Orthonormal basis of Ker(I - L) as d x d matrices.
 
-    L is a Kraus channel, a superoperator, its matrix, or a
+    L is a Kraus channel, its matrix, or a
     :class:`PeripheralDecomposition`, whose blocks are then used
-    (:func:`_sectors`).  I - A, A the
-    Hermitian form of L, has the blocks of A, so its kernel is the sum
-    of the kernels of the blocks: one :func:`linalg.null_space` of the
-    stacks, with the rank cut of the whole matrix, ``tol * max(1,
-    sigma_max)`` and sigma_max the largest over all blocks.  Dimension
-    and span are those of the kernel of the whole I - A, no SVD is
-    larger than a block, and each basis vector lies in one block.  A is
-    real, so the matrices are Hermitian."""
+    (:func:`_sectors`).  I - A, A the Hermitian form of L, has the
+    blocks of A, so its kernel is the sum of the kernels of the blocks:
+    one :func:`linalg.null_space` of the stacks, with the rank cut of
+    the whole matrix, ``tol * max(1, sigma_max)`` and sigma_max the
+    largest over all blocks.  Dimension and span are those of the kernel
+    of the whole I - A, no SVD is larger than a block, and each basis
+    vector lies in one block.  A is real, so the matrices are
+    Hermitian."""
     _, layout, stacks = _sectors(L)
     return _fixed_basis(
         linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), tol
@@ -380,6 +395,7 @@ def peripheral_spectrum(
     """Unit-modulus eigenvalues of L, clustered by their arguments
     (:func:`_peripheral_clusters`); the empty list is a valid result
     (strictly contractive maps)."""
+    _check_tols(peripheral_tol, cluster_tol)
     _, _, stacks = _sectors(L)
     return _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
 
@@ -424,9 +440,9 @@ def spectral_projectors(
     """Spectral projector onto each peripheral cluster, from the kernels
     of L - lambda (:func:`_kernel_projectors`); a lambda that is not
     semisimple raises :class:`IllConditionedDecompositionError`.  L is a
-    Kraus channel, a superoperator or its d^2 x d^2 matrix
-    (:func:`_sectors`), since the projectors are mapped back to column
-    stacking."""
+    Kraus channel or its d^2 x d^2 matrix (:func:`_sectors`), since the
+    projectors are mapped back to column stacking."""
+    _check_tols(peripheral_tol, cluster_tol)
     _, layout, stacks = _sectors(L)
     projectors, _, _ = _kernel_projectors(
         layout, stacks, _eigvals(stacks), lambdas, cluster_tol, peripheral_tol
@@ -559,9 +575,10 @@ def peripheral_decomposition(
     against Cesaro averages of length ``cesaro_check_n`` (default
     :data:`DEFAULT_CESARO_N`); a disagreement larger than
     :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||)) is an
-    error, not a warning.  Set ``cesaro_check_n=0`` to skip the check; a
-    negative one raises :class:`DomainError` before anything is
-    factorised.
+    error, not a warning.  Set ``cesaro_check_n=0`` to skip the check.
+    A ``cesaro_check_n`` that is not an integer >= 0, or a tolerance
+    that is not finite and > 0, raises :class:`DomainError` before
+    anything is factorised.
 
     All of this runs on the Hermitian form A of L (:func:`_sectors`),
     one exact diagonal block of A at a time (:class:`linalg.BlockLayout`,
@@ -577,8 +594,8 @@ def peripheral_decomposition(
     real, since L preserves Hermiticity (a map that does not is refused),
     and so are the products for lambda = +-1.
     """
-    if cesaro_check_n < 0:
-        raise DomainError(f"cesaro_check_n must be >= 0, got {cesaro_check_n}")
+    _check_count(cesaro_check_n, "cesaro_check_n", 0)
+    _check_tols(peripheral_tol, cluster_tol)
     d, layout, stacks = _sectors(L)
     eigenvalues = _eigvals(stacks)
     lambdas = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
@@ -632,14 +649,15 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     matrix-vector product per set bit, and L^n itself is never formed
     (Higham, *Functions of Matrices*, 2008).  No eigendecomposition is
     involved, so this is independent of :func:`peripheral_decomposition`.
-    n = 0 returns X; n < 0 raises :class:`DomainError`.
+    n = 0 returns X; an n that is not an integer >= 0 raises
+    :class:`DomainError`.
 
-    L is a Kraus channel, a superoperator, its matrix, or a
+    L is a Kraus channel, its matrix, or a
     :class:`PeripheralDecomposition`, of which only ``operator_blocks``,
     the stacks of L itself, are read (:func:`_sectors`): no projector,
-    stable part or eigenvalue, so the
-    result stays independent of the decomposition's spectral data while
-    L is split into blocks only once.  L is powered as the stacks of
+    stable part or eigenvalue, so the result stays independent of the
+    decomposition's spectral data while L is split into blocks only
+    once.  L is powered as the stacks of
     its Hermitian form A and applied to the Hermitian-basis coordinates
     ``w = B^H vec(X)``, real and imaginary parts as one two-column block
     split by the same blocks (:func:`_apply_by_sector`), so no product is
@@ -657,8 +675,7 @@ def power_iterate(L, n: int, X) -> np.ndarray:
     :data:`POWER_DRIFT` ``* n * d * u * ||X||_HS``: 7e-11 at n = 10^4,
     d = 16, for a unit-norm X.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _check_count(n, "n", 0)
     d, layout, stacks = _sectors(L)
     X = linalg.as_matrix(X)
     if X.shape != (d, d):
@@ -703,8 +720,7 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     :func:`power_iterate`; neither S^n nor a dense matrix is formed.  Its
     error does not grow with n, since rho(S) < 1.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, "n", 1)
     X = linalg.as_matrix(X)
     d = decomp.dim
     if X.shape != (d, d):
@@ -751,8 +767,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
     takes one power per call and a stack of many small blocks takes
     many.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_count(n_max, "n_max", 1)
     if isinstance(S, PeripheralDecomposition):
         stacks, rho = S.stable_blocks, S.stable_spectral_radius
     else:
@@ -881,8 +896,8 @@ def fixed_space_intersection(
     weights = [float(w) for w in weights]
     if len(channels) != len(weights) or not channels:
         raise DomainError("need equally many channels and weights, at least one")
-    if any(w <= 0 for w in weights):
-        raise DomainError("weights must be strictly positive")
+    if not all(0 < w < math.inf for w in weights):
+        raise DomainError(f"weights must be finite and > 0, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise DomainError(f"weights must sum to 1, got {sum(weights)}")
     dims = {ch.dim for ch in channels}

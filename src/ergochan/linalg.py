@@ -32,7 +32,8 @@ conventions are fixed here once and inherited everywhere:
   member's largest singular value (of any stack ``(..., k, l)``).
   :class:`BlockLayout` holds a matrix as the stacks of its exact
   diagonal blocks, the connected components (:func:`components`) of
-  its support, given as a matrix or as a list of entries;
+  its support, given as a list of entries or as a matrix
+  (:func:`support_components`);
   :func:`block_svd` and :func:`null_space` cut the singular values of
   such stacks at the rank cut of the whole matrix.
 """
@@ -44,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, DomainError, NumericError
 
 #: Default tolerance; callers scale by dimension where needed.
 DEFAULT_TOL = 1e-10
@@ -166,10 +167,6 @@ def top_singular_values(M) -> np.ndarray:
     return scale[..., 0, 0] * np.sqrt(np.maximum(top, 0.0))
 
 
-def kron(A, B) -> np.ndarray:
-    return np.kron(as_matrix(A), as_matrix(B))
-
-
 def kraus_superoperator(kraus) -> np.ndarray:
     """``sum_i conj(V_i) kron V_i``, complex: the matrix of
     ``X -> sum_i V_i X V_i^dag`` under column stacking, the Kronecker
@@ -206,9 +203,19 @@ def hs_norm(M) -> float:
     return float(np.linalg.norm(as_matrix(M)))
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a tolerance that is not finite and > 0, naming it: a cut at
+    or below zero counts round-off as rank, and a cut at inf or NaN
+    counts every singular value as zero (NaN compares false).  Every rank
+    cut (:func:`_rank_cut`) is checked by this before its matrix is
+    factorised."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {tol}")
+
+
 def _rank_cut(sigma_max: float, tol: float) -> float:
     """The numerical-rank cut ``tol * max(1, sigma_max)``: singular values
-    below it count as zero.
+    below it count as zero; ``tol`` has passed :func:`check_tol`.
 
     The cut is absolute below unit scale: the matrices whose rank the
     package needs, such as I - L for a channel L, are differences of
@@ -227,7 +234,9 @@ def block_svd(stacks, tol: float) -> tuple:
     the whole matrix, and per stack the (m,) numerical ranks of its
     members.  A member of rank r has its range spanned by the leading r
     columns of its U and its kernel by the trailing k - r rows of its
-    Vh."""
+    Vh.  A ``tol`` that fails :func:`check_tol` raises
+    :class:`DomainError` before any SVD."""
+    check_tol(tol)
     svds = [svd(X) for X in stacks]
     cut = _rank_cut(max(float(s.max()) for _, s, _ in svds), tol)
     return svds, cut, [np.sum(s >= cut, axis=-1) for _, s, _ in svds]
@@ -287,6 +296,7 @@ def null_space(M, tol: float = DEFAULT_TOL, layout=None) -> np.ndarray:
 def column_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical range of M, with the
     rank cut of :func:`null_space`."""
+    check_tol(tol)
     U, s, _ = svd(M)
     return U[:, : int(np.sum(s >= _rank_cut(float(s[0]), tol)))]
 
@@ -344,17 +354,6 @@ def support_components(M) -> tuple:
     return components(len(M), *np.nonzero(M))
 
 
-def diagonal_blocks(M) -> list:
-    """Index sets of the exact diagonal blocks of a square matrix: the
-    components of its support (:func:`support_components`).  Every entry
-    outside the blocks is exactly zero, so ``M`` is block diagonal under
-    the permutation that concatenates them, and so is every power of
-    ``M``.  Blocks are ordered by their smallest index, each sorted
-    ascending; a dense matrix is one block."""
-    order, sizes = support_components(M)
-    return np.split(order, np.cumsum(sizes[:-1]))
-
-
 class BlockLayout:
     """Where the exact diagonal blocks of an n x n matrix lie, grouped by
     size.
@@ -366,23 +365,14 @@ class BlockLayout:
     the matching (m, k) arrays of row and column indices.  Rows of an
     (n, ...) array split the same way into parts (m, k, ...).
 
-    A layout is built from its index sets (:meth:`from_components`);
-    ``BlockLayout(M)`` is that of the blocks of the square matrix M
-    (:func:`support_components`).
+    The layout is built from the index sets that ``order`` concatenates,
+    of sizes ``sizes``, as :func:`components` gives them; that of the
+    blocks of a square matrix M is ``BlockLayout(*support_components(M))``.
+    Every entry outside the blocks is zero, so every power of M has the
+    same blocks.
     """
 
-    def __init__(self, M):
-        self._group(*support_components(M))
-
-    @classmethod
-    def from_components(cls, order, sizes) -> "BlockLayout":
-        """The layout of the index sets that ``order`` concatenates, of
-        sizes ``sizes``, as :func:`components` gives them."""
-        layout = cls.__new__(cls)
-        layout._group(order, sizes)
-        return layout
-
-    def _group(self, order, sizes) -> None:
+    def __init__(self, order, sizes):
         self.n = order.size
         size_set, first, size_of = np.unique(sizes, return_index=True, return_inverse=True)
         by_first = np.argsort(first)

@@ -34,6 +34,7 @@ from ergochan import (
 from ergochan import linalg
 from ergochan.channel import choi_from_superoperator, min_choi_eigenvalue
 from ergochan.errors import DecompositionFailureError
+from helpers import on_side
 
 
 @contextlib.contextmanager
@@ -152,12 +153,11 @@ def test_criterion_5_structural_invariants():
         for ch in catalog_channels():
             d = ch.dim
             L = superoperator(ch)
-            M = L.matrix
             decomp = peripheral_decomposition(L)
             for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
                 assert linalg.operator_norm(P @ P - P) <= 1e-8
-                assert linalg.operator_norm(M @ P - lam * P) <= 1e-8
-                assert linalg.operator_norm(P @ M - lam * P) <= 1e-8
+                assert linalg.operator_norm(L @ P - lam * P) <= 1e-8
+                assert linalg.operator_norm(P @ L - lam * P) <= 1e-8
                 for Q in decomp.projectors[i + 1 :]:
                     assert linalg.operator_norm(P @ Q) <= 1e-8
             rep = splitting_check(L)
@@ -221,7 +221,7 @@ def test_criterion_7_commuting_convex_combination():
 def test_criterion_8_negative_controls():
     with criterion("8 negative controls"):
         T = transpose_superoperator(2)
-        lam_min = min_choi_eigenvalue(choi_from_superoperator(T.matrix))
+        lam_min = min_choi_eigenvalue(choi_from_superoperator(T))
         assert lam_min == pytest.approx(-1.0, abs=1e-10)
 
         rep = verify(KrausChannel(kraus=(np.sqrt(2) * np.eye(2),)))
@@ -231,7 +231,7 @@ def test_criterion_8_negative_controls():
 
 def ladder_acceptance(g, d, side):
     ch = ladder_channel(g, d)
-    decomp = peripheral_decomposition(superoperator(ch, side))
+    decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
     # the sector path: the populations and each gap of coherences
     assert sum(len(idx) for idx in decomp.layout.index) > 1
     assert decomp.lambdas == (1.0,)

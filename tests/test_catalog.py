@@ -119,7 +119,7 @@ class TestParityBuilder:
         assert np.allclose(ks, np.eye(6))
 
     def test_superoperator_eigenvalues_d8(self):
-        lam = linalg.eigvals(superoperator(parity_fock_channel(0.3, 8)).matrix)
+        lam = linalg.eigvals(superoperator(parity_fock_channel(0.3, 8)))
         ones = np.sum(np.abs(lam - 1.0) < 1e-10)
         rest = np.sum(np.abs(lam + 0.4) < 1e-10)
         assert ones == 32 and rest == 32
@@ -204,7 +204,7 @@ class TestLadderBuilder:
         n = 30
         gap = linalg.hs_norm(apply_n(ch, X, n) - want)
         assert gap <= n**d * ladder_stable_radius(g) ** n * linalg.hs_norm(X) + 1e-14
-        L = superoperator(ch).matrix
+        L = superoperator(ch)
         assert linalg.spectral_radius(L - P) == pytest.approx(np.sqrt(1 - g), abs=1e-10)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from ergochan import (
     KrausChannel,
-    Superoperator,
     apply,
     apply_adjoint,
     apply_n,
@@ -20,17 +19,11 @@ from ergochan import (
 from ergochan import linalg
 from ergochan.channel import ADJOINT, min_choi_eigenvalue
 from ergochan.errors import DimensionError, DomainError
+from helpers import on_side, stinespring_channel
 
 
 def random_state_like(rng, d):
     return rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-
-
-def random_kraus_channel(rng, d, count=3, scale=1.0):
-    """Kraus family of a random Stinespring isometry, times ``scale``."""
-    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    Q, _ = np.linalg.qr(G)
-    return KrausChannel(kraus=tuple(scale * Q[k * d : (k + 1) * d] for k in range(count)))
 
 
 def choi_kron_sum(L):
@@ -130,7 +123,7 @@ class TestApplyN:
     def test_bit_identical_to_kraus_sum_loop(self, adjoint, n):
         # reference: n steps of the plain Kraus sum, one term at a time
         rng = np.random.default_rng(n)
-        for ch in (random_kraus_channel(rng, 4), shift_channel(0.3, 5)):
+        for ch in (stinespring_channel(rng, 4), shift_channel(0.3, 5)):
             X = random_state_like(rng, ch.dim)
             ref = X
             for _ in range(n):
@@ -211,18 +204,18 @@ class TestChoi:
 
     def test_transpose_map_is_not_cp(self):
         T = transpose_superoperator(2)
-        C = choi_from_superoperator(T.matrix)
+        C = choi_from_superoperator(T)
         assert min_choi_eigenvalue(C) == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_reshuffle_equals_kron_sum(self, d):
         rng = np.random.default_rng(100 + d)
-        L = superoperator(random_kraus_channel(rng, d)).matrix
+        L = superoperator(stinespring_channel(rng, d))
         assert np.array_equal(choi_from_superoperator(L), choi_kron_sum(L))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_transpose_map_equals_loop(self, d):
-        K = transpose_superoperator(d).matrix
+        K = transpose_superoperator(d)
         assert np.array_equal(K, transpose_loop(d))
         assert np.array_equal(choi_from_superoperator(K), choi_kron_sum(K))
 
@@ -236,19 +229,20 @@ class TestChoi:
 class TestSuperoperator:
     def test_identity_channel(self):
         ch = KrausChannel(kraus=(np.eye(3),))
-        assert np.allclose(superoperator(ch).matrix, np.eye(9))
+        assert np.allclose(superoperator(ch), np.eye(9))
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_caller_matrix_stays_writable_and_uncopied(self, dtype):
-        M = np.eye(4, dtype=dtype)
-        L = Superoperator(2, "forward", M)
-        assert np.shares_memory(L.matrix, M)
-        with pytest.raises(ValueError):
-            L.matrix[0, 0] = 2
-        M[0, 0] = 2
+    def test_is_a_plain_matrix(self):
+        # the matrix itself, a fresh complex ndarray; so is the transpose map's
+        ch = shift_channel(0.4, 3)
+        L = superoperator(ch)
+        assert type(L) is np.ndarray and L.dtype == complex and L.shape == (9, 9)
+        assert np.array_equal(L, sum(np.kron(V.conj(), V) for V in ch.kraus))
+        assert L.flags.writeable and not np.shares_memory(L, superoperator(ch))
+        T = transpose_superoperator(3)
+        assert type(T) is np.ndarray and T.shape == (9, 9)
 
     def test_pauli_real_symmetric(self):
-        L = superoperator(pauli_xy_channel(0.3)).matrix
+        L = superoperator(pauli_xy_channel(0.3))
         assert np.linalg.norm(L.imag) < 1e-15
         assert np.allclose(L, L.T)
 
@@ -256,23 +250,24 @@ class TestSuperoperator:
     def test_apply_consistency(self, side):
         rng = np.random.default_rng(6)
         ch = shift_channel(0.4, 4)
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         op = apply_adjoint if side == ADJOINT else apply
         for _ in range(5):
             X = random_state_like(rng, 4)
-            assert np.linalg.norm(L(X) - op(ch, X)) <= 1e-12 * np.linalg.norm(X)
+            LX = linalg.unvec(L @ linalg.vec(X), 4)
+            assert np.linalg.norm(LX - op(ch, X)) <= 1e-12 * np.linalg.norm(X)
 
     def test_forward_adjoint_hs_pairing(self):
         # <phi(X), A>_HS = <X, adjoint-of-phi2(A)>_HS; for our maps the
         # HS adjoint of the forward matrix is its conjugate transpose
         ch = parity_fock_channel(0.3, 4)
-        Lf = superoperator(ch, "forward").matrix
-        La = superoperator(ch, "adjoint").matrix
+        Lf = superoperator(ch)
+        La = superoperator(on_side(ch, ADJOINT))
         assert np.linalg.norm(La - Lf.conj().T) < 1e-12
 
     def test_power_boundedness_witness(self):
         for ch in (pauli_xy_channel(0.25), shift_channel(0.5, 6), parity_fock_channel(0.3, 4)):
-            L = superoperator(ch).matrix
+            L = superoperator(ch)
             power = np.eye(L.shape[0], dtype=complex)
             for _ in range(200):
                 power = power @ L
@@ -304,7 +299,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "ch",
         [
-            random_kraus_channel(np.random.default_rng(7), 4, scale=0.95),
+            stinespring_channel(np.random.default_rng(7), 4, scale=0.95),
             KrausChannel(kraus=(np.sqrt(2) * np.eye(2),)),
         ],
         ids=["trace-decreasing", "sqrt2-identity"],
@@ -356,7 +351,7 @@ class TestClosedFormChoiWitness:
         [(1, 1), (1, 3), (2, 3), (2, 4), (2, 6), (3, 2), (3, 9), (3, 12), (4, 17)],
     )
     def test_random_families(self, d, count):
-        ch = random_kraus_channel(np.random.default_rng(40 + 10 * d + count), d, count)
+        ch = stinespring_channel(np.random.default_rng(40 + 10 * d + count), d, count)
         rep = verify(ch)
         assert rep.min_choi_eigenvalue >= 0.0
         assert rep.min_choi_eigenvalue == pytest.approx(

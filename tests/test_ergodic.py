@@ -39,6 +39,7 @@ from ergochan.errors import (
     IllConditionedDecompositionError,
     NumericError,
 )
+from helpers import count_linalg_calls, on_side, stinespring_channel
 
 CATALOG_CHANNELS = [
     pauli_xy_channel(0.25),
@@ -96,13 +97,6 @@ def form_map(R):
     return linalg.from_hermitian_basis(padded)
 
 
-def random_stinespring_channel(seed, d, count=2):
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    Q, _ = np.linalg.qr(G)
-    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count)))
-
-
 class TestCesaro:
     def test_identity(self):
         L = superoperator(identity_channel(2))
@@ -126,7 +120,7 @@ class TestCesaro:
     @pytest.mark.parametrize("lam", [1.0, -1.0])
     @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
     def test_doubling_equals_loop(self, ch, lam, n):
-        L = superoperator(ch).matrix
+        L = superoperator(ch)
         ref = cesaro_loop(L, lam, n)
         assert np.max(np.abs(cesaro_average(L, lam, n) - ref)) <= 1e-13
 
@@ -188,7 +182,7 @@ class TestFixedSpace:
         fs = fixed_space(L, 1e-10)
         assert fs.dimension == 8
         for B in fs.basis:
-            assert linalg.hs_norm(L(B) - B) <= 1e-15
+            assert linalg.hs_norm(linalg.unvec(L @ linalg.vec(B), 4) - B) <= 1e-15
         rep = splitting_check(L, 1e-10)
         assert (rep.fixed_dim, rep.range_dim) == (8, 8)
 
@@ -202,17 +196,17 @@ class TestFixedSpace:
         "ch",
         CATALOG_CHANNELS
         + [pauli_xy_channel(1 - 1e-9)]
-        + [random_stinespring_channel(30 + d, d, count) for d, count in ((3, 2), (4, 3), (6, 2))],
+        + [stinespring_channel(30 + d, d, count) for d, count in ((3, 2), (4, 3), (6, 2))],
         ids=CATALOG_IDS + ["pauli-near-identity", "random3", "random4", "random6"],
     )
     def test_matches_the_decomposition(self, ch, side):
         # at the decomposition's own cut, fixed_space spans the kernel
         # the decomposition takes from L - 1
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         tol = ergodic.DEFAULT_CLUSTER_TOL + 10 * ergodic.DEFAULT_PERIPHERAL_TOL
         fs, ref = fixed_space(L, tol), peripheral_decomposition(L).fixed_space
         assert fs.dimension == ref.dimension
-        n = L.matrix.shape[0]
+        n = L.shape[0]
         assert np.max(np.abs(span_projector(fs, n) - span_projector(ref, n))) <= 1e-12
         for B in fs.basis + ref.basis:
             assert np.array_equal(B, B.conj().T)
@@ -287,11 +281,10 @@ class TestSpectralProjectors:
     def test_projector_algebra(self, ch):
         L = superoperator(ch)
         decomp = peripheral_decomposition(L)
-        M = L.matrix
         for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
             assert linalg.operator_norm(P @ P - P) <= 1e-8
-            assert linalg.operator_norm(M @ P - lam * P) <= 1e-8
-            assert linalg.operator_norm(P @ M - lam * P) <= 1e-8
+            assert linalg.operator_norm(L @ P - lam * P) <= 1e-8
+            assert linalg.operator_norm(P @ L - lam * P) <= 1e-8
             assert linalg.operator_norm(P @ decomp.stable) <= 1e-8
             assert linalg.operator_norm(decomp.stable @ P) <= 1e-8
             for Q in decomp.projectors[i + 1 :]:
@@ -318,7 +311,7 @@ class TestStablePart:
         decomp = peripheral_decomposition(L)
         lam_S = linalg.eigvals(decomp.stable)
         assert not any(abs(z) >= 1 - decomp.peripheral_tol for z in lam_S)
-        lam_L = linalg.eigvals(L.matrix)
+        lam_L = linalg.eigvals(L)
         interior = sorted(
             (z for z in lam_L if abs(z) < 1 - decomp.peripheral_tol),
             key=lambda z: (abs(z), z.real, z.imag),
@@ -396,7 +389,7 @@ class TestPowerIterate:
         monkeypatch.setattr(
             ergodic, "_power_apply", lambda A, n, V: sizes.append(A.shape[-1]) or orig(A, n, V)
         )
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
         for n in (1, 2, 3, 5, 64, 1000, 10000):
@@ -410,7 +403,7 @@ class TestPowerIterate:
     )
     def test_decomposition_is_powered_by_its_operator_blocks(self, ch, side):
         # the same bits as from L itself, with the spectral data taken away
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         decomp = dataclasses.replace(
             peripheral_decomposition(L, cesaro_check_n=200),
             lambdas=None, projector_blocks=None, stable_blocks=None,
@@ -455,7 +448,7 @@ class TestConjugatePeripheralPair:
     ch = KrausChannel(kraus=(np.sqrt(p) * U, np.sqrt(1 - p) * U @ Z))
 
     def test_matches_closed_form(self):
-        L = superoperator(self.ch).matrix
+        L = superoperator(self.ch)
         decomp = peripheral_decomposition(L)
         z = np.exp(2j * self.theta)
         assert decomp.lambdas == pytest.approx([1.0, z, np.conj(z)], abs=1e-12)
@@ -548,14 +541,14 @@ def planted_channel(seed, delta):
     and W a random 2-Kraus channel: peripheral eigenvalues 1 (twice) and
     e^{+-i delta}, once each, so Ker(I - L) has dimension 2."""
     U = np.diag(np.exp(1j * np.array([0.3, 0.3 + delta])))
-    W = random_stinespring_channel(seed, 3).kraus
+    W = stinespring_channel(seed, 3, 2).kraus
     return KrausChannel(kraus=tuple(np.kron(U, V) for V in W))
 
 
 def planted_outcome(seed, delta, side):
     try:
         peripheral_decomposition(
-            superoperator(planted_channel(seed, delta), side), cesaro_check_n=0
+            superoperator(on_side(planted_channel(seed, delta), side)), cesaro_check_n=0
         )
     except ErgochanError as exc:
         return str(exc)
@@ -580,7 +573,7 @@ class TestPlantedPhaseGap:
     @pytest.mark.parametrize("delta", [5e-7, 1e-6, 2e-6, 1e-4, 1e-2, 0.1])
     def test_matches_closed_form(self, delta, side):
         decomp = peripheral_decomposition(
-            superoperator(planted_channel(1, delta), side), cesaro_check_n=0
+            superoperator(on_side(planted_channel(1, delta), side)), cesaro_check_n=0
         )
         z = np.exp(1j * delta)
         want = {1.0: 2, z: 1, z.conjugate(): 1}
@@ -676,7 +669,7 @@ BLOCKWISE_CHANNELS = [
     pauli_xy_channel(0.3),
     parity_fock_channel(0.3, 8),
     shift_channel(0.4, 8),
-    random_stinespring_channel(7, 3),
+    stinespring_channel(7, 3, 2),
     shift_channel(0.4, 16),
     catalog.ladder_channel(0.7, 16),
 ]
@@ -693,14 +686,14 @@ class TestDecayFitBlockwise:
     @pytest.mark.parametrize("side", ["forward", "adjoint"])
     @pytest.mark.parametrize("ch", BLOCKWISE_CHANNELS, ids=BLOCKWISE_IDS)
     def test_norms_match_dense_loop(self, ch, side):
-        decomp = peripheral_decomposition(superoperator(ch, side))
+        decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
         assert_norms_match_loop(decomp.stable)
 
     def test_catalog_stable_parts_split(self):
         # the certificate only gains where S really has several blocks
         for ch in BLOCKWISE_CHANNELS[:3]:
             S = peripheral_decomposition(superoperator(ch)).stable
-            assert len(linalg.diagonal_blocks(S)) > 1
+            assert len(linalg.support_components(S)[1]) > 1
 
     def test_zero(self):
         assert_norms_match_loop(np.zeros((4, 4)))
@@ -724,7 +717,7 @@ class TestDecayFitBlockwise:
             start += k
         perm = rng.permutation(n)
         R = R[np.ix_(perm, perm)]
-        assert len(linalg.diagonal_blocks(R)) == 4
+        assert len(linalg.support_components(R)[1]) == 4
         S = form_map(R)
         # the form of S is R padded with zeros: its blocks and one 1 x 1
         # block per zero row
@@ -750,7 +743,7 @@ class TestDecayFitBlockwise:
             decay_fit(np.zeros((2, 2)), 10, rho=0.0)
 
     def test_one_block_is_its_own_stack(self):
-        decomp = peripheral_decomposition(superoperator(random_stinespring_channel(8, 3)))
+        decomp = peripheral_decomposition(superoperator(stinespring_channel(8, 3, 2)))
         assert block_count(decomp.layout) == 1
         (S,) = decomp.stable_blocks
         assert S.shape == (1, 9, 9)  # one stack of one block
@@ -790,11 +783,11 @@ class TestSplitting:
     @pytest.mark.parametrize(
         "ch",
         CATALOG_CHANNELS
-        + [random_stinespring_channel(1, 3), random_stinespring_channel(2, 4)],
+        + [stinespring_channel(1, 3, 2), stinespring_channel(2, 4, 2)],
         ids=CATALOG_IDS + ["random3", "random4"],
     )
     def test_dual_residual_matches_eigh_projectors(self, ch):
-        L = superoperator(ch).matrix
+        L = superoperator(ch)
         rep = splitting_check(L)
         want = dual_orthogonality_by_eigh(L)
         assert abs(rep.dual_orthogonality_residual - want) <= 1e-12
@@ -804,7 +797,7 @@ class TestSplitting:
         # B the 2 x 2 block of pauli-xy's Hermitian form on E_00, E_11)
         # towards the adjoint's fixed point (its trailing one) by theta:
         # the largest pairing over unit range vectors is then sin(theta)
-        L = superoperator(pauli_xy_channel(0.3)).matrix
+        L = superoperator(pauli_xy_channel(0.3))
         theta = 1e-3
         orig = linalg.svd
         tilted = []
@@ -955,15 +948,6 @@ class TestHsSymmetry:
         assert rep.adjoint_fixed.dimension == 0
 
 
-def stinespring_channel(seed, d, count=3, drop=0):
-    """A random channel from the QR of a complex Gaussian; dropping
-    ``drop`` of its Kraus operators makes it trace-decreasing."""
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    Q, _ = np.linalg.qr(G)
-    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count - drop)))
-
-
 def dense_fixed_columns(L, tol=ergodic.DEFAULT_FIXED_TOL):
     """Oracle: orthonormal basis of Ker(I - L) in column stacking, from
     one SVD of the whole matrix at the rank cut tol * max(1, sigma_max)."""
@@ -1036,8 +1020,8 @@ class TestFixedPointChecksAgainstDenseOracles:
 
     @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
     def test_hs_fixed_point_symmetry(self, ch, _):
-        Lf = superoperator(ch, FORWARD).matrix
-        La = superoperator(ch, ADJOINT).matrix
+        Lf = superoperator(ch)
+        La = superoperator(on_side(ch, ADJOINT))
         Qf, Qa = dense_fixed_columns(Lf), dense_fixed_columns(La)
         resid = dense_span_residual(Qf, Qa)
         rep = hs_fixed_point_symmetry(ch)
@@ -1056,7 +1040,7 @@ class TestFixedPointChecksAgainstDenseOracles:
     def test_fixed_space_intersection(self, ch, other, same):
         channels = [ch, ch if same else other]
         weights = [0.4, 0.6]
-        Ls = [superoperator(c).matrix for c in channels]
+        Ls = [superoperator(c) for c in channels]
         n = len(Ls[0])
         combined = dense_fixed_columns(sum(w * L for w, L in zip(weights, Ls)))
         complements = [np.eye(n) - Q @ Q.conj().T for Q in map(dense_fixed_columns, Ls)]
@@ -1077,7 +1061,7 @@ class TestFixedPointChecksAgainstDenseOracles:
 
     @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
     def test_peripheral_unitarity_check(self, ch, _):
-        L = superoperator(ch).matrix
+        L = superoperator(ch)
         decomp = peripheral_decomposition(L, cesaro_check_n=0)
         if not decomp.lambdas:
             with pytest.raises(DegenerateInputError):
@@ -1102,7 +1086,7 @@ class TestFixedPointChecksAgainstDenseOracles:
     def test_span_residual_sees_different_block_dimensions(self):
         # two spans of dimension 2 on two blocks of size 2: one lies in the
         # first block, the other takes one dimension of each
-        layout = linalg.BlockLayout(np.kron(np.eye(2), np.ones((2, 2))))
+        layout = linalg.BlockLayout(np.arange(4), np.array([2, 2]))  # [0, 1], [2, 3]
         X = np.stack([np.zeros((2, 2)), np.eye(2)])  # kernel dims 2, 0
         Y = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])  # kernel dims 1, 1
         parts, columns = [], []
@@ -1185,7 +1169,7 @@ class TestKernelProjectors:
     @pytest.mark.parametrize("d", [4, 8])
     def test_ladder_is_accepted(self, d, g, side):
         ch = ladder_channel(g, d)
-        decomp = peripheral_decomposition(superoperator(ch, side))
+        decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
         assert decomp.lambdas == (1.0,)
         assert decomp.stable_spectral_radius == pytest.approx(np.sqrt(1.0 - g), abs=1e-10)
         assert decomp.projector_norm == pytest.approx(np.sqrt(d), abs=1e-10)
@@ -1267,12 +1251,13 @@ SECTOR_IDS = [
 ]
 
 
-def joined(L, seed=0):
-    """L + 1e-300 R, R a random channel's superoperator: numerically L,
-    but with no zero entry, so its Hermitian form is one block."""
-    d = int(round(np.sqrt(L.matrix.shape[0])))
-    R = superoperator(random_stinespring_channel(seed, d, 3), L.side).matrix
-    return L.matrix + 1e-300 * R
+def joined(L, side, seed=0):
+    """L + 1e-300 R, R the superoperator of a random channel on ``side``:
+    numerically L, but with no zero entry, so its Hermitian form is one
+    block."""
+    d = int(round(np.sqrt(L.shape[0])))
+    R = superoperator(on_side(stinespring_channel(seed, d, 3), side))
+    return L + 1e-300 * R
 
 
 def span_projector_of(fs):
@@ -1286,9 +1271,9 @@ class TestSectors:
     @pytest.mark.parametrize("side", ["forward", "adjoint"])
     @pytest.mark.parametrize("ch", SECTOR_CHANNELS, ids=SECTOR_IDS)
     def test_sectors_agree_with_one_block(self, ch, side):
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         sectors = peripheral_decomposition(L)
-        dense = peripheral_decomposition(joined(L))
+        dense = peripheral_decomposition(joined(L, side))
         assert block_count(sectors.layout) > 1 and block_count(dense.layout) == 1
         assert len(sectors.lambdas) == len(dense.lambdas)
         assert np.allclose(sectors.lambdas, dense.lambdas, rtol=0, atol=1e-12)
@@ -1315,8 +1300,8 @@ class TestSectors:
             assert linalg.hs_norm(got - apply_n(ch, X, n, adjoint=side == "adjoint")) <= 1e-11
 
     def test_one_block_channel_is_one_stack(self, monkeypatch):
-        L = superoperator(random_stinespring_channel(5, 4, 3))
-        A = linalg.to_hermitian_basis(L.matrix).real
+        L = superoperator(stinespring_channel(5, 4, 3))
+        A = linalg.to_hermitian_basis(L).real
         seen = []
         orig = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or orig(a))
@@ -1395,7 +1380,7 @@ def dense_kernel_oracle(L, tol):
     """(kernel projector, fixed_dim, range_dim, direct-sum residual, dual
     residual) of I - L from one np.linalg.svd of the whole matrix in the
     column-stacking basis, at the cut tol * max(1, sigma_max)."""
-    M = np.asarray(L.matrix if hasattr(L, "matrix") else L)
+    M = np.asarray(L)
     n = len(M)
     U, s, Vh = np.linalg.svd(np.eye(n) - M)
     r = int(np.sum(s >= tol * max(1.0, s[0])))
@@ -1423,9 +1408,9 @@ ORACLE_CHANNELS = [
     )),
     pauli_xy_channel(0.3),
     ladder_channel(0.3, 4),
-    random_stinespring_channel(40, 3),
-    random_stinespring_channel(41, 4, 3),
-    random_stinespring_channel(42, 6),
+    stinespring_channel(40, 3, 2),
+    stinespring_channel(41, 4, 3),
+    stinespring_channel(42, 6, 2),
     parity_fock_channel(1 - 1e-9, 4),
 ]
 ORACLE_IDS = [
@@ -1442,7 +1427,7 @@ class TestKernelsAgainstDenseOracle:
     @pytest.mark.parametrize("side", ["forward", "adjoint"])
     @pytest.mark.parametrize("ch", ORACLE_CHANNELS, ids=ORACLE_IDS)
     def test_sector_kernels_match_one_dense_svd(self, ch, side, tol):
-        assert_matches_dense_oracle(superoperator(ch, side), tol)
+        assert_matches_dense_oracle(superoperator(on_side(ch, side)), tol)
 
     def test_near_identity_cut_is_absolute(self):
         # I - L has singular values 2e-9 on the odd-gap matrix units: kernel
@@ -1498,7 +1483,7 @@ class TestKernelsAgainstDenseOracle:
     def test_decomposition_gives_its_blocks(self, side, monkeypatch):
         # on a decomposition the kernels read its operator blocks: no
         # second basis change or block search, and the same bits
-        L = superoperator(ladder_channel(0.7, 8), side)
+        L = superoperator(on_side(ladder_channel(0.7, 8), side))
         decomp = peripheral_decomposition(L, cesaro_check_n=200)
         fs, rep = fixed_space(L), splitting_check(L)
         for name in ("to_hermitian_basis", "BlockLayout"):
@@ -1547,14 +1532,14 @@ def sparse_kraus_family(seed):
 
 
 def kraus_sectors(ch, side):
-    return ergodic._sectors(ch if side == FORWARD else channel_mod.adjoint_channel(ch))
+    return ergodic._sectors(on_side(ch, side))
 
 
 def assert_same_sectors(ch, side):
     """The Kraus path gives the layout and the stacks of the superoperator,
     bit for bit, signs of zeros included."""
     d, layout, stacks = kraus_sectors(ch, side)
-    d0, layout0, stacks0 = ergodic._sectors(superoperator(ch, side))
+    d0, layout0, stacks0 = ergodic._sectors(superoperator(on_side(ch, side)))
     assert d == d0 and layout.n == layout0.n
     assert len(layout.index) == len(layout0.index)
     for idx, idx0 in zip(layout.index, layout0.index):
@@ -1671,9 +1656,8 @@ class TestKrausSectors:
         # sum_i V_i^T kron V_i^dag, the matrix of X -> sum_i V_i^dag X V_i
         for ch in (stinespring_channel(3, 4), shift_channel(0.3, 5)):
             want = sum(np.kron(V.T, V.conj().T) for V in ch.kraus)
-            got = superoperator(channel_mod.adjoint_channel(ch)).matrix
+            got = superoperator(channel_mod.adjoint_channel(ch))
             assert np.array_equal(got, want)
-            assert np.array_equal(superoperator(ch, ADJOINT).matrix, want)
             X = np.arange(ch.dim**2).reshape(ch.dim, ch.dim) * (1 + 0.5j)
             direct = sum(V.conj().T @ X @ V for V in ch.kraus)
             assert np.allclose(linalg.unvec(want @ linalg.vec(X), ch.dim), direct)
@@ -1682,9 +1666,9 @@ class TestKrausSectors:
     def test_intersection_blocks_are_those_of_the_superoperators(self, side):
         chs = [parity_fock_channel(0.3, 6), shift_channel(0.4, 6), stinespring_channel(7, 3)]
         for parts in (chs[:2], [pauli_xy_channel(0.2), pauli_xy_channel(0.7)], chs[2:]):
-            kraus = [c if side == FORWARD else channel_mod.adjoint_channel(c) for c in parts]
+            kraus = [on_side(c, side) for c in parts]
             _, layout, *stacks = ergodic._sectors(*kraus)
-            _, layout0, *stacks0 = ergodic._sectors(*(superoperator(c, side) for c in parts))
+            _, layout0, *stacks0 = ergodic._sectors(*(superoperator(c) for c in kraus))
             for idx, idx0 in zip(layout.index, layout0.index, strict=True):
                 assert np.array_equal(idx, idx0)
             for X, X0 in zip(sum(stacks, []), sum(stacks0, []), strict=True):
@@ -1735,3 +1719,95 @@ def test_kraus_route_is_chosen_by_cost(ch, route, monkeypatch):
     monkeypatch.setattr(linalg, other, refuse)
     ergodic._sectors(ch)
     ergodic._sectors(channel_mod.adjoint_channel(ch))
+
+
+#: Every function numpy.linalg exports.
+NUMPY_LINALG = [name for name in np.linalg.__all__ if name != "LinAlgError"]
+
+
+def tolerance_cases():
+    """(name of the tolerance, call with a given value) per entry point
+    that cuts a rank or a peripheral set at a tolerance."""
+    ch = parity_fock_channel(0.3, 4)  # its fixed space has dimension 8
+    M = np.eye(16) - superoperator(ch)
+    parts = [ch, parity_fock_channel(0.6, 4)]
+    cases = [
+        ("fixed_space", "tol", lambda v: fixed_space(ch, tol=v)),
+        ("splitting_check", "tol", lambda v: splitting_check(ch, tol=v)),
+        ("hs_fixed_point_symmetry", "tol", lambda v: hs_fixed_point_symmetry(ch, tol=v)),
+        ("intersection", "tol", lambda v: fixed_space_intersection(parts, [0.5, 0.5], tol=v)),
+        ("null_space", "tol", lambda v: linalg.null_space(M, v)),
+        ("column_space", "tol", lambda v: linalg.column_space(M, v)),
+        ("verify", "tol", lambda v: channel_mod.verify(ch, tol=v)),
+        ("decomposition-peripheral", "peripheral_tol",
+         lambda v: peripheral_decomposition(ch, peripheral_tol=v)),
+        ("decomposition-cluster", "cluster_tol",
+         lambda v: peripheral_decomposition(ch, cluster_tol=v)),
+        ("spectrum-peripheral", "peripheral_tol", lambda v: peripheral_spectrum(ch, v)),
+        ("spectrum-cluster", "cluster_tol", lambda v: peripheral_spectrum(ch, cluster_tol=v)),
+        ("projectors-peripheral", "peripheral_tol",
+         lambda v: spectral_projectors(ch, [1.0], peripheral_tol=v)),
+        ("projectors-cluster", "cluster_tol", lambda v: spectral_projectors(ch, [1.0], v)),
+    ]
+    return [pytest.param(name, call, id=case) for case, name, call in cases]
+
+
+class TestArgumentsAreRefused:
+    """An argument out of its domain raises DomainError naming it."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name, call", tolerance_cases())
+    def test_tolerance_not_finite_and_positive(self, name, call, value, monkeypatch):
+        # nan and inf cut every singular value away (fixed dimension 16
+        # on parity-fock d = 4, whose fixed space has dimension 8), and a
+        # cut at or below 0 keeps them all (dimension 0); verify failed a
+        # valid channel at nan or below 0 and passed any family at inf
+        calls = count_linalg_calls(monkeypatch, NUMPY_LINALG)
+        with pytest.raises(DomainError, match=f"^{name} must be finite and > 0, got {value}$"):
+            call(value)
+        assert calls == []
+
+    @pytest.mark.parametrize("lam", [math.nan, complex(math.nan, 0.0), math.inf])
+    def test_cesaro_lambda_not_on_the_unit_circle(self, lam):
+        with pytest.raises(DomainError, match="lambda must have unit modulus"):
+            cesaro_average(superoperator(pauli_xy_channel(0.3)), lam, 10)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_intersection_weight_not_finite(self, weight):
+        parts = [pauli_xy_channel(0.3), pauli_xy_channel(0.4)]
+        with pytest.raises(DomainError, match="weights must be finite and > 0"):
+            fixed_space_intersection(parts, [weight, 0.5])
+
+    def test_power_iterate_count_not_an_integer(self):
+        with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+            power_iterate(pauli_xy_channel(0.3), 2.5, np.eye(2))
+
+    def test_reconstruct_iterate_count_not_an_integer(self):
+        decomp = peripheral_decomposition(pauli_xy_channel(0.3))
+        with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+            reconstruct_iterate(decomp, 2.5, np.eye(2))
+
+    def test_cesaro_count_not_an_integer(self):
+        with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+            cesaro_average(np.eye(4), 1.0, 2.5)
+
+    def test_decay_fit_count_not_an_integer(self):
+        decomp = peripheral_decomposition(pauli_xy_channel(0.3))
+        with pytest.raises(DomainError, match="^n_max must be an integer, got 2.5$"):
+            decay_fit(decomp, 2.5)
+
+    def test_cesaro_check_count_not_an_integer(self, monkeypatch):
+        calls = count_linalg_calls(monkeypatch, NUMPY_LINALG)
+        with pytest.raises(DomainError, match="^cesaro_check_n must be an integer, got 2.5$"):
+            peripheral_decomposition(pauli_xy_channel(0.3), cesaro_check_n=2.5)
+        assert calls == []
+
+    def test_numpy_integer_counts_are_accepted(self):
+        ch = pauli_xy_channel(0.3)
+        X = np.diag([1.0, 0.0])
+        decomp = peripheral_decomposition(ch, cesaro_check_n=np.int64(200))
+        assert np.array_equal(power_iterate(ch, np.int64(5), X), power_iterate(ch, 5, X))
+        assert np.array_equal(
+            reconstruct_iterate(decomp, np.int32(5), X), reconstruct_iterate(decomp, 5, X)
+        )
+        assert decay_fit(decomp, np.int64(10)) == decay_fit(decomp, 10)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ergochan import (
-    KrausChannel,
     apply_n,
     channel,
     ergodic,
@@ -17,11 +16,13 @@ from ergochan import (
     shift_channel,
     superoperator,
 )
+from ergochan.channel import ADJOINT, FORWARD
 from ergochan.errors import (
     CatalogLookupError,
     SpecFormatError,
     SpecValidationError,
 )
+from helpers import count_linalg_calls, on_side, stinespring_channel
 
 
 def write_json(tmp_path, name, doc):
@@ -112,15 +113,6 @@ def pairs_loop(M):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
-def random_channel(seed, d, count=2, drop=0):
-    """A random Stinespring channel; without ``drop`` of its ``count``
-    Kraus operators it is trace decreasing."""
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    Q, _ = np.linalg.qr(G)
-    return KrausChannel(kraus=tuple(Q[k * d : (k + 1) * d] for k in range(count - drop)))
-
-
 def as_pairs(value):
     """``value`` with every numpy array replaced by its ``matrix_to_pairs``
     nested list."""
@@ -181,7 +173,7 @@ class TestAnalyzeDocument:
         assert doc["residuals"]["reconstruction_n5"] <= 1e-10
 
     @pytest.mark.parametrize(
-        "ch", [pauli_xy_channel(0.25), parity_fock_channel(0.3, 4), random_channel(5, 3)]
+        "ch", [pauli_xy_channel(0.25), parity_fock_channel(0.3, 4), stinespring_channel(5, 3, 2)]
     )
     def test_dumps_equals_canonical_json_dumps(self, ch):
         doc = io.analyze_channel(ch, cesaro_n=200)
@@ -199,7 +191,7 @@ DUMPS_CHANNELS = [pauli_xy_channel(0.3)] + [
     build(0.6 if build is ladder_channel else 0.3, d)
     for d in range(2, 17)
     for build in (parity_fock_channel, shift_channel, ladder_channel)
-] + [random_channel(11, 5), random_channel(12, 8, count=3, drop=1)]
+] + [stinespring_channel(11, 5, 2), stinespring_channel(12, 8, count=3, drop=1)]
 
 
 class TestDumpsWritesArrays:
@@ -292,7 +284,7 @@ class TestDumpsWritesArrays:
         pauli_xy_channel(1 - 1e-9),  # near the identity: fixed space of dimension 2
         parity_fock_channel(0.3, 4),
         shift_channel(0.5, 4),
-        random_channel(5, 3),
+        stinespring_channel(5, 3, 2),
     ],
     ids=["pauli25", "pauli-near-identity", "parity4", "shift4", "random3"],
 )
@@ -309,20 +301,6 @@ def test_fixed_space_is_the_range_of_p1(ch, adjoint):
     for B in basis:
         assert np.allclose(B, B.conj().T, atol=1e-15)  # a Hermitian basis
         assert np.allclose(apply_n(ch, B, 1, adjoint=adjoint), B, atol=1e-10)
-
-
-def count_linalg_calls(monkeypatch, names):
-    """Record (name, trailing 2-d shape) of each numpy.linalg call."""
-    calls = []
-    for name in names:
-        orig = getattr(np.linalg, name)
-
-        def counted(a, *args, _orig=orig, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)[-2:]))
-            return _orig(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 FACTORISATIONS = ("svd", "eig", "eigvals", "eigvalsh")
@@ -349,7 +327,7 @@ class TestFactorisationCounts:
         # one eigvals of L's real form, one of the stable part's for
         # rho(S); the projectors come from kernels, with no eigenvectors
         d = 4
-        ch = random_channel(2, d)
+        ch = stinespring_channel(2, d, 2)
         _, _, (stack,) = ergodic._sectors(superoperator(ch))
         A = stack[0]
         seen = []
@@ -370,7 +348,7 @@ class TestFactorisationCounts:
         # residual summary all run on the real matrix in the Hermitian
         # basis, with no complex factorisation of a full-size matrix
         d = 4
-        ch = random_channel(2, d)
+        ch = stinespring_channel(2, d, 2)
         calls = count_full_size_calls(monkeypatch, d)
         decay_n_max = io.DECAY_N_MAX
         rep = io.analyze_channel(ch, cesaro_n=200)
@@ -433,7 +411,7 @@ class TestFactorisationCounts:
     @pytest.mark.parametrize("count", [2, 20])  # fewer and more than d^2
     def test_verify_builds_no_superoperator(self, monkeypatch, count):
         d = 4
-        ch = random_channel(7, d, count)
+        ch = stinespring_channel(7, d, count)
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify built a d^2 x d^2 matrix")
@@ -448,7 +426,7 @@ class TestFactorisationCounts:
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_fixed_space_factorises_in_real_arithmetic(self, monkeypatch, adjoint):
         d = 4
-        L = superoperator(random_channel(2, d), "adjoint" if adjoint else "forward")
+        L = superoperator(on_side(stinespring_channel(2, d, 2), ADJOINT if adjoint else FORWARD))
         calls = count_full_size_calls(monkeypatch, d)
         assert ergodic.fixed_space(L).dimension == 1
         assert calls == [("svd", "float64")]  # one SVD of I - L, in the real form
@@ -459,7 +437,7 @@ class TestFactorisationCounts:
             superoperator(parity_fock_channel(0.3, d)), cesaro_check_n=0
         ).stable
         dense = ergodic.peripheral_decomposition(
-            superoperator(random_channel(3, d)), cesaro_check_n=0
+            superoperator(stinespring_channel(3, d, 2)), cesaro_check_n=0
         ).stable
         calls = count_linalg_calls(monkeypatch, FACTORISATIONS)
         ergodic.decay_fit(S, 20)

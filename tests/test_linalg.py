@@ -3,6 +3,7 @@ import pytest
 
 from ergochan import ergodic, linalg
 from ergochan.errors import DimensionError, DomainError
+from helpers import mirror, on_side
 
 
 def random_complex(rng, rows, cols):
@@ -122,14 +123,14 @@ class TestTopSingularValues:
 
 class TestKronVec:
     def test_kron_identity(self):
-        assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_kron_diag(self):
-        out = linalg.kron(np.diag([2.0, 3.0]), np.eye(2))
+        out = np.kron(np.diag([2.0, 3.0]), np.eye(2))
         assert np.allclose(out, np.diag([2.0, 2.0, 3.0, 3.0]))
 
     def test_kron_expand_definition(self):
-        out = linalg.kron(np.array([[0, 1], [1, 0]]), np.array([[2.0]]))
+        out = np.kron(np.array([[0, 1], [1, 0]]), np.array([[2.0]]))
         assert np.allclose(out, [[0, 2], [2, 0]])
 
     def test_vec_convention(self):
@@ -151,7 +152,7 @@ class TestKronVec:
         for _ in range(5):
             A, X, B = (random_complex(rng, 4, 4) for _ in range(3))
             lhs = linalg.vec(A @ X @ B)
-            rhs = linalg.kron(B.T, A) @ linalg.vec(X)
+            rhs = np.kron(B.T, A) @ linalg.vec(X)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
 
@@ -235,7 +236,7 @@ class TestDiagonalBlocks:
         rng = np.random.default_rng(11)
         sizes = [3, 1, 4, 2]
         M = permuted_block_diagonal(rng, sizes)
-        blocks = linalg.diagonal_blocks(M)
+        blocks = diagonal_blocks(M)
         assert sorted(b.size for b in blocks) == sorted(sizes)
         order = np.concatenate(blocks)
         assert sorted(order) == list(range(M.shape[0]))
@@ -250,24 +251,24 @@ class TestDiagonalBlocks:
 
     def test_dense_matrix_is_one_block(self):
         M = random_complex(np.random.default_rng(12), 6, 6)
-        blocks = linalg.diagonal_blocks(M)
+        blocks = diagonal_blocks(M)
         assert len(blocks) == 1
         assert np.array_equal(blocks[0], np.arange(6))
 
     def test_zero_matrix_gives_singletons(self):
-        blocks = linalg.diagonal_blocks(np.zeros((4, 4)))
+        blocks = diagonal_blocks(np.zeros((4, 4)))
         assert [b.tolist() for b in blocks] == [[0], [1], [2], [3]]
 
     def test_directed_coupling_merges(self):
         M = np.diag([1.0, 2.0, 3.0]).astype(complex)
         M[0, 2] = 5.0  # M[2, 0] == 0
-        blocks = linalg.diagonal_blocks(M)
+        blocks = diagonal_blocks(M)
         assert [b.tolist() for b in blocks] == [[0, 2], [1]]
 
     def test_cancelling_pair_still_couples(self):
         # M + M^H is exactly zero here; the structural support is not
         M = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert [b.tolist() for b in linalg.diagonal_blocks(M)] == [[0, 1]]
+        assert [b.tolist() for b in diagonal_blocks(M)] == [[0, 1]]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_breadth_first_search_on_sparse_patterns(self, seed):
@@ -275,7 +276,7 @@ class TestDiagonalBlocks:
         n = int(rng.integers(1, 60))
         density = rng.choice([0.0, 0.01, 0.03, 0.08, 0.3])
         M = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
-        assert_same_blocks(linalg.diagonal_blocks(M), bfs_blocks(M))
+        assert_same_blocks(diagonal_blocks(M), bfs_blocks(M))
 
     def test_matches_breadth_first_search_on_catalog_forms(self):
         from ergochan import catalog, channel
@@ -291,14 +292,22 @@ class TestDiagonalBlocks:
         ]
         for ch in channels:
             for side in ("forward", "adjoint"):
-                L = channel.superoperator(ch, side).matrix
+                L = channel.superoperator(on_side(ch, side))
                 for M in (L, linalg.to_hermitian_basis(L).real):
-                    assert_same_blocks(linalg.diagonal_blocks(M), bfs_blocks(M))
+                    assert_same_blocks(diagonal_blocks(M), bfs_blocks(M))
+
+
+def diagonal_blocks(M):
+    """Index sets of the exact diagonal blocks of a square matrix, the
+    components of its support (:func:`linalg.support_components`), in
+    order of their smallest index, each sorted ascending."""
+    order, sizes = linalg.support_components(M)
+    return np.split(order, np.cumsum(sizes[:-1]))
 
 
 def bfs_blocks(M):
     """Connected components of the support of M + M^H, one breadth-first
-    search per component: the reference for :func:`linalg.diagonal_blocks`."""
+    search per component: the reference for :func:`diagonal_blocks`."""
     coupled = np.asarray(M) != 0
     coupled |= coupled.T
     n = len(coupled)
@@ -326,7 +335,7 @@ class TestBlockLayout:
     def test_split_and_join_round_trip(self):
         rng = np.random.default_rng(21)
         M = permuted_block_diagonal(rng, [2, 3, 1, 2, 3])
-        layout = linalg.BlockLayout(M)
+        layout = linalg.BlockLayout(*linalg.support_components(M))
         stacks = layout.split(M)
         assert [X.shape for X in stacks] == [(2, 2, 2), (2, 3, 3), (1, 1, 1)]
         assert np.array_equal(layout.join(stacks), M)
@@ -338,17 +347,17 @@ class TestBlockLayout:
 
     def test_blocks_of_one_size_keep_their_order(self):
         M = permuted_block_diagonal(np.random.default_rng(22), [2, 2, 2])
-        layout = linalg.BlockLayout(M)
+        layout = linalg.BlockLayout(*linalg.support_components(M))
         (idx,) = layout.index
         assert [b.tolist() for b in idx] == [
-            b.tolist() for b in linalg.diagonal_blocks(M)
+            b.tolist() for b in diagonal_blocks(M)
         ]
 
     def test_one_block_is_the_matrix_itself(self):
         # the one stack of a one-block matrix holds the matrix unchanged
         rng = np.random.default_rng(23)
         M = random_complex(rng, 5, 5)
-        layout = linalg.BlockLayout(M)
+        layout = linalg.BlockLayout(*linalg.support_components(M))
         (stack,) = layout.split(M)
         assert stack.shape == (1, 5, 5)
         assert np.array_equal(stack[0], M)
@@ -362,7 +371,7 @@ class TestBlockLayout:
     def test_stack_stands_for_its_block_diagonal_matrix(self):
         rng = np.random.default_rng(25)
         M = permuted_block_diagonal(rng, [3, 3, 1])
-        layout = linalg.BlockLayout(M)
+        layout = linalg.BlockLayout(*linalg.support_components(M))
         want_eig = linalg.eigvals(M)
         got_eig = np.concatenate([linalg.eigvals(X) for X in layout.split(M)])
         assert np.allclose(
@@ -400,13 +409,6 @@ def hermitian_basis_matrix(d):
             assert np.array_equal(H, H.conj().T)
             B[:, j + k * d] = H.reshape(-1, order="F")
     return B
-
-
-def mirror(M):
-    """Pi conj(M) Pi, Pi the permutation vec(X) -> vec(X^T)."""
-    d = int(round(np.sqrt(M.shape[0])))
-    perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    return np.conj(M[np.ix_(perm, perm)])
 
 
 def kraus_superoperator(rng, d, count=2):

@@ -26,20 +26,16 @@ from ergochan import (
 from ergochan import io, linalg
 from ergochan.channel import ADJOINT, FORWARD
 from ergochan.ergodic import POWER_DRIFT
+from helpers import mirror, on_side, stinespring_channel
 
 DIMS = range(2, 9)
 
 
-def stinespring_channel(seed, d, count=3, drop=0):
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d))
-    Q, _ = np.linalg.qr(G)
-    kraus = tuple(Q[k * d : (k + 1) * d] for k in range(count - drop))
-    return KrausChannel(kraus=kraus, label=f"stinespring(d={d},drop={drop})")
-
-
 CHANNELS = [
-    pytest.param(stinespring_channel(100 + d, d, drop=drop), id=f"d{d}-{kind}")
+    pytest.param(
+        stinespring_channel(100 + d, d, drop=drop, label=f"stinespring(d={d},drop={drop})"),
+        id=f"d{d}-{kind}",
+    )
     for d in DIMS
     for drop, kind in ((0, "tp"), (1, "subunital"))
 ]
@@ -81,16 +77,10 @@ def rank_of_p1(report):
     )
 
 
-def mirror(M):
-    d = int(round(np.sqrt(M.shape[0])))
-    perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    return np.conj(M[np.ix_(perm, perm)])
-
-
 @pytest.mark.parametrize("ch, side", CASES)
 class TestRandomEnsemble:
     def test_matches_complex_eig_reference(self, ch, side):
-        L = superoperator(ch, side).matrix
+        L = superoperator(on_side(ch, side))
         decomp = peripheral_decomposition(L)
         lambdas, projectors, stable = reference_decomposition(L)
         assert len(decomp.lambdas) == len(lambdas)
@@ -104,7 +94,7 @@ class TestRandomEnsemble:
         assert decomp.stable_spectral_radius == pytest.approx(rho, rel=1e-10)
 
     def test_projector_algebra(self, ch, side):
-        M = superoperator(ch, side).matrix
+        M = superoperator(on_side(ch, side))
         decomp = peripheral_decomposition(M)
         for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
             assert linalg.operator_norm(P @ P - P) <= 1e-10
@@ -115,7 +105,7 @@ class TestRandomEnsemble:
                 assert linalg.operator_norm(P @ Q) <= 1e-10
 
     def test_reconstruction_against_apply_n(self, ch, side):
-        decomp = peripheral_decomposition(superoperator(ch, side))
+        decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
         rng = np.random.default_rng(ch.dim)
         d = ch.dim
         X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
@@ -128,7 +118,7 @@ class TestRandomEnsemble:
         # the doubling path against the per-step Kraus loop; apply_n is
         # continued from the previous n, which is bit-identical to a
         # fresh run (the loop is deterministic step by step)
-        L = superoperator(ch, side)
+        L = superoperator(on_side(ch, side))
         d = ch.dim
         rng = np.random.default_rng(50 + d)
         X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
@@ -141,7 +131,7 @@ class TestRandomEnsemble:
             assert err <= POWER_DRIFT * n * unit
 
     def test_splitting(self, ch, side):
-        rep = splitting_check(superoperator(ch, side))
+        rep = splitting_check(superoperator(on_side(ch, side)))
         assert rep.fixed_dim + rep.range_dim == ch.dim**2
         assert rep.dual_orthogonality_residual <= 1e-8
 
@@ -150,7 +140,7 @@ class TestRandomEnsemble:
         # of Cesaro means of phi / lambda, contracts the trace norm (the
         # operator norm on the adjoint side, with ||X|| <= ||X||_2 <=
         # sqrt(d) ||X||), so ||P_lambda||_HS->HS <= sqrt(d)
-        decomp = peripheral_decomposition(superoperator(ch, side))
+        decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
         assert decomp.projector_norm <= np.sqrt(ch.dim) * (1 + 1e-12)
         norms = [linalg.operator_norm(P) for P in decomp.projectors]
         assert decomp.projector_norm == pytest.approx(max(norms, default=0.0), rel=1e-10)
@@ -222,7 +212,7 @@ def test_unitary_channels_match_complex_eig_reference(d, side):
     # 1 with multiplicity d, the others in conjugate pairs.  The Cesaro
     # cross-check is off: its budget ignores the gaps between clusters
     # and refuses some of these channels.
-    L = superoperator(unitary_channel(500 + d, d), side).matrix
+    L = superoperator(on_side(unitary_channel(500 + d, d), side))
     decomp = peripheral_decomposition(L, cesaro_check_n=0)
     lambdas, projectors, stable = reference_decomposition(L)
     assert len(decomp.lambdas) == len(lambdas) == d * d - d + 1
