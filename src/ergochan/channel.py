@@ -85,14 +85,13 @@ def apply_adjoint(ch: KrausChannel, A) -> np.ndarray:
 def apply_n(ch: KrausChannel, X, n: int, adjoint: bool = False) -> np.ndarray:
     """n-fold direct application (the brute-force iterate oracle) of phi,
     or of phi* when ``adjoint``; X is validated and the ``V^dag`` are
-    formed once, not on every step.  n = 0 returns X; n < 0 raises
-    :class:`DomainError`."""
+    formed once, not on every step.  n = 0 returns X; an n that is not an
+    integer >= 0 raises :class:`DomainError` (:func:`linalg.check_count`)."""
     out = linalg.as_matrix(X)
     d = ch.dim
     if out.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {out.shape}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    linalg.check_count(n, "n", 0)
     daggers = [V.conj().T for V in ch.kraus]
     if adjoint:
         pairs = list(zip(daggers, ch.kraus))  # V^dag A V

@@ -34,7 +34,7 @@ from .errors import (
     SpecValidationError,
     SplittingViolationError,
 )
-from .linalg import DEFAULT_TOL, check_tol
+from .linalg import DEFAULT_TOL, check_count, check_tol
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -121,15 +121,13 @@ _FLAGS = {
 def _check_flags(args) -> None:
     """Refuse a bad flag value before any file is read.  A tolerance must
     be finite and > 0 (``linalg.check_tol``), ``--cesaro-n`` >= 0 (0
-    skips the Cesaro check) and ``--n`` >= 1."""
+    skips the Cesaro check) and ``--n`` >= 1 (``linalg.check_count``)."""
     for flag in ("--tol", "--peripheral-tol"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             check_tol(value, flag)
-    if getattr(args, "cesaro_n", 0) < 0:
-        raise DomainError(f"--cesaro-n must be >= 0, got {args.cesaro_n}")
-    if getattr(args, "n", 1) < 1:
-        raise DomainError(f"n must be >= 1, got {args.n}")
+    check_count(getattr(args, "cesaro_n", 0), "--cesaro-n", 0)
+    check_count(getattr(args, "n", 1), "n", 1)
 
 
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:

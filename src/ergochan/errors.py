@@ -18,9 +18,10 @@ class NumericError(ErgochanError):
 
 
 class IllConditionedDecompositionError(ErgochanError):
-    """A peripheral eigenvalue is not semisimple: the kernel of L - lambda
-    is smaller or larger than its cluster of eigenvalues.  No power-bounded
-    map has one.  ``singular_value`` of L - lambda decided, against a cut."""
+    """An unresolved peripheral cluster.  Its size m is dim Ker(L - lambda),
+    as every peripheral eigenvalue of a power-bounded map is semisimple,
+    but sigma_m of L - lambda, ``singular_value``, is above the rank cut or
+    not below ``ergodic.SEPARATION`` times sigma_{m+1}."""
 
     def __init__(self, message, singular_value):
         super().__init__(message)
@@ -28,8 +29,8 @@ class IllConditionedDecompositionError(ErgochanError):
 
 
 class DecompositionFailureError(ErgochanError):
-    """The stable remainder still has spectral radius >= 1, i.e. the
-    peripheral eigenvalue set passed in was incomplete."""
+    """The decomposition is refused: L is not power bounded, a lambda
+    matches no cluster, the Cesaro check fails, or rho(S) >= 1."""
 
     def __init__(self, message, spectral_radius):
         super().__init__(message)

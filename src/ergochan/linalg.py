@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -211,6 +212,14 @@ def check_tol(tol: float, name: str = "tol") -> None:
     factorised."""
     if not 0 < tol < math.inf:
         raise DomainError(f"{name} must be finite and > 0, got {tol}")
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Refuse a count that is not an integer >= ``least``, naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 def _rank_cut(sigma_max: float, tol: float) -> float:

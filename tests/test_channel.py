@@ -144,6 +144,11 @@ class TestApplyN:
         with pytest.raises(DomainError, match="n must be >= 0"):
             apply_n(pauli_xy_channel(0.5), np.eye(2), -3)
 
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_n_not_an_integer_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            apply_n(pauli_xy_channel(0.5), np.eye(2), n)
+
 
 class TestAdjoint:
     def test_pauli_self_adjoint(self):
