@@ -51,6 +51,15 @@ class KrausChannel:
             V.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
 
+    @classmethod
+    def _checked(cls, kraus: tuple, label: str) -> "KrausChannel":
+        """The channel of read-only d x d operators that are already
+        validated, without :meth:`__post_init__`'s copies and checks."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "kraus", kraus)
+        object.__setattr__(ch, "label", label)
+        return ch
+
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
@@ -115,8 +124,14 @@ def kraus_sum(ch: KrausChannel) -> np.ndarray:
 
 
 def adjoint_channel(ch: KrausChannel) -> KrausChannel:
-    """The Kraus family {V_i^dag} of phi*, under the same label."""
-    return KrausChannel(kraus=tuple(V.conj().T for V in ch.kraus), label=ch.label)
+    """The Kraus family {V_i^dag} of phi*, under the same label: each
+    V_i^dag a fresh C-contiguous read-only array, as the channel's
+    constructor makes its operators.  The V_i passed its checks, and so
+    do their adjoints, so they are not checked again."""
+    daggers = tuple(np.conjugate(V.T, order="C") for V in ch.kraus)
+    for V in daggers:
+        V.setflags(write=False)
+    return KrausChannel._checked(daggers, ch.label)
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:

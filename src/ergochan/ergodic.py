@@ -15,9 +15,11 @@ same projectors at rate O(1/n).
 Every stage runs on the exact diagonal blocks of the real Hermitian
 form of L, which :func:`_sectors` builds once per input.  From a
 :class:`channel.KrausChannel` it builds them from the Kraus operators,
-without the d^2 x d^2 matrix L where they have enough zeros; the matrix
-L (``channel.superoperator``) is changed to the Hermitian basis whole.
-All routes give the same blocks, bit for bit.
+without the d^2 x d^2 matrix L where they have enough zeros, and from
+the matrix L (``channel.superoperator``) from its entries where it has
+enough zeros; otherwise the form is changed to the Hermitian basis
+whole.  The dense projectors and stable part go back from the block
+entries by the same rule.  All routes give the same bits.
 """
 
 from __future__ import annotations
@@ -64,19 +66,6 @@ SEPARATION = 1e-3
 #: :func:`decay_fit` puts 1 + eps at ``(1 - DECAY_MARGIN) / rho(S)``.
 DECAY_MARGIN = 1e-3
 
-#: :func:`_sectors` builds a Kraus channel's form from the entries that
-#: may be nonzero (:func:`linalg.kraus_form_entries`) when ENTRY_COST
-#: times its pairs of nonzero Kraus entries (:func:`linalg.kraus_pairs`),
-#: plus ENTRY_OVERHEAD pairs, are fewer than the d^4 entries of the whole
-#: form, else the whole form (:func:`linalg.kraus_hermitian_form`).  Per
-#: pair the entry path takes 290-390 ns (shift, d = 32-128), the whole
-#: form 17-25 ns per entry (random, d = 12-24), one core.  The overhead
-#: is the entry path's fixed cost: the two paths tie near d = 8 on the
-#: shift, parity-fock and ladder channels (about 2 d^2 pairs), and below
-#: that the whole form is faster.
-ENTRY_COST = 16
-ENTRY_OVERHEAD = 256
-
 
 def _as_matrix(L, stack: bool = False) -> np.ndarray:
     """Accept a square matrix, and with ``stack`` also a stack (m, k, k)
@@ -112,23 +101,27 @@ def _sectors(L, *more) -> tuple:
     :class:`DomainError`, before anything is factorised, and the real
     part of A is kept.  The change of basis is unitary, so every stage
     runs on A, and results map back through
-    ``linalg.from_hermitian_basis`` or ``from_hermitian_coordinates``.
+    ``linalg.from_hermitian_blocks`` or ``from_hermitian_coordinates``.
     ``layout`` holds the exact diagonal blocks of A
     (:class:`linalg.BlockLayout`), the components of its support, and
     ``stacks`` is A held as its stacks.
 
-    For a Kraus channel, the entries of A that may be nonzero come from
-    the pairs of nonzeros of each V_i, without forming L
-    (:func:`linalg.kraus_form_entries`), the blocks are the components of
-    the nonzero ones (:func:`linalg.components`), and the stacks are
-    filled from them (:meth:`linalg.BlockLayout.split_entries`); where
-    that costs more (:data:`ENTRY_COST`), A is built whole from the
-    Kronecker sum (:func:`linalg.kraus_hermitian_form`).  Either way the
-    result is, bit for bit, that of ``channel.superoperator``, which is
-    changed to the basis whole (:func:`linalg.to_hermitian_basis`) and
-    split by the components of its nonzeros
-    (:func:`linalg.support_components`).  The adjoint phi* is the channel
-    of the V_i^dag (``channel.adjoint_channel``).  A
+    One entry rule (:func:`linalg.by_entries`) serves both inputs.  Where
+    it says so, the entries of A that may be nonzero come from the
+    entries of the input: for a Kraus channel from the pairs of nonzeros
+    of each V_i, without forming L (:func:`linalg.kraus_form_entries`),
+    and for a matrix from its entries that are not +0
+    (:func:`linalg.entry_support`, :func:`linalg.matrix_form_entries`).
+    The blocks are then the components of the nonzero ones
+    (:func:`linalg.components`), and the stacks are filled from them
+    (:meth:`linalg.BlockLayout.split_entries`).  Where that costs more,
+    as for an input without zeros, A is built whole, from the Kronecker
+    sum (:func:`linalg.kraus_hermitian_form`) or from the matrix
+    (:func:`linalg.to_hermitian_basis`), and split by the components of
+    its nonzeros (:func:`linalg.support_components`).  Every route gives,
+    bit for bit, the layout and stacks of the whole route on
+    ``channel.superoperator``.  The adjoint phi* is the channel of the
+    V_i^dag (``channel.adjoint_channel``).  A
     :class:`PeripheralDecomposition` gives its own ``dim``, ``layout``
     and ``operator_blocks``.
 
@@ -138,26 +131,32 @@ def _sectors(L, *more) -> tuple:
     """
     if isinstance(L, PeripheralDecomposition):
         return L.dim, L.layout, L.operator_blocks
-    maps = (L, *more)
+    maps, entries = (L, *more), None
     if all(isinstance(M, channel_mod.KrausChannel) for M in maps):
         if len({ch.dim for ch in maps}) != 1:
             raise DimensionError(f"channels of different dimensions: {[ch.dim for ch in maps]}")
         families = [ch.kraus for ch in maps]
         n = L.dim**2
-        if ENTRY_COST * (linalg.kraus_pairs(families) + ENTRY_OVERHEAD) < n * n:
-            p, q, values = linalg.kraus_form_entries(families, L.dim)
-            forms = [_real_form(x) for x in values]  # the entries of each form
-            nonzero = np.logical_or.reduce([x != 0 for x in forms])
-            order, sizes = linalg.components(n, p[nonzero], q[nonzero])
-            layout = linalg.BlockLayout(order, sizes)
-            return (L.dim, layout, *layout.split_entries(p, q, *forms))
-        forms = [linalg.kraus_hermitian_form(kraus) for kraus in families]
+        if linalg.by_entries(linalg.kraus_pairs(families), n):
+            entries = linalg.kraus_form_entries(families, L.dim)
+        else:
+            forms = [linalg.kraus_hermitian_form(kraus) for kraus in families]
     else:
         mats = [_as_matrix(M) for M in maps]
         n = len(mats[0])
         if any(M.shape != (n, n) for M in mats):
             raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
-        forms = [linalg.to_hermitian_basis(M) for M in mats]
+        support = linalg.entry_support(mats)
+        if linalg.by_entries(int(np.count_nonzero(support)), n):
+            entries = linalg.matrix_form_entries(mats, *np.divmod(np.flatnonzero(support), n))
+        else:
+            forms = [linalg.to_hermitian_basis(M) for M in mats]
+    if entries is not None:
+        p, q, values = entries
+        forms = [_real_form(x) for x in values]  # the entries of each form
+        nonzero = np.logical_or.reduce([x != 0 for x in forms])
+        layout = linalg.BlockLayout(*linalg.components(n, p[nonzero], q[nonzero]))
+        return (math.isqrt(n), layout, *layout.split_entries(p, q, *forms))
     forms = [_real_form(H) for H in forms]
     nonzero = sum(np.abs(A) for A in forms) if more else forms[0]
     layout = linalg.BlockLayout(*linalg.support_components(nonzero))
@@ -202,7 +201,8 @@ class PeripheralDecomposition:
     holds the stacks of L itself, ``projector_blocks``, per lambda, the
     stacks of P_lambda, and ``stable_blocks`` those of S.
     ``projectors`` and ``stable`` are the dense matrices in the
-    column-stacking basis, assembled on first access; ``stable``
+    column-stacking basis, assembled on first access
+    (:func:`linalg.from_hermitian_blocks`); ``stable``
     preserves Hermiticity exactly.  The blocks of L and S are real, and
     so is P_lambda at a real lambda; ``lambdas`` is closed under exact
     conjugation and P(conj lambda) is conj P(lambda), bit for bit.
@@ -229,14 +229,11 @@ class PeripheralDecomposition:
 
     @functools.cached_property
     def projectors(self) -> tuple:
-        return tuple(
-            linalg.from_hermitian_basis(self.layout.join(P))
-            for P in self.projector_blocks
-        )
+        return tuple(linalg.from_hermitian_blocks(self.layout, P) for P in self.projector_blocks)
 
     @functools.cached_property
     def stable(self) -> np.ndarray:
-        return linalg.from_hermitian_basis(self.layout.join(self.stable_blocks))
+        return linalg.from_hermitian_blocks(self.layout, self.stable_blocks)
 
     @property
     def projector_ranks(self) -> tuple:
@@ -405,8 +402,7 @@ def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list
         top = complex(lam[np.argmax(mod)])
         raise DecompositionFailureError(
             f"eigenvalue {top:.9g} of L has modulus {abs(top):.9g} > 1 + "
-            f"{peripheral_tol:.1e}: L is not power bounded",
-            spectral_radius=float("nan"),
+            f"{peripheral_tol:.1e}: L is not power bounded"
         )
     z = lam[mod >= 1.0 - peripheral_tol]
     if not z.size:
@@ -453,12 +449,11 @@ def spectral_projectors(
             near = complex(eigenvalues[np.argmin(np.abs(eigenvalues - lam))])
             raise DecompositionFailureError(
                 f"no peripheral cluster within {cluster_tol:.1e} of {lam}; the "
-                f"nearest is {near:.9g}, of modulus {abs(near):.9g}",
-                spectral_radius=float("nan"),
+                f"nearest is {near:.9g}, of modulus {abs(near):.9g}"
             )
         matched.append((lam, m))
     projectors, _, _ = _kernel_projectors(layout, stacks, matched, cluster_tol, peripheral_tol)
-    return [linalg.from_hermitian_basis(layout.join(P)) for P in projectors]
+    return [linalg.from_hermitian_blocks(layout, P) for P in projectors]
 
 
 def _eigvals(stacks) -> np.ndarray:
@@ -549,8 +544,7 @@ def _stable_radius(stacks) -> float:
         top = complex(_eigvals(stacks)[0])
         raise DecompositionFailureError(
             f"stable part has spectral radius {rho:.6f} >= 1, at its eigenvalue "
-            f"{top:.9g}: the projectors do not remove it",
-            spectral_radius=rho,
+            f"{top:.9g}: the projectors do not remove it"
         )
     return rho
 
@@ -617,8 +611,7 @@ def peripheral_decomposition(
             if resid > budget:
                 raise DecompositionFailureError(
                     f"Cesaro average at lambda={lam} disagrees with the "
-                    f"spectral projector: residual {resid:.3e} > {budget:.3e}",
-                    spectral_radius=rho,
+                    f"spectral projector: residual {resid:.3e} > {budget:.3e}"
                 )
 
     return PeripheralDecomposition(

@@ -30,11 +30,8 @@ class IllConditionedDecompositionError(ErgochanError):
 
 class DecompositionFailureError(ErgochanError):
     """The decomposition is refused: L is not power bounded, a lambda
-    matches no cluster, the Cesaro check fails, or rho(S) >= 1."""
-
-    def __init__(self, message, spectral_radius):
-        super().__init__(message)
-        self.spectral_radius = spectral_radius
+    matches no cluster, the Cesaro check fails, or rho(S) >= 1; the
+    message gives the number that decided it."""
 
 
 class SplittingViolationError(ErgochanError):

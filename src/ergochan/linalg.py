@@ -15,12 +15,21 @@ conventions are fixed here once and inherited everywhere:
   preserves Hermiticity, as every quantum operation does, is a real
   matrix in this basis (:func:`to_hermitian_basis`), and the analysis
   runs on that real matrix only; results are always reported in the
-  column-stacking basis.  The form of a Kraus family's superoperator is
-  built from the Kraus operators: only its entries that may be nonzero,
-  with no d^2 x d^2 matrix formed (:func:`kraus_form_entries`), or,
-  when the operators have few zeros, whole from the Kronecker sum
-  (:func:`kraus_hermitian_form`); both are bit for bit
-  :func:`to_hermitian_basis` of the superoperator.
+  column-stacking basis.  One entry rule (:func:`by_entries`) serves
+  every input: where a matrix has few entries that may be nonzero, only
+  those and their partners under the change of basis are computed, the
+  2 x 2 quads of positions that the change mixes (:func:`_quad_entries`),
+  and otherwise the whole matrix is.  So the form of a Kraus family's
+  superoperator comes from the products of pairs of nonzero Kraus
+  entries, with no d^2 x d^2 matrix formed (:func:`kraus_form_entries`),
+  or whole from the Kronecker sum (:func:`kraus_hermitian_form`); the
+  superoperator itself is scattered from the same products or summed
+  from Kronecker products (:func:`kraus_superoperator`); the form of a
+  matrix comes from its entries that are not +0
+  (:func:`matrix_form_entries`) or whole (:func:`to_hermitian_basis`);
+  and a form held as blocks goes back to column stacking from its block
+  entries or whole (:func:`from_hermitian_blocks`).  Every route gives
+  the whole route's values bit for bit, signs of zeros included.
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
   that reports are deterministic.
@@ -168,14 +177,56 @@ def top_singular_values(M) -> np.ndarray:
     return scale[..., 0, 0] * np.sqrt(np.maximum(top, 0.0))
 
 
+#: One rule picks the route for every input: a d^2 x d^2 matrix is built
+#: or changed from its entries that may be nonzero when ENTRY_COST times
+#: their number, plus ENTRY_OVERHEAD, is below the d^4 entries of the
+#: whole matrix (:func:`by_entries`), else whole.  The entries are the
+#: pairs of nonzero entries of one Kraus operator (:func:`kraus_pairs`)
+#: for a Kraus family's superoperator (:func:`kraus_superoperator`) and
+#: form (:func:`kraus_form_entries`), a matrix's entries that are not +0
+#: (:func:`entry_support`) for its form (:func:`matrix_form_entries`), and
+#: the block entries that are not +0 for the way back
+#: (:func:`from_hermitian_blocks`).  Per pair the Kraus form takes 290-390
+#: ns (shift, d = 32-128) and the scatter of the superoperator 130 ns at
+#: d = 16; per entry a matrix's form takes 1.3-1.7 us and the way back
+#: 0.6-0.9 us at d = 16 (shift, parity-fock), fixed costs and the passes
+#: over the whole matrix included (its finiteness check and its support).
+#: Whole, the form and the way back take 16-28 ns per entry and the
+#: np.kron sum 7 ns (random, d = 12-24), one core.  The overhead is the
+#: entry routes' fixed cost.  On the shift, parity-fock and ladder
+#: channels (about 2 d^2 pairs or entries) the routes tie near d = 8 for
+#: a Kraus family and near d = 10 for a matrix, whose entries the rule
+#: takes from d = 9 on, up to 0.1 ms slower at d = 9-10; below that the
+#: whole is faster.  A matrix without zeros (a random channel's L or S)
+#: always goes whole.
+ENTRY_COST = 16
+ENTRY_OVERHEAD = 256
+
+
+def by_entries(count: int, n: int) -> bool:
+    """Whether an n x n matrix with ``count`` entries that may be nonzero
+    (or pairs of Kraus entries) is cheaper to build or change entry by
+    entry than whole (:data:`ENTRY_COST`)."""
+    return ENTRY_COST * (count + ENTRY_OVERHEAD) < n * n
+
+
 def kraus_superoperator(kraus) -> np.ndarray:
     """``sum_i conj(V_i) kron V_i``, complex: the matrix of
     ``X -> sum_i V_i X V_i^dag`` under column stacking, the Kronecker
-    products added up in the order of the V_i, from +0."""
+    products added up in the order of the V_i, from +0.  Where the pairs
+    of nonzero entries of one V_i are few (:func:`by_entries`), only
+    their products (:func:`_kraus_products`) are added into the zero
+    matrix, one V_i at a time; the skipped products are zero, and a sum
+    started at +0 never holds -0, so no bit changes."""
     d = kraus[0].shape[0]
     L = np.zeros((d * d, d * d), dtype=complex)
+    if not by_entries(kraus_pairs([kraus]), d * d):
+        for V in kraus:
+            L += np.kron(V.conj(), V)
+        return L
     for V in kraus:
-        L += np.kron(V.conj(), V)
+        _, p, q, x = _kraus_products(V[np.newaxis])
+        L[p, q] += x  # one operator's products land on distinct positions
     return L
 
 
@@ -479,13 +530,20 @@ def _mix_pairs(X: np.ndarray, up, lo, w: complex, v: complex) -> None:
     X[lo] = top
 
 
+def _side(n: int) -> int:
+    """d for the n x n matrices of a map on the d x d matrices, n = d^2;
+    an n that is not a square raises."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise DimensionError(f"matrix size {n} is not a perfect square")
+    return d
+
+
 def _superoperator_pairs(M) -> tuple:
     """(M, (up, lo)) for a d^2 x d^2 matrix M; other shapes raise."""
     M = _require_square(as_matrix(M))
-    pairs = _hermitian_pairs(M.shape[0])
-    if pairs is None:
-        raise DimensionError(f"matrix size {M.shape[0]} is not a perfect square")
-    return M, pairs
+    _side(M.shape[0])
+    return M, _hermitian_pairs(M.shape[0])
 
 
 def _mirror(M: np.ndarray, up, lo) -> np.ndarray:
@@ -536,61 +594,80 @@ def from_hermitian_basis(R) -> np.ndarray:
     return X
 
 
-def kraus_form_entries(families, d: int):
-    """The entries of the Hermitian forms ``B^H L B`` of the
-    superoperators ``L = sum_i conj(V_i) kron V_i`` of the Kraus families
-    ``families`` on C^d that may be nonzero, found from the supports of
-    the V_i with no d^2 x d^2 matrix formed: ``(p, q, values)``, their
-    rows, their columns and per family (first axis) their complex values.
-    The work is linear in the number of pairs of nonzero entries of one
-    V_i (:func:`kraus_pairs`), up to a sort.
+def _kraus_products(ops) -> tuple:
+    """``(o, p, q, x)`` per pair of nonzero entries of one of the Kraus
+    operators ``ops`` (an (m, d, d) array): its operator o, the position
+    (p, q) it lands on in ``L = sum_i conj(V_i) kron V_i`` and its
+    product x there, operator by operator in the order of ``ops``.
 
     The entry of L at the column-stacking positions p of E_{a_p b_p} and
     q of E_{a_q b_q} is ``sum_i conj(V_i[b_p, b_q]) V_i[a_p, a_q]``, so
     each pair of nonzero entries of one V_i gives one product of the
-    Kronecker products, and they are added up in the order of the V_i.
-    The change of basis mixes rows p and p' of E_ab and E_ba, then
-    columns q and q' alike (:func:`_mix_pairs`), so the entries taken are
-    those of the 2 x 2 (or smaller) quads (p, p') x (q, q') that meet the
-    support of L; the rest of the form is zero.  Every value is that of
-    :func:`to_hermitian_basis` of ``channel.superoperator``, bit for bit:
-    the same products, added in the same order (skipping the products
-    that are zero changes no bit, as a sum started at +0 never holds
-    -0), and the same float operations on each quad.
+    Kronecker products, and one operator's products land on distinct
+    positions.  Each side of a product is gathered into a contiguous
+    array, as np.kron's are broadcast ones (numpy may round a product of
+    two broadcast scalars by another loop).
     """
-    n = d * d
-    ops = np.array([V for kraus in families for V in kraus])
-    family = np.repeat(np.arange(len(families)), [len(kraus) for kraus in families])
+    d = ops.shape[-1]
     o, a, b = np.nonzero(ops)
     count = np.bincount(o, minlength=len(ops))
-    # the pairs (f, e) of nonzero entries of one operator, f-major; each
-    # side of a product is gathered into a contiguous array, as np.kron's
-    # are broadcast ones (numpy may round a product of two broadcast
-    # scalars by another loop)
+    # the pairs (f, e) of nonzero entries of one operator, f-major
     partners = count[o]
     f = np.repeat(np.arange(o.size), partners)
     firsts = np.cumsum(partners) - partners
     e = (np.cumsum(count) - count)[o[f]] + np.arange(f.size) - np.repeat(firsts, partners)
     v = ops[o, a, b]
-    p, q = a[e] + d * a[f], b[e] + d * b[f]  # of L[p, q]
+    return o[f], a[e] + d * a[f], b[e] + d * b[f], v[f].conj() * v[e]
 
+
+def _quad_entries(d: int, p, q, m: int, place, inverse=False, symmetric=False) -> tuple:
+    """The entries of ``B^H M B`` (``B M B^H`` with ``inverse``) for m
+    d^2 x d^2 matrices M that may be nonzero, given positions (p, q),
+    possibly repeated, that include every entry of the M that is not +0:
+    ``(p, q, values)``, their rows, their columns and per matrix (first
+    axis) their complex values.
+
+    The change of basis mixes rows p and p' of E_ab and E_ba, then
+    columns q and q' alike (:func:`_mix_pairs`), so the entries taken are
+    those of the 2 x 2 (or smaller) quads (p, p') x (q, q') that meet the
+    positions; the rest of the result is +0.  ``place(X, at)`` puts the
+    entries of the M into the zero array X with axes (matrix, row,
+    column, quad), at the index ``at`` (quad row, quad column, quad) of
+    (p, q).  The float operations on each quad are those of
+    :func:`to_hermitian_basis` on the whole matrix (of
+    :func:`from_hermitian_basis` with ``inverse``, and with ``symmetric``
+    its mirror symmetrisation of a real matrix, which maps each quad to
+    itself), so every value is theirs, bit for bit, signs of zeros
+    included.
+    """
+    n = d * d
     # the quads (p, p') x (q, q') of E_ab and E_ba, E_ab with a < b first
     # (a diagonal E_aa is its own quad row or column, and the second is
-    # zero and never used): X has axes (family, row, column, quad), and
-    # L is added up into it in op order, from +0
+    # zero and never used)
     node = np.arange(n)
     mirror = node.reshape(d, d).T.reshape(-1)  # E_ab -> E_ba
     second = (node % d > node // d).astype(np.intp)  # the quad row of E_ab
     first = np.where(second, mirror, node)
     quads, at = np.unique(first[p] * n + first[q], return_inverse=True)
-    X = np.zeros((len(families), 2, 2, quads.size), dtype=complex)
-    np.add.at(X, (family[o[f]], second[p], second[q], at), v[f].conj() * v[e])
+    X = np.zeros((m, 2, 2, quads.size), dtype=complex)
+    place(X, (second[p], second[q], at))
     p, q = np.divmod(quads, n)
     keys = np.array([p, mirror[p]])[:, np.newaxis, :] * n + np.array([q, mirror[q]])
     row_pair, col_pair = p != mirror[p], q != mirror[q]
     whole = slice(None)
-    _mix_pairs(X, (whole, 0, whole, row_pair), (whole, 1, whole, row_pair), 1, -1j)  # B^H
-    _mix_pairs(X, (whole, whole, 0, col_pair), (whole, whole, 1, col_pair), 1, 1j)  # B
+    rows = (whole, 0, whole, row_pair), (whole, 1, whole, row_pair)
+    cols = (whole, whole, 0, col_pair), (whole, whole, 1, col_pair)
+    if inverse:
+        _mix_pairs(X, *rows, 1j, 1)  # B on the left
+        _mix_pairs(X, *cols, -1j, 1)  # B^H on the right
+        if symmetric:  # (X + Pi conj(X) Pi) / 2, Pi swapping the pairs
+            swap = np.arange(2)[:, np.newaxis]
+            r, c = swap ^ row_pair, swap ^ col_pair
+            X += np.conjugate(X[:, r[:, np.newaxis], c[np.newaxis], np.arange(quads.size)])
+            X *= 0.5
+    else:
+        _mix_pairs(X, *rows, 1, -1j)  # B^H on the left
+        _mix_pairs(X, *cols, 1, 1j)  # B on the right
     used = np.ones(keys.shape, dtype=bool)
     used[1] = row_pair
     used[:, 1] &= col_pair
@@ -598,11 +675,95 @@ def kraus_form_entries(families, d: int):
     return p, q, X[:, used]
 
 
+def kraus_form_entries(families, d: int):
+    """The entries of the Hermitian forms ``B^H L B`` of the
+    superoperators ``L = sum_i conj(V_i) kron V_i`` of the Kraus families
+    ``families`` on C^d that may be nonzero, found from the supports of
+    the V_i with no d^2 x d^2 matrix formed: ``(p, q, values)`` as
+    :func:`_quad_entries` gives them.  The work is linear in the number
+    of pairs of nonzero entries of one V_i (:func:`kraus_pairs`), up to a
+    sort.
+
+    The products of pairs of nonzero entries (:func:`_kraus_products`)
+    are added up into the quads in the order of the V_i, from +0, as
+    :func:`kraus_superoperator` adds them up, so every value is that of
+    :func:`to_hermitian_basis` of ``channel.superoperator``, bit for bit:
+    skipping the products that are zero changes no bit, as a sum started
+    at +0 never holds -0.
+    """
+    ops = np.array([V for kraus in families for V in kraus])
+    family = np.repeat(np.arange(len(families)), [len(kraus) for kraus in families])
+    o, p, q, x = _kraus_products(ops)
+
+    def place(X, at):
+        np.add.at(X, (family[o], *at), x)
+
+    return _quad_entries(d, p, q, len(families), place)
+
+
 def kraus_pairs(families) -> int:
     """The number of pairs of nonzero entries of one Kraus operator, over
     all operators of the families: the nonzero products of the Kronecker
     products of their superoperators."""
     return sum(int(np.count_nonzero(V)) ** 2 for kraus in families for V in kraus)
+
+
+def entry_support(arrays) -> np.ndarray:
+    """The mask of the entries of the float64 or complex128 ``arrays``,
+    all of one shape, where any of them is not +0: nonzero, or a zero
+    with its sign bit set, which a change of basis may carry into its
+    result."""
+    support = False
+    for M in arrays:
+        mask = np.ascontiguousarray(M).view(np.uint64) != 0  # +0 has no bit set
+        if np.iscomplexobj(M):  # a mask per part: as one 2-byte word per entry
+            mask = mask.view(np.uint16) != 0
+        support = support | mask
+    return support
+
+
+def matrix_form_entries(mats, p, q) -> tuple:
+    """The entries of the Hermitian forms ``B^H M B`` of the d^2 x d^2
+    matrices ``mats`` that may be nonzero, from their entries at rows p
+    and columns q, which hold every entry of any of them that is not +0
+    (:func:`entry_support`): ``(p, q, values)`` as :func:`_quad_entries`
+    gives them, each value that of :func:`to_hermitian_basis`, bit for
+    bit.  The work is linear in the number of entries, up to a sort.
+    """
+    d = _side(len(mats[0]))
+    values = np.array([M[p, q] for M in mats])
+
+    def place(X, at):
+        X[(slice(None), *at)] = values
+
+    return _quad_entries(d, p, q, len(mats), place)
+
+
+def from_hermitian_blocks(layout: BlockLayout, stacks) -> np.ndarray:
+    """``from_hermitian_basis(layout.join(stacks))``, bit for bit: the
+    matrix in the Hermitian basis whose stacks in ``layout`` are
+    ``stacks``, back in column stacking, and symmetrised when the stacks
+    are real.  Where the entries of the blocks that are not +0
+    (:func:`entry_support`) are fewer than the whole matrix pays for
+    (:func:`by_entries`), only the quads that meet them are changed
+    (:func:`_quad_entries`) and scattered into the zero matrix, with no
+    n x n matrix but the result formed."""
+    support = [entry_support([X]) for X in stacks]
+    if not by_entries(sum(int(np.count_nonzero(s)) for s in support), layout.n):
+        return from_hermitian_basis(layout.join(stacks))
+    blocks = list(zip(layout.index, stacks, support))
+    p = np.concatenate([np.broadcast_to(idx[:, :, None], X.shape)[s] for idx, X, s in blocks])
+    q = np.concatenate([np.broadcast_to(idx[:, None, :], X.shape)[s] for idx, X, s in blocks])
+    values = np.concatenate([X[s] for _, X, s in blocks])
+
+    def place(X, at):
+        X[(0, *at)] = values
+
+    real = not np.iscomplexobj(values)
+    p, q, x = _quad_entries(math.isqrt(layout.n), p, q, 1, place, True, real)
+    out = np.zeros((layout.n, layout.n), dtype=complex)
+    out[p, q] = x[0]
+    return out
 
 
 def kraus_hermitian_form(kraus) -> np.ndarray:

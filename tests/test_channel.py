@@ -17,7 +17,7 @@ from ergochan import (
     verify,
 )
 from ergochan import linalg
-from ergochan.channel import ADJOINT, min_choi_eigenvalue
+from ergochan.channel import ADJOINT, adjoint_channel, min_choi_eigenvalue
 from ergochan.errors import DimensionError, DomainError
 from helpers import on_side, stinespring_channel
 
@@ -177,6 +177,38 @@ class TestAdjoint:
                 lhs = np.trace(apply(ch, X) @ A)
                 rhs = np.trace(X @ apply_adjoint(ch, A))
                 assert abs(lhs - rhs) <= 1e-11 * np.linalg.norm(X, "nuc") * linalg.operator_norm(A)
+
+
+    @pytest.mark.parametrize(
+        "ch",
+        [pauli_xy_channel(0.3), shift_channel(0.3, 5), stinespring_channel(6, 4)],
+        ids=["pauli", "shift", "random"],
+    )
+    def test_adjoint_operators_are_read_only_copies(self, ch):
+        adj = adjoint_channel(ch)
+        assert adj.label == ch.label and len(adj.kraus) == len(ch.kraus)
+        for V, W in zip(ch.kraus, adj.kraus):
+            assert W.dtype == V.dtype and W.flags.c_contiguous
+            assert not W.flags.writeable and not np.shares_memory(V, W)
+            assert np.array_equal(W, V.conj().T)
+        with pytest.raises(ValueError):
+            adj.kraus[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            pauli_xy_channel(0.3),
+            parity_fock_channel(0.4, 4),
+            stinespring_channel(7, 3),
+            KrausChannel(kraus=(np.array([[-0.0, 1.0], [0.5j, complex(0.0, -0.0)]]),)),
+        ],
+        ids=["pauli", "parity", "random", "signed-zeros"],
+    )
+    def test_adjoint_of_the_adjoint_gives_the_operators_back(self, ch):
+        twice = adjoint_channel(adjoint_channel(ch))
+        for V, W in zip(ch.kraus, twice.kraus, strict=True):
+            assert W.dtype == V.dtype and W is not V
+            assert np.array_equal(W.view(np.uint64), V.view(np.uint64))  # bit for bit
 
 
 class TestKrausSum:

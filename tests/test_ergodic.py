@@ -1232,6 +1232,8 @@ class TestKernelProjectors:
         with pytest.raises(DecompositionFailureError) as info:
             spectral_projectors(L, [0.9])
         assert str(info.value).endswith("the nearest is 1+0j, of modulus 1")
+        assert info.value.args == (str(info.value),)  # a message, and nothing else
+        assert not hasattr(info.value, "spectral_radius")
 
     def test_spectral_projectors_match_the_decomposition(self):
         L = superoperator(parity_fock_channel(0.3, 4))
@@ -1536,6 +1538,16 @@ def catalog_formula_d1(name, p):
     return KrausChannel(kraus=kraus)
 
 
+def shift_matrix(d, side):
+    """The complex superoperator of the shift channel at p = 0.3."""
+    return superoperator(on_side(shift_channel(0.3, d), side))
+
+
+def real_shift_matrix(d, side):
+    """The same as a real matrix: the shift's Kraus operators are real."""
+    return np.ascontiguousarray(shift_matrix(d, side).real)
+
+
 def sparse_kraus_family(seed):
     """1-4 complex d x d operators, d = 2..12, each entry nonzero with
     probability 0.05-0.5, scaled to a channel-like size."""
@@ -1549,23 +1561,84 @@ def sparse_kraus_family(seed):
     return KrausChannel(kraus=tuple(kraus))
 
 
-def kraus_sectors(ch, side):
-    return ergodic._sectors(on_side(ch, side))
+def kron_sum(kraus):
+    """The reference superoperator: the np.kron products of the V_i added
+    up in their order, from +0."""
+    d = kraus[0].shape[0]
+    L = np.zeros((d * d, d * d), dtype=complex)
+    for V in kraus:
+        L += np.kron(V.conj(), V)
+    return L
+
+
+def whole_sectors(*mats):
+    """The reference layout and stacks of the d^2 x d^2 matrices: each
+    changed to the Hermitian basis whole, the layout that of the union of
+    the supports of their real forms."""
+    forms = [np.ascontiguousarray(linalg.to_hermitian_basis(M).real) for M in mats]
+    layout = linalg.BlockLayout(*linalg.support_components(sum(np.abs(A) for A in forms)))
+    return (layout, *(layout.split(A) for A in forms))
+
+
+def assert_bits(got, want):
+    """Equal dtype, shape and bits, signs of zeros included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+    assert np.array_equal(*bits)
+
+
+def assert_same_layout(layout, layout0):
+    assert layout.n == layout0.n
+    for idx, idx0 in zip(layout.index, layout0.index, strict=True):
+        assert idx.dtype == idx0.dtype and np.array_equal(idx, idx0)
 
 
 def assert_same_sectors(ch, side):
-    """The Kraus path gives the layout and the stacks of the superoperator,
-    bit for bit, signs of zeros included."""
-    d, layout, stacks = kraus_sectors(ch, side)
-    d0, layout0, stacks0 = ergodic._sectors(superoperator(on_side(ch, side)))
-    assert d == d0 and layout.n == layout0.n
-    assert len(layout.index) == len(layout0.index)
-    for idx, idx0 in zip(layout.index, layout0.index):
-        assert idx.dtype == idx0.dtype and np.array_equal(idx, idx0)
-    assert len(stacks) == len(stacks0)
-    for X, X0 in zip(stacks, stacks0):
-        assert X.dtype == X0.dtype == np.float64 and X.shape == X0.shape
-        assert np.array_equal(X, X0) and np.array_equal(np.signbit(X), np.signbit(X0))
+    """The Kraus path and the matrix path each give the layout and the
+    stacks of the whole-matrix reference, bit for bit, signs of zeros
+    included, and the superoperator is the np.kron sum, bit for bit."""
+    ch = on_side(ch, side)
+    L0 = kron_sum(ch.kraus)
+    L = superoperator(ch)
+    assert_bits(L, L0)
+    layout0, stacks0 = whole_sectors(L0)
+    for source in (ch, L):
+        d, layout, stacks = ergodic._sectors(source)
+        assert d == ch.dim
+        assert_same_layout(layout, layout0)
+        assert len(stacks) == len(stacks0)
+        for X, X0 in zip(stacks, stacks0):
+            assert X.dtype == np.float64
+            assert_bits(X, X0)
+    return layout0
+
+
+def assert_same_exits(ch, side):
+    """The dense results built from block entries equal the whole-matrix
+    change back, from_hermitian_basis(layout.join(...)), bit for bit:
+    linalg.from_hermitian_blocks on the real form and on a complex
+    multiple of it, and the projectors and the stable part of the
+    decomposition, where the decomposition succeeds."""
+    ch = on_side(ch, side)
+    _, layout, stacks = ergodic._sectors(ch)
+    for blocks in (stacks, [X * (0.25 - 1j) for X in stacks]):
+        want = linalg.from_hermitian_basis(layout.join(blocks))
+        assert_bits(linalg.from_hermitian_blocks(layout, blocks), want)
+    try:
+        decomp = peripheral_decomposition(ch, cesaro_check_n=0)
+    except ErgochanError:  # not power bounded, or an unresolved cluster
+        return
+    assert_bits(decomp.stable, linalg.from_hermitian_basis(layout.join(decomp.stable_blocks)))
+    wants = [linalg.from_hermitian_basis(layout.join(P)) for P in decomp.projector_blocks]
+    for P, want in zip(decomp.projectors, wants, strict=True):
+        assert_bits(P, want)
+    for P, want in zip(spectral_projectors(ch, decomp.lambdas), wants, strict=True):
+        assert_bits(P, want)
+
+
+def assert_same_routes(ch, side):
+    layout = assert_same_sectors(ch, side)
+    assert_same_exits(ch, side)
     return layout
 
 
@@ -1574,20 +1647,23 @@ SIDES = pytest.mark.parametrize("side", [FORWARD, ADJOINT])
 
 class TestKrausSectors:
     """ergodic._sectors of a KrausChannel builds the Hermitian form from
-    the Kraus operators, from the entries that may be nonzero or whole,
-    yet equals that of channel.superoperator exactly.  Each test runs on
-    both ways of building it and on the one _sectors chooses."""
+    the Kraus operators, and that of a matrix from the matrix, from the
+    entries that may be nonzero or whole, yet both equal the whole change
+    of basis of the np.kron sum exactly; the superoperator, scattered or
+    summed, and the dense exits back to column stacking are bit for bit
+    those of the whole-matrix reference too.  Each test runs on both
+    ways of building them and on the one linalg.by_entries chooses."""
 
     @pytest.fixture(autouse=True, params=["chosen", "entries", "whole"])
     def path(self, request, monkeypatch):
-        cost = {"chosen": ergodic.ENTRY_COST, "entries": 0, "whole": 10**30}
-        monkeypatch.setattr(ergodic, "ENTRY_COST", cost[request.param])
+        cost = {"chosen": linalg.ENTRY_COST, "entries": 0, "whole": 10**30}
+        monkeypatch.setattr(linalg, "ENTRY_COST", cost[request.param])
         return request.param
 
     @SIDES
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_pauli_xy(self, p, side):
-        assert_same_sectors(pauli_xy_channel(p), side)
+        assert_same_routes(pauli_xy_channel(p), side)
 
     @SIDES
     @pytest.mark.parametrize("name", ["parity-fock", "shift", "ladder"])
@@ -1599,7 +1675,7 @@ class TestKrausSectors:
             if d == 1
             else catalog.build(name, {param: 0.3, "dim": d})
         )
-        layout = assert_same_sectors(ch, side)
+        layout = assert_same_routes(ch, side)
         if d >= 3:
             assert block_count(layout) > 1
 
@@ -1607,17 +1683,17 @@ class TestKrausSectors:
     @pytest.mark.parametrize("drop", [0, 1], ids=["trace-preserving", "trace-decreasing"])
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stinespring_channels(self, d, drop, side):
-        assert_same_sectors(stinespring_channel(40 + d, d, drop=drop), side)
+        assert_same_routes(stinespring_channel(40 + d, d, drop=drop), side)
 
     @SIDES
     def test_sparse_kraus_families(self, side):
         for seed in range(200):
-            assert_same_sectors(sparse_kraus_family(seed), side)
+            assert_same_routes(sparse_kraus_family(seed), side)
 
     @SIDES
     @pytest.mark.parametrize("seed", [1, 4, 11])
     def test_planted_family(self, seed, side):
-        assert_same_sectors(planted_channel(seed, 1e-3), side)
+        assert_same_routes(planted_channel(seed, 1e-3), side)
 
     @SIDES
     def test_edge_cases(self, side):
@@ -1632,8 +1708,8 @@ class TestKrausSectors:
             KrausChannel(kraus=(np.eye(5)[[2, 0, 4, 1, 3]],)),  # a permutation
         ]
         for ch in cases:
-            assert_same_sectors(ch, side)
-        zero = assert_same_sectors(cases[3], side)
+            assert_same_routes(ch, side)
+        zero = assert_same_routes(cases[3], side)
         assert block_count(zero) == 9  # no entry couples: nine 1 x 1 blocks
 
     @SIDES
@@ -1643,7 +1719,7 @@ class TestKrausSectors:
         V1 = np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2)
         V2 = np.array([[1.0, -1.0], [0.0, 0.0]]) / np.sqrt(2)
         ch = KrausChannel(kraus=(V1, V2))
-        layout = assert_same_sectors(ch, side)
+        layout = assert_same_routes(ch, side)
         blocks = sorted(b.tolist() for idx in layout.index for b in idx)
         assert blocks == [[0, 3], [1], [2]]
 
@@ -1653,22 +1729,48 @@ class TestKrausSectors:
         ids=["parity", "shift", "random"],
     )
     def test_entry_points_take_a_channel(self, ch):
-        # every entry point that reads _sectors gives, from the channel,
-        # what it gives from the channel's superoperator, bit for bit
-        L = superoperator(ch)
+        # every entry point that reads _sectors gives, from the channel
+        # and from the channel's superoperator, what the whole-matrix
+        # route gives from the np.kron sum, bit for bit
         X = np.diag(np.arange(1.0, ch.dim + 1))
-        for compute in (
+        computes = (
             lambda M: fixed_space(M).basis,
             lambda M: peripheral_spectrum(M),
             lambda M: spectral_projectors(M, peripheral_spectrum(M)),
-            lambda M: peripheral_decomposition(M, cesaro_check_n=400).stable,
-            lambda M: power_iterate(M, 1000, X),
+            lambda M: [peripheral_decomposition(M, cesaro_check_n=400).stable],
+            lambda M: [power_iterate(M, 1000, X)],
             lambda M: dataclasses.astuple(splitting_check(M)),
-        ):
-            got, want = compute(ch), compute(L)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        )
+        with pytest.MonkeyPatch.context() as whole:
+            whole.setattr(linalg, "ENTRY_COST", 10**30)
+            wants = [compute(kron_sum(ch.kraus)) for compute in computes]
+        for source in (ch, superoperator(ch)):
+            for compute, want in zip(computes, wants):
+                got = compute(source)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_bits(np.asarray(a), np.asarray(b))
+
+    @SIDES
+    @pytest.mark.parametrize(
+        "make", [shift_matrix, real_shift_matrix], ids=["complex", "real"]
+    )
+    def test_signed_zeros_of_a_matrix_are_carried(self, make, side):
+        # a zero entry with its sign bit set can carry into the form, so
+        # the matrix route takes it as an entry
+        L = make(6, side)
+        rng = np.random.default_rng(7)
+        flat = L.reshape(-1)
+        picks = rng.choice(np.flatnonzero(flat == 0), 300, replace=False)
+        signed = [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for k, zero in enumerate(signed if np.iscomplexobj(L) else signed[:1]):
+            flat[picks[k::3]] = zero
+        layout0, stacks0 = whole_sectors(L)
+        assert any(np.any(np.signbit(X) & (X == 0)) for X in stacks0)
+        _, layout, stacks = ergodic._sectors(L)
+        assert_same_layout(layout, layout0)
+        for X, X0 in zip(stacks, stacks0, strict=True):
+            assert_bits(X, X0)
 
     def test_adjoint_channel_has_the_adjoint_superoperator(self):
         # sum_i V_i^T kron V_i^dag, the matrix of X -> sum_i V_i^dag X V_i
@@ -1685,12 +1787,12 @@ class TestKrausSectors:
         chs = [parity_fock_channel(0.3, 6), shift_channel(0.4, 6), stinespring_channel(7, 3)]
         for parts in (chs[:2], [pauli_xy_channel(0.2), pauli_xy_channel(0.7)], chs[2:]):
             kraus = [on_side(c, side) for c in parts]
-            _, layout, *stacks = ergodic._sectors(*kraus)
-            _, layout0, *stacks0 = ergodic._sectors(*(superoperator(c) for c in kraus))
-            for idx, idx0 in zip(layout.index, layout0.index, strict=True):
-                assert np.array_equal(idx, idx0)
-            for X, X0 in zip(sum(stacks, []), sum(stacks0, []), strict=True):
-                assert np.array_equal(X, X0) and np.array_equal(np.signbit(X), np.signbit(X0))
+            layout0, *stacks0 = whole_sectors(*(kron_sum(c.kraus) for c in kraus))
+            for maps in (kraus, [superoperator(c) for c in kraus]):
+                _, layout, *stacks = ergodic._sectors(*maps)
+                assert_same_layout(layout, layout0)
+                for X, X0 in zip(sum(stacks, []), sum(stacks0, []), strict=True):
+                    assert_bits(X, X0)
 
     @pytest.mark.parametrize(
         "ch",
@@ -1729,14 +1831,24 @@ class TestKrausSectors:
     ],
     ids=["shift-12", "parity-16", "shift-6", "parity-8", "random-16"],
 )
-def test_kraus_route_is_chosen_by_cost(ch, route, monkeypatch):
+def test_route_is_chosen_by_cost(ch, route, monkeypatch):
+    # one rule for the superoperator, the form of the channel and of its
+    # matrix, and the dense exits of the decomposition
     def refuse(*args, **kwargs):
         raise AssertionError("took the other route")
 
-    other = {"entries": "kraus_hermitian_form", "whole": "kraus_form_entries"}[route]
-    monkeypatch.setattr(linalg, other, refuse)
-    ergodic._sectors(ch)
-    ergodic._sectors(channel_mod.adjoint_channel(ch))
+    others = {
+        "entries": ["kraus_hermitian_form", "to_hermitian_basis", "from_hermitian_basis"],
+        "whole": ["kraus_form_entries", "matrix_form_entries", "_quad_entries"],
+    }[route]
+    for name in others:
+        monkeypatch.setattr(linalg, name, refuse)
+    if route == "entries":
+        monkeypatch.setattr(np, "kron", refuse)
+    for side in (ch, channel_mod.adjoint_channel(ch)):
+        ergodic._sectors(side)
+        decomp = peripheral_decomposition(superoperator(side), cesaro_check_n=0)
+        decomp.stable, decomp.projectors
 
 
 #: Every function numpy.linalg exports.
