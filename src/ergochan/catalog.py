@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import CatalogLookupError, DimensionError, DomainError
-from .linalg import vec
+from .linalg import check_count, vec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -140,8 +140,7 @@ def f_recursion(i: int, p) -> float:
 
 def f_recursion_exact(i: int, p):
     """Exact evaluation of f^(i): returns a Fraction when ``p`` is one."""
-    if i < 1:
-        raise DomainError(f"index must be >= 1, got {i}")
+    check_count(i, "index", 1)
     row = _coefficient_row(i)
     # Horner in (-p), exact when p is a Fraction
     acc = row[-1] + 0 * p
@@ -159,8 +158,7 @@ def parity_iterate_expected(p: float, d: int, n: int, X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_count(n, "n", 0)
     if n == 0:
         return X.copy()
     gaps = np.subtract.outer(np.arange(d), np.arange(d))

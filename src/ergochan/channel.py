@@ -166,8 +166,10 @@ def choi_from_superoperator(L) -> np.ndarray:
 def transpose_superoperator(d: int) -> np.ndarray:
     """Matrix of X -> X^T: the canonical non-CP witness.
 
-    The permutation matrix with vec(X^T)[i*d + j] = vec(X)[j*d + i].
+    The permutation matrix with vec(X^T)[i*d + j] = vec(X)[j*d + i]; a
+    ``d`` that is not an integer >= 1 raises :class:`DomainError`.
     """
+    linalg.check_count(d, "d", 1)
     perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
     return np.eye(d * d)[perm]
 

@@ -107,38 +107,42 @@ def _sectors(L, *more) -> tuple:
     ``stacks`` is A held as its stacks.
 
     One entry rule (:func:`linalg.by_entries`) serves both inputs.  Where
-    it says so, the entries of A that may be nonzero come from the
-    entries of the input: for a Kraus channel from the pairs of nonzeros
-    of each V_i, without forming L (:func:`linalg.kraus_form_entries`),
-    and for a matrix from its entries that are not +0
-    (:func:`linalg.entry_support`, :func:`linalg.matrix_form_entries`).
-    The blocks are then the components of the nonzero ones
-    (:func:`linalg.components`), and the stacks are filled from them
-    (:meth:`linalg.BlockLayout.split_entries`).  Where that costs more,
-    as for an input without zeros, A is built whole, from the Kronecker
-    sum (:func:`linalg.kraus_hermitian_form`) or from the matrix
-    (:func:`linalg.to_hermitian_basis`), and split by the components of
-    its nonzeros (:func:`linalg.support_components`).  Every route gives,
-    bit for bit, the layout and stacks of the whole route on
-    ``channel.superoperator``.  The adjoint phi* is the channel of the
-    V_i^dag (``channel.adjoint_channel``).  A
+    it says so, the input is held by its entries that may be nonzero, in
+    the one entry form ``(p, q, values)`` of :func:`linalg.kraus_entries`:
+    for a Kraus channel those of L from the pairs of nonzeros of each
+    V_i, without forming L (:func:`linalg.kraus_entries`), and for a
+    matrix its entries that are not +0 (:func:`linalg.entry_support`).
+    The entries of A that may be nonzero come from them by the one quad
+    stage (:func:`linalg.form_entries`).  The blocks are then the
+    components of the nonzero ones (:func:`linalg.components`), and the
+    stacks are filled from them (:meth:`linalg.BlockLayout.split_entries`).
+    Where that costs more, as for an input without zeros, A is built
+    whole, from the Kronecker sum (:func:`linalg.kraus_hermitian_form`)
+    or from the matrix (:func:`linalg.to_hermitian_basis`), and split by
+    the components of its nonzeros (:func:`linalg.support_components`).
+    Every route gives, bit for bit, the layout and stacks of the whole
+    route on ``channel.superoperator``.  The adjoint phi* is the channel
+    of the V_i^dag (``channel.adjoint_channel``).  A
     :class:`PeripheralDecomposition` gives its own ``dim``, ``layout``
     and ``operator_blocks``.
 
     With ``more`` maps of L's kind and size the result is ``(d, layout,
     stacks, more_stacks...)``: the layout is that of the union of the
     supports of all the forms, which is block diagonal for each of them.
+    Channels of different dimensions, or matrices of different sizes,
+    raise :class:`DimensionError`.
     """
     if isinstance(L, PeripheralDecomposition):
         return L.dim, L.layout, L.operator_blocks
-    maps, entries = (L, *more), None
+    maps = (L, *more)
     if all(isinstance(M, channel_mod.KrausChannel) for M in maps):
         if len({ch.dim for ch in maps}) != 1:
             raise DimensionError(f"channels of different dimensions: {[ch.dim for ch in maps]}")
         families = [ch.kraus for ch in maps]
         n = L.dim**2
-        if linalg.by_entries(linalg.kraus_pairs(families), n):
-            entries = linalg.kraus_form_entries(families, L.dim)
+        entries = linalg.by_entries(linalg.kraus_pairs(families), n)
+        if entries:
+            p, q, values = linalg.kraus_entries(families)
         else:
             forms = [linalg.kraus_hermitian_form(kraus) for kraus in families]
     else:
@@ -147,12 +151,14 @@ def _sectors(L, *more) -> tuple:
         if any(M.shape != (n, n) for M in mats):
             raise DimensionError(f"maps of different sizes: {[M.shape for M in mats]}")
         support = linalg.entry_support(mats)
-        if linalg.by_entries(int(np.count_nonzero(support)), n):
-            entries = linalg.matrix_form_entries(mats, *np.divmod(np.flatnonzero(support), n))
+        entries = linalg.by_entries(int(np.count_nonzero(support)), n)
+        if entries:
+            p, q = np.divmod(np.flatnonzero(support), n)
+            values = np.array([M[p, q] for M in mats])
         else:
             forms = [linalg.to_hermitian_basis(M) for M in mats]
-    if entries is not None:
-        p, q, values = entries
+    if entries:
+        p, q, values = linalg.form_entries(n, p, q, values)
         forms = [_real_form(x) for x in values]  # the entries of each form
         nonzero = np.logical_or.reduce([x != 0 for x in forms])
         layout = linalg.BlockLayout(*linalg.components(n, p[nonzero], q[nonzero]))
@@ -886,10 +892,6 @@ def fixed_space_intersection(
         raise DomainError(f"weights must be finite and > 0, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise DomainError(f"weights must sum to 1, got {sum(weights)}")
-    dims = {ch.dim for ch in channels}
-    if len(dims) != 1:
-        raise DimensionError(f"channels must share one dimension, got {dims}")
-
     _, layout, *parts = _sectors(*channels)
     combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
     svds, ranks = _fixed_svd(combined, tol)

@@ -17,19 +17,22 @@ conventions are fixed here once and inherited everywhere:
   runs on that real matrix only; results are always reported in the
   column-stacking basis.  One entry rule (:func:`by_entries`) serves
   every input: where a matrix has few entries that may be nonzero, only
-  those and their partners under the change of basis are computed, the
-  2 x 2 quads of positions that the change mixes (:func:`_quad_entries`),
-  and otherwise the whole matrix is.  So the form of a Kraus family's
-  superoperator comes from the products of pairs of nonzero Kraus
-  entries, with no d^2 x d^2 matrix formed (:func:`kraus_form_entries`),
-  or whole from the Kronecker sum (:func:`kraus_hermitian_form`); the
-  superoperator itself is scattered from the same products or summed
-  from Kronecker products (:func:`kraus_superoperator`); the form of a
-  matrix comes from its entries that are not +0
-  (:func:`matrix_form_entries`) or whole (:func:`to_hermitian_basis`);
-  and a form held as blocks goes back to column stacking from its block
-  entries or whole (:func:`from_hermitian_blocks`).  Every route gives
-  the whole route's values bit for bit, signs of zeros included.
+  those and their partners under the change of basis are computed, and
+  otherwise the whole matrix is.  A matrix held by those entries has one
+  form, ``(p, q, values)``: the rows and columns of distinct positions
+  and per matrix the values there, every other entry +0.  Three
+  producers emit it: the products of pairs of nonzero Kraus entries,
+  with no d^2 x d^2 matrix formed (:func:`kraus_entries`); a matrix's
+  entries that are not +0 (:func:`entry_support`); and the entries of a
+  form held as blocks (:func:`from_hermitian_blocks`).  One quad stage
+  consumes it, changing only the 2 x 2 quads of positions that the
+  change of basis mixes (:func:`form_entries`).  Whole, the form of a
+  Kraus family comes from the Kronecker sum (:func:`kraus_hermitian_form`)
+  and that of a matrix from :func:`to_hermitian_basis`, and the way back
+  is :func:`from_hermitian_basis`; the superoperator itself is placed
+  from its entries or summed from Kronecker products
+  (:func:`kraus_superoperator`).  Every route gives the whole route's
+  values bit for bit, signs of zeros included.
 * Eigenvalues are always reported sorted by descending modulus, ties
   broken by descending real part, then descending imaginary part, so
   that reports are deterministic.
@@ -180,25 +183,24 @@ def top_singular_values(M) -> np.ndarray:
 #: One rule picks the route for every input: a d^2 x d^2 matrix is built
 #: or changed from its entries that may be nonzero when ENTRY_COST times
 #: their number, plus ENTRY_OVERHEAD, is below the d^4 entries of the
-#: whole matrix (:func:`by_entries`), else whole.  The entries are the
-#: pairs of nonzero entries of one Kraus operator (:func:`kraus_pairs`)
-#: for a Kraus family's superoperator (:func:`kraus_superoperator`) and
-#: form (:func:`kraus_form_entries`), a matrix's entries that are not +0
-#: (:func:`entry_support`) for its form (:func:`matrix_form_entries`), and
-#: the block entries that are not +0 for the way back
-#: (:func:`from_hermitian_blocks`).  Per pair the Kraus form takes 290-390
-#: ns (shift, d = 32-128) and the scatter of the superoperator 130 ns at
-#: d = 16; per entry a matrix's form takes 1.3-1.7 us and the way back
-#: 0.6-0.9 us at d = 16 (shift, parity-fock), fixed costs and the passes
-#: over the whole matrix included (its finiteness check and its support).
-#: Whole, the form and the way back take 16-28 ns per entry and the
-#: np.kron sum 7 ns (random, d = 12-24), one core.  The overhead is the
-#: entry routes' fixed cost.  On the shift, parity-fock and ladder
-#: channels (about 2 d^2 pairs or entries) the routes tie near d = 8 for
-#: a Kraus family and near d = 10 for a matrix, whose entries the rule
-#: takes from d = 9 on, up to 0.1 ms slower at d = 9-10; below that the
-#: whole is faster.  A matrix without zeros (a random channel's L or S)
-#: always goes whole.
+#: whole matrix (:func:`by_entries`), else whole.  The entries, in the one
+#: form of :func:`kraus_entries`, are the pairs of nonzero entries of one
+#: Kraus operator (:func:`kraus_pairs`) for a Kraus family's superoperator
+#: (:func:`kraus_superoperator`) and form, a matrix's entries that are not
+#: +0 (:func:`entry_support`) for its form, and the block entries that are
+#: not +0 for the way back (:func:`from_hermitian_blocks`); the forms go
+#: through :func:`form_entries`.  Per pair the Kraus form takes 300-500
+#: ns (shift, d = 32-128) and the superoperator 150-190 ns at d = 16; per
+#: entry a matrix's form takes 1.3-1.7 us and the way back 0.6-0.9 us at
+#: d = 16 (shift, parity-fock), fixed costs and the passes over the whole
+#: matrix included (its finiteness check and its support).  Whole, the
+#: form and the way back take 16-28 ns per entry and the np.kron sum 7 ns
+#: (random, d = 12-24), one core.  The overhead is the entry routes' fixed
+#: cost.  On the shift, parity-fock and ladder channels (about 2 d^2 pairs
+#: or entries) the routes tie near d = 8 for a Kraus family and near
+#: d = 10 for a matrix, whose entries the rule takes from d = 9 on, up to
+#: 0.1 ms slower at d = 9-10; below that the whole is faster.  A matrix
+#: without zeros (a random channel's L or S) always goes whole.
 ENTRY_COST = 16
 ENTRY_OVERHEAD = 256
 
@@ -214,19 +216,17 @@ def kraus_superoperator(kraus) -> np.ndarray:
     """``sum_i conj(V_i) kron V_i``, complex: the matrix of
     ``X -> sum_i V_i X V_i^dag`` under column stacking, the Kronecker
     products added up in the order of the V_i, from +0.  Where the pairs
-    of nonzero entries of one V_i are few (:func:`by_entries`), only
-    their products (:func:`_kraus_products`) are added into the zero
-    matrix, one V_i at a time; the skipped products are zero, and a sum
-    started at +0 never holds -0, so no bit changes."""
+    of nonzero entries of one V_i are few (:func:`by_entries`), the
+    entries they give (:func:`kraus_entries`) are placed into the zero
+    matrix instead, bit for bit the same."""
     d = kraus[0].shape[0]
     L = np.zeros((d * d, d * d), dtype=complex)
-    if not by_entries(kraus_pairs([kraus]), d * d):
+    if by_entries(kraus_pairs([kraus]), d * d):
+        p, q, values = kraus_entries([kraus])
+        L[p, q] = values[0]
+    else:
         for V in kraus:
             L += np.kron(V.conj(), V)
-        return L
-    for V in kraus:
-        _, p, q, x = _kraus_products(V[np.newaxis])
-        L[p, q] += x  # one operator's products land on distinct positions
     return L
 
 
@@ -594,20 +594,28 @@ def from_hermitian_basis(R) -> np.ndarray:
     return X
 
 
-def _kraus_products(ops) -> tuple:
-    """``(o, p, q, x)`` per pair of nonzero entries of one of the Kraus
-    operators ``ops`` (an (m, d, d) array): its operator o, the position
-    (p, q) it lands on in ``L = sum_i conj(V_i) kron V_i`` and its
-    product x there, operator by operator in the order of ``ops``.
+def kraus_entries(families) -> tuple:
+    """The entries of the superoperators ``L = sum_i conj(V_i) kron V_i``
+    of the Kraus families ``families`` that may be nonzero, with no
+    d^2 x d^2 matrix formed: ``(p, q, values)``, the rows and columns of
+    distinct positions, ascending, and per family (first axis) the
+    complex values there; every other entry of each L is +0.  The work
+    is linear in the number of pairs of nonzero entries of one V_i
+    (:func:`kraus_pairs`), up to a sort.
 
     The entry of L at the column-stacking positions p of E_{a_p b_p} and
     q of E_{a_q b_q} is ``sum_i conj(V_i[b_p, b_q]) V_i[a_p, a_q]``, so
     each pair of nonzero entries of one V_i gives one product of the
-    Kronecker products, and one operator's products land on distinct
-    positions.  Each side of a product is gathered into a contiguous
-    array, as np.kron's are broadcast ones (numpy may round a product of
-    two broadcast scalars by another loop).
+    Kronecker products.  The products are added into their positions in
+    the order of the V_i, from +0, as the np.kron sum adds them up, so
+    every value is that sum's, bit for bit: skipping the products that
+    are zero changes no bit, as a sum started at +0 never holds -0.
+    Each side of a product is gathered into a contiguous array, as
+    np.kron's are broadcast ones (numpy may round a product of two
+    broadcast scalars by another loop).
     """
+    ops = np.array([V for kraus in families for V in kraus])
+    family = np.repeat(np.arange(len(families)), [len(kraus) for kraus in families])
     d = ops.shape[-1]
     o, a, b = np.nonzero(ops)
     count = np.bincount(o, minlength=len(ops))
@@ -616,31 +624,33 @@ def _kraus_products(ops) -> tuple:
     f = np.repeat(np.arange(o.size), partners)
     firsts = np.cumsum(partners) - partners
     e = (np.cumsum(count) - count)[o[f]] + np.arange(f.size) - np.repeat(firsts, partners)
+    keys, at = np.unique((a[e] + d * a[f]) * d * d + b[e] + d * b[f], return_inverse=True)
+    values = np.zeros((len(families), keys.size), dtype=complex)
     v = ops[o, a, b]
-    return o[f], a[e] + d * a[f], b[e] + d * b[f], v[f].conj() * v[e]
+    np.add.at(values, (family[o[f]], at), v[f].conj() * v[e])
+    p, q = np.divmod(keys, d * d)
+    return p, q, values
 
 
-def _quad_entries(d: int, p, q, m: int, place, inverse=False, symmetric=False) -> tuple:
-    """The entries of ``B^H M B`` (``B M B^H`` with ``inverse``) for m
-    d^2 x d^2 matrices M that may be nonzero, given positions (p, q),
-    possibly repeated, that include every entry of the M that is not +0:
-    ``(p, q, values)``, their rows, their columns and per matrix (first
-    axis) their complex values.
+def form_entries(n: int, p, q, values, inverse=False, symmetric=False) -> tuple:
+    """The entries of ``B^H M B`` (``B M B^H`` with ``inverse``) that may
+    be nonzero, for n x n matrices M (n = d^2) given as the entries
+    ``(p, q, values)`` of :func:`kraus_entries`: distinct positions that
+    hold every entry of any M that is not +0, and per matrix (first
+    axis) the values there.  The result has the same form.
 
     The change of basis mixes rows p and p' of E_ab and E_ba, then
     columns q and q' alike (:func:`_mix_pairs`), so the entries taken are
     those of the 2 x 2 (or smaller) quads (p, p') x (q, q') that meet the
-    positions; the rest of the result is +0.  ``place(X, at)`` puts the
-    entries of the M into the zero array X with axes (matrix, row,
-    column, quad), at the index ``at`` (quad row, quad column, quad) of
-    (p, q).  The float operations on each quad are those of
-    :func:`to_hermitian_basis` on the whole matrix (of
-    :func:`from_hermitian_basis` with ``inverse``, and with ``symmetric``
-    its mirror symmetrisation of a real matrix, which maps each quad to
-    itself), so every value is theirs, bit for bit, signs of zeros
-    included.
+    positions; the rest of the result is +0.  The float operations on
+    each quad are those of :func:`to_hermitian_basis` on the whole
+    matrix (of :func:`from_hermitian_basis` with ``inverse``, and with
+    ``symmetric`` its mirror symmetrisation of a real matrix, which maps
+    each quad to itself), so every value is theirs, bit for bit, signs
+    of zeros included.  The work is linear in the number of entries, up
+    to a sort.
     """
-    n = d * d
+    d = _side(n)
     # the quads (p, p') x (q, q') of E_ab and E_ba, E_ab with a < b first
     # (a diagonal E_aa is its own quad row or column, and the second is
     # zero and never used)
@@ -649,8 +659,8 @@ def _quad_entries(d: int, p, q, m: int, place, inverse=False, symmetric=False) -
     second = (node % d > node // d).astype(np.intp)  # the quad row of E_ab
     first = np.where(second, mirror, node)
     quads, at = np.unique(first[p] * n + first[q], return_inverse=True)
-    X = np.zeros((m, 2, 2, quads.size), dtype=complex)
-    place(X, (second[p], second[q], at))
+    X = np.zeros((len(values), 2, 2, quads.size), dtype=complex)
+    X[:, second[p], second[q], at] = values
     p, q = np.divmod(quads, n)
     keys = np.array([p, mirror[p]])[:, np.newaxis, :] * n + np.array([q, mirror[q]])
     row_pair, col_pair = p != mirror[p], q != mirror[q]
@@ -675,32 +685,6 @@ def _quad_entries(d: int, p, q, m: int, place, inverse=False, symmetric=False) -
     return p, q, X[:, used]
 
 
-def kraus_form_entries(families, d: int):
-    """The entries of the Hermitian forms ``B^H L B`` of the
-    superoperators ``L = sum_i conj(V_i) kron V_i`` of the Kraus families
-    ``families`` on C^d that may be nonzero, found from the supports of
-    the V_i with no d^2 x d^2 matrix formed: ``(p, q, values)`` as
-    :func:`_quad_entries` gives them.  The work is linear in the number
-    of pairs of nonzero entries of one V_i (:func:`kraus_pairs`), up to a
-    sort.
-
-    The products of pairs of nonzero entries (:func:`_kraus_products`)
-    are added up into the quads in the order of the V_i, from +0, as
-    :func:`kraus_superoperator` adds them up, so every value is that of
-    :func:`to_hermitian_basis` of ``channel.superoperator``, bit for bit:
-    skipping the products that are zero changes no bit, as a sum started
-    at +0 never holds -0.
-    """
-    ops = np.array([V for kraus in families for V in kraus])
-    family = np.repeat(np.arange(len(families)), [len(kraus) for kraus in families])
-    o, p, q, x = _kraus_products(ops)
-
-    def place(X, at):
-        np.add.at(X, (family[o], *at), x)
-
-    return _quad_entries(d, p, q, len(families), place)
-
-
 def kraus_pairs(families) -> int:
     """The number of pairs of nonzero entries of one Kraus operator, over
     all operators of the families: the nonzero products of the Kronecker
@@ -722,23 +706,6 @@ def entry_support(arrays) -> np.ndarray:
     return support
 
 
-def matrix_form_entries(mats, p, q) -> tuple:
-    """The entries of the Hermitian forms ``B^H M B`` of the d^2 x d^2
-    matrices ``mats`` that may be nonzero, from their entries at rows p
-    and columns q, which hold every entry of any of them that is not +0
-    (:func:`entry_support`): ``(p, q, values)`` as :func:`_quad_entries`
-    gives them, each value that of :func:`to_hermitian_basis`, bit for
-    bit.  The work is linear in the number of entries, up to a sort.
-    """
-    d = _side(len(mats[0]))
-    values = np.array([M[p, q] for M in mats])
-
-    def place(X, at):
-        X[(slice(None), *at)] = values
-
-    return _quad_entries(d, p, q, len(mats), place)
-
-
 def from_hermitian_blocks(layout: BlockLayout, stacks) -> np.ndarray:
     """``from_hermitian_basis(layout.join(stacks))``, bit for bit: the
     matrix in the Hermitian basis whose stacks in ``layout`` are
@@ -746,7 +713,7 @@ def from_hermitian_blocks(layout: BlockLayout, stacks) -> np.ndarray:
     are real.  Where the entries of the blocks that are not +0
     (:func:`entry_support`) are fewer than the whole matrix pays for
     (:func:`by_entries`), only the quads that meet them are changed
-    (:func:`_quad_entries`) and scattered into the zero matrix, with no
+    (:func:`form_entries`) and placed into the zero matrix, with no
     n x n matrix but the result formed."""
     support = [entry_support([X]) for X in stacks]
     if not by_entries(sum(int(np.count_nonzero(s)) for s in support), layout.n):
@@ -754,13 +721,8 @@ def from_hermitian_blocks(layout: BlockLayout, stacks) -> np.ndarray:
     blocks = list(zip(layout.index, stacks, support))
     p = np.concatenate([np.broadcast_to(idx[:, :, None], X.shape)[s] for idx, X, s in blocks])
     q = np.concatenate([np.broadcast_to(idx[:, None, :], X.shape)[s] for idx, X, s in blocks])
-    values = np.concatenate([X[s] for _, X, s in blocks])
-
-    def place(X, at):
-        X[(0, *at)] = values
-
-    real = not np.iscomplexobj(values)
-    p, q, x = _quad_entries(math.isqrt(layout.n), p, q, 1, place, True, real)
+    values = np.concatenate([X[s] for _, X, s in blocks])[np.newaxis]
+    p, q, x = form_entries(layout.n, p, q, values, True, not np.iscomplexobj(values))
     out = np.zeros((layout.n, layout.n), dtype=complex)
     out[p, q] = x[0]
     return out

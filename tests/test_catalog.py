@@ -104,6 +104,10 @@ class TestFRecursion:
         with pytest.raises(DomainError):
             f_recursion(0, 0.5)
 
+    def test_index_not_an_integer(self):
+        with pytest.raises(DomainError, match="^index must be an integer, got 2.5$"):
+            f_recursion(2.5, 0.5)
+
 
 class TestParityBuilder:
     def test_d2_is_phase_flip(self):
@@ -130,6 +134,14 @@ class TestParityOracle:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert np.allclose(parity_iterate_expected(0.3, 4, 0, X), X)
+
+    def test_count_not_an_integer(self):
+        with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+            parity_iterate_expected(0.3, 2, 2.5, np.ones((2, 2)))
+
+    def test_negative_count(self):
+        with pytest.raises(DomainError, match="^n must be >= 0, got -1$"):
+            parity_iterate_expected(0.3, 2, -1, np.ones((2, 2)))
 
     def test_p_half_kills_odd_gaps(self):
         X = np.ones((4, 4), dtype=complex)

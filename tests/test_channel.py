@@ -256,6 +256,15 @@ class TestChoi:
         assert np.array_equal(K, transpose_loop(d))
         assert np.array_equal(choi_from_superoperator(K), choi_kron_sum(K))
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [(-1, "d must be >= 1, got -1"), (0, "d must be >= 1, got 0"),
+         (2.5, "d must be an integer, got 2.5")],
+    )
+    def test_transpose_map_dimension_is_a_count(self, d, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            transpose_superoperator(d)
+
     def test_returns_a_fresh_array(self):
         L = np.eye(1, dtype=complex)
         C = choi_from_superoperator(L)

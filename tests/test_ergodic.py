@@ -901,6 +901,28 @@ class TestIntersection:
                 [pauli_xy_channel(0.3), pauli_xy_channel(0.4)], [1.5, -0.5]
             )
 
+    def test_matrices_give_the_channel_report(self):
+        chs = [parity_fock_channel(0.3, 6), parity_fock_channel(0.6, 6)]
+        want = fixed_space_intersection(chs, [0.4, 0.6])
+        got = fixed_space_intersection([superoperator(ch) for ch in chs], [0.4, 0.6])
+        assert want.combined_fixed.dimension == 18
+        for fs, fs0 in ((got.combined_fixed, want.combined_fixed),
+                        (got.intersection, want.intersection)):
+            assert fs.tol == fs0.tol
+            for B, B0 in zip(fs.basis, fs0.basis, strict=True):
+                assert_bits(B, B0)
+        assert (got.equal, got.commute_residual, got.projection_residual) == (
+            want.equal, want.commute_residual, want.projection_residual)
+
+    def test_parts_of_different_sizes(self):
+        chs = [parity_fock_channel(0.3, 3), parity_fock_channel(0.3, 4)]
+        with pytest.raises(DimensionError, match=r"^channels of different dimensions: \[3, 4\]$"):
+            fixed_space_intersection(chs, [0.5, 0.5])
+        mats = [superoperator(ch) for ch in chs]
+        sizes = r"^maps of different sizes: \[\(9, 9\), \(16, 16\)\]$"
+        with pytest.raises(DimensionError, match=sizes):
+            fixed_space_intersection(mats, [0.5, 0.5])
+
 
 class TestPeripheralUnitarity:
     def test_pauli_restriction(self):
@@ -1561,6 +1583,31 @@ def sparse_kraus_family(seed):
     return KrausChannel(kraus=tuple(kraus))
 
 
+def signed_zero_kraus_family(seed):
+    """sparse_kraus_family(seed), real at an even seed, with each zero
+    entry replaced by a zero of random sign bits: +0 or -0.0 in a real
+    family, +0, 0-0j, -0-0j or -0+0j in a complex one."""
+    rng = np.random.default_rng(1000 + seed)
+    real = seed % 2 == 0
+    signed = [0.0, -0.0] if real else [0j, complex(0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0)]
+    kraus = []
+    for V in sparse_kraus_family(seed).kraus:
+        V = V.real.copy() if real else V.copy()
+        zero = V == 0
+        V[zero] = np.array(signed)[rng.integers(len(signed), size=int(zero.sum()))]
+        kraus.append(V)
+    return KrausChannel(kraus=tuple(kraus))
+
+
+def has_signed_zeros(arrays):
+    """Whether a zero of any of the arrays has a sign bit set."""
+    return any(
+        np.any(np.signbit(part) & (part == 0))
+        for X in arrays
+        for part in ((X.real, X.imag) if np.iscomplexobj(X) else (X,))
+    )
+
+
 def kron_sum(kraus):
     """The reference superoperator: the np.kron products of the V_i added
     up in their order, from +0."""
@@ -1689,6 +1736,15 @@ class TestKrausSectors:
     def test_sparse_kraus_families(self, side):
         for seed in range(200):
             assert_same_routes(sparse_kraus_family(seed), side)
+
+    @SIDES
+    def test_signed_zeros_of_kraus_operators(self, side):
+        # a zero Kraus entry with its sign bit set is a zero: the entry
+        # route skips its products, which change no bit of the np.kron sum
+        for seed in range(40):
+            ch = signed_zero_kraus_family(seed)
+            assert has_signed_zeros(ch.kraus)
+            assert_same_routes(ch, side)
 
     @SIDES
     @pytest.mark.parametrize("seed", [1, 4, 11])
@@ -1820,6 +1876,39 @@ class TestKrausSectors:
         assert documents() == kraus_docs
 
 
+def assert_entries_of(p, q, x, L0):
+    """(p, q, x) are distinct positions of the matrix L0 and its values
+    there, bit for bit, and every other entry of L0 is +0."""
+    n = len(L0)
+    assert np.unique(p * n + q).size == p.size
+    assert_bits(x, L0[p, q])
+    rest = L0.copy()
+    rest[p, q] = 0.0
+    assert not np.ascontiguousarray(rest).view(np.uint64).any()
+
+
+def test_kraus_entries_are_those_of_the_kron_sum():
+    for seed in range(40):
+        for ch in (sparse_kraus_family(seed), signed_zero_kraus_family(seed)):
+            p, q, values = linalg.kraus_entries([ch.kraus])
+            assert values.shape == (1, p.size)
+            assert_entries_of(p, q, values[0], kron_sum(ch.kraus))
+    # several families: the union of their positions, and per family the
+    # values of its own sum there, +0 where it has no product
+    d = 6
+    chs = [shift_channel(0.3, d), parity_fock_channel(0.3, d), ladder_channel(0.3, d)]
+    chs += [signed_zero_kraus_family(seed) for seed in (6, 9)]  # d = 6, real and complex
+    assert all(ch.dim == d for ch in chs)
+    p, q, values = linalg.kraus_entries([ch.kraus for ch in chs])
+    n = d * d
+    union = set()
+    for ch, x in zip(chs, values, strict=True):
+        assert_entries_of(p, q, x, kron_sum(ch.kraus))
+        p1, q1, _ = linalg.kraus_entries([ch.kraus])
+        union.update((p1 * n + q1).tolist())
+    assert sorted(union) == (p * n + q).tolist()
+
+
 @pytest.mark.parametrize(
     "ch, route",
     [
@@ -1839,7 +1928,7 @@ def test_route_is_chosen_by_cost(ch, route, monkeypatch):
 
     others = {
         "entries": ["kraus_hermitian_form", "to_hermitian_basis", "from_hermitian_basis"],
-        "whole": ["kraus_form_entries", "matrix_form_entries", "_quad_entries"],
+        "whole": ["kraus_entries", "form_entries"],
     }[route]
     for name in others:
         monkeypatch.setattr(linalg, name, refuse)
