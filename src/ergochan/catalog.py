@@ -21,11 +21,13 @@ Four families are provided:
   It is trace preserving with the unique fixed state |0><0|; the
   populations form a Jordan chain at 1 - g, so its stable part is
   defective, with spectral radius sqrt(1-g).
+
+Each function checks its own ``p`` and ``g`` (``linalg.check_probability``)
+and ``dim`` (``linalg.check_count``, >= 2); :func:`build` matches names.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import CatalogLookupError, DimensionError, DomainError
-from .linalg import check_count, vec
+from .linalg import check_count, check_probability, vec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -41,8 +43,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 def pauli_xy_channel(p: float) -> KrausChannel:
     """phi(X) = p sigma_x X sigma_x + (1-p) sigma_y X sigma_y."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    check_probability(p, "p", closed=True)
     return KrausChannel(
         kraus=(np.sqrt(p) * SIGMA_X, np.sqrt(1.0 - p) * SIGMA_Y),
         label=f"pauli-xy(p={p})",
@@ -55,10 +56,8 @@ def shift_channel(p: float, dim: int) -> KrausChannel:
     S_L has ones on the superdiagonal, S_R on the subdiagonal, so
     kraus_sum = diag(1-p, 1, ..., 1, p) <= I.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if dim < 2:
-        raise DomainError(f"dim must be >= 2, got {dim}")
+    check_probability(p, "p")
+    check_count(dim, "dim", 2)
     S_L = np.diag(np.ones(dim - 1), k=1).astype(complex)
     S_R = np.diag(np.ones(dim - 1), k=-1).astype(complex)
     return KrausChannel(
@@ -69,10 +68,8 @@ def shift_channel(p: float, dim: int) -> KrausChannel:
 
 def parity_fock_channel(p: float, dim: int) -> KrausChannel:
     """Truncated bosonic parity channel: V2 = sqrt(1-p) diag((-1)^n)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if dim < 2:
-        raise DomainError(f"dim must be >= 2, got {dim}")
+    check_probability(p, "p")
+    check_count(dim, "dim", 2)
     parity = np.diag((-1.0) ** np.arange(dim)).astype(complex)
     return KrausChannel(
         kraus=(np.sqrt(p) * np.eye(dim, dtype=complex), np.sqrt(1.0 - p) * parity),
@@ -83,10 +80,8 @@ def parity_fock_channel(p: float, dim: int) -> KrausChannel:
 def ladder_channel(g: float, dim: int) -> KrausChannel:
     """Amplitude-damping ladder: each step moves |k> to |k-1> with
     probability g (k >= 1) and damps the coherences."""
-    if not 0.0 < g < 1.0:
-        raise DomainError(f"g must lie in (0, 1), got {g}")
-    if dim < 2:
-        raise DomainError(f"dim must be >= 2, got {dim}")
+    check_probability(g, "g")
+    check_count(dim, "dim", 2)
     V0 = np.diag([1.0] + [np.sqrt(1.0 - g)] * (dim - 1))
     V1 = np.sqrt(g) * np.eye(dim, k=1)
     return KrausChannel(kraus=(V0, V1), label=f"ladder(g={g},dim={dim})")
@@ -96,8 +91,7 @@ def ladder_fixed_projector(dim: int) -> np.ndarray:
     """Matrix (column stacking) of P_1(X) = Tr(X) |0><0|, the ladder's
     peripheral projector on the forward side; on the adjoint side it is
     the conjugate transpose, X -> <0|X|0> I."""
-    if dim < 2:
-        raise DomainError(f"dim must be >= 2, got {dim}")
+    check_count(dim, "dim", 2)
     ground = np.zeros((dim, dim))
     ground[0, 0] = 1.0
     return np.outer(vec(ground), vec(np.eye(dim)))
@@ -106,8 +100,7 @@ def ladder_fixed_projector(dim: int) -> np.ndarray:
 def ladder_stable_radius(g: float) -> float:
     """rho(S) = sqrt(1-g) of the ladder, either side: the coherences
     |0><k| decay at that rate, the populations at 1 - g."""
-    if not 0.0 < g < 1.0:
-        raise DomainError(f"g must lie in (0, 1), got {g}")
+    check_probability(g, "g")
     return float(np.sqrt(1.0 - g))
 
 
@@ -155,6 +148,8 @@ def parity_iterate_expected(p: float, d: int, n: int, X) -> np.ndarray:
     Entry (j, k) is preserved when j - k is even and scaled by
     (2p-1)^n when odd; n = 0 returns X unchanged.
     """
+    check_probability(p, "p")
+    check_count(d, "d", 2)
     X = np.asarray(X, dtype=complex)
     if X.shape != (d, d):
         raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
@@ -180,8 +175,7 @@ class PauliExpected:
 def pauli_decomposition_expected(p: float) -> PauliExpected:
     """Peripheral set {1, -1}, rank-1 projectors onto X1, X2, and the
     stable part (2p-1) |X3><X3| + (1-2p) |X4><X4| (HS rank-1 terms)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
+    check_probability(p, "p")
     X1 = np.eye(2, dtype=complex) / np.sqrt(2)
     X2 = np.diag([-1.0, 1.0]).astype(complex) / np.sqrt(2)
     X3 = SIGMA_X / np.sqrt(2)
@@ -217,7 +211,8 @@ CATALOG = {
 
 
 def build(entry: str, params: dict) -> KrausChannel:
-    """Instantiate a catalog channel by name; used by the channel-file loader."""
+    """Instantiate a catalog channel by name, for the channel-file loader;
+    an integral float ``dim`` (from ``--param dim=8``) is passed as int."""
     if entry not in CATALOG:
         raise CatalogLookupError(
             f"unknown catalog entry {entry!r}; known: {sorted(CATALOG)}"
@@ -231,20 +226,6 @@ def build(entry: str, params: dict) -> KrausChannel:
             f"missing {missing}, unexpected {extra}"
         )
     kwargs = {k: params[k] for k in meta.params}
-    for key in ("p", "g"):
-        # "0.5" would otherwise escape as a TypeError and True pass as p = 1
-        if key in kwargs and (
-            isinstance(kwargs[key], bool) or not isinstance(kwargs[key], numbers.Real)
-        ):
-            raise DomainError(f"{key} must be a real number, got {kwargs[key]!r}")
-    if "dim" in kwargs:
-        dim = kwargs["dim"]
-        # 8.0 (what ``--param dim=8`` parses to) is accepted; 8.7 and True are not
-        if (
-            isinstance(dim, bool)
-            or not isinstance(dim, numbers.Real)
-            or not float(dim).is_integer()
-        ):
-            raise DomainError(f"dim must be an integer, got {dim!r}")
-        kwargs["dim"] = int(dim)
+    if isinstance(kwargs.get("dim"), float) and kwargs["dim"].is_integer():
+        kwargs["dim"] = int(kwargs["dim"])
     return meta.builder(**kwargs)

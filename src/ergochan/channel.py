@@ -155,11 +155,9 @@ def choi_from_superoperator(L) -> np.ndarray:
     is a reshuffle of the entries of L (the natural-to-Choi
     representation change): no arithmetic, hence exact.
     """
-    L = linalg.as_matrix(L)
-    n = L.shape[0]
-    d = int(round(np.sqrt(n)))
-    if L.shape != (n, n) or d * d != n:
-        raise DimensionError(f"superoperator matrix must be d^2 x d^2, got {L.shape}")
+    L = linalg._require_square(linalg.as_matrix(L), "superoperator matrix")
+    n = len(L)
+    d = linalg._side(n)
     return L.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1).copy().reshape(n, n)
 
 

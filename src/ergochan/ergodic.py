@@ -69,23 +69,16 @@ DECAY_MARGIN = 1e-3
 
 def _as_matrix(L, stack: bool = False) -> np.ndarray:
     """Accept a square matrix, and with ``stack`` also a stack (m, k, k)
-    of square matrices."""
+    of square matrices; a channel or decomposition raises naming its kind."""
+    if isinstance(L, (channel_mod.KrausChannel, PeripheralDecomposition)):
+        raise DimensionError(f"expected a superoperator matrix, got a {type(L).__name__}")
     M = linalg.as_stack(L) if stack else linalg.as_matrix(L)
-    if M.shape[-2] != M.shape[-1]:
-        raise DimensionError(f"superoperator matrix must be square, got {M.shape}")
-    return M
+    return linalg._require_square(M, "superoperator matrix")
 
 
 def _ct(X) -> np.ndarray:
     """Conjugate transpose of a matrix or of each member of a stack."""
     return X.conj().swapaxes(-1, -2)
-
-
-def _check_tols(peripheral_tol: float, cluster_tol: float) -> None:
-    """Refuse a peripheral or cluster tolerance that is not finite and
-    > 0 (:func:`linalg.check_tol`), before anything is factorised."""
-    linalg.check_tol(peripheral_tol, "peripheral_tol")
-    linalg.check_tol(cluster_tol, "cluster_tol")
 
 
 def _sectors(L, *more) -> tuple:
@@ -129,13 +122,16 @@ def _sectors(L, *more) -> tuple:
     With ``more`` maps of L's kind and size the result is ``(d, layout,
     stacks, more_stacks...)``: the layout is that of the union of the
     supports of all the forms, which is block diagonal for each of them.
-    Channels of different dimensions, or matrices of different sizes,
-    raise :class:`DimensionError`.
+    A decomposition with ``more``, or maps of mixed kinds, dimensions or
+    sizes, raise :class:`DimensionError`.
     """
-    if isinstance(L, PeripheralDecomposition):
+    if isinstance(L, PeripheralDecomposition) and not more:
         return L.dim, L.layout, L.operator_blocks
     maps = (L, *more)
-    if all(isinstance(M, channel_mod.KrausChannel) for M in maps):
+    if len({isinstance(M, channel_mod.KrausChannel) for M in maps}) > 1:
+        kinds = [type(M).__name__ for M in maps]
+        raise DimensionError(f"a mix of channels and matrices: {kinds}")
+    if isinstance(L, channel_mod.KrausChannel):
         if len({ch.dim for ch in maps}) != 1:
             raise DimensionError(f"channels of different dimensions: {[ch.dim for ch in maps]}")
         families = [ch.kraus for ch in maps]
@@ -384,7 +380,8 @@ def peripheral_spectrum(
     """Unit-modulus eigenvalues of L, clustered by their arguments
     (:func:`_peripheral_clusters`); the empty list is a valid result
     (strictly contractive maps)."""
-    _check_tols(peripheral_tol, cluster_tol)
+    linalg.check_tol(peripheral_tol, "peripheral_tol")
+    linalg.check_tol(cluster_tol, "cluster_tol")
     _, _, stacks = _sectors(L)
     return [lam for lam, _ in _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)]
 
@@ -444,7 +441,8 @@ def spectral_projectors(
     power-bounded map is semisimple, is checked (:func:`_kernel_projectors`).
     L is a Kraus channel or its d^2 x d^2 matrix (:func:`_sectors`), as
     the projectors go back to column stacking."""
-    _check_tols(peripheral_tol, cluster_tol)
+    linalg.check_tol(peripheral_tol, "peripheral_tol")
+    linalg.check_tol(cluster_tol, "cluster_tol")
     _, layout, stacks = _sectors(L)
     eigenvalues = _eigvals(stacks)
     clusters = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
@@ -591,7 +589,8 @@ def peripheral_decomposition(
     and so are the products for lambda = +-1.
     """
     linalg.check_count(cesaro_check_n, "cesaro_check_n", 0)
-    _check_tols(peripheral_tol, cluster_tol)
+    linalg.check_tol(peripheral_tol, "peripheral_tol")
+    linalg.check_tol(cluster_tol, "cluster_tol")
     d, layout, stacks = _sectors(L)
     clusters = _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
     lambdas = [lam for lam, _ in clusters]
@@ -827,13 +826,13 @@ def splitting_check(L, tol: float = DEFAULT_FIXED_TOL):
     right singular vectors, Rng(I - B) by the leading left ones, and
     Ker(I - B^H) by the trailing left ones, so the dimensions add up to
     d^2 by construction.  Verifies that the bases of the kernel and the
-    range together have full numerical rank (the direct-sum residual is
-    the least singular value of [range, kernel], the least over the
-    blocks), and the dual-orthogonality condition: elements of Rng(I-L)
-    pair to zero with every fixed point of the adjoint.  Its residual is
-    exact, ``||F^H R||`` for the orthonormal bases F of Ker(I - L^H) and
-    R of Rng(I-L), the largest over the blocks: the largest pairing of a
-    unit vector of the range with a unit fixed point of the adjoint.
+    range together have full numerical rank: the direct-sum residual, the
+    least singular value of [range, kernel] over the blocks, measures the
+    paper's splitting.  The dual-orthogonality residual ``||F^H R||``, F
+    and R orthonormal bases of Ker(I - L^H) and Rng(I - L), checks the SVD:
+    the two are orthogonal for every matrix, and F and R are columns of one
+    unitary U, so it is round-off for every L (0 to 5.2e-16 on pauli-xy
+    and on parity-fock, ladder and shift at d = 8 and a random d = 6 map).
     """
     _, layout, stacks = _sectors(L)
     svds, ranks = _fixed_svd(stacks, tol)

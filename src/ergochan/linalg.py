@@ -255,22 +255,36 @@ def hs_norm(M) -> float:
     return float(np.linalg.norm(as_matrix(M)))
 
 
+def _check_real(value, name: str) -> None:
+    """Refuse a bool (Python or numpy) or a non-real ``value``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def check_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a tolerance that is not finite and > 0, naming it: a cut at
-    or below zero counts round-off as rank, and a cut at inf or NaN
-    counts every singular value as zero (NaN compares false).  Every rank
-    cut (:func:`_rank_cut`) is checked by this before its matrix is
-    factorised."""
+    """Refuse a tolerance that is not a real number, finite and > 0,
+    naming it: a cut at or below zero counts round-off as rank, and a cut
+    at inf or NaN counts every singular value as zero.  Every rank cut
+    (:func:`_rank_cut`) is checked by this before its matrix is factorised."""
+    _check_real(tol, name)
     if not 0 < tol < math.inf:
         raise DomainError(f"{name} must be finite and > 0, got {tol}")
 
 
 def check_count(value, name: str, least: int) -> None:
-    """Refuse a count that is not an integer >= ``least``, naming it."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a count or dimension that is a bool or not an integer >=
+    ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
+def check_probability(value, name: str, closed: bool = False) -> None:
+    """Refuse a probability not in (0, 1) ([0, 1] if ``closed``), naming it."""
+    _check_real(value, name)
+    if not (0 <= value <= 1 if closed else 0 < value < 1):
+        raise DomainError(f"{name} must lie in {'[0, 1]' if closed else '(0, 1)'}, got {value}")
 
 
 def _rank_cut(sigma_max: float, tol: float) -> float:
@@ -504,11 +518,9 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 @functools.lru_cache(maxsize=32)  # at small d they cost more than the change
 def _hermitian_pairs(n: int) -> tuple:
     """Column-stacking positions ``(up, lo)`` of ``E_jk`` and ``E_kj``,
-    j < k, for the d x d matrices, n = d^2; None if n is not a square.
-    Cached, so the arrays are read-only."""
-    d = math.isqrt(n)
-    if d * d != n:
-        return None
+    j < k, for the d x d matrices, n = d^2 (:func:`_side`).  Cached, so
+    the arrays are read-only."""
+    d = _side(n)
     position = np.arange(n).reshape(d, d, order="F")  # position[a, b] of E_ab
     j, k = np.triu_indices(d, 1)
     up, lo = position[j, k], position[k, j]
@@ -531,19 +543,12 @@ def _mix_pairs(X: np.ndarray, up, lo, w: complex, v: complex) -> None:
 
 
 def _side(n: int) -> int:
-    """d for the n x n matrices of a map on the d x d matrices, n = d^2;
-    an n that is not a square raises."""
+    """The one size check: d >= 1 for vectors of length n = d^2 or maps on
+    the d x d matrices; any other n raises :class:`DimensionError`."""
     d = math.isqrt(n)
-    if d * d != n:
-        raise DimensionError(f"matrix size {n} is not a perfect square")
+    if d * d != n or not d:
+        raise DimensionError(f"size {n} is not a perfect square d^2, d >= 1")
     return d
-
-
-def _superoperator_pairs(M) -> tuple:
-    """(M, (up, lo)) for a d^2 x d^2 matrix M; other shapes raise."""
-    M = _require_square(as_matrix(M))
-    _side(M.shape[0])
-    return M, _hermitian_pairs(M.shape[0])
 
 
 def _mirror(M: np.ndarray, up, lo) -> np.ndarray:
@@ -563,9 +568,9 @@ def to_hermitian_basis(M) -> np.ndarray:
     result is complex; it is real (up to round-off) exactly when M
     preserves Hermiticity.
     """
-    M, pairs = _superoperator_pairs(M)
+    M = _require_square(as_matrix(M))
     X = np.array(M, dtype=complex)
-    _form_in_place(X, pairs)
+    _form_in_place(X, _hermitian_pairs(len(M)))
     return X
 
 
@@ -584,7 +589,8 @@ def from_hermitian_basis(R) -> np.ndarray:
     ``(X + Pi conj(X) Pi) / 2``, so that it preserves Hermiticity
     exactly, not only up to round-off.
     """
-    R, (up, lo) = _superoperator_pairs(R)
+    R = _require_square(as_matrix(R))
+    up, lo = _hermitian_pairs(len(R))
     X = np.array(R, dtype=complex)
     _mix_pairs(X, up, lo, 1j, 1)  # B on the left
     _mix_pairs(X.T, up, lo, -1j, 1)  # B^H on the right
@@ -741,10 +747,9 @@ def kraus_hermitian_form(kraus) -> np.ndarray:
 def _vector_pairs(v) -> tuple:
     """(complex copy of v, (up, lo)) for a length-d^2 vector v."""
     v = np.array(v, dtype=complex)
-    pairs = _hermitian_pairs(v.shape[0]) if v.ndim == 1 else None
-    if pairs is None:
+    if v.ndim != 1:
         raise DimensionError(f"expected a vector of length d^2, got shape {v.shape}")
-    return v, pairs
+    return v, _hermitian_pairs(len(v))
 
 
 def to_hermitian_coordinates(v) -> np.ndarray:
@@ -773,10 +778,9 @@ def matrices_from_hermitian_columns(K) -> np.ndarray:
     so its temporaries hold O(d^3) entries however large m is (m is up
     to d^2)."""
     K = np.asarray(K)
-    pairs = _hermitian_pairs(K.shape[0]) if K.ndim == 2 and len(K) else None
-    if pairs is None:
+    if K.ndim != 2:
         raise DimensionError(f"expected a d^2 x m matrix, got shape {K.shape}")
-    d = math.isqrt(K.shape[0])
+    pairs, d = _hermitian_pairs(len(K)), math.isqrt(len(K))
     out = np.empty((K.shape[1], d, d), dtype=complex)
     for k in range(0, K.shape[1], d):
         V = np.array(K[:, k : k + d], dtype=complex)

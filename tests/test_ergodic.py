@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from ergochan import (
     apply_n,
     cesaro_average,
     decay_fit,
+    f_recursion,
     fixed_space,
     fixed_space_intersection,
     hs_fixed_point_symmetry,
+    ladder_channel,
+    ladder_fixed_projector,
     parity_fock_channel,
     parity_iterate_expected,
     pauli_decomposition_expected,
@@ -26,6 +30,7 @@ from ergochan import (
     splitting_check,
     stable_part,
     superoperator,
+    transpose_superoperator,
 )
 from ergochan import catalog, ergodic, linalg
 from ergochan import channel as channel_mod
@@ -1971,8 +1976,68 @@ def tolerance_cases():
     return [pytest.param(name, call, id=case) for case, name, call in cases]
 
 
+def refusal_cases():
+    """(call, message) per kind of argument, each call given one bad value:
+    a bool or a value of the wrong type, which Python or numpy would take
+    (True as 1, a str as a TypeError), or a NaN probability."""
+    ch, X = pauli_xy_channel(0.3), np.eye(2)
+    decomp = peripheral_decomposition(ch)
+    cases = [
+        # counts
+        ("decay_fit", lambda: decay_fit(decomp, True), "n_max must be an integer, got True"),
+        ("transpose", lambda: transpose_superoperator(True), "d must be an integer, got True"),
+        ("power_iterate", lambda: power_iterate(ch, True, X), "n must be an integer, got True"),
+        ("apply_n", lambda: apply_n(ch, X, True), "n must be an integer, got True"),
+        ("cesaro", lambda: cesaro_average(np.eye(4), 1, True), "n must be an integer, got True"),
+        ("f_recursion", lambda: f_recursion(True, 0.5), "index must be an integer, got True"),
+        # tolerances
+        ("tol-bool", lambda: fixed_space(ch, True), "tol must be a real number, got True"),
+        ("tol-numpy-bool", lambda: fixed_space(ch, np.True_),
+         f"tol must be a real number, got {np.True_!r}"),
+        # dimensions
+        ("shift-dim", lambda: shift_channel(0.5, 2.5), "dim must be an integer, got 2.5"),
+        ("parity-dim", lambda: parity_fock_channel(0.5, 3.0), "dim must be an integer, got 3.0"),
+        ("ladder-dim", lambda: ladder_channel(0.5, "4"), "dim must be an integer, got '4'"),
+        ("ladder-projector-dim", lambda: ladder_fixed_projector(2.5),
+         "dim must be an integer, got 2.5"),
+        # probabilities
+        ("pauli-p", lambda: pauli_xy_channel(True), "p must be a real number, got True"),
+        ("shift-p", lambda: shift_channel("0.5", 4), "p must be a real number, got '0.5'"),
+        ("parity-oracle-p", lambda: parity_iterate_expected(math.nan, 2, 1, X),
+         "p must lie in (0, 1), got nan"),
+    ]
+    return [pytest.param(call, message, id=case) for case, call, message in cases]
+
+
 class TestArgumentsAreRefused:
     """An argument out of its domain raises DomainError naming it."""
+
+    @pytest.mark.parametrize("call, message", refusal_cases())
+    def test_refusal_table(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_mix_of_channels_and_matrices(self):
+        ch = parity_fock_channel(0.3, 3)
+        kinds = re.escape("a mix of channels and matrices: ['KrausChannel', 'ndarray']")
+        with pytest.raises(DimensionError, match=f"^{kinds}$"):
+            fixed_space_intersection([ch, superoperator(ch)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda ch: stable_part(ch, [], []), id="stable_part"),
+        pytest.param(lambda ch: cesaro_average(ch, 1, 3), id="cesaro"),
+    ])
+    def test_channel_where_a_matrix_is_expected(self, call):
+        message = "^expected a superoperator matrix, got a KrausChannel$"
+        with pytest.raises(DimensionError, match=message):
+            call(parity_fock_channel(0.3, 3))
+
+    def test_decompositions_are_not_combined(self):
+        # only the first decomposition used to be read, as one part
+        decomps = [peripheral_decomposition(parity_fock_channel(p, 3)) for p in (0.3, 0.6)]
+        message = "^expected a superoperator matrix, got a PeripheralDecomposition$"
+        with pytest.raises(DimensionError, match=message):
+            fixed_space_intersection(decomps, [0.5, 0.5])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name, call", tolerance_cases())
