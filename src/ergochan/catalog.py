@@ -23,7 +23,7 @@ Four families are provided:
   defective, with spectral radius sqrt(1-g).
 
 Each function checks its own ``p`` and ``g`` (``linalg.check_probability``)
-and ``dim`` (``linalg.check_count``, >= 2); :func:`build` matches names.
+and ``dim`` (:func:`_check_dim`); :func:`build` matches names.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ from .linalg import check_count, check_probability, vec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def _check_dim(dim) -> None:
+    """Refuse, before anything is allocated, a ``dim`` that is not an
+    integer >= 2 or whose complex dim x dim matrix numpy cannot address."""
+    check_count(dim, "dim", 2)
+    if dim * dim * 16 > np.iinfo(np.intp).max:
+        raise DomainError(f"dim = {dim} is too large: numpy cannot address a dim x dim matrix")
 
 
 def pauli_xy_channel(p: float) -> KrausChannel:
@@ -57,7 +65,7 @@ def shift_channel(p: float, dim: int) -> KrausChannel:
     kraus_sum = diag(1-p, 1, ..., 1, p) <= I.
     """
     check_probability(p, "p")
-    check_count(dim, "dim", 2)
+    _check_dim(dim)
     S_L = np.diag(np.ones(dim - 1), k=1).astype(complex)
     S_R = np.diag(np.ones(dim - 1), k=-1).astype(complex)
     return KrausChannel(
@@ -69,7 +77,7 @@ def shift_channel(p: float, dim: int) -> KrausChannel:
 def parity_fock_channel(p: float, dim: int) -> KrausChannel:
     """Truncated bosonic parity channel: V2 = sqrt(1-p) diag((-1)^n)."""
     check_probability(p, "p")
-    check_count(dim, "dim", 2)
+    _check_dim(dim)
     parity = np.diag((-1.0) ** np.arange(dim)).astype(complex)
     return KrausChannel(
         kraus=(np.sqrt(p) * np.eye(dim, dtype=complex), np.sqrt(1.0 - p) * parity),
@@ -81,7 +89,7 @@ def ladder_channel(g: float, dim: int) -> KrausChannel:
     """Amplitude-damping ladder: each step moves |k> to |k-1> with
     probability g (k >= 1) and damps the coherences."""
     check_probability(g, "g")
-    check_count(dim, "dim", 2)
+    _check_dim(dim)
     V0 = np.diag([1.0] + [np.sqrt(1.0 - g)] * (dim - 1))
     V1 = np.sqrt(g) * np.eye(dim, k=1)
     return KrausChannel(kraus=(V0, V1), label=f"ladder(g={g},dim={dim})")
@@ -91,7 +99,7 @@ def ladder_fixed_projector(dim: int) -> np.ndarray:
     """Matrix (column stacking) of P_1(X) = Tr(X) |0><0|, the ladder's
     peripheral projector on the forward side; on the adjoint side it is
     the conjugate transpose, X -> <0|X|0> I."""
-    check_count(dim, "dim", 2)
+    _check_dim(dim)
     ground = np.zeros((dim, dim))
     ground[0, 0] = 1.0
     return np.outer(vec(ground), vec(np.eye(dim)))

@@ -12,7 +12,8 @@ Each subcommand takes only the flags :func:`build_parser` gives it, checked
 here; :mod:`ergochan.io` reads the files, runs the pipeline and writes the
 document.  Exit codes: 0 success, 1 invariant failure, 2 format error (an
 input or ``--out`` file that cannot be read, decoded or written),
-3 validation/domain error, 4 numeric error, 5 decomposition failure.
+3 validation/domain error, 4 numeric error or out of memory, 5
+decomposition failure.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ _EXIT_CODES = {
     IllConditionedDecompositionError: EXIT_NUMERIC,
     DecompositionFailureError: EXIT_DECOMPOSITION,
     SplittingViolationError: EXIT_DECOMPOSITION,
+    MemoryError: EXIT_NUMERIC,  # an input too large to allocate
 }
 
 
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -271,6 +271,15 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise DomainError(f"{name} must be finite and > 0, got {tol}")
 
 
+def check_phase(value, name: str) -> None:
+    """Refuse a bool, a value that is not a complex number, or one off the
+    unit circle by more than 1e-12 (NaN too), naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise DomainError(f"{name} must be a complex number, got {value!r}")
+    if not abs(abs(value) - 1.0) <= 1e-12:
+        raise DomainError(f"{name} must have unit modulus, got |{value}| = {abs(value)}")
+
+
 def check_count(value, name: str, least: int) -> None:
     """Refuse a count or dimension that is a bool or not an integer >=
     ``least``, naming it."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from ergochan import (
     superoperator,
     verify,
 )
-from ergochan import linalg
+from ergochan import catalog, linalg
 from ergochan.catalog import build
 from ergochan.errors import CatalogLookupError, DomainError
 
@@ -278,3 +280,20 @@ class TestRegistry:
     def test_non_real_p_rejected(self, p):
         with pytest.raises(DomainError, match="p must be a real number"):
             build("pauli-xy", {"p": p})
+
+
+@pytest.mark.parametrize("entry, params", [
+    ("shift", {"p": 0.5}), ("parity-fock", {"p": 0.5}), ("ladder", {"g": 0.5})
+])
+def test_dim_numpy_cannot_address_is_refused(entry, params):
+    with pytest.raises(DomainError, match=f"^dim = {int(1e30)} is too large"):
+        build(entry, {**params, "dim": 1e30})
+
+
+def test_dim_bound_is_numpy_addressable_size():
+    # the largest dim whose complex dim x dim matrix numpy can address
+    # passes, the next is refused; the check allocates nothing
+    top = math.isqrt(np.iinfo(np.intp).max // 16)
+    catalog._check_dim(top)
+    with pytest.raises(DomainError, match=f"^dim = {top + 1} is too large"):
+        catalog._check_dim(top + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import ergochan.cli
-from ergochan import channel, ergodic, io, linalg
+from ergochan import catalog, channel, ergodic, io, linalg
 from ergochan.cli import (
     EXIT_DECOMPOSITION,
     EXIT_FORMAT,
     EXIT_INVARIANT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
     build_parser,
@@ -303,6 +305,28 @@ class TestCatalogCommand:
         assert main(["catalog", "pauli-xy", "--param", "p=abc"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "p" in err and "'abc'" in err
+
+    def test_dim_numpy_cannot_address(self, capsys):
+        argv = ["catalog", "shift", "--param", "p=0.5", "--param", "dim=1e30"]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        message = f"dim = {int(1e30)} is too large: numpy cannot address a dim x dim matrix"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""])
+    def test_out_of_memory_is_an_error_line(self, message, monkeypatch, capsys):
+        # a builder that runs out of memory, as a dim that passes the
+        # size check but is too large for the machine would; none is
+        # allocated here
+        def builder(p, dim):
+            raise MemoryError(message)
+
+        entry = dataclasses.replace(catalog.CATALOG["shift"], builder=builder)
+        monkeypatch.setitem(catalog.CATALOG, "shift", entry)
+        argv = ["catalog", "shift", "--param", "p=0.5", "--param", "dim=100000"]
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
 
 
 class TestCatalogSpecParams:

@@ -32,7 +32,7 @@ from ergochan import (
     superoperator,
     transpose_superoperator,
 )
-from ergochan import catalog, ergodic, linalg
+from ergochan import catalog, ergodic, io, linalg
 from ergochan import channel as channel_mod
 from ergochan.channel import ADJOINT, FORWARD
 from ergochan.errors import (
@@ -43,6 +43,7 @@ from ergochan.errors import (
     ErgochanError,
     IllConditionedDecompositionError,
     NumericError,
+    SplittingViolationError,
 )
 from helpers import count_linalg_calls, on_side, stinespring_channel
 
@@ -761,18 +762,6 @@ class TestDecayFitBlockwise:
         assert np.array_equal(stack[0], A)
 
 
-def dual_orthogonality_by_eigh(L, tol=1e-8):
-    """||P_F P_R||: the orthogonal projectors onto Ker(I - L^H) and
-    Rng(I - L), each from a Hermitian eigendecomposition of a Gram
-    matrix instead of an SVD."""
-    K = np.eye(L.shape[0]) - np.asarray(L)
-    w, U = np.linalg.eigh(K @ K.conj().T)  # range of K: the large eigenvalues
-    top = max(w[-1], 1e-300)
-    R = U[:, w > tol**2 * top]
-    F = U[:, w <= tol**2 * top]  # Ker(K^H) = Ker(K K^H)
-    return np.linalg.norm((F @ F.conj().T) @ (R @ R.conj().T), 2)
-
-
 class TestSplitting:
     def test_identity_channel(self):
         rep = splitting_check(superoperator(identity_channel(2)))
@@ -787,44 +776,6 @@ class TestSplitting:
     def test_rank_nullity(self, ch):
         rep = splitting_check(superoperator(ch))
         assert rep.fixed_dim + rep.range_dim == ch.dim**2
-        assert rep.dual_orthogonality_residual <= 1e-8
-
-    @pytest.mark.parametrize(
-        "ch",
-        CATALOG_CHANNELS
-        + [stinespring_channel(1, 3, 2), stinespring_channel(2, 4, 2)],
-        ids=CATALOG_IDS + ["random3", "random4"],
-    )
-    def test_dual_residual_matches_eigh_projectors(self, ch):
-        L = superoperator(ch)
-        rep = splitting_check(L)
-        want = dual_orthogonality_by_eigh(L)
-        assert abs(rep.dual_orthogonality_residual - want) <= 1e-12
-
-    def test_dual_residual_is_the_exact_supremum(self, monkeypatch):
-        # tilt one range vector (a leading left singular vector of I - B,
-        # B the 2 x 2 block of pauli-xy's Hermitian form on E_00, E_11)
-        # towards the adjoint's fixed point (its trailing one) by theta:
-        # the largest pairing over unit range vectors is then sin(theta)
-        L = superoperator(pauli_xy_channel(0.3))
-        theta = 1e-3
-        orig = linalg.svd
-        tilted = []
-
-        def tilted_svd(M):
-            U, s, Vh = orig(M)
-            if M.shape == (1, 2, 2):
-                assert s[0, -1] < 1e-12 < s[0, -2]  # Ker(I - B^H) is the last column
-                U = U.copy()
-                U[0, :, 0] = np.cos(theta) * U[0, :, 0] + np.sin(theta) * U[0, :, -1]
-                tilted.append(M.shape)
-            return U, s, Vh
-
-        monkeypatch.setattr(linalg, "svd", tilted_svd)
-        rep = splitting_check(L)
-        assert tilted == [(1, 2, 2)]
-        want = np.sin(theta)
-        assert rep.dual_orthogonality_residual == pytest.approx(want, rel=1e-12)
 
     def test_no_sampling_parameters(self):
         with pytest.raises(TypeError):
@@ -1194,6 +1145,87 @@ class TestCesaroSpectralAgreement:
 ladder_channel = catalog.ladder_channel
 
 
+class TestNegativeControls:
+    """A fault each reported check must flag, injected upstream of it: an
+    input without the property, or a wrong intermediate from a private
+    stage.  The Cesaro check, peripheral_unitarity_check, the commutator
+    of fixed_space_intersection and the span residual of
+    hs_fixed_point_symmetry have theirs beside their other tests."""
+
+    def test_jordan_block_at_one_fails_the_splitting(self):
+        # Ker(I - A) and Rng(I - A) both hold e_0: the dimensions add up to
+        # 4, but the direct sum does not span the space
+        A = np.diag([1.0, 1.0, 0.5, 0.2])
+        A[0, 1] = 1.0
+        with pytest.raises(SplittingViolationError, match="fixed_dim=1, range_dim=3") as info:
+            splitting_check(linalg.from_hermitian_basis(A))
+        assert float(str(info.value).rsplit("=", 1)[1]) <= 1e-14
+
+    def test_dropped_cluster_fails_the_stable_radius(self, monkeypatch):
+        # pauli-xy's clusters are 1 and -1: without -1 no projector
+        # removes its eigenvalue from S
+        orig = ergodic._peripheral_clusters
+        monkeypatch.setattr(ergodic, "_peripheral_clusters", lambda *args: orig(*args)[:-1])
+        message = (
+            "stable part has spectral radius 1.000000 >= 1, at its eigenvalue -1+0j: "
+            "the projectors do not remove it"
+        )
+        with pytest.raises(DecompositionFailureError, match=f"^{re.escape(message)}$"):
+            peripheral_decomposition(pauli_xy_channel(0.3))
+
+    def test_kernel_fault_moves_every_projector_residual(self, monkeypatch):
+        # 1e-3 of the next right singular vector added to the trailing one
+        # of every SVD of a block of L - lambda: the projectors are wrong
+        # (the Cesaro check, which would see it too, is off), yet each is
+        # still built as V (W^H V)^-1 W^H, so ||P^2 - P|| stays round-off
+        ch = planted_channel(1, 1e-3)
+        keys = ("projector_orthogonality", "projector_commutation", "reconstruction_n5")
+        clean = ergodic.residual_summary(ch, peripheral_decomposition(ch, cesaro_check_n=0), 0)
+        orig = linalg.block_svd
+
+        def faulty(stacks, tol):
+            svds, cut, ranks = orig(stacks, tol)
+            for _, _, Vh in svds:
+                Vh[..., -1, :] += 1e-3 * Vh[..., -2, :]
+            return svds, cut, ranks
+
+        monkeypatch.setattr(linalg, "block_svd", faulty)
+        decomp = peripheral_decomposition(ch, cesaro_check_n=0)
+        monkeypatch.undo()
+        got = ergodic.residual_summary(ch, decomp, 0)
+        for key in keys:
+            assert clean[key] <= 1e-12 and got[key] > 1e-4, key
+        assert len(decomp.lambdas) == 3
+        for stacks in decomp.projector_blocks:
+            for P in stacks:
+                assert linalg.operator_norm(P @ P - P) <= 1e-14
+
+    def test_perturbed_stable_block_fails_the_iterate_agreement(self, monkeypatch):
+        # 1e-3 I added to every block of S: the direct iterate reads only
+        # the blocks of L, the reconstruction those of S
+        ch = ladder_channel(0.3, 4)
+        assert io.iterate_channel(ch, 5)["disagreement_hs"] <= 1e-14
+        orig = ergodic._remainder
+        monkeypatch.setattr(
+            ergodic, "_remainder", lambda A, *args: orig(A, *args) + 1e-3 * np.eye(A.shape[-1])
+        )
+        assert io.iterate_channel(ch, 5)["disagreement_hs"] > 1e-6
+
+    def test_commuting_maps_fixing_other_spaces_are_not_equal(self):
+        # diagonal in the Hermitian basis, so they commute, but not
+        # contractions: their average fixes the coordinates where they
+        # are 1.5 and 0.5, which neither fixes
+        maps = [
+            linalg.from_hermitian_basis(np.diag(x))
+            for x in ([1.0, 1.5, 0.5, 0.2], [1.0, 0.5, 1.5, 0.2])
+        ]
+        rep = fixed_space_intersection(maps, [0.5, 0.5])
+        assert rep.commute_residual <= 1e-15
+        assert (rep.combined_fixed.dimension, rep.intersection.dimension) == (3, 1)
+        assert rep.equal is False
+        assert rep.projection_residual == pytest.approx(1.0, abs=1e-12)
+
+
 class TestKernelProjectors:
     @pytest.mark.parametrize("side", ["forward", "adjoint"])
     @pytest.mark.parametrize("g", [0.3, 0.7])
@@ -1424,28 +1456,26 @@ class TestSectors:
 
 
 def dense_kernel_oracle(L, tol):
-    """(kernel projector, fixed_dim, range_dim, direct-sum residual, dual
-    residual) of I - L from one np.linalg.svd of the whole matrix in the
+    """(kernel projector, fixed_dim, range_dim, direct-sum residual) of
+    I - L from one np.linalg.svd of the whole matrix in the
     column-stacking basis, at the cut tol * max(1, sigma_max)."""
     M = np.asarray(L)
     n = len(M)
     U, s, Vh = np.linalg.svd(np.eye(n) - M)
     r = int(np.sum(s >= tol * max(1.0, s[0])))
-    K, R, F = Vh[r:].conj().T, U[:, :r], U[:, r:]
+    K, R = Vh[r:].conj().T, U[:, :r]
     direct = np.linalg.svd(np.hstack([K, R]), compute_uv=False)[-1]
-    dual = np.linalg.norm(F.conj().T @ R, 2) if r and n - r else 0.0
-    return K @ K.conj().T, n - r, r, direct, dual
+    return K @ K.conj().T, n - r, r, direct
 
 
 def assert_matches_dense_oracle(L, tol):
-    P, fixed_dim, range_dim, direct, dual = dense_kernel_oracle(L, tol)
+    P, fixed_dim, range_dim, direct = dense_kernel_oracle(L, tol)
     fs = fixed_space(L, tol)
     assert fs.dimension == fixed_dim
     assert np.max(np.abs(span_projector(fs, len(P)) - P), initial=0.0) <= 1e-12
     rep = splitting_check(L, tol)
     assert (rep.fixed_dim, rep.range_dim) == (fixed_dim, range_dim)
     assert abs(rep.direct_sum_residual - direct) <= 1e-12
-    assert abs(rep.dual_orthogonality_residual - dual) <= 1e-12
     return fixed_dim
 
 
@@ -1989,17 +2019,33 @@ def refusal_cases():
         ("power_iterate", lambda: power_iterate(ch, True, X), "n must be an integer, got True"),
         ("apply_n", lambda: apply_n(ch, X, True), "n must be an integer, got True"),
         ("cesaro", lambda: cesaro_average(np.eye(4), 1, True), "n must be an integer, got True"),
+        # lambda
+        ("lambda-bool", lambda: cesaro_average(np.eye(4), True, 3),
+         "lambda must be a complex number, got True"),
+        ("lambda-str", lambda: cesaro_average(np.eye(4), "1", 3),
+         "lambda must be a complex number, got '1'"),
+        ("lambda-none", lambda: cesaro_average(np.eye(4), None, 3),
+         "lambda must be a complex number, got None"),
         ("f_recursion", lambda: f_recursion(True, 0.5), "index must be an integer, got True"),
         # tolerances
         ("tol-bool", lambda: fixed_space(ch, True), "tol must be a real number, got True"),
         ("tol-numpy-bool", lambda: fixed_space(ch, np.True_),
          f"tol must be a real number, got {np.True_!r}"),
+        # weights
+        ("weight-str", lambda: fixed_space_intersection([ch], ["1"]),
+         "weight must be a real number, got '1'"),
+        ("weight-bool", lambda: fixed_space_intersection([ch], [True]),
+         "weight must be a real number, got True"),
+        ("weight-word", lambda: fixed_space_intersection([ch], ["abc"]),
+         "weight must be a real number, got 'abc'"),
         # dimensions
         ("shift-dim", lambda: shift_channel(0.5, 2.5), "dim must be an integer, got 2.5"),
         ("parity-dim", lambda: parity_fock_channel(0.5, 3.0), "dim must be an integer, got 3.0"),
         ("ladder-dim", lambda: ladder_channel(0.5, "4"), "dim must be an integer, got '4'"),
         ("ladder-projector-dim", lambda: ladder_fixed_projector(2.5),
          "dim must be an integer, got 2.5"),
+        ("ladder-dim-huge", lambda: ladder_channel(0.5, 10**30),
+         f"dim = {10**30} is too large: numpy cannot address a dim x dim matrix"),
         # probabilities
         ("pauli-p", lambda: pauli_xy_channel(True), "p must be a real number, got True"),
         ("shift-p", lambda: shift_channel("0.5", 4), "p must be a real number, got '0.5'"),

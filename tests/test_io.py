@@ -357,11 +357,11 @@ class TestFactorisationCounts:
         assert counts["eig", "float64"] == 0
         assert counts["eigvals", "float64"] == 2  # of L and of S, for rho(S)
         # the kernels of L - 1, ||L|| for the Cesaro budget, the Cesaro
-        # residual, ||P^2 - P||, ||L P - P||, ||P L - P||; and per power
-        # one Gram matrix eigenvalue problem for ||S^k||
-        assert counts["svd", "float64"] == 6
+        # residual, ||L P - P||, ||P L - P||; and per power one Gram
+        # matrix eigenvalue problem for ||S^k||
+        assert counts["svd", "float64"] == 5
         assert counts["eigvalsh", "float64"] == decay_n_max
-        assert sum(counts.values()) == decay_n_max + 8
+        assert sum(counts.values()) == decay_n_max + 7
         assert not any(dtype == "complex128" for _, dtype in calls)
 
     @pytest.mark.parametrize("adjoint", [False, True])
