@@ -208,8 +208,8 @@ class PeripheralDecomposition:
     preserves Hermiticity exactly.  The blocks of L and S are real, and
     so is P_lambda at a real lambda; ``lambdas`` is closed under exact
     conjugation and P(conj lambda) is conj P(lambda), bit for bit.
-    ``stable_spectral_radius`` is rho(S) from the eigenvalues of S's
-    blocks, the value the ``rho(S) < 1`` check accepted.
+    ``stable_spectral_radius`` is rho(S), read from the eigenvalues of L,
+    the value the ``rho(S) < 1`` check accepted.
     ``projector_norm``, recorded and not thresholded, is the largest
     ||P_lambda||_2 (0 without lambdas).
     ``fixed_space`` is the kernel of L - 1 (empty when 1 is not
@@ -247,7 +247,7 @@ class PeripheralDecomposition:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Certificate ||S^n|| <= M / (1+eps)^n over the recorded n."""
+    """Certificate ||S^n|| <= M / (1+eps)^n, M fitted on the recorded n only."""
 
     M: float
     epsilon: float
@@ -374,13 +374,12 @@ def peripheral_spectrum(
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list:
-    """Unit-modulus eigenvalues of L, clustered by their arguments
+    """The lambdas of :func:`peripheral_decomposition` without its Cesaro
+    check: the unit-modulus eigenvalues of L, clustered by their arguments
     (:func:`_peripheral_clusters`); the empty list is a valid result
-    (strictly contractive maps)."""
-    linalg.check_tol(peripheral_tol, "peripheral_tol")
-    linalg.check_tol(cluster_tol, "cluster_tol")
-    _, _, stacks = _sectors(L)
-    return [lam for lam, _ in _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)]
+    (strictly contractive maps).  A peripheral eigenvalue that is not
+    semisimple is refused there."""
+    return list(peripheral_decomposition(L, peripheral_tol, cluster_tol, 0).lambdas)
 
 
 def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list:
@@ -431,30 +430,24 @@ def spectral_projectors(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     peripheral_tol: float = DEFAULT_PERIPHERAL_TOL,
 ) -> list:
-    """Spectral projector onto each peripheral cluster.  Each lambda takes
-    the size m of the cluster within ``cluster_tol`` of it (else
-    :class:`DecompositionFailureError` names the nearest eigenvalue), and
-    Ker(L - lambda), m-dimensional as every peripheral eigenvalue of a
-    power-bounded map is semisimple, is checked (:func:`_kernel_projectors`).
-    L is a Kraus channel or its d^2 x d^2 matrix (:func:`_sectors`), as
-    the projectors go back to column stacking."""
-    linalg.check_tol(peripheral_tol, "peripheral_tol")
-    linalg.check_tol(cluster_tol, "cluster_tol")
-    _, layout, stacks = _sectors(L)
-    eigenvalues = _eigvals(stacks)
-    clusters = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
-    matched = []
+    """The projectors of :func:`peripheral_decomposition` without its
+    Cesaro check, one per lambda, of the cluster within ``cluster_tol`` of
+    it (else :class:`DecompositionFailureError` names the nearest
+    eigenvalue).  L is a Kraus channel or its d^2 x d^2 matrix
+    (:func:`_sectors`), as the projectors go back to column stacking."""
+    decomp = peripheral_decomposition(L, peripheral_tol, cluster_tol, 0)
+    out = []
     for lam in map(complex, lambdas):
-        m = next((m for w, m in clusters if abs(w - lam) <= cluster_tol), 0)
-        if not m:
+        i = next((i for i, w in enumerate(decomp.lambdas) if abs(w - lam) <= cluster_tol), None)
+        if i is None:
+            eigenvalues = _eigvals(decomp.operator_blocks)
             near = complex(eigenvalues[np.argmin(np.abs(eigenvalues - lam))])
             raise DecompositionFailureError(
                 f"no peripheral cluster within {cluster_tol:.1e} of {lam}; the "
                 f"nearest is {near:.9g}, of modulus {abs(near):.9g}"
             )
-        matched.append((lam, m))
-    projectors, _, _ = _kernel_projectors(layout, stacks, matched, cluster_tol, peripheral_tol)
-    return [linalg.from_hermitian_blocks(layout, P) for P in projectors]
+        out.append(linalg.from_hermitian_blocks(decomp.layout, decomp.projector_blocks[i]))
+    return out
 
 
 def _eigvals(stacks) -> np.ndarray:
@@ -520,12 +513,13 @@ def _kernel_projectors(layout, stacks, clusters, cluster_tol, peripheral_tol) ->
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
-    """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1, and S
-    must preserve Hermiticity (:func:`_sectors`), as it does when the
-    lambdas are closed under conjugation with their projectors."""
+    """S = L - sum_lambda lambda * P_lambda; requires rho(S) < 1, from the
+    eigenvalues of S as the projectors are the caller's.  S must preserve
+    Hermiticity (:func:`_sectors`), as it does when the lambdas are
+    closed under conjugation with their projectors."""
     S = _remainder(_as_matrix(L), lambdas, projectors)
     _, _, stacks = _sectors(S)
-    _stable_radius(stacks)
+    _stable_radius(_eigvals(stacks))
     return S
 
 
@@ -537,17 +531,22 @@ def _remainder(A, lambdas, projectors) -> np.ndarray:
     return S
 
 
-def _stable_radius(stacks) -> float:
-    """rho(S) from the eigenvalues of the stacks of S; requires < 1, else
-    a projector is wrong."""
-    rho = max(map(linalg.spectral_radius, stacks))
+def _stable_radius(lam, clusters=()) -> float:
+    """rho(S) from the sorted eigenvalues ``lam`` of S, or of L with its
+    ``clusters`` (:func:`peripheral_decomposition`): those no cluster
+    takes must be below 1, else a projector is wrong."""
+    shifted = 0.0
+    for w, m in clusters:  # S has mu - w for the m eigenvalues mu nearest w
+        near = np.argsort(np.abs(lam - w), kind="stable")[:m]
+        shifted = max(shifted, float(np.max(np.abs(lam[near] - w))))
+        lam = np.delete(lam, near)
+    rho = float(np.abs(lam[0])) if lam.size else 0.0
     if rho >= 1.0 - 1e-12:
-        top = complex(_eigvals(stacks)[0])
         raise DecompositionFailureError(
             f"stable part has spectral radius {rho:.6f} >= 1, at its eigenvalue "
-            f"{top:.9g}: the projectors do not remove it"
+            f"{complex(lam[0]):.9g}: the projectors do not remove it"
         )
-    return rho
+    return max(shifted, rho)
 
 
 def peripheral_decomposition(
@@ -558,12 +557,19 @@ def peripheral_decomposition(
 ) -> PeripheralDecomposition:
     """Full decomposition L = sum lambda P_lambda + S with cross-check.
 
-    The eigenvalues of L are clustered once (:func:`_peripheral_clusters`).
-    As every peripheral eigenvalue of a power-bounded map is semisimple,
-    a cluster's size m is dim Ker(L - lambda), which the singular values
-    of L - lambda only check; the kernels give the projectors,
-    ``projector_norm`` and the fixed space (:func:`_kernel_projectors`).
-    The projectors are then validated against Cesaro averages of length
+    The eigenvalues of L are computed and clustered once
+    (:func:`_peripheral_clusters`).  As every peripheral eigenvalue of a
+    power-bounded map is semisimple, a cluster's size m is dim Ker(L -
+    lambda), which the singular values of L - lambda only check; the
+    kernels give the projectors, ``projector_norm`` and the fixed space
+    (:func:`_kernel_projectors`).  rho(S) comes from the same eigenvalues
+    by Wielandt deflation (Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, 2nd ed., 2011, sec. 4.2): each P_lambda = V (W^H V)^-1 W^H
+    has an invariant V that the left kernels of the other clusters
+    annihilate, so S has the eigenvalues of L that no cluster takes, and
+    mu - lambda for the members mu of each cluster (lambda, m), the m
+    eigenvalues nearest lambda (:func:`_stable_radius`).  The projectors
+    are then validated against Cesaro averages of length
     ``cesaro_check_n`` (default :data:`DEFAULT_CESARO_N`); a disagreement
     larger than :data:`CESARO_CHECK_FACTOR` ``/ n`` (times max(1, ||L||))
     is an error, not a warning.  Set ``cesaro_check_n=0`` to skip the
@@ -577,7 +583,7 @@ def peripheral_decomposition(
     moves the number basis by a fixed offset (the shift, parity-fock and
     ladder channels), L never mixes matrix units of different gap j - k.
     Blocks of one size are factorised as one stack.  Per block come the
-    eigenvalues (clustered together), the kernels, S and rho(S), and the
+    eigenvalues (clustered together), the kernels, S, and the
     Cesaro averages, which are checked on every block, also where lambda
     has no eigenvalue and the average must vanish.  Every decision uses
     the scale of the whole matrix: the rank cut the largest singular
@@ -589,7 +595,8 @@ def peripheral_decomposition(
     linalg.check_tol(peripheral_tol, "peripheral_tol")
     linalg.check_tol(cluster_tol, "cluster_tol")
     d, layout, stacks = _sectors(L)
-    clusters = _peripheral_clusters(_eigvals(stacks), peripheral_tol, cluster_tol)
+    eigenvalues = _eigvals(stacks)
+    clusters = _peripheral_clusters(eigenvalues, peripheral_tol, cluster_tol)
     lambdas = [lam for lam, _ in clusters]
     projectors, fixed, norm = _kernel_projectors(
         layout, stacks, clusters, cluster_tol, peripheral_tol
@@ -600,7 +607,7 @@ def peripheral_decomposition(
         np.ascontiguousarray(_remainder(X, lambdas, [P[j] for P in projectors]).real)
         for j, X in enumerate(stacks)
     ]
-    rho = _stable_radius(S)
+    rho = _stable_radius(eigenvalues, clusters)
 
     if cesaro_check_n:
         scale = max(1.0, max(map(linalg.operator_norm, stacks)))
@@ -726,19 +733,19 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
 def decay_fit(S, n_max: int) -> DecayFit:
     """Geometric-decay certificate for the stable part.
 
-    1 + eps is placed at (1 - :data:`DECAY_MARGIN`)/rho(S), so the bound
-    can never be falsified by transient growth of a non-normal S; M is
-    then the smallest constant making the certificate true on the
-    recorded norms, so it holds there by construction.  S = 0 is
-    reported as (M=0, eps=DECAY_MARGIN) by convention.  M is computed in
-    log space: for rho(S) below about 2e-8, (1 + eps)^40 alone overflows
-    a float while M stays moderate (an M that overflows raises
-    :class:`NumericError`).
+    1 + eps is placed at (1 - :data:`DECAY_MARGIN`)/rho(S), and M is the
+    smallest constant making the certificate true on the norms for n <=
+    ``n_max``.  It is fitted on those n only: ||S^n|| of a defective S
+    can pass M/(1+eps)^n beyond them (the ladder at g = 0.3, d = 16, from
+    n = 41 at ``n_max`` 40).  S = 0 gives (M=0, eps=DECAY_MARGIN) by
+    convention.  M is computed in log space: for rho(S) below about 2e-8,
+    (1 + eps)^40 alone overflows a float while M stays moderate (an M that
+    overflows raises :class:`NumericError`).
 
     ``S`` is the stable part, or a :class:`PeripheralDecomposition`, whose
     stored ``stable_spectral_radius`` is then used as rho(S): it came
-    from the eigenvalues of the same blocks of S.  For a bare matrix,
-    rho(S) is taken from the eigenvalues of its blocks.
+    from the eigenvalues of L (:func:`peripheral_decomposition`).  For a
+    bare matrix, rho(S) is taken from the eigenvalues of its blocks.
 
     The norms are computed on the Hermitian form of S
     (:func:`_sectors`; the operator norm is invariant under the
@@ -783,8 +790,7 @@ def decay_fit(S, n_max: int) -> DecayFit:
                 batch[0] = batch[stop - start - 1] @ B
     norms = norms.tolist()
 
-    if max(norms) <= 1e-13:
-        # numerically zero stable part (e.g. pauli-xy at p = 1/2)
+    if not any(norms):  # S = 0; a round-off S takes the formula below
         return DecayFit(M=0.0, epsilon=DECAY_MARGIN, norms=tuple(norms))
     if rho <= 1e-13:
         eps = 1.0  # (near-)nilpotent S: any finite rate certifies
