@@ -181,14 +181,29 @@ def _real_form(H) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FixedSpaceBasis:
-    """Orthonormal (HS) basis of Ker(I - L), unvectorized to matrices."""
+    """Orthonormal (HS) basis of Ker(I - L), held in block coordinates.
 
-    basis: tuple
+    ``groups`` holds the kernel vectors of the blocks of the Hermitian
+    form of L, as :func:`linalg.kernel_groups` gives them: per group
+    ``(rows, V)``, V (m, k, c) the c kernel vectors of m blocks of size k
+    and rows (m, k) the rows of the n = d^2 that those blocks take.
+    ``dimension`` is read from their shapes.  ``basis``, the vectors
+    unvectorized to d x d matrices in the column-stacking basis, in the
+    order of :func:`linalg.kernel_columns`, is built on first access and
+    cached; a real form gives Hermitian matrices."""
+
+    n: int
+    groups: tuple
     tol: float
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return sum(V.shape[0] * V.shape[2] for _, V in self.groups)
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        K = linalg.scatter_kernel(self.n, self.groups)
+        return tuple(linalg.matrices_from_hermitian_columns(K))
 
 
 @dataclass(frozen=True)
@@ -317,12 +332,12 @@ def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     the whole matrix, ``tol * max(1, sigma_max)`` and sigma_max the
     largest over all blocks.  Dimension and span are those of the kernel
     of the whole I - A, no SVD is larger than a block, and each basis
-    vector lies in one block.  A is real, so the matrices are
+    vector lies in one block, where the result holds it
+    (:class:`FixedSpaceBasis`).  A is real, so the matrices are
     Hermitian."""
     _, layout, stacks = _sectors(L)
-    return _fixed_basis(
-        linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout), tol
-    )
+    groups = linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout)
+    return FixedSpaceBasis(layout.n, tuple(groups), tol)
 
 
 def _fixed_svd(stacks, tol: float) -> tuple:
@@ -363,10 +378,10 @@ def _span_residual(parts_a, parts_b) -> float:
     return resid
 
 
-def _fixed_basis(K, tol: float) -> FixedSpaceBasis:
-    """The columns of K, Hermitian-basis coordinates of d x d matrices,
-    as a basis of views of one (m, d, d) array."""
-    return FixedSpaceBasis(tuple(linalg.matrices_from_hermitian_columns(K)), tol)
+def _fixed_basis(layout, svds, ranks, tol: float) -> FixedSpaceBasis:
+    """The kernel of :func:`linalg.block_svd`'s ``svds`` and ``ranks`` of
+    stacks in ``layout``, in block coordinates."""
+    return FixedSpaceBasis(layout.n, tuple(linalg.kernel_groups(layout.index, svds, ranks)), tol)
 
 
 def peripheral_spectrum(
@@ -474,9 +489,9 @@ def _kernel_projectors(layout, stacks, clusters, cluster_tol, peripheral_tol) ->
     onto Ker(B - lambda) along Rng(B - lambda), one stack per block size
     and c.  P is real at a real lambda, and P(conj lambda) = conj
     P(lambda) once lambda came.  The fixed space is the kernel at lambda
-    = 1 (:func:`linalg.kernel_columns`)."""
+    = 1 (:func:`linalg.kernel_groups`)."""
     tol = cluster_tol + 10.0 * peripheral_tol
-    projectors, fixed, norm = [], np.zeros((layout.n, 0)), 0.0
+    projectors, fixed, norm = [], FixedSpaceBasis(layout.n, (), tol), 0.0
     done = {}  # lambda -> its projector, for the conjugates
     for lam, m in clusters:
         if lam.imag and lam.conjugate() in done:
@@ -508,8 +523,8 @@ def _kernel_projectors(layout, stacks, clusters, cluster_tol, peripheral_tol) ->
         projectors.append(blocks)
         done[lam] = blocks
         if lam == 1:
-            fixed = linalg.kernel_columns(layout.index, svds, ranks)
-    return projectors, _fixed_basis(fixed, tol), norm
+            fixed = _fixed_basis(layout, svds, ranks, tol)
+    return projectors, fixed, norm
 
 
 def stable_part(L, lambdas, projectors) -> np.ndarray:
@@ -878,7 +893,7 @@ def fixed_space_intersection(
     _, layout, *parts = _sectors(*channels)
     combined = [sum(w * A for w, A in zip(weights, stacks)) for stacks in zip(*parts)]
     svds, ranks = _fixed_svd(combined, tol)
-    combined_fixed = _fixed_basis(linalg.kernel_columns(layout.index, svds, ranks), tol)
+    combined_fixed = _fixed_basis(layout, svds, ranks, tol)
 
     commute = 0.0
     for i in range(len(parts)):
@@ -892,7 +907,7 @@ def fixed_space_intersection(
         complements.append([np.eye(V.shape[-1]) - V @ _ct(V) for V in Q])
     stacked = [np.concatenate(C, axis=-2) for C in zip(*complements)]
     isvds, _, iranks = linalg.block_svd([np.linalg.qr(C, mode="r") for C in stacked], tol)
-    intersection = _fixed_basis(linalg.kernel_columns(layout.index, isvds, iranks), tol)
+    intersection = _fixed_basis(layout, isvds, iranks, tol)
 
     if commute <= tol:
         resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(isvds, iranks))
@@ -995,8 +1010,8 @@ def hs_fixed_point_symmetry(ch, tol: float = DEFAULT_FIXED_TOL) -> HsSymmetryRep
     adjoint = [(_ct(Vh), s, _ct(U)) for U, s, Vh in svds]  # the SVDs of I - A^H
     resid = _span_residual(_kernel_parts(svds, ranks), _kernel_parts(adjoint, ranks))
     return HsSymmetryReport(
-        forward_fixed=_fixed_basis(linalg.kernel_columns(layout.index, svds, ranks), tol),
-        adjoint_fixed=_fixed_basis(linalg.kernel_columns(layout.index, adjoint, ranks), tol),
+        forward_fixed=_fixed_basis(layout, svds, ranks, tol),
+        adjoint_fixed=_fixed_basis(layout, adjoint, ranks, tol),
         equal=resid <= tol,
         projection_residual=resid,
     )

@@ -41,7 +41,10 @@ conventions are fixed here once and inherited everywhere:
   :func:`singular_values`, :func:`operator_norm` and
   :func:`spectral_radius` report that matrix's values, :func:`svd`
   factorises each member, and :func:`top_singular_values` gives each
-  member's largest singular value (of any stack ``(..., k, l)``).
+  member's largest singular value (of any stack ``(..., k, l)``).  A
+  real 1 x 1 member is its own factorisation, and these four make no
+  LAPACK call on it (:func:`_own_factorisation`), bit for bit LAPACK's
+  output; a complex member keeps LAPACK.
   :class:`BlockLayout` holds a matrix as the stacks of its exact
   diagonal blocks, the connected components (:func:`components`) of
   its support, given as a list of entries or as a matrix
@@ -133,17 +136,36 @@ def eig_general(M) -> tuple[np.ndarray, np.ndarray]:
     return lam[order], W[:, order]
 
 
+def _own_factorisation(M: np.ndarray) -> bool:
+    """Whether each member of M, a float64 matrix or stack, is 1 x 1 and
+    so its own factorisation, a = copysign(1, a) |a| 1, which is LAPACK's
+    output bit for bit, signs of zeros included.  LAPACK's SVD and
+    eigenvalue drivers scale a matrix whose largest entry is nonzero and
+    outside [2^-459, 2^459] (sqrt(safmin) / eps and its inverse) and
+    scale the result back, which may round, so every entry must be 0 or
+    in that range.  A complex member keeps LAPACK."""
+    if M.shape[-2:] != (1, 1) or M.dtype != np.float64:
+        return False
+    a = np.abs(M)
+    return bool(np.all((a == 0) | ((a >= 2.0**-459) & (a <= 2.0**459))))
+
+
 def eigvals(M) -> np.ndarray:
-    """Sorted eigenvalues only; of a stack, those of all its members."""
+    """Sorted eigenvalues only; of a stack, those of all its members.  A
+    real 1 x 1 member's eigenvalue is its entry (:func:`_own_factorisation`)."""
     M = _require_square(as_stack(M))
-    lam = np.linalg.eigvals(M).reshape(-1)
+    lam = (M if _own_factorisation(M) else np.linalg.eigvals(M)).reshape(-1)
     return lam[eig_sort_order(lam)]
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``M = U diag(s) Vh`` with descending nonnegative s, of a
-    matrix or of each member of a stack."""
+    matrix or of each member of a stack.  A real 1 x 1 member a gives
+    ``(copysign(1, a), |a|, 1)`` with no LAPACK call, bit for bit LAPACK's
+    output (:func:`_own_factorisation`): U = -1 at a = -0.0."""
     M = as_stack(M)
+    if _own_factorisation(M):
+        return np.copysign(1.0, M), np.abs(M[..., 0]), np.ones_like(M)
     try:
         return np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -151,8 +173,11 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(M) -> np.ndarray:
-    """Descending singular values; of a stack, those of all its members."""
-    s = np.linalg.svd(as_stack(M), compute_uv=False)
+    """Descending singular values; of a stack, those of all its members.
+    A real 1 x 1 member's is the modulus of its entry
+    (:func:`_own_factorisation`)."""
+    M = as_stack(M)
+    s = np.abs(M[..., 0]) if _own_factorisation(M) else np.linalg.svd(M, compute_uv=False)
     return s if s.ndim == 1 else np.sort(s.reshape(-1))[::-1]
 
 
@@ -168,9 +193,13 @@ def top_singular_values(M) -> np.ndarray:
     epsilon times ``||G|| = sigma_max^2``, so the result carries a
     relative error of a few machine epsilons, whatever the spread of the
     smaller singular values; forming G and the eigenvalues alone costs
-    about two thirds of a values-only SVD.
+    about two thirds of a values-only SVD.  A real 1 x 1 member a scales
+    to +-1, whose Gram matrix is 1, so the result is |a| at any scale:
+    of a real stack of 1 x 1 members it is taken with no LAPACK call.
     """
     X = as_stack(M)
+    if X.shape[-2:] == (1, 1) and X.dtype == np.float64:
+        return np.abs(X[..., 0, 0])
     scale = np.max(np.abs(X), axis=(-2, -1), keepdims=True)
     scale[scale == 0] = 1.0  # a zero member has a zero Gram matrix
     X = X / scale
@@ -325,13 +354,14 @@ def block_svd(stacks, tol: float) -> tuple:
     return svds, cut, [np.sum(s >= cut, axis=-1) for _, s, _ in svds]
 
 
-def kernel_columns(index, svds, ranks) -> np.ndarray:
-    """The kernel vectors of :func:`block_svd`'s ``svds`` and ``ranks`` as
-    the columns of an n x c matrix.  ``index`` holds, per stack, the
-    (m, k) array of the rows its blocks take (``BlockLayout.index``), n
-    rows in all.  Per stack, the blocks of one kernel dimension c are
-    taken together, in order of c and then of the blocks; each block's
-    c kernel vectors are zero outside its rows."""
+def kernel_groups(index, svds, ranks) -> list:
+    """The kernel vectors of :func:`block_svd`'s ``svds`` and ``ranks`` in
+    block coordinates: a list of ``(rows, V)``, V (m, k, c) the c kernel
+    vectors of m blocks of size k, and rows (m, k) the rows those blocks
+    take.  ``index`` holds, per stack, the (m, k) array of the rows its
+    blocks take (``BlockLayout.index``).  Per stack, the blocks of one
+    kernel dimension c are taken together, in order of c and then of the
+    blocks: the order of the columns of :func:`kernel_columns`."""
     groups = []
     for idx, (_, _, Vh), r in zip(index, svds, ranks):
         k = Vh.shape[-1]
@@ -339,10 +369,16 @@ def kernel_columns(index, svds, ranks) -> np.ndarray:
         for c in np.unique(dims[dims > 0]):
             sel = np.flatnonzero(dims == c)
             V = Vh[sel][..., k - c :, :].conj().swapaxes(-1, -2)
-            groups.append((idx[sel], V))
-    n = sum(idx.size for idx in index)
+            groups.append((idx[sel], np.ascontiguousarray(V)))  # not a view of all of Vh
+    return groups
+
+
+def scatter_kernel(n: int, groups) -> np.ndarray:
+    """The n x c matrix whose columns are the kernel vectors of
+    :func:`kernel_groups`' ``groups``, in their order; each is zero
+    outside the rows of its block.  It is real when every group is."""
     width = sum(V.shape[0] * V.shape[2] for _, V in groups)
-    K = np.zeros((n, width), dtype=np.result_type(*(Vh for _, _, Vh in svds)))
+    K = np.zeros((n, width), dtype=np.result_type(float, *(V for _, V in groups)))
     col = 0
     for rows, V in groups:
         m, _, c = V.shape
@@ -352,8 +388,15 @@ def kernel_columns(index, svds, ranks) -> np.ndarray:
     return K
 
 
-def null_space(M, tol: float = DEFAULT_TOL, layout=None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of M.
+def kernel_columns(index, svds, ranks) -> np.ndarray:
+    """The kernel vectors of :func:`block_svd`'s ``svds`` and ``ranks`` as
+    the columns of an n x c matrix, n the rows of ``index``
+    (:func:`kernel_groups`, :func:`scatter_kernel`)."""
+    return scatter_kernel(sum(idx.size for idx in index), kernel_groups(index, svds, ranks))
+
+
+def null_space(M, tol: float = DEFAULT_TOL, layout=None):
+    """Orthonormal basis of the numerical kernel of M.
 
     M is a matrix, square or tall (or wide), or, with ``layout`` (a
     :class:`BlockLayout`), the stacks of a block diagonal matrix whose
@@ -363,17 +406,17 @@ def null_space(M, tol: float = DEFAULT_TOL, layout=None) -> np.ndarray:
     zero, with sigma_max the largest over all blocks
     (:func:`block_svd`), so the zero matrix has the whole space as its
     kernel, and the kernel of the stacks is that of the whole matrix,
-    though no SVD is larger than a block.  The result has a row per
-    column of M (``layout.n`` for stacks) and a column per kernel vector
-    (possibly none), in the order of :func:`kernel_columns`.
+    though no SVD is larger than a block.  Of a matrix, the basis is the
+    columns (possibly none) of a matrix with a row per column of M; of
+    stacks, it is held in block coordinates, as :func:`kernel_groups`
+    gives them, and :func:`scatter_kernel` makes them the columns.
     """
-    if layout is None:
-        M = as_matrix(M)
-        M, index = [M[np.newaxis]], (np.arange(M.shape[1])[np.newaxis],)
-    else:
-        index = layout.index
-    svds, _, ranks = block_svd(M, tol)
-    return kernel_columns(index, svds, ranks)
+    if layout is not None:
+        svds, _, ranks = block_svd(M, tol)
+        return kernel_groups(layout.index, svds, ranks)
+    M = as_matrix(M)
+    svds, _, ranks = block_svd([M[np.newaxis]], tol)
+    return kernel_columns((np.arange(M.shape[1])[np.newaxis],), svds, ranks)
 
 
 def column_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1183,6 +1183,8 @@ class TestFixedPointChecksRunPerBlock:
 
     @pytest.mark.parametrize("make", [shift_channel, parity_fock_channel], ids=["shift", "parity"])
     def test_no_svd_larger_than_a_block_and_no_join(self, make, monkeypatch):
+        # parity-fock's blocks are 1 x 1 and real, each its own
+        # factorisation: no numpy.linalg factorisation runs at all
         d = 16
         decomp = peripheral_decomposition(superoperator(make(0.3, d)), cesaro_check_n=0)
         shapes = []
@@ -1190,6 +1192,7 @@ class TestFixedPointChecksRunPerBlock:
         monkeypatch.setattr(
             np.linalg, "svd", lambda M, *a, **k: shapes.append(M.shape) or orig_svd(M, *a, **k)
         )
+        calls = count_linalg_calls(monkeypatch, ("eig", "eigvals", "eigvalsh"))
 
         def refuse(self, stacks):
             raise AssertionError("joined the blocks")
@@ -1202,8 +1205,72 @@ class TestFixedPointChecksRunPerBlock:
         else:
             with pytest.raises(DegenerateInputError):
                 peripheral_unitarity_check(decomp)
-        assert shapes
-        assert max(max(shape[-2:]) for shape in shapes) <= d
+        if make is parity_fock_channel:
+            assert shapes == [] and calls == []
+        else:
+            assert shapes
+            assert max(max(shape[-2:]) for shape in shapes) <= d
+
+    @pytest.mark.parametrize("side", [FORWARD, ADJOINT])
+    def test_parity_fock_pipeline_makes_no_lapack_call(self, side, monkeypatch):
+        # the Hermitian form of parity-fock is diagonal: one (256, 1, 1)
+        # stack at d = 16, whose real members are their own factorisations
+        ch = on_side(parity_fock_channel(0.3, 16), side)
+        calls = count_linalg_calls(monkeypatch, ("svd", "eig", "eigvals", "eigvalsh"))
+        decomp = peripheral_decomposition(ch, cesaro_check_n=400)
+        decay_fit(decomp, 40)
+        decay_fit(decomp.stable, 40)
+        assert fixed_space(ch).dimension == decomp.fixed_space.dimension == 128
+        assert splitting_check(ch).fixed_dim == 128
+        assert hs_fixed_point_symmetry(ch).equal
+        assert peripheral_unitarity_check(decomp) <= 1e-12
+        assert calls == []
+
+    def test_fixed_space_basis_is_built_on_request(self, monkeypatch):
+        # the kernel is held in block coordinates: neither the d^2 x c
+        # columns nor the d x d matrices are built for the dimension
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the dense fixed-space basis")
+
+        monkeypatch.setattr(linalg, "matrices_from_hermitian_columns", refuse)
+        monkeypatch.setattr(linalg, "scatter_kernel", refuse)
+        ch, parts = parity_fock_channel(0.3, 16), [parity_fock_channel(p, 16) for p in (0.3, 0.6)]
+        assert peripheral_decomposition(ch).fixed_space.dimension == 128
+        assert fixed_space(ch).dimension == 128
+        assert hs_fixed_point_symmetry(ch).equal
+        assert fixed_space_intersection(parts, [0.4, 0.6]).equal
+
+    @pytest.mark.parametrize(
+        "ch", [parity_fock_channel(0.3, 16), ladder_channel(0.5, 6), stinespring_channel(4, 3, 1)],
+        ids=["parity16", "ladder6", "unitary3"],
+    )
+    def test_fixed_space_basis_is_the_scattered_kernel(self, ch, monkeypatch):
+        # .basis is, bit for bit, the matrices of the scattered kernel
+        # columns of the SVDs each producer took
+        seen = []
+        orig = linalg.kernel_groups
+        monkeypatch.setattr(
+            linalg, "kernel_groups", lambda *args: seen.append(args) or orig(*args)
+        )
+        parts = [ch, on_side(ch, ADJOINT)]
+        inter = fixed_space_intersection(parts, [0.5, 0.5])
+        hs = hs_fixed_point_symmetry(ch)
+        bases = [
+            peripheral_decomposition(ch, cesaro_check_n=0).fixed_space,
+            fixed_space(ch),
+            hs.forward_fixed,
+            hs.adjoint_fixed,
+            inter.combined_fixed,
+            inter.intersection,
+        ]
+        order = [4, 5, 2, 3, 0, 1]  # of the calls, per basis
+        assert len(seen) == 6
+        calls = seen[:]
+        for fs, i in zip(bases, order):
+            want = linalg.matrices_from_hermitian_columns(linalg.kernel_columns(*calls[i]))
+            assert len(fs.basis) == len(want) == fs.dimension
+            for B, B0 in zip(fs.basis, want):
+                assert_bits(B, B0)
 
 
 class TestCesaroSpectralAgreement:

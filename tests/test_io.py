@@ -441,12 +441,35 @@ class TestFactorisationCounts:
         ).stable
         calls = count_linalg_calls(monkeypatch, FACTORISATIONS)
         ergodic.decay_fit(S, 20)
-        assert calls and all(shape != (d * d, d * d) for _, shape in calls)
-        del calls[:]
+        assert calls == []  # 1 x 1 real blocks: each its own factorisation
         ergodic.decay_fit(dense, 20)  # one block: the counter does see full size
         full = [name for name, shape in calls if shape == (d * d, d * d)]
         # the eigenvalues for rho(S), then one Gram matrix per power
         assert full == ["eigvals"] + ["eigvalsh"] * 20
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_one_dimensional_channel_is_its_own_factorisation(self, monkeypatch, a, adjoint):
+        # at d = 1 every block is real and 1 x 1: analyze, fixed-space and
+        # iterate make no factorisation of one, and their reports are
+        # those of the LAPACK route byte for byte
+        ch = channel.KrausChannel(kraus=(np.array([[a]]),))
+
+        def reports():
+            return [io.dumps(doc) for doc in (
+                io.analyze_channel(ch, cesaro_n=400, adjoint=adjoint),
+                io.fixed_space_channel(ch, adjoint=adjoint),
+                io.iterate_channel(ch, 77, cesaro_n=400, adjoint=adjoint),
+            )]
+
+        calls = count_linalg_calls(monkeypatch, ("svd", "eig", "eigvals"))
+        closed = reports()
+        assert calls == []
+        monkeypatch.setattr(linalg, "_own_factorisation", lambda M: False)
+        assert reports() == closed
+        assert len(calls) > 0
+        doc = json.loads(closed[0])
+        assert len(doc["peripheral"]["lambdas"]) == (a == 1.0)
 
     def test_decay_fit_batches_the_powers_of_each_stack(self, monkeypatch):
         # shift d = 16 has 16 block-size stacks; one call per stack and

@@ -3,7 +3,7 @@ import pytest
 
 from ergochan import ergodic, linalg
 from ergochan.errors import DimensionError, DomainError
-from helpers import mirror, on_side
+from helpers import count_linalg_calls, mirror, on_side
 
 
 def random_complex(rng, rows, cols):
@@ -119,6 +119,83 @@ class TestTopSingularValues:
     def test_nonfinite_rejected(self):
         with pytest.raises(DimensionError):
             linalg.top_singular_values(np.array([[np.inf]]))
+
+
+def bits(x):
+    """The bit patterns of a float or complex array, signs of zeros included."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def top_by_gram(M):
+    """The Gram route of top_singular_values, with numpy.linalg.eigvalsh."""
+    scale = np.max(np.abs(M), axis=(-2, -1), keepdims=True)
+    scale[scale == 0] = 1.0
+    X = M / scale
+    G = X.conj().swapaxes(-1, -2) @ X
+    return scale[..., 0, 0] * np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0))
+
+
+# Entries that LAPACK factorises as they are: zeros of both signs, the
+# edges 2^-459 and 2^459 of its unscaled range, and seeded normals; and
+# entries beyond those edges, where it scales the matrix and rounds
+UNSCALED = np.concatenate(
+    [[0.0, -0.0, 1.0, -1.0, 2.0**-459, -(2.0**-459), 2.0**459, -(2.0**459)],
+     np.random.default_rng(28).standard_normal(24)]
+)
+SCALED = np.array([5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300])
+
+
+class TestOneByOneIsItsOwnFactorisation:
+    """A real 1 x 1 member a is its own factorisation, copysign(1, a) |a| 1:
+    the stack wrappers give numpy.linalg's bits, and call it only where
+    LAPACK would scale the entry."""
+
+    @staticmethod
+    def inputs(entries):
+        c = np.random.default_rng(3).permutation(np.resize(entries, 2 * entries.size))
+        return [entries[:, None, None], c.reshape(2, -1, 1, 1)] + [
+            np.array([[a]]) for a in entries
+        ]
+
+    @pytest.mark.parametrize("entries, lapack", [(UNSCALED, False), (SCALED, True)],
+                             ids=["unscaled", "scaled"])
+    def test_bits_match_numpy(self, monkeypatch, entries, lapack):
+        for M in self.inputs(entries):
+            want_svd = np.linalg.svd(M)
+            want_s = np.linalg.svd(M, compute_uv=False)
+            want_s = want_s if want_s.ndim == 1 else np.sort(want_s.reshape(-1))[::-1]
+            want_lam = np.linalg.eigvals(M).reshape(-1)
+            want_lam = want_lam[linalg.eig_sort_order(want_lam)]
+            want_top = top_by_gram(M)
+            calls = count_linalg_calls(monkeypatch, ("svd", "eigvals", "eigvalsh"))
+            got_svd = linalg.svd(M)
+            got = [linalg.singular_values(M), linalg.eigvals(M), linalg.top_singular_values(M)]
+            monkeypatch.undo()
+            for x, y in zip([*got_svd, *got], [*want_svd, want_s, want_lam, want_top]):
+                assert x.shape == y.shape and x.dtype == y.dtype == np.float64
+                assert np.array_equal(bits(x), bits(y))
+            assert np.array_equal(bits(got[2]), bits(np.abs(M[..., 0, 0])))
+            assert len(calls) == (3 if lapack else 0)  # never the Gram matrix's eigvalsh
+
+    def test_svd_of_minus_zero(self):
+        U, s, Vh = linalg.svd(np.array([[-0.0]]))
+        assert U[0, 0] == -1.0 and Vh[0, 0] == 1.0
+        assert s[0] == 0.0 and not np.signbit(s[0])
+
+    def test_complex_stack_reaches_lapack(self, monkeypatch):
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        M = np.array(zeros + [1 + 2j, -3j, -0.5])[:, None, None]
+        want = [np.linalg.svd(M), np.linalg.svd(M, compute_uv=False), np.linalg.eigvals(M)]
+        calls = count_linalg_calls(monkeypatch, ("svd", "eigvals", "eigvalsh"))
+        U, s, Vh = linalg.svd(M)
+        got_s, got_lam = linalg.singular_values(M), linalg.eigvals(M)
+        linalg.top_singular_values(M)
+        assert [name for name, _ in calls] == ["svd", "svd", "eigvals", "eigvalsh"]
+        for x, y in zip((U, s, Vh), want[0]):
+            assert np.array_equal(bits(x), bits(y))
+        assert np.array_equal(bits(got_s), bits(np.sort(want[1].reshape(-1))[::-1]))
+        lam = want[2].reshape(-1)
+        assert np.array_equal(bits(got_lam), bits(lam[linalg.eig_sort_order(lam)]))
 
 
 class TestKronVec:
