@@ -189,8 +189,8 @@ class FixedSpaceBasis:
     and rows (m, k) the rows of the n = d^2 that those blocks take.
     ``dimension`` is read from their shapes.  ``basis``, the vectors
     unvectorized to d x d matrices in the column-stacking basis, in the
-    order of :func:`linalg.kernel_columns`, is built on first access and
-    cached; a real form gives Hermitian matrices."""
+    order of the columns of :func:`linalg.scatter_kernel`, is built on
+    first access and cached; a real form gives Hermitian matrices."""
 
     n: int
     groups: tuple
@@ -225,6 +225,9 @@ class PeripheralDecomposition:
     conjugation and P(conj lambda) is conj P(lambda), bit for bit.
     ``stable_spectral_radius`` is rho(S), read from the eigenvalues of L,
     the value the ``rho(S) < 1`` check accepted.
+    ``projector_ranks`` holds, per lambda, the size m of its cluster
+    (:func:`_peripheral_clusters`), which :func:`_kernel_projectors`
+    makes the rank of P_lambda.
     ``projector_norm``, recorded and not thresholded, is the largest
     ||P_lambda||_2 (0 without lambdas).
     ``fixed_space`` is the kernel of L - 1 (empty when 1 is not
@@ -234,6 +237,7 @@ class PeripheralDecomposition:
 
     dim: int
     lambdas: tuple
+    projector_ranks: tuple
     layout: linalg.BlockLayout
     operator_blocks: tuple
     projector_blocks: tuple
@@ -251,13 +255,6 @@ class PeripheralDecomposition:
     @functools.cached_property
     def stable(self) -> np.ndarray:
         return linalg.from_hermitian_blocks(self.layout, self.stable_blocks)
-
-    @property
-    def projector_ranks(self) -> tuple:
-        return tuple(
-            int(round(sum(np.trace(X, axis1=-2, axis2=-1).real.sum() for X in P)))
-            for P in self.projector_blocks
-        )
 
 
 @dataclass(frozen=True)
@@ -336,7 +333,7 @@ def fixed_space(L, tol: float = DEFAULT_FIXED_TOL) -> FixedSpaceBasis:
     (:class:`FixedSpaceBasis`).  A is real, so the matrices are
     Hermitian."""
     _, layout, stacks = _sectors(L)
-    groups = linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], tol, layout)
+    groups = linalg.null_space([np.eye(X.shape[-1]) - X for X in stacks], layout, tol)
     return FixedSpaceBasis(layout.n, tuple(groups), tol)
 
 
@@ -393,7 +390,9 @@ def peripheral_spectrum(
     check: the unit-modulus eigenvalues of L, clustered by their arguments
     (:func:`_peripheral_clusters`); the empty list is a valid result
     (strictly contractive maps).  A peripheral eigenvalue that is not
-    semisimple is refused there."""
+    semisimple is refused there.  Without the Cesaro check, a wrong
+    projector of a cluster that is present passes: rho(S) is read from
+    the eigenvalues of L (:func:`_stable_radius`)."""
     return list(peripheral_decomposition(L, peripheral_tol, cluster_tol, 0).lambdas)
 
 
@@ -449,7 +448,10 @@ def spectral_projectors(
     Cesaro check, one per lambda, of the cluster within ``cluster_tol`` of
     it (else :class:`DecompositionFailureError` names the nearest
     eigenvalue).  L is a Kraus channel or its d^2 x d^2 matrix
-    (:func:`_sectors`), as the projectors go back to column stacking."""
+    (:func:`_sectors`), as the projectors go back to column stacking.
+    Without the Cesaro check, a wrong projector of a cluster that is
+    present passes: rho(S) is read from the eigenvalues of L
+    (:func:`_stable_radius`)."""
     decomp = peripheral_decomposition(L, peripheral_tol, cluster_tol, 0)
     out = []
     for lam in map(complex, lambdas):
@@ -641,6 +643,7 @@ def peripheral_decomposition(
     return PeripheralDecomposition(
         dim=d,
         lambdas=tuple(lambdas),
+        projector_ranks=tuple(m for _, m in clusters),
         layout=layout,
         operator_blocks=tuple(stacks),
         projector_blocks=tuple(map(tuple, projectors)),
@@ -869,16 +872,16 @@ def fixed_space_intersection(
     Both are computed on the Hermitian forms of the parts, split by one
     layout whose blocks reduce every part and so the combination
     (:func:`_sectors`), one block at a time.  The intersection is the
-    kernel of the stacked projectors onto the complements of the parts'
-    fixed spaces, factorised through its k x k triangular factor R (QR),
-    which has the singular values and right singular vectors of the
-    stack.  Every kernel here comes from one :func:`linalg.block_svd`
-    with the rank cut of the whole matrix, ``tol * max(1, sigma_max)``,
-    sigma_max the largest over all blocks, the cut every fixed space
-    here uses; no SVD is larger than a block.  Equality of the two
-    spaces is the content of the commuting-family lemma, so it is
-    asserted only when the superoperators commute within ``tol``;
-    otherwise ``equal`` is None and the commutator residual is reported.
+    kernel of the parts' I - A_i stacked, factorised through its k x k
+    triangular factor R (QR), which has the singular values and right
+    singular vectors of the stack, so no part is factorised on its own.
+    Each of the two spaces comes from one :func:`linalg.block_svd` with
+    the rank cut of the whole matrix, ``tol * max(1, sigma_max)``,
+    sigma_max the largest over all blocks; no SVD is larger than a
+    block.  Equality of the two spaces is the content of the
+    commuting-family lemma, so it is asserted only when the
+    superoperators commute within ``tol``; otherwise ``equal`` is None
+    and the commutator residual is reported.
     The two spaces are compared block by block (:func:`_span_residual`).
     """
     for w in weights:
@@ -901,11 +904,10 @@ def fixed_space_intersection(
             for A, B in zip(parts[i], parts[j]):
                 commute = max(commute, linalg.operator_norm(A @ B - B @ A))
 
-    complements = []
-    for stacks in parts:  # a part with no fixed point contributes I: no kernel
-        Q = _kernel_parts(*_fixed_svd(stacks, tol))
-        complements.append([np.eye(V.shape[-1]) - V @ _ct(V) for V in Q])
-    stacked = [np.concatenate(C, axis=-2) for C in zip(*complements)]
+    stacked = [
+        np.concatenate([np.eye(X.shape[-1]) - X for X in blocks], axis=-2)
+        for blocks in zip(*parts)
+    ]
     isvds, _, iranks = linalg.block_svd([np.linalg.qr(C, mode="r") for C in stacked], tol)
     intersection = _fixed_basis(layout, isvds, iranks, tol)
 

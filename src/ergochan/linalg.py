@@ -50,7 +50,10 @@ conventions are fixed here once and inherited everywhere:
   its support, given as a list of entries or as a matrix
   (:func:`support_components`);
   :func:`block_svd` and :func:`null_space` cut the singular values of
-  such stacks at the rank cut of the whole matrix.
+  such stacks at the rank cut of the whole matrix.  A kernel has one
+  form, block coordinates (:func:`kernel_groups`), which
+  :func:`scatter_kernel` makes the columns of a matrix; a single matrix
+  is the one stack of a one-block layout.
 """
 
 from __future__ import annotations
@@ -361,7 +364,7 @@ def kernel_groups(index, svds, ranks) -> list:
     take.  ``index`` holds, per stack, the (m, k) array of the rows its
     blocks take (``BlockLayout.index``).  Per stack, the blocks of one
     kernel dimension c are taken together, in order of c and then of the
-    blocks: the order of the columns of :func:`kernel_columns`."""
+    blocks, which :func:`scatter_kernel` keeps."""
     groups = []
     for idx, (_, _, Vh), r in zip(index, svds, ranks):
         k = Vh.shape[-1]
@@ -388,40 +391,26 @@ def scatter_kernel(n: int, groups) -> np.ndarray:
     return K
 
 
-def kernel_columns(index, svds, ranks) -> np.ndarray:
-    """The kernel vectors of :func:`block_svd`'s ``svds`` and ``ranks`` as
-    the columns of an n x c matrix, n the rows of ``index``
-    (:func:`kernel_groups`, :func:`scatter_kernel`)."""
-    return scatter_kernel(sum(idx.size for idx in index), kernel_groups(index, svds, ranks))
-
-
-def null_space(M, tol: float = DEFAULT_TOL, layout=None):
-    """Orthonormal basis of the numerical kernel of M.
-
-    M is a matrix, square or tall (or wide), or, with ``layout`` (a
-    :class:`BlockLayout`), the stacks of a block diagonal matrix whose
-    blocks take the layout's columns: one array (m, r, k) per (m, k)
-    array of ``layout.index``, square as ``layout.split`` gives them or
-    taller.  Singular values below ``tol * max(1, sigma_max)`` count as
-    zero, with sigma_max the largest over all blocks
-    (:func:`block_svd`), so the zero matrix has the whole space as its
-    kernel, and the kernel of the stacks is that of the whole matrix,
-    though no SVD is larger than a block.  Of a matrix, the basis is the
-    columns (possibly none) of a matrix with a row per column of M; of
-    stacks, it is held in block coordinates, as :func:`kernel_groups`
-    gives them, and :func:`scatter_kernel` makes them the columns.
+def null_space(stacks, layout, tol: float = DEFAULT_TOL) -> list:
+    """Orthonormal basis of the numerical kernel of the block diagonal
+    matrix held as ``stacks`` in ``layout`` (a :class:`BlockLayout`),
+    whose blocks take the layout's columns: one array (m, r, k) per (m,
+    k) array of ``layout.index``, square as ``layout.split`` gives them
+    or taller.  Singular values below ``tol * max(1, sigma_max)`` count
+    as zero, sigma_max the largest over all blocks (:func:`block_svd`),
+    so the zero matrix has the whole space as its kernel and the kernel
+    is that of the whole matrix, though no SVD is larger than a block.
+    The basis is in block coordinates (:func:`kernel_groups`), which
+    :func:`scatter_kernel` makes columns.  One k-column matrix M is the
+    stack ``[M[np.newaxis]]`` of ``BlockLayout(np.arange(k), np.array([k]))``.
     """
-    if layout is not None:
-        svds, _, ranks = block_svd(M, tol)
-        return kernel_groups(layout.index, svds, ranks)
-    M = as_matrix(M)
-    svds, _, ranks = block_svd([M[np.newaxis]], tol)
-    return kernel_columns((np.arange(M.shape[1])[np.newaxis],), svds, ranks)
+    svds, _, ranks = block_svd(stacks, tol)
+    return kernel_groups(layout.index, svds, ranks)
 
 
 def column_space(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical range of M, with the
-    rank cut of :func:`null_space`."""
+    rank cut of :func:`block_svd`."""
     check_tol(tol)
     U, s, _ = svd(M)
     return U[:, : int(np.sum(s >= _rank_cut(float(s[0]), tol)))]

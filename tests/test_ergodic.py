@@ -551,6 +551,35 @@ class TestPeripheralClusters:
         assert linalg.operator_norm(P - want) <= 1e-10
 
 
+class TestProjectorRanks:
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            pauli_xy_channel(0.3),
+            parity_fock_channel(0.3, 8),
+            ladder_channel(0.5, 6),
+            random_unitary_channel(406, 6),
+        ],
+        ids=["pauli", "parity8", "ladder6", "unitary6"],
+    )
+    def test_ranks_are_the_cluster_sizes(self, ch):
+        # the Cesaro check is off: unitary6 is a known Cesaro defect
+        decomp = peripheral_decomposition(ch, cesaro_check_n=0)
+        clusters = ergodic._peripheral_clusters(
+            ergodic._eigvals(decomp.operator_blocks), decomp.peripheral_tol, decomp.cluster_tol
+        )
+        sizes = tuple(m for _, m in clusters)
+        traces = tuple(
+            round(sum(float(np.trace(X, axis1=-2, axis2=-1).real.sum()) for X in P))
+            for P in decomp.projector_blocks
+        )
+        assert decomp.projector_ranks == sizes == traces
+        assert all(type(m) is int for m in decomp.projector_ranks)
+        # read from the clusters, not from the projector blocks
+        bare = dataclasses.replace(decomp, projector_blocks=None)
+        assert bare.projector_ranks == sizes
+
+
 def planted_channel(seed, delta):
     """V_i = U (x) W_i on C^2 (x) C^3, U = diag(e^{0.3i}, e^{i(0.3 + delta)})
     and W a random 2-Kraus channel: peripheral eigenvalues 1 (twice) and
@@ -1121,6 +1150,47 @@ class TestFixedPointChecksAgainstDenseOracles:
         assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
         assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
 
+    @pytest.mark.parametrize("side", [FORWARD, ADJOINT])
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize(
+        "makers",
+        [
+            (parity_fock_channel, parity_fock_channel, shift_channel),
+            (ladder_channel, ladder_channel, shift_channel),
+            (parity_fock_channel, parity_fock_channel, parity_fock_channel),
+        ],
+        ids=["parity-shift", "ladder-shift", "parity3"],
+    )
+    def test_intersection_of_three_parts(self, makers, d, side):
+        # the intersection against the dense kernel of the stacked
+        # I - L_i; the shift has no fixed point, so with it the
+        # intersection is empty
+        channels = [on_side(make(p, d), side) for make, p in zip(makers, (0.3, 0.5, 0.7))]
+        weights = [0.2, 0.3, 0.5]
+        Ls = [superoperator(c) for c in channels]
+        n = len(Ls[0])
+        combined = dense_fixed_columns(sum(w * L for w, L in zip(weights, Ls)))
+        intersection = dense_null_space(np.vstack([np.eye(n) - L for L in Ls]))
+        commute = max(
+            np.linalg.norm(A @ B - B @ A, 2) for i, A in enumerate(Ls) for B in Ls[i + 1 :]
+        )
+        rep = fixed_space_intersection(channels, weights)
+        assert rep.combined_fixed.dimension == combined.shape[1]
+        assert rep.intersection.dimension == intersection.shape[1]
+        if shift_channel in makers:
+            assert intersection.shape[1] == 0
+        else:
+            assert intersection.shape[1] == d * d // 2
+        assert abs(rep.commute_residual - commute) <= 1e-12
+        if commute <= self.TOL:
+            resid = dense_span_residual(combined, intersection)
+            assert rep.equal == (resid <= self.TOL)
+            assert abs(rep.projection_residual - resid) <= 1e-12
+        else:
+            assert rep.equal is None and rep.projection_residual is None
+        assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
+
     @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
     def test_peripheral_unitarity_check(self, ch, _):
         L = superoperator(ch)
@@ -1155,7 +1225,8 @@ class TestFixedPointChecksAgainstDenseOracles:
         for M in (X, Y):
             svds, _, ranks = linalg.block_svd([M], 1e-10)
             parts.append(ergodic._kernel_parts(svds, ranks))
-            columns.append(linalg.kernel_columns(layout.index, svds, ranks))
+            groups = linalg.kernel_groups(layout.index, svds, ranks)
+            columns.append(linalg.scatter_kernel(layout.n, groups))
         assert [K.shape[1] for K in columns] == [2, 2]
         resid = ergodic._span_residual(*parts)
         assert resid == pytest.approx(1.0, abs=1e-12)
@@ -1226,6 +1297,20 @@ class TestFixedPointChecksRunPerBlock:
         assert peripheral_unitarity_check(decomp) <= 1e-12
         assert calls == []
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_intersection_makes_two_block_svds(self, count, monkeypatch):
+        # one of I - A, A the combination, and one of the triangular
+        # factors of the stacked I - A_i, each no larger than a block
+        calls = []
+        orig = linalg.block_svd
+        monkeypatch.setattr(
+            linalg, "block_svd", lambda stacks, tol: calls.append(stacks) or orig(stacks, tol)
+        )
+        parts = [ladder_channel(0.3, 4), ladder_channel(0.6, 4), shift_channel(0.5, 4)][:count]
+        fixed_space_intersection(parts, [1.0 / count] * count)
+        assert len(calls) == 2
+        assert [X.shape for X in calls[1]] == [X.shape for X in calls[0]]
+
     def test_fixed_space_basis_is_built_on_request(self, monkeypatch):
         # the kernel is held in block coordinates: neither the d^2 x c
         # columns nor the d x d matrices are built for the dimension
@@ -1267,7 +1352,8 @@ class TestFixedPointChecksRunPerBlock:
         assert len(seen) == 6
         calls = seen[:]
         for fs, i in zip(bases, order):
-            want = linalg.matrices_from_hermitian_columns(linalg.kernel_columns(*calls[i]))
+            K = linalg.scatter_kernel(fs.n, linalg.kernel_groups(*calls[i]))
+            want = linalg.matrices_from_hermitian_columns(K)
             assert len(fs.basis) == len(want) == fs.dimension
             for B, B0 in zip(fs.basis, want):
                 assert_bits(B, B0)
@@ -1357,6 +1443,27 @@ class TestNegativeControls:
             ergodic, "_remainder", lambda A, *args: orig(A, *args) + 1e-3 * np.eye(A.shape[-1])
         )
         assert io.iterate_channel(ch, 5)["disagreement_hs"] > 1e-6
+
+    @pytest.mark.parametrize(
+        "ch", [parity_fock_channel(0.3, 4), ladder_channel(0.5, 4)], ids=["parity4", "ladder4"]
+    )
+    def test_zero_fixed_projector_fails_only_the_cesaro_check(self, ch, monkeypatch):
+        # P_1 = 0 on every block: rho(S) is read from the eigenvalues of
+        # L, which the fault does not touch, so with the Cesaro check off
+        # (as peripheral_spectrum and spectral_projectors run) it passes
+        orig = ergodic._kernel_projectors
+
+        def zero_fixed(layout, stacks, clusters, *tols):
+            projectors, fixed, norm = orig(layout, stacks, clusters, *tols)
+            i = [lam for lam, _ in clusters].index(1)
+            projectors[i] = [np.zeros_like(P) for P in projectors[i]]
+            return projectors, fixed, norm
+
+        monkeypatch.setattr(ergodic, "_kernel_projectors", zero_fixed)
+        assert peripheral_decomposition(ch, cesaro_check_n=0).stable_spectral_radius < 1
+        message = r"^Cesaro average at lambda=\(1\+0j\) disagrees with the spectral projector"
+        with pytest.raises(DecompositionFailureError, match=message):
+            peripheral_decomposition(ch, cesaro_check_n=400)
 
     def test_commuting_maps_fixing_other_spaces_are_not_equal(self):
         # diagonal in the Hermitian basis, so they commute, but not
@@ -2131,13 +2238,14 @@ def tolerance_cases():
     that cuts a rank or a peripheral set at a tolerance."""
     ch = parity_fock_channel(0.3, 4)  # its fixed space has dimension 8
     M = np.eye(16) - superoperator(ch)
+    one_block = linalg.BlockLayout(np.arange(16), np.array([16]))
     parts = [ch, parity_fock_channel(0.6, 4)]
     cases = [
         ("fixed_space", "tol", lambda v: fixed_space(ch, tol=v)),
         ("splitting_check", "tol", lambda v: splitting_check(ch, tol=v)),
         ("hs_fixed_point_symmetry", "tol", lambda v: hs_fixed_point_symmetry(ch, tol=v)),
         ("intersection", "tol", lambda v: fixed_space_intersection(parts, [0.5, 0.5], tol=v)),
-        ("null_space", "tol", lambda v: linalg.null_space(M, v)),
+        ("null_space", "tol", lambda v: linalg.null_space([M[np.newaxis]], one_block, v)),
         ("column_space", "tol", lambda v: linalg.column_space(M, v)),
         ("verify", "tol", lambda v: channel_mod.verify(ch, tol=v)),
         ("decomposition-peripheral", "peripheral_tol",

@@ -248,17 +248,30 @@ class TestNorms:
             assert op <= hs * (1 + 1e-12) <= tr * (1 + 1e-12)
 
 
+def one_block_kernel(M, tol=linalg.DEFAULT_TOL):
+    """The kernel of the matrix M as columns: M is the one stack of a
+    one-block layout, and null_space gives its kernel in block
+    coordinates."""
+    k = M.shape[1]
+    layout = linalg.BlockLayout(np.arange(k), np.array([k]))
+    groups = linalg.null_space([np.asarray(M)[np.newaxis]], layout, tol)
+    assert len(groups) <= 1
+    for rows, V in groups:  # one block, of all k columns
+        assert rows.shape == (1, k) and V.shape[:2] == (1, k)
+    return linalg.scatter_kernel(k, groups)
+
+
 class TestNullSpace:
     def test_zero_matrix_full_space(self):
-        basis = linalg.null_space(np.eye(3) - np.eye(3))
+        basis = one_block_kernel(np.eye(3) - np.eye(3))
         assert basis.shape == (3, 3)
         assert np.allclose(basis.conj().T @ basis, np.eye(3))
 
     def test_identity_empty(self):
-        assert linalg.null_space(np.eye(3)).shape[1] == 0
+        assert one_block_kernel(np.eye(3)).shape == (3, 0)
 
     def test_diag_by_inspection(self):
-        basis = linalg.null_space(np.diag([0.0, 1.0, 2.0]), tol=1e-10)
+        basis = one_block_kernel(np.diag([0.0, 1.0, 2.0]), tol=1e-10)
         assert basis.shape[1] == 1
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
 
@@ -266,22 +279,23 @@ class TestNullSpace:
         rng = np.random.default_rng(5)
         M = random_complex(rng, 6, 3)
         # rank-3 6x6 matrix has a 3-dimensional kernel
-        basis = linalg.null_space(M @ M.conj().T, tol=1e-10)
+        basis = one_block_kernel(M @ M.conj().T, tol=1e-10)
+        assert basis.shape == (6, 3)
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(basis.shape[1]), 2) < 1e-12
 
     def test_cut_is_absolute_below_unit_scale(self):
         # round-off-sized singular values are zero whatever sigma_max is
         tiny = 1e-12 * np.diag([1.0, 0.5, 0.0])
-        assert linalg.null_space(tiny).shape == (3, 3)
+        assert one_block_kernel(tiny).shape == (3, 3)
         assert linalg.column_space(tiny).shape == (3, 0)
         big = 1e3 * np.diag([1.0, 1e-14, 0.0])
-        assert linalg.null_space(big).shape == (3, 2)
+        assert one_block_kernel(big).shape == (3, 2)
         assert linalg.column_space(big).shape == (3, 1)
 
     def test_tall_matrix(self):
         stacked = np.vstack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
-        basis = linalg.null_space(stacked)
+        basis = one_block_kernel(stacked)
         assert basis.shape == (3, 1)
         assert abs(abs(basis[2, 0]) - 1.0) < 1e-12
 
@@ -289,7 +303,8 @@ class TestNullSpace:
         rng = np.random.default_rng(6)
         M = random_complex(rng, 5, 2)
         A = M @ M.conj().T
-        basis = linalg.null_space(A, tol=1e-10)
+        basis = one_block_kernel(A, tol=1e-10)
+        assert basis.shape == (5, 3)
         norm = linalg.operator_norm(A)
         for k in range(basis.shape[1]):
             assert np.linalg.norm(A @ basis[:, k]) <= 1e-10 * max(1.0, norm)
