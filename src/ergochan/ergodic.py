@@ -187,10 +187,12 @@ class FixedSpaceBasis:
     form of L, as :func:`linalg.kernel_groups` gives them: per group
     ``(rows, V)``, V (m, k, c) the c kernel vectors of m blocks of size k
     and rows (m, k) the rows of the n = d^2 that those blocks take.
-    ``dimension`` is read from their shapes.  ``basis``, the vectors
-    unvectorized to d x d matrices in the column-stacking basis, in the
-    order of the columns of :func:`linalg.scatter_kernel`, is built on
-    first access and cached; a real form gives Hermitian matrices."""
+    ``dimension`` is read from their shapes.  ``stack`` holds the
+    vectors unvectorized to d x d matrices in the column-stacking basis,
+    in the order of the columns of :func:`linalg.scatter_kernel`, as one
+    (dimension, d, d) array; it is built on first access and cached, and
+    ``basis`` is the tuple of its matrices, views of the stack.  A real
+    form gives Hermitian matrices."""
 
     n: int
     groups: tuple
@@ -201,9 +203,13 @@ class FixedSpaceBasis:
         return sum(V.shape[0] * V.shape[2] for _, V in self.groups)
 
     @functools.cached_property
-    def basis(self) -> tuple:
+    def stack(self) -> np.ndarray:
         K = linalg.scatter_kernel(self.n, self.groups)
-        return tuple(linalg.matrices_from_hermitian_columns(K))
+        return linalg.matrices_from_hermitian_columns(K)
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return tuple(self.stack)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,13 @@ complex numbers the same way.  Floats are emitted via ``repr``, the
 shortest decimal that round-trips exactly, so serialize -> parse ->
 serialize is byte-identical.
 
-The document functions return complex matrices as numpy arrays;
-:func:`dumps` is the one writer of their ``[re, im]`` pairs, and
-``json.loads(dumps(doc))`` gives the nested-list form
-(:func:`matrix_to_pairs`).
+The document functions return complex matrices as numpy arrays, a
+fixed-space basis as one (m, d, d) stack; :func:`dumps` is the one
+writer of their ``[re, im]`` pairs, and ``json.loads(dumps(doc))``
+gives the nested-list form (:func:`matrix_to_pairs`).  The writer
+formats only the nonzero entries of an array, in one call of the
+encoder, and passes its zeros as shared strings, so an array costs in
+proportion to its nonzero entries and the text is copied once.
 """
 
 from __future__ import annotations
@@ -172,12 +175,13 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def dumps(doc: dict) -> str:
     """Canonical JSON text: sorted keys, compact separators, repr floats,
-    on one line.  A numpy array is written as ``matrix_to_pairs`` of it
-    (:func:`_write_matrix`), every other value by json's C encoder (there
-    is no ``indent``), so the text is ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` of the document whose arrays are
-    ``matrix_to_pairs`` lists.  The pieces are joined once, so no part
-    of the text is copied per level of nesting."""
+    on one line.  A numpy array of any ndim is written as
+    ``matrix_to_pairs`` of it (:func:`_write_array`), at a cost in
+    proportion to its nonzero entries, and every other value by json's C
+    encoder (there is no ``indent``), so the text is ``json.dumps(doc,
+    sort_keys=True, separators=(",", ":"))`` of the document whose
+    arrays are ``matrix_to_pairs`` lists.  The pieces are joined once,
+    so no part of the text is copied per level of nesting."""
     parts: list = []
     _write(doc, parts.append)
     return "".join(parts)
@@ -185,11 +189,11 @@ def dumps(doc: dict) -> str:
 
 def _write(value, put) -> None:
     """Pass the pieces of the JSON text of ``value`` to ``put``, in order:
-    an array by :func:`_write_matrix`, any other value by one call of
+    an array by :func:`_write_array`, any other value by one call of
     the encoder, unless json meets an array inside it; such a dict (its
     keys strings) or list is written item by item."""
     if isinstance(value, np.ndarray):
-        _write_matrix(value, put)
+        _write_array(value, put)
         return
     try:
         put(_encode(value))
@@ -213,31 +217,92 @@ def _write(value, put) -> None:
         put("]")
 
 
-def _write_matrix(M, put) -> None:
-    """The pieces of ``json.dumps(matrix_to_pairs(M))``.  A matrix with a
-    zero row is written row by row, each row whose re and im bits are
-    all zero (+0.0, not -0.0) as one shared string; a matrix without one
-    is one call of the encoder."""
+#: The text of a zero entry: [+0.0, +0.0].
+_ZERO_ENTRY = "[0.0,0.0]"
+
+
+class _ZeroRuns(dict):
+    """The zero texts of an array of shape ``shape``, each built once, on
+    first use: ``self[depth, r]`` is r zero elements of an array at
+    ``depth`` joined by commas.  The array itself is at depth 0 and its
+    rows of entries at depth ndim - 1."""
+
+    def __init__(self, shape: tuple):
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, key) -> str:
+        depth, r = key
+        if depth == len(self.shape) - 1:
+            element = _ZERO_ENTRY
+        else:
+            element = "[" + self[depth + 1, self.shape[depth + 1]] + "]"
+        text = self[key] = ",".join([element] * r)
+        return text
+
+
+def _write_array(M, put) -> None:
+    """The pieces of ``json.dumps(matrix_to_pairs(M))``, M of any ndim,
+    at a cost in proportion to its nonzero entries.  An entry is zero
+    when its re and im bits are all zero (+0.0, not -0.0).  One call of
+    the encoder formats the nonzero entries, and its text is split into
+    one text per entry; a run of them in one row is joined.  The zero
+    entries, rows and matrices around them, and runs of each, are shared
+    strings (:class:`_ZeroRuns`), passed as pieces.  An array without a
+    zero entry is one call of the encoder."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        put(_encode(matrix_to_pairs(M)))
-        return
-    rows, cols = M.shape
-    pairs = np.ascontiguousarray(M).view(np.float64).reshape(rows, cols, 2)
-    nonzero = np.flatnonzero(pairs.view(np.int64).reshape(rows, 2 * cols).any(axis=1))
-    if len(nonzero) == rows:
+    pairs = np.ascontiguousarray(M).reshape(-1).view(np.float64).reshape(*M.shape, 2)
+    bits = pairs.view(np.int64)
+    flat = np.flatnonzero(np.logical_or(bits[..., 0], bits[..., 1]))
+    if M.ndim == 0 or len(flat) == M.size:
         put(_encode(pairs.tolist()))
         return
-    text = ["[" + ",".join(("[0.0,0.0]",) * cols) + "]"] * rows
-    for i in nonzero:
-        text[i] = _row_text(pairs[i])
-    put("[" + ",".join(text) + "]")
+    shape, runs = M.shape, _ZeroRuns(M.shape)
+    if not len(flat):
+        put("[")
+        put(runs[0, shape[0]])
+        put("]")
+        return
+    top = len(shape) - 1
 
+    def close(a, level):
+        """Close the arrays of depth above ``level`` that hold entry a."""
+        for depth in range(top, level, -1):
+            rest = shape[depth] - 1 - a[depth]
+            if rest:
+                put(",")
+                put(runs[depth, rest])
+            put("]")
 
-def _row_text(pairs: np.ndarray) -> str:
-    """The JSON text of one matrix row, given as its (cols, 2) [re, im]
-    floats."""
-    return _encode(pairs.tolist())
+    entries = _encode(pairs.reshape(-1, 2)[flat].tolist())[2:-2].split("],[")
+    # a segment is a run of consecutive nonzero entries in one row; before
+    # each, close the arrays that hold the last entry of the one before,
+    # up to the first depth at which the two differ, and open those of
+    # its first entry
+    starts = np.flatnonzero((np.diff(flat, prepend=-1) != 1) | (flat % shape[-1] == 0))
+    ends = np.append(starts[1:], len(flat))
+    firsts, lasts = (
+        np.stack(np.unravel_index(flat[k], shape), axis=1) for k in (starts, ends - 1)
+    )
+    levels = np.argmax(firsts[1:] != lasts[:-1], axis=1)
+    gaps = zip(chain([None], lasts.tolist()), firsts.tolist(), chain([-1], levels.tolist()))
+    for (a, b, level), i, j in zip(gaps, starts.tolist(), ends.tolist()):
+        if a is not None:
+            close(a, level)
+            put(",")
+            between = b[level] - a[level] - 1
+            if between:
+                put(runs[level, between])
+                put(",")
+        for depth in range(level + 1, top + 1):
+            put("[")
+            if b[depth]:
+                put(runs[depth, b[depth]])
+                put(",")
+        put("[")
+        put("],[".join(entries[i:j]))
+        put("]")
+    close(lasts[-1].tolist(), -1)
 
 
 def save_json(doc: dict, path=None) -> None:
@@ -276,7 +341,7 @@ def _decompose(ch: KrausChannel, adjoint: bool, peripheral_tol: float, cesaro_n:
 
 
 def _basis_doc(fs) -> dict:
-    return {"dimension": fs.dimension, "basis": list(fs.basis)}
+    return {"dimension": fs.dimension, "basis": fs.stack}
 
 
 def verify_channel(ch: KrausChannel, tol: float = linalg.DEFAULT_TOL) -> dict:

@@ -187,6 +187,20 @@ def neg_zero(M, re: bool):
     return M
 
 
+def special_stack():
+    """A (4, 3, 3) stack, mostly +0.0, of the floats whose text is not a
+    plain short decimal: the smallest subnormal, large magnitudes,
+    exponents in the repr, NaN, +-inf, and -0.0 in one part only."""
+    M = np.zeros((4, 3, 3), dtype=complex)
+    M[0, 0, 1] = complex(-0.0, 0.0)
+    M[0, 2, 2] = complex(0.0, -0.0)
+    M[2, 1, 0] = complex(5e-324, 1e300)
+    M[2, 1, 1] = complex(-1e300, 1e-05)
+    M[2, 2, 0] = complex(1e16, np.nan)
+    M[3, 2, 2] = complex(np.inf, -np.inf)
+    return M
+
+
 DUMPS_CHANNELS = [pauli_xy_channel(0.3)] + [
     build(0.6 if build is ladder_channel else 0.3, d)
     for d in range(2, 17)
@@ -230,12 +244,20 @@ class TestDumpsWritesArrays:
             np.random.default_rng(3).normal(size=(5, 5)) + 1j,  # fully dense
             np.random.default_rng(4).normal(size=(2, 6)),  # real, not square
             np.zeros((0, 0), dtype=complex),
+            np.zeros((3, 0), dtype=complex),
+            np.array(0j),
+            np.array(complex(-0.0, 1e300)),
+            np.array([0, 0, complex(1e-05, -2.5e-08), 0, 0]),
+            np.zeros((0, 2, 2), dtype=complex),
+            np.zeros((2, 0, 2), dtype=complex),
+            np.zeros((2, 2, 0), dtype=complex),
         ],
         ids=[
             "neg-zero-re", "neg-zero-im", "neg-zero-in-identity", "all-zero",
             "one-by-one", "one-by-one-zero", "one-nonzero-row", "two-nonzero-rows",
             "mostly-dense",
-            "dense", "real-wide", "empty",
+            "dense", "real-wide", "empty", "no-columns", "scalar-zero", "scalar",
+            "vector", "no-matrices", "no-rows", "stack-no-columns",
         ],
     )
     def test_matrix_edge_cases(self, M):
@@ -258,22 +280,89 @@ class TestDumpsWritesArrays:
         doc = io.iterate_channel(pauli_xy_channel(0.25), 3)
         assert json.loads(io.dumps(doc)) == as_pairs(doc)
 
-    def test_rows_are_encoded_only_where_nonzero(self, monkeypatch):
-        # parity-fock d = 16: 128 fixed-space matrices of 16 rows, almost
-        # all of them zero
+    def test_encoder_formats_each_nonzero_entry_once(self, monkeypatch):
+        # parity-fock d = 16: 128 fixed-space matrices of 16 x 16, almost
+        # all entries zero.  The encoder is given the re and im floats of
+        # the nonzero entries, in order, each once, and nothing else
+        # that holds a float: no zero entry is formatted.
         doc = io.fixed_space_channel(parity_fock_channel(0.3, 16))
-        basis = doc["basis"]
-        nonzero_rows = sum(
-            int(np.count_nonzero(np.any(B.view(np.int64) != 0, axis=1))) for B in basis
-        )
-        leaves = len(doc) - 1  # every field but the basis is one value
-        assert nonzero_rows < sum(len(B) for B in basis) // 4
-        calls = []
-        encode_row = io._row_text
-        monkeypatch.setattr(io, "_row_text", lambda row: calls.append(1) or encode_row(row))
+        stack = doc["basis"]
+        assert stack.shape == (128, 16, 16)
+        pairs = stack.view(np.float64).reshape(-1, 2)
+        nonzero = pairs[np.any(pairs.view(np.int64) != 0, axis=1)]
+        assert 0 < len(nonzero) < stack.size // 50
+        seen = []
+        encode = io._encode
+        monkeypatch.setattr(io, "_encode", lambda value: seen.append(value) or encode(value))
         text = io.dumps(doc)
-        assert 0 < len(calls) <= nonzero_rows + leaves
+        floats = list(floats_in(seen))
+        assert np.array_equal(
+            np.array(floats).view(np.int64), nonzero.ravel().view(np.int64)
+        )
         assert text == canonical_json(doc)
+
+
+def floats_in(value):
+    """The floats in ``value``, depth first; an array is not looked into."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from floats_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from floats_in(item)
+
+
+#: Floats whose text is not a plain short decimal: the smallest
+#: subnormal, large magnitudes, exponents in the repr, and what json
+#: writes as NaN and Infinity.
+SPECIAL_FLOATS = [5e-324, 1e300, -1e300, 1e-05, 1e16, -2.5e-08, np.nan, np.inf, -np.inf]
+
+
+def random_array(rng):
+    """A complex array of ndim 0-3, each axis 0-4 long, whose entries are
+    +0.0 with a seeded probability and else a mix of ordinary and
+    special floats, with -0.0 in the real part only or the imaginary part
+    only."""
+    shape = tuple(int(n) for n in rng.integers(0, 5, size=rng.integers(0, 4)))
+    values = np.array(SPECIAL_FLOATS + [-0.0, 0.0, 1.0, -0.3, 0.1 + 0.2])
+    M = np.empty(shape, dtype=complex)
+    M.real, M.imag = rng.choice(values, size=shape), rng.choice(values, size=shape)
+    M[rng.random(shape) < 0.15] = complex(-0.0, 0.0)
+    M[rng.random(shape) < 0.15] = complex(0.0, -0.0)
+    M[rng.random(shape) < rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])] = 0
+    return M
+
+
+def stdlib_json(M) -> str:
+    return json.dumps({"m": io.matrix_to_pairs(M)}, sort_keys=True, separators=(",", ":"))
+
+
+class TestWriterMatchesTheStdlib:
+    """``io.dumps`` of any array is the stdlib encoding of its
+    ``matrix_to_pairs`` list, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            M = random_array(rng)
+            assert io.dumps({"m": M}) == stdlib_json(M), (M.shape, M)
+
+    def test_special_floats(self):
+        M = special_stack()
+        text = io.dumps({"m": M})
+        assert text == stdlib_json(M)
+        assert text.count("-0.0") == 2 and "NaN" in text and "-Infinity" in text
+
+    def test_empty_basis_document(self):
+        # the truncated shift fixes nothing: its basis is a (0, d, d) stack
+        doc = io.fixed_space_channel(shift_channel(0.5, 6))
+        assert doc["dimension"] == 0 and doc["basis"].shape == (0, 6, 6)
+        text = io.dumps(doc)
+        assert text == canonical_json(doc)
+        assert json.loads(text)["basis"] == []
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
