@@ -45,29 +45,10 @@ from ergochan.errors import (
     NumericError,
     SplittingViolationError,
 )
-from helpers import count_linalg_calls, on_side, stinespring_channel
-
-CATALOG_CHANNELS = [
-    pauli_xy_channel(0.25),
-    pauli_xy_channel(0.5),
-    pauli_xy_channel(0.9),
-    shift_channel(0.5, 8),
-    parity_fock_channel(0.3, 8),
-]
-CATALOG_IDS = ["pauli25", "pauli50", "pauli90", "shift8", "parity8"]
-
-
-def identity_channel(d):
-    return KrausChannel(kraus=(np.eye(d),), label=f"identity({d})")
-
-
-def replacement_channel(sigma):
-    """X -> Tr(X) diag(sigma): V_ij = sqrt(sigma_i) |i><j|."""
-    E = np.eye(len(sigma))
-    kraus = tuple(
-        np.sqrt(s) * np.outer(E[i], E[j]) for i, s in enumerate(sigma) for j in range(len(E))
-    )
-    return KrausChannel(kraus=kraus, label="replacement")
+import corpus
+from corpus import identity_channel
+from helpers import (assert_bits, assert_same_layout, assert_same_routes, count_linalg_calls,
+                     kron_sum, on_side, stinespring_channel, whole_sectors)
 
 
 def power_drift_bound(n, X):
@@ -133,7 +114,7 @@ class TestCesaro:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 17, 400])
     @pytest.mark.parametrize("lam", [1.0, -1.0])
-    @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
+    @pytest.mark.parametrize("ch", corpus.params("catalog"))
     def test_doubling_equals_loop(self, ch, lam, n):
         L = superoperator(ch)
         ref = cesaro_loop(L, lam, n)
@@ -206,14 +187,7 @@ class TestFixedSpace:
         Q = np.column_stack([linalg.vec(B) for B in fs.basis])
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(fs.dimension), 2) < 1e-10
 
-    @pytest.mark.parametrize("side", ["forward", "adjoint"])
-    @pytest.mark.parametrize(
-        "ch",
-        CATALOG_CHANNELS
-        + [pauli_xy_channel(1 - 1e-9)]
-        + [stinespring_channel(30 + d, d, count) for d, count in ((3, 2), (4, 3), (6, 2))],
-        ids=CATALOG_IDS + ["pauli-near-identity", "random3", "random4", "random6"],
-    )
+    @pytest.mark.parametrize("ch, side", corpus.params("catalog", "small", sides=True))
     def test_matches_the_decomposition(self, ch, side):
         # at the decomposition's own cut, fixed_space spans the kernel
         # the decomposition takes from L - 1
@@ -292,18 +266,18 @@ class TestSpectralProjectors:
             run(np.kron(np.eye(3), A))  # X -> A X
         assert calls == []
 
-    @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
-    def test_projector_algebra(self, ch):
-        L = superoperator(ch)
+    @pytest.mark.parametrize("ch, side", corpus.params("catalog", "dense", sides=True))
+    def test_projector_algebra(self, ch, side):
+        L = superoperator(on_side(ch, side))
         decomp = peripheral_decomposition(L)
         for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
-            assert linalg.operator_norm(P @ P - P) <= 1e-8
-            assert linalg.operator_norm(L @ P - lam * P) <= 1e-8
-            assert linalg.operator_norm(P @ L - lam * P) <= 1e-8
-            assert linalg.operator_norm(P @ decomp.stable) <= 1e-8
-            assert linalg.operator_norm(decomp.stable @ P) <= 1e-8
+            assert linalg.operator_norm(P @ P - P) <= 1e-10
+            assert linalg.operator_norm(L @ P - lam * P) <= 1e-10
+            assert linalg.operator_norm(P @ L - lam * P) <= 1e-10
+            assert linalg.operator_norm(P @ decomp.stable) <= 1e-10
+            assert linalg.operator_norm(decomp.stable @ P) <= 1e-10
             for Q in decomp.projectors[i + 1 :]:
-                assert linalg.operator_norm(P @ Q) <= 1e-8
+                assert linalg.operator_norm(P @ Q) <= 1e-10
 
 
 class TestStablePart:
@@ -357,7 +331,7 @@ class TestReconstruction:
         X = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
         assert np.linalg.norm(reconstruct_iterate(decomp, 4, X) - apply_n(ch, X, 4)) < 1e-11
 
-    @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
+    @pytest.mark.parametrize("ch", corpus.params("catalog"))
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
     def test_reconstruction_equivalence(self, ch, n):
         decomp = peripheral_decomposition(superoperator(ch))
@@ -458,9 +432,7 @@ class TestConjugatePeripheralPair:
     pair that the real form must handle in complex arithmetic."""
 
     p, theta = 0.3, 0.7
-    U = np.diag(np.exp(1j * theta * np.arange(3)))
-    Z = np.diag([1.0, -1.0, 1.0])
-    ch = KrausChannel(kraus=(np.sqrt(p) * U, np.sqrt(1 - p) * U @ Z))
+    ch = corpus.conjugate_pair_channel(p, theta)
 
     def test_matches_closed_form(self):
         L = superoperator(self.ch)
@@ -484,15 +456,6 @@ class TestConjugatePeripheralPair:
             assert np.allclose(reconstruct_iterate(decomp, n, X), want, atol=1e-12)
 
 
-def random_unitary_channel(seed, d):
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return KrausChannel(kraus=(Q,))
-
-
-UNITARY_SEEDS = [405, 406, 407, 408]
-
-
 class TestPeripheralClusters:
     """Single linkage on the folded arguments |arg| in [0, pi]."""
 
@@ -502,8 +465,8 @@ class TestPeripheralClusters:
         z = np.exp(1j * (0.3 + np.array([0.0, 0.9e-7, 1.8e-7])))
         chain = np.concatenate([z, z.conj(), [1.0, 1.0, -1.0, 0.5]])
         sets = [chain]
-        for seed in UNITARY_SEEDS:
-            _, _, stacks = ergodic._sectors(superoperator(random_unitary_channel(seed, 4)))
+        for case in corpus.cases("unitary"):
+            _, _, stacks = ergodic._sectors(superoperator(case.channel))
             sets.append(ergodic._eigvals(stacks))
         rng = np.random.default_rng(0)
         for lam in sets:
@@ -525,31 +488,6 @@ class TestPeripheralClusters:
             (z, 1), (z.conjugate(), 1)
         ]
 
-    @pytest.mark.parametrize("seed", UNITARY_SEEDS)
-    def test_lambdas_and_projectors_are_exact_conjugates(self, seed):
-        # the Cesaro check is off: its budget is that of the known
-        # Cesaro defect, not of the clustering
-        d = seed - 402
-        decomp = peripheral_decomposition(
-            superoperator(random_unitary_channel(seed, d)), cesaro_check_n=0
-        )
-        lambdas = list(decomp.lambdas)
-        assert len(lambdas) == d * d - d + 1  # 1, and each e^{i(a_j - a_k)}
-        assert set(lambdas) == {lam.conjugate() for lam in lambdas}
-        for lam, P in zip(lambdas, decomp.projector_blocks):
-            Q = decomp.projector_blocks[lambdas.index(lam.conjugate())]
-            assert all(np.array_equal(A.conj(), B) for A, B in zip(P, Q))
-
-    @pytest.mark.parametrize("seed", UNITARY_SEEDS)
-    def test_a_conjugate_alone(self, seed):
-        L = superoperator(random_unitary_channel(seed, 3))
-        decomp = peripheral_decomposition(L, cesaro_check_n=0)
-        lambdas = list(decomp.lambdas)
-        lam = next(lam for lam in lambdas if lam.imag > 0)
-        (P,) = spectral_projectors(L, [lam.conjugate()])
-        want = decomp.projectors[lambdas.index(lam.conjugate())]
-        assert linalg.operator_norm(P - want) <= 1e-10
-
 
 class TestProjectorRanks:
     @pytest.mark.parametrize(
@@ -558,7 +496,7 @@ class TestProjectorRanks:
             pauli_xy_channel(0.3),
             parity_fock_channel(0.3, 8),
             ladder_channel(0.5, 6),
-            random_unitary_channel(406, 6),
+            stinespring_channel(406, 6, 1),  # a random unitary
         ],
         ids=["pauli", "parity8", "ladder6", "unitary6"],
     )
@@ -581,12 +519,9 @@ class TestProjectorRanks:
 
 
 def planted_channel(seed, delta):
-    """V_i = U (x) W_i on C^2 (x) C^3, U = diag(e^{0.3i}, e^{i(0.3 + delta)})
-    and W a random 2-Kraus channel: peripheral eigenvalues 1 (twice) and
-    e^{+-i delta}, once each, so Ker(I - L) has dimension 2."""
-    U = np.diag(np.exp(1j * np.array([0.3, 0.3 + delta])))
-    W = stinespring_channel(seed, 3, 2).kraus
-    return KrausChannel(kraus=tuple(np.kron(U, V) for V in W))
+    """On C^2 (x) C^3: peripheral eigenvalues 1 (twice) and e^{+-i delta},
+    once each, so Ker(I - L) has dimension 2."""
+    return corpus.planted_channel([0.3, 0.3 + delta], seed, 3)
 
 
 def planted_outcome(seed, delta, side):
@@ -672,18 +607,9 @@ class TestDecayFit:
         for k, norm in enumerate(fit.norms):
             assert norm <= 0.4 ** (k + 1) * (1 + 1e-10)
 
-    # pauli50 and the last three have a round-off stable part: its norms
-    # are near 1e-16, not 0, and M must cover them
-    @pytest.mark.parametrize(
-        "ch",
-        CATALOG_CHANNELS
-        + [
-            identity_channel(3),
-            replacement_channel([0.5, 0.3, 0.2]),
-            random_unitary_channel(405, 3),
-        ],
-        ids=CATALOG_IDS + ["identity3", "replacement3", "unitary3"],
-    )
+    # pauli-0.5, identity, replacement and unitary have a round-off stable
+    # part: its norms are near 1e-16, not 0, and M must cover them
+    @pytest.mark.parametrize("ch", corpus.params("catalog", "small"))
     def test_certificate_holds(self, ch):
         decomp = peripheral_decomposition(superoperator(ch))
         fit = decay_fit(decomp.stable, 25)
@@ -743,35 +669,10 @@ def stable_radius_oracle(decomp):
     return max(float(np.max(np.abs(np.linalg.eigvals(B)))) for B in decomp.stable_blocks)
 
 
-STABLE_RADIUS_CASES = (
-    [
-        pytest.param(ch, side, id=f"{name}-{side}")
-        for side in (FORWARD, ADJOINT)
-        for name, ch in [
-            *((f"pauli{p}", pauli_xy_channel(p)) for p in (0.25, 0.9, 1 - 1e-9)),
-            *((f"shift{d}", shift_channel(0.5, d)) for d in (2, 4, 8, 16)),
-            *((f"parity{d}", parity_fock_channel(0.3, d)) for d in (2, 4, 8, 16)),
-            ("parity4-near-one", parity_fock_channel(1 - 1e-9, 4)),
-            *(
-                (f"ladder{g}-{d}", ladder_channel(g, d))
-                for g in (0.3, 0.5, 0.7)
-                for d in (4, 8, 16)
-            ),
-        ]
-    ]
-    + [
-        pytest.param(
-            stinespring_channel(seed, 2 + seed % 7, 2 + seed % 3), FORWARD, id=f"random{seed}"
-        )
-        for seed in range(30)
-    ]
-)
-
-
 class TestStableRadiusFromL:
     """rho(S) is read from the eigenvalues of L by Wielandt deflation."""
 
-    @pytest.mark.parametrize("ch, side", STABLE_RADIUS_CASES)
+    @pytest.mark.parametrize("ch, side", corpus.params("oracle", sides=True))
     def test_matches_the_eigensolve_of_s(self, ch, side):
         decomp = peripheral_decomposition(on_side(ch, side), cesaro_check_n=0)
         want = stable_radius_oracle(decomp)
@@ -784,17 +685,6 @@ class TestStableRadiusFromL:
         assert stable_radius_oracle(decomp) <= 4 * np.finfo(float).eps
 
 
-BLOCKWISE_CHANNELS = [
-    pauli_xy_channel(0.3),
-    parity_fock_channel(0.3, 8),
-    shift_channel(0.4, 8),
-    stinespring_channel(7, 3, 2),
-    shift_channel(0.4, 16),
-    catalog.ladder_channel(0.7, 16),
-]
-BLOCKWISE_IDS = ["pauli30", "parity8", "shift8", "random3", "shift16", "ladder16"]
-
-
 def assert_norms_match_loop(S, n_max=40, rtol=1e-13):
     got = np.array(decay_fit(S, n_max).norms)
     ref = np.array(decay_norms_loop(S, n_max))
@@ -802,16 +692,15 @@ def assert_norms_match_loop(S, n_max=40, rtol=1e-13):
 
 
 class TestDecayFitBlockwise:
-    @pytest.mark.parametrize("side", ["forward", "adjoint"])
-    @pytest.mark.parametrize("ch", BLOCKWISE_CHANNELS, ids=BLOCKWISE_IDS)
+    @pytest.mark.parametrize("ch, side", corpus.params("sparse", "blockwise", "dense", sides=True))
     def test_norms_match_dense_loop(self, ch, side):
         decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
         assert_norms_match_loop(decomp.stable)
 
     def test_catalog_stable_parts_split(self):
         # the certificate only gains where S really has several blocks
-        for ch in BLOCKWISE_CHANNELS[:3]:
-            S = peripheral_decomposition(superoperator(ch)).stable
+        for id in ("pauli-0.3", "parity-0.3-d8", "shift-0.4-d8"):
+            S = peripheral_decomposition(superoperator(corpus.get(id))).stable
             assert len(linalg.support_components(S)[1]) > 1
 
     def test_zero(self):
@@ -881,9 +770,9 @@ class TestSplitting:
         rep = splitting_check(superoperator(pauli_xy_channel(0.3)))
         assert (rep.fixed_dim, rep.range_dim) == (1, 3)
 
-    @pytest.mark.parametrize("ch", CATALOG_CHANNELS, ids=CATALOG_IDS)
-    def test_rank_nullity(self, ch):
-        rep = splitting_check(superoperator(ch))
+    @pytest.mark.parametrize("ch, side", corpus.params("catalog", "dense", sides=True))
+    def test_rank_nullity(self, ch, side):
+        rep = splitting_check(superoperator(on_side(ch, side)))
         assert rep.fixed_dim + rep.range_dim == ch.dim**2
 
     def test_no_sampling_parameters(self):
@@ -1078,38 +967,13 @@ def joined_unitarity(decomp, L):
     return float(np.max(np.abs(s - 1.0)))
 
 
-# (id, channel, a second channel of the same family)
-FIXED_POINT_CASES = [
-    pytest.param(make(0.3, d), make(0.6, d), id=f"{name}{d}")
-    for name, make in (
-        ("shift", shift_channel),
-        ("parity", parity_fock_channel),
-        ("ladder", catalog.ladder_channel),
-    )
-    for d in (4, 8, 16)
-] + [
-    pytest.param(pauli_xy_channel(0.3), pauli_xy_channel(0.7), id="pauli"),
-    pytest.param(stinespring_channel(31, 3), stinespring_channel(32, 3), id="random3-tp"),
-    pytest.param(stinespring_channel(33, 6), stinespring_channel(34, 6), id="random6-tp"),
-    pytest.param(
-        stinespring_channel(35, 3, drop=1), stinespring_channel(36, 3, drop=1),
-        id="random3-decreasing",
-    ),
-    pytest.param(
-        stinespring_channel(37, 6, drop=1), stinespring_channel(38, 6, drop=1),
-        id="random6-decreasing",
-    ),
-    pytest.param(parity_fock_channel(0.5, 8), parity_fock_channel(0.5, 8), id="unital-parity8"),
-]
-
-
 class TestFixedPointChecksAgainstDenseOracles:
     """The three checks run on the blocks of the Hermitian forms; the
     oracles run on the whole matrices in column stacking."""
 
     TOL = ergodic.DEFAULT_FIXED_TOL
 
-    @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
+    @pytest.mark.parametrize("ch, _", corpus.params("pairs", partner=True))
     def test_hs_fixed_point_symmetry(self, ch, _):
         Lf = superoperator(ch)
         La = superoperator(on_side(ch, ADJOINT))
@@ -1126,17 +990,17 @@ class TestFixedPointChecksAgainstDenseOracles:
         if rep.adjoint_fixed.dimension:
             assert_fixed_orthonormal_basis(rep.adjoint_fixed, [ch], adjoint=True)
 
-    @pytest.mark.parametrize("ch, other", FIXED_POINT_CASES)
-    @pytest.mark.parametrize("same", [True, False], ids=["self", "pair"])
-    def test_fixed_space_intersection(self, ch, other, same):
-        channels = [ch, ch if same else other]
-        weights = [0.4, 0.6]
+    def assert_intersection(self, channels, weights, stacked):
+        """fixed_space_intersection against the dense oracles, where the
+        kernel of ``stacked(Ls, n)`` is the intersection of the fixed
+        spaces of the superoperators Ls; returns its dimension."""
         Ls = [superoperator(c) for c in channels]
         n = len(Ls[0])
         combined = dense_fixed_columns(sum(w * L for w, L in zip(weights, Ls)))
-        complements = [np.eye(n) - Q @ Q.conj().T for Q in map(dense_fixed_columns, Ls)]
-        intersection = dense_null_space(np.vstack(complements))
-        commute = np.linalg.norm(Ls[0] @ Ls[1] - Ls[1] @ Ls[0], 2)
+        intersection = dense_null_space(stacked(Ls, n))
+        commute = max(
+            np.linalg.norm(A @ B - B @ A, 2) for i, A in enumerate(Ls) for B in Ls[i + 1 :]
+        )
         rep = fixed_space_intersection(channels, weights)
         assert rep.combined_fixed.dimension == combined.shape[1]
         assert rep.intersection.dimension == intersection.shape[1]
@@ -1149,6 +1013,16 @@ class TestFixedPointChecksAgainstDenseOracles:
             assert rep.equal is None and rep.projection_residual is None
         assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
         assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
+        return intersection.shape[1]
+
+    @pytest.mark.parametrize("ch, other", corpus.params("pairs", partner=True))
+    @pytest.mark.parametrize("same", [True, False], ids=["self", "pair"])
+    def test_fixed_space_intersection(self, ch, other, same):
+        # the kernel of the stacked complements of the parts' fixed spaces
+        def complements(Ls, n):
+            return np.vstack([np.eye(n) - Q @ Q.conj().T for Q in map(dense_fixed_columns, Ls)])
+
+        self.assert_intersection([ch, ch if same else other], [0.4, 0.6], complements)
 
     @pytest.mark.parametrize("side", [FORWARD, ADJOINT])
     @pytest.mark.parametrize("d", [4, 8])
@@ -1166,32 +1040,12 @@ class TestFixedPointChecksAgainstDenseOracles:
         # I - L_i; the shift has no fixed point, so with it the
         # intersection is empty
         channels = [on_side(make(p, d), side) for make, p in zip(makers, (0.3, 0.5, 0.7))]
-        weights = [0.2, 0.3, 0.5]
-        Ls = [superoperator(c) for c in channels]
-        n = len(Ls[0])
-        combined = dense_fixed_columns(sum(w * L for w, L in zip(weights, Ls)))
-        intersection = dense_null_space(np.vstack([np.eye(n) - L for L in Ls]))
-        commute = max(
-            np.linalg.norm(A @ B - B @ A, 2) for i, A in enumerate(Ls) for B in Ls[i + 1 :]
+        dim = self.assert_intersection(
+            channels, [0.2, 0.3, 0.5], lambda Ls, n: np.vstack([np.eye(n) - L for L in Ls])
         )
-        rep = fixed_space_intersection(channels, weights)
-        assert rep.combined_fixed.dimension == combined.shape[1]
-        assert rep.intersection.dimension == intersection.shape[1]
-        if shift_channel in makers:
-            assert intersection.shape[1] == 0
-        else:
-            assert intersection.shape[1] == d * d // 2
-        assert abs(rep.commute_residual - commute) <= 1e-12
-        if commute <= self.TOL:
-            resid = dense_span_residual(combined, intersection)
-            assert rep.equal == (resid <= self.TOL)
-            assert abs(rep.projection_residual - resid) <= 1e-12
-        else:
-            assert rep.equal is None and rep.projection_residual is None
-        assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
-        assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
+        assert dim == (0 if shift_channel in makers else d * d // 2)
 
-    @pytest.mark.parametrize("ch, _", FIXED_POINT_CASES)
+    @pytest.mark.parametrize("ch, _", corpus.params("pairs", partner=True))
     def test_peripheral_unitarity_check(self, ch, _):
         L = superoperator(ch)
         decomp = peripheral_decomposition(L, cesaro_check_n=0)
@@ -1556,34 +1410,6 @@ class TestKernelProjectors:
         assert decomp.fixed_space.dimension == decomp.projector_ranks[0] == 8
 
 
-def covariant_channel(seed, d, offsets=(0, 1, -1, 2), scale=1.0):
-    """Random phase-covariant channel: V_k = diag(z_k) shift^{o_k}, each
-    moving the number basis by a fixed offset, normalised so that
-    sum V^dag V = scale * I (trace decreasing for scale < 1)."""
-    rng = np.random.default_rng(seed)
-    kraus = [
-        np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ np.eye(d, k=o)
-        for o in offsets
-    ]
-    total = np.real(np.diag(sum(V.conj().T @ V for V in kraus)))  # diagonal
-    return KrausChannel(kraus=tuple(V * np.sqrt(scale / total) for V in kraus))
-
-
-SECTOR_CHANNELS = [
-    pauli_xy_channel(0.3),
-    parity_fock_channel(0.3, 8),
-    shift_channel(0.4, 8),
-    ladder_channel(0.7, 8),
-    ladder_channel(0.3, 4),
-    TestConjugatePeripheralPair.ch,
-    covariant_channel(31, 5),
-    covariant_channel(32, 5, scale=0.9),
-]
-SECTOR_IDS = [
-    "pauli30", "parity8", "shift8", "ladder8", "ladder4", "conjpair3", "cov5", "cov5sub",
-]
-
-
 def joined(L, side, seed=0):
     """L + 1e-300 R, R the superoperator of a random channel on ``side``:
     numerically L, but with no zero entry, so its Hermitian form is one
@@ -1593,16 +1419,10 @@ def joined(L, side, seed=0):
     return L + 1e-300 * R
 
 
-def span_projector_of(fs):
-    Q = np.column_stack([linalg.vec(B) for B in fs.basis]) if fs.basis else np.zeros((0, 0))
-    return Q @ Q.conj().T
-
-
 class TestSectors:
     """peripheral_decomposition on the exact diagonal blocks of L."""
 
-    @pytest.mark.parametrize("side", ["forward", "adjoint"])
-    @pytest.mark.parametrize("ch", SECTOR_CHANNELS, ids=SECTOR_IDS)
+    @pytest.mark.parametrize("ch, side", corpus.params("sparse", sides=True))
     def test_sectors_agree_with_one_block(self, ch, side):
         L = superoperator(on_side(ch, side))
         sectors = peripheral_decomposition(L)
@@ -1620,7 +1440,8 @@ class TestSectors:
         )
         d = ch.dim
         assert sectors.fixed_space.dimension == dense.fixed_space.dimension
-        gap = span_projector_of(sectors.fixed_space) - span_projector_of(dense.fixed_space)
+        n = len(L)
+        gap = span_projector(sectors.fixed_space, n) - span_projector(dense.fixed_space, n)
         assert np.max(np.abs(gap), initial=0.0) <= 1e-12
         for B in sectors.fixed_space.basis:
             assert np.array_equal(B, B.conj().T)
@@ -1733,30 +1554,12 @@ def assert_matches_dense_oracle(L, tol):
     return fixed_dim
 
 
-ORACLE_CHANNELS = [
-    *(make(p, d) for d in (8, 16) for make, p in (
-        (shift_channel, 0.5), (parity_fock_channel, 0.3), (ladder_channel, 0.7)
-    )),
-    pauli_xy_channel(0.3),
-    ladder_channel(0.3, 4),
-    stinespring_channel(40, 3, 2),
-    stinespring_channel(41, 4, 3),
-    stinespring_channel(42, 6, 2),
-    parity_fock_channel(1 - 1e-9, 4),
-]
-ORACLE_IDS = [
-    "shift8", "parity8", "ladder8", "shift16", "parity16", "ladder16",
-    "pauli30", "ladder4", "random3", "random4", "random6", "parity-near-identity",
-]
-
-
 class TestKernelsAgainstDenseOracle:
     """fixed_space and splitting_check run on L's blocks; their kernels,
     dimensions and residuals are those of one SVD of the whole I - L."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    @pytest.mark.parametrize("side", ["forward", "adjoint"])
-    @pytest.mark.parametrize("ch", ORACLE_CHANNELS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("ch, side", corpus.params("oracle", sides=True))
     def test_sector_kernels_match_one_dense_svd(self, ch, side, tol):
         assert_matches_dense_oracle(superoperator(on_side(ch, side)), tol)
 
@@ -1895,87 +1698,6 @@ def has_signed_zeros(arrays):
         for X in arrays
         for part in ((X.real, X.imag) if np.iscomplexobj(X) else (X,))
     )
-
-
-def kron_sum(kraus):
-    """The reference superoperator: the np.kron products of the V_i added
-    up in their order, from +0."""
-    d = kraus[0].shape[0]
-    L = np.zeros((d * d, d * d), dtype=complex)
-    for V in kraus:
-        L += np.kron(V.conj(), V)
-    return L
-
-
-def whole_sectors(*mats):
-    """The reference layout and stacks of the d^2 x d^2 matrices: each
-    changed to the Hermitian basis whole, the layout that of the union of
-    the supports of their real forms."""
-    forms = [np.ascontiguousarray(linalg.to_hermitian_basis(M).real) for M in mats]
-    layout = linalg.BlockLayout(*linalg.support_components(sum(np.abs(A) for A in forms)))
-    return (layout, *(layout.split(A) for A in forms))
-
-
-def assert_bits(got, want):
-    """Equal dtype, shape and bits, signs of zeros included."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
-    assert np.array_equal(*bits)
-
-
-def assert_same_layout(layout, layout0):
-    assert layout.n == layout0.n
-    for idx, idx0 in zip(layout.index, layout0.index, strict=True):
-        assert idx.dtype == idx0.dtype and np.array_equal(idx, idx0)
-
-
-def assert_same_sectors(ch, side):
-    """The Kraus path and the matrix path each give the layout and the
-    stacks of the whole-matrix reference, bit for bit, signs of zeros
-    included, and the superoperator is the np.kron sum, bit for bit."""
-    ch = on_side(ch, side)
-    L0 = kron_sum(ch.kraus)
-    L = superoperator(ch)
-    assert_bits(L, L0)
-    layout0, stacks0 = whole_sectors(L0)
-    for source in (ch, L):
-        d, layout, stacks = ergodic._sectors(source)
-        assert d == ch.dim
-        assert_same_layout(layout, layout0)
-        assert len(stacks) == len(stacks0)
-        for X, X0 in zip(stacks, stacks0):
-            assert X.dtype == np.float64
-            assert_bits(X, X0)
-    return layout0
-
-
-def assert_same_exits(ch, side):
-    """The dense results built from block entries equal the whole-matrix
-    change back, from_hermitian_basis(layout.join(...)), bit for bit:
-    linalg.from_hermitian_blocks on the real form and on a complex
-    multiple of it, and the projectors and the stable part of the
-    decomposition, where the decomposition succeeds."""
-    ch = on_side(ch, side)
-    _, layout, stacks = ergodic._sectors(ch)
-    for blocks in (stacks, [X * (0.25 - 1j) for X in stacks]):
-        want = linalg.from_hermitian_basis(layout.join(blocks))
-        assert_bits(linalg.from_hermitian_blocks(layout, blocks), want)
-    try:
-        decomp = peripheral_decomposition(ch, cesaro_check_n=0)
-    except ErgochanError:  # not power bounded, or an unresolved cluster
-        return
-    assert_bits(decomp.stable, linalg.from_hermitian_basis(layout.join(decomp.stable_blocks)))
-    wants = [linalg.from_hermitian_basis(layout.join(P)) for P in decomp.projector_blocks]
-    for P, want in zip(decomp.projectors, wants, strict=True):
-        assert_bits(P, want)
-    for P, want in zip(spectral_projectors(ch, decomp.lambdas), wants, strict=True):
-        assert_bits(P, want)
-
-
-def assert_same_routes(ch, side):
-    layout = assert_same_sectors(ch, side)
-    assert_same_exits(ch, side)
-    return layout
 
 
 SIDES = pytest.mark.parametrize("side", [FORWARD, ADJOINT])

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from ergochan import (
-    apply_n,
     channel,
     ergodic,
     io,
-    ladder_channel,
     linalg,
     parity_fock_channel,
     pauli_xy_channel,
@@ -22,6 +20,7 @@ from ergochan.errors import (
     SpecFormatError,
     SpecValidationError,
 )
+import corpus
 from helpers import count_linalg_calls, on_side, stinespring_channel
 
 
@@ -172,13 +171,6 @@ class TestAnalyzeDocument:
         assert doc["stable_spectral_radius"] == pytest.approx(0.5, abs=1e-10)
         assert doc["residuals"]["reconstruction_n5"] <= 1e-10
 
-    @pytest.mark.parametrize(
-        "ch", [pauli_xy_channel(0.25), parity_fock_channel(0.3, 4), stinespring_channel(5, 3, 2)]
-    )
-    def test_dumps_equals_canonical_json_dumps(self, ch):
-        doc = io.analyze_channel(ch, cesaro_n=200)
-        assert io.dumps(doc) == canonical_json(doc)
-
 
 def neg_zero(M, re: bool):
     """M with the entry (0, 1) set to -0.0 in its real or imaginary part."""
@@ -201,22 +193,11 @@ def special_stack():
     return M
 
 
-DUMPS_CHANNELS = [pauli_xy_channel(0.3)] + [
-    build(0.6 if build is ladder_channel else 0.3, d)
-    for d in range(2, 17)
-    for build in (parity_fock_channel, shift_channel, ladder_channel)
-] + [stinespring_channel(11, 5, 2), stinespring_channel(12, 8, count=3, drop=1)]
-
-
 class TestDumpsWritesArrays:
     """``io.dumps`` of a document holding arrays is the stdlib encoding of
     the same document with each array as its ``matrix_to_pairs`` list."""
 
-    @pytest.mark.parametrize(
-        "ch",
-        DUMPS_CHANNELS,
-        ids=[ch.label for ch in DUMPS_CHANNELS[:-2]] + ["random-d5", "trace-decreasing-d8"],
-    )
+    @pytest.mark.parametrize("ch", corpus.params("sweep"))
     def test_documents_equal_the_stdlib_encoding(self, ch):
         docs = [
             io.analyze_channel(ch, cesaro_n=100),
@@ -363,33 +344,6 @@ class TestWriterMatchesTheStdlib:
         text = io.dumps(doc)
         assert text == canonical_json(doc)
         assert json.loads(text)["basis"] == []
-
-
-@pytest.mark.parametrize("adjoint", [False, True])
-@pytest.mark.parametrize(
-    "ch",
-    [
-        pauli_xy_channel(0.25),
-        pauli_xy_channel(1 - 1e-9),  # near the identity: fixed space of dimension 2
-        parity_fock_channel(0.3, 4),
-        shift_channel(0.5, 4),
-        stinespring_channel(5, 3, 2),
-    ],
-    ids=["pauli25", "pauli-near-identity", "parity4", "shift4", "random3"],
-)
-def test_fixed_space_is_the_range_of_p1(ch, adjoint):
-    rep = io.analyze_channel(ch, cesaro_n=200, adjoint=adjoint)
-    ranks = {
-        complex(re, im): rank
-        for (re, im), rank in zip(rep["peripheral"]["lambdas"], rep["peripheral"]["projector_ranks"])
-    }
-    assert rep["fixed_space"]["dimension"] == ranks.get(1.0, 0)
-    written = json.loads(io.dumps(rep))["fixed_space"]["basis"]
-    basis = [io.pairs_to_matrix(B) for B in written]
-    assert len(basis) == ranks.get(1.0, 0)
-    for B in basis:
-        assert np.allclose(B, B.conj().T, atol=1e-15)  # a Hermitian basis
-        assert np.allclose(apply_n(ch, B, 1, adjoint=adjoint), B, atol=1e-10)
 
 
 FACTORISATIONS = ("svd", "eig", "eigvals", "eigvalsh")

@@ -6,7 +6,8 @@ complex Gaussian matrix); the sub-unital variants drop one of its
 blocks, which makes the channel trace-decreasing and its adjoint
 sub-unital.  Both sides are analysed.  Random unitary channels, whose
 every eigenvalue is peripheral, test many clusters and conjugate pairs
-against the same eigenvector-based reference.
+against the same eigenvector-based reference.  The channels are the
+``dense`` and ``unitary`` slices of ``corpus.py``.
 """
 
 import numpy as np
@@ -16,34 +17,20 @@ from ergochan import (
     KrausChannel,
     apply_n,
     hs_fixed_point_symmetry,
+    kraus_sum,
     peripheral_decomposition,
     power_iterate,
     reconstruct_iterate,
-    splitting_check,
+    spectral_projectors,
     superoperator,
-    verify,
 )
-from ergochan import io, linalg
-from ergochan.channel import ADJOINT, FORWARD
+from ergochan import linalg
+from ergochan.channel import ADJOINT
 from ergochan.ergodic import POWER_DRIFT
-from helpers import mirror, on_side, stinespring_channel
+import corpus
+from helpers import mirror, on_side
 
 DIMS = range(2, 9)
-
-
-CHANNELS = [
-    pytest.param(
-        stinespring_channel(100 + d, d, drop=drop, label=f"stinespring(d={d},drop={drop})"),
-        id=f"d{d}-{kind}",
-    )
-    for d in DIMS
-    for drop, kind in ((0, "tp"), (1, "subunital"))
-]
-CASES = [
-    pytest.param(p.values[0], side, id=f"{p.id}-{side}")
-    for p in CHANNELS
-    for side in (FORWARD, ADJOINT)
-]
 
 
 def reference_decomposition(L, peripheral_tol=1e-8, cluster_tol=1e-7):
@@ -66,18 +53,7 @@ def reference_decomposition(L, peripheral_tol=1e-8, cluster_tol=1e-7):
     return lambdas, projectors, stable
 
 
-def rank_of_p1(report):
-    """Rank of the spectral projector at lambda = 1 in an analyze report
-    (0 when 1 is not peripheral)."""
-    peripheral = report["peripheral"]
-    return sum(
-        rank
-        for (re, im), rank in zip(peripheral["lambdas"], peripheral["projector_ranks"])
-        if abs(complex(re, im) - 1) <= 1e-6
-    )
-
-
-@pytest.mark.parametrize("ch, side", CASES)
+@pytest.mark.parametrize("ch, side", corpus.params("dense", sides=True))
 class TestRandomEnsemble:
     def test_matches_complex_eig_reference(self, ch, side):
         L = superoperator(on_side(ch, side))
@@ -92,17 +68,6 @@ class TestRandomEnsemble:
         assert np.array_equal(decomp.stable, mirror(decomp.stable))  # exactly HP
         rho = np.max(np.abs(np.linalg.eigvals(stable)))
         assert decomp.stable_spectral_radius == pytest.approx(rho, rel=1e-10)
-
-    def test_projector_algebra(self, ch, side):
-        M = superoperator(on_side(ch, side))
-        decomp = peripheral_decomposition(M)
-        for i, (lam, P) in enumerate(zip(decomp.lambdas, decomp.projectors)):
-            assert linalg.operator_norm(P @ P - P) <= 1e-10
-            assert linalg.operator_norm(M @ P - lam * P) <= 1e-10
-            assert linalg.operator_norm(P @ M - lam * P) <= 1e-10
-            assert linalg.operator_norm(P @ decomp.stable) <= 1e-10
-            for Q in decomp.projectors[i + 1 :]:
-                assert linalg.operator_norm(P @ Q) <= 1e-10
 
     def test_reconstruction_against_apply_n(self, ch, side):
         decomp = peripheral_decomposition(superoperator(on_side(ch, side)))
@@ -130,10 +95,6 @@ class TestRandomEnsemble:
             err = linalg.hs_norm(power_iterate(L, n, X) - direct)
             assert err <= POWER_DRIFT * n * unit
 
-    def test_splitting(self, ch, side):
-        rep = splitting_check(superoperator(on_side(ch, side)))
-        assert rep.fixed_dim + rep.range_dim == ch.dim**2
-
     def test_projector_norm_is_at_most_sqrt_d(self, ch, side):
         # ||X||_2 <= ||X||_1 <= sqrt(d) ||X||_2, and each P_lambda, a limit
         # of Cesaro means of phi / lambda, contracts the trace norm (the
@@ -143,19 +104,6 @@ class TestRandomEnsemble:
         assert decomp.projector_norm <= np.sqrt(ch.dim) * (1 + 1e-12)
         norms = [linalg.operator_norm(P) for P in decomp.projectors]
         assert decomp.projector_norm == pytest.approx(max(norms, default=0.0), rel=1e-10)
-
-    def test_analyze_fixed_space_is_the_range_of_p1(self, ch, side):
-        rep = io.analyze_channel(ch, cesaro_n=200, adjoint=side == ADJOINT)
-        assert rep["fixed_space"]["dimension"] == rank_of_p1(rep)
-        assert len(rep["fixed_space"]["basis"]) == rank_of_p1(rep)
-
-
-
-@pytest.mark.parametrize("ch", CHANNELS)
-def test_verify(ch):
-    rep = verify(ch)
-    assert rep.all_ok
-    assert rep.max_kraus_sum_eigenvalue <= 1 + 1e-12
 
 
 def unitary_mixture(seed, d, p=0.3):
@@ -177,7 +125,7 @@ def test_hs_fixed_point_symmetry_of_unital_channels(d):
     assert (rep.forward_fixed.dimension, rep.adjoint_fixed.dimension) == (1, 1)
 
 
-@pytest.mark.parametrize("ch", CHANNELS)
+@pytest.mark.parametrize("ch", corpus.params("dense"))
 def test_hs_fixed_point_symmetry(ch):
     # a trace-preserving random channel fixes one state, which is not
     # proportional to I, while its unital adjoint fixes I: the two fixed
@@ -187,7 +135,7 @@ def test_hs_fixed_point_symmetry(ch):
         assert linalg.hs_norm(apply_n(ch, B, 1) - B) <= 1e-10
     for B in rep.adjoint_fixed.basis:
         assert linalg.hs_norm(apply_n(ch, B, 1, adjoint=True) - B) <= 1e-10
-    if len(ch.kraus) == 3:  # trace preserving
+    if np.allclose(kraus_sum(ch), np.eye(ch.dim)):  # trace preserving
         assert (rep.forward_fixed.dimension, rep.adjoint_fixed.dimension) == (1, 1)
         (unit,) = rep.adjoint_fixed.basis
         assert abs(abs(np.trace(unit)) - np.sqrt(ch.dim)) <= 1e-10  # I / sqrt(d)
@@ -198,20 +146,14 @@ def test_hs_fixed_point_symmetry(ch):
         assert rep.equal
 
 
-def unitary_channel(seed, d):
-    rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-    return KrausChannel(kraus=(U,), label=f"unitary(d={d})")
-
-
-@pytest.mark.parametrize("side", (FORWARD, ADJOINT))
-@pytest.mark.parametrize("d", range(3, 7))
-def test_unitary_channels_match_complex_eig_reference(d, side):
+@pytest.mark.parametrize("ch, side", corpus.params("unitary", sides=True))
+def test_unitary_channels_match_complex_eig_reference(ch, side):
     # every eigenvalue exp(i(a_j - a_k)) of X -> U X U^dag is peripheral:
     # 1 with multiplicity d, the others in conjugate pairs.  The Cesaro
     # cross-check is off: its budget ignores the gaps between clusters
     # and refuses some of these channels.
-    L = superoperator(on_side(unitary_channel(500 + d, d), side))
+    d = ch.dim
+    L = superoperator(on_side(ch, side))
     decomp = peripheral_decomposition(L, cesaro_check_n=0)
     lambdas, projectors, stable = reference_decomposition(L)
     assert len(decomp.lambdas) == len(lambdas) == d * d - d + 1
@@ -222,3 +164,13 @@ def test_unitary_channels_match_complex_eig_reference(d, side):
     assert np.max(np.abs(decomp.stable - stable)) <= 1e-12
     assert decomp.projector_norm == pytest.approx(1.0, abs=1e-12)  # L is normal
     assert decomp.fixed_space.dimension == d  # the commutant of U
+    # the lambdas and projectors of each conjugate pair are exact conjugates
+    lambdas = list(decomp.lambdas)
+    assert set(lambdas) == {lam.conjugate() for lam in lambdas}
+    for lam, P in zip(lambdas, decomp.projector_blocks):
+        Q = decomp.projector_blocks[lambdas.index(lam.conjugate())]
+        assert all(np.array_equal(A.conj(), B) for A, B in zip(P, Q))
+    # and spectral_projectors of a conjugate alone is that projector
+    lam = next(lam for lam in lambdas if lam.imag > 0)
+    (P,) = spectral_projectors(L, [lam.conjugate()])
+    assert linalg.operator_norm(P - decomp.projectors[lambdas.index(lam.conjugate())]) <= 1e-10
