@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import KrausChannel
-from .errors import CatalogLookupError, DimensionError, DomainError
-from .linalg import check_count, check_probability, vec
+from .errors import CatalogLookupError, DomainError
+from .linalg import as_operand, check_count, check_probability, vec
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -158,12 +158,10 @@ def parity_iterate_expected(p: float, d: int, n: int, X) -> np.ndarray:
     """
     check_probability(p, "p")
     check_count(d, "d", 2)
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (d, d):
-        raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
+    X = as_operand(X, d).astype(complex)
     check_count(n, "n", 0)
     if n == 0:
-        return X.copy()
+        return X
     gaps = np.subtract.outer(np.arange(d), np.arange(d))
     factor = np.where(gaps % 2 == 0, 1.0, (2.0 * p - 1.0) ** n)
     return X * factor
@@ -205,16 +203,15 @@ def pauli_decomposition_expected(p: float) -> PauliExpected:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     params: tuple
     builder: Callable[..., KrausChannel]
 
 
 CATALOG = {
-    "pauli-xy": CatalogEntry("pauli-xy", ("p",), pauli_xy_channel),
-    "shift": CatalogEntry("shift", ("p", "dim"), shift_channel),
-    "parity-fock": CatalogEntry("parity-fock", ("p", "dim"), parity_fock_channel),
-    "ladder": CatalogEntry("ladder", ("g", "dim"), ladder_channel),
+    "pauli-xy": CatalogEntry(("p",), pauli_xy_channel),
+    "shift": CatalogEntry(("p", "dim"), shift_channel),
+    "parity-fock": CatalogEntry(("p", "dim"), parity_fock_channel),
+    "ladder": CatalogEntry(("g", "dim"), ladder_channel),
 }
 
 

@@ -12,6 +12,7 @@ reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class KrausChannel:
     """A finite Kraus family {V_i} on a d-dimensional space.
 
     Only finite families are representable; infinite Kraus sums are
-    approximated upstream by truncation, never here.
+    approximated upstream by truncation, never here.  The constructor,
+    the one way in, keeps read-only copies of the V_i once checked.
     """
 
     kraus: tuple
@@ -47,18 +49,16 @@ class KrausChannel:
                 raise DimensionError(
                     f"all Kraus operators must be {d}x{d}, got {V.shape}"
                 )
+        # every entry of L, of its Hermitian form and of sum V^dag V is at
+        # most twice sum_i ||V_i||_F^2, so that sum must stay finite times 4
+        if not 4.0 * sum(float(np.vdot(V, V).real) for V in mats) < math.inf:
+            with np.errstate(over="ignore"):
+                largest = max(float(np.max(np.abs(V))) for V in mats)
+            raise DomainError("Kraus operators overflow: 4 sum_i ||V_i||_F^2 is not a finite "
+                              f"float (largest |V_ij| = {largest:.3e})")
         for V in mats:
             V.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
-
-    @classmethod
-    def _checked(cls, kraus: tuple, label: str) -> "KrausChannel":
-        """The channel of read-only d x d operators that are already
-        validated, without :meth:`__post_init__`'s copies and checks."""
-        ch = object.__new__(cls)
-        object.__setattr__(ch, "kraus", kraus)
-        object.__setattr__(ch, "label", label)
-        return ch
 
     @property
     def dim(self) -> int:
@@ -96,10 +96,8 @@ def apply_n(ch: KrausChannel, X, n: int, adjoint: bool = False) -> np.ndarray:
     or of phi* when ``adjoint``; X is validated and the ``V^dag`` are
     formed once, not on every step.  n = 0 returns X; an n that is not an
     integer >= 0 raises :class:`DomainError` (:func:`linalg.check_count`)."""
-    out = linalg.as_matrix(X)
     d = ch.dim
-    if out.shape != (d, d):
-        raise DimensionError(f"expected {d}x{d} input, got {out.shape}")
+    out = linalg.as_operand(X, d)
     linalg.check_count(n, "n", 0)
     daggers = [V.conj().T for V in ch.kraus]
     if adjoint:
@@ -124,14 +122,8 @@ def kraus_sum(ch: KrausChannel) -> np.ndarray:
 
 
 def adjoint_channel(ch: KrausChannel) -> KrausChannel:
-    """The Kraus family {V_i^dag} of phi*, under the same label: each
-    V_i^dag a fresh C-contiguous read-only array, as the channel's
-    constructor makes its operators.  The V_i passed its checks, and so
-    do their adjoints, so they are not checked again."""
-    daggers = tuple(np.conjugate(V.T, order="C") for V in ch.kraus)
-    for V in daggers:
-        V.setflags(write=False)
-    return KrausChannel._checked(daggers, ch.label)
+    """The Kraus family {V_i^dag} of phi*, under the same label."""
+    return KrausChannel(tuple(V.conj().T for V in ch.kraus), ch.label)
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:

@@ -23,6 +23,7 @@ proportion to its nonzero entries and the text is copied once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 from itertools import chain
 
@@ -306,14 +307,17 @@ def _write_array(M, put) -> None:
 
 
 def save_json(doc: dict, path=None) -> None:
-    """Write ``dumps(doc)`` and a newline to ``path``, or to stdout."""
+    """Write ``dumps(doc)`` and a newline to ``path``, or to stdout, in
+    slices of at most 2^20 characters, so the text is never encoded in
+    one piece."""
+    text = dumps(doc)
+    pieces = chain((text[i : i + (1 << 20)] for i in range(0, len(text), 1 << 20)), "\n")
     if not path:
-        print(dumps(doc))
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc))
-            fh.write("\n")
+            fh.writelines(pieces)
     except OSError as exc:
         raise SpecFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

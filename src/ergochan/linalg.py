@@ -99,6 +99,15 @@ def as_matrix(M) -> np.ndarray:
     return as_stack(M)
 
 
+def as_operand(X, d: int) -> np.ndarray:
+    """:func:`as_matrix` of an input of a map on the d x d matrices; any
+    other shape raises :class:`DimensionError`."""
+    X = as_matrix(X)
+    if X.shape != (d, d):
+        raise DimensionError(f"expected {d}x{d} input, got {X.shape}")
+    return X
+
+
 def _require_square(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     if M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"{what} must be square, got shape {M.shape}")

@@ -9,6 +9,8 @@ the measured numbers.  Tests take their cases from slices
 - ``catalog``: closed-form catalog points at d <= 8;
 - ``small``: edge cases, small random channels, and the pauli-xy points
   p = 1 - 10^-k, k = 2 and 9, that the Cesaro check passes;
+- ``edge``: d = 1, Kraus rank above d^2, and Kraus entries whose
+  products underflow;
 - ``sparse``: several exact blocks in the Hermitian form, d <= 8;
   ``blockwise``: the same at d = 16, for the block-wise decay norms;
 - ``dense``: random Stinespring channels, one block each;
@@ -155,9 +157,10 @@ def build() -> tuple:
         make, peripheral = families[name]
         add(f"{name}-{_fmt(p)}-d{d}", make(p, d), *slices, peripheral=peripheral(p, d), **fields)
 
-    def stinespring(seed, d, *slices, count=3, drop=0, **fields):
-        id = f"stinespring-{seed}-d{d}" + f"-k{count}" * (count != 3) + f"-drop{drop}" * drop
-        add(id, stinespring_channel(seed, d, count, drop, label=id), *slices, **fields)
+    def stinespring(seed, d, *slices, count=3, drop=0, scale=1.0, **fields):
+        id = (f"stinespring-{seed}-d{d}" + f"-k{count}" * (count != 3) + f"-drop{drop}" * drop
+              + f"-x{scale:g}" * (scale != 1))
+        add(id, stinespring_channel(seed, d, count, drop, scale, label=id), *slices, **fields)
 
     def unitary(seed, d, *slices, **fields):
         add(f"unitary-{seed}-d{d}", stinespring_channel(seed, d, 1), *slices, **fields)
@@ -211,6 +214,18 @@ def build() -> tuple:
         peripheral=((z.conjugate(), 1), (1.0, 3), (z, 1)))
     add("covariant-31-d5", covariant_channel(31, 5), "sparse")
     add("covariant-32-d5-sub", covariant_channel(32, 5, scale=0.9), "sparse")
+
+    # d = 1: X -> X twice, and X -> X / 2; Kraus rank above d^2, one fixed
+    # state; entries of 1e-150, whose products underflow to 1e-300, and of
+    # 1e-200, whose products are 0
+    for id, V, peripheral in [("identity-d1", 1.0, ((1.0, 1),)),
+                              ("phase-d1", np.exp(0.7j), ((1.0, 1),)),
+                              ("damping-0.5-d1", np.sqrt(0.5), ())]:
+        add(id, KrausChannel(kraus=(np.array([[V]]),), label=id), "edge", peripheral=peripheral)
+    stinespring(60, 2, "edge", count=6, peripheral=((1.0, 1),))
+    stinespring(61, 3, "edge", count=10, peripheral=((1.0, 1),))
+    for seed, scale in ((62, 1e-150), (63, 1e-200)):
+        stinespring(seed, 3, "edge", scale=scale, peripheral=())
 
     # random Stinespring channels
     stinespring(7, 3, "dense", count=2)

@@ -62,7 +62,9 @@ def imaginary_shares(kraus, whole=True):
     forms = [linalg.form_entries(kraus[0].shape[0] ** 2, p, q, values)[2]]
     if whole:
         forms.append(linalg.kraus_hermitian_form(kraus))
-    return [float(np.max(np.abs(H.imag)) / np.max(np.abs(H))) for H in forms]
+    # a zero form, as of Kraus entries whose products underflow, is real
+    return [float(np.max(np.abs(H.imag)) / top) if (top := np.max(np.abs(H))) else 0.0
+            for H in forms]
 
 
 def kron_sum(kraus):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,24 @@ class TestKrausChannel:
         ch = pauli_xy_channel(0.5)
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 5.0
+
+    @pytest.mark.parametrize("s", [1e154, 1e160, 1e200, np.finfo(float).max])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overflowing_entries_are_refused_naming_the_largest(self, s, dtype):
+        swap = np.array([[0.0, s], [s, 0.0]], dtype=dtype)
+        message = f"4 sum_i ||V_i||_F^2 is not a finite float (largest |V_ij| = {s:.3e})"
+        with pytest.raises(DomainError, match="overflow: " + re.escape(message)):
+            KrausChannel(kraus=(swap, np.eye(2)))
+
+    def test_largest_family_below_the_cut_is_accepted(self):
+        # 4 sum_i ||V_i||_F^2 = 8 s^2 is about the largest float, and the
+        # matrices built from the family stay finite
+        s = np.sqrt(np.finfo(float).max / 8)
+        ch = KrausChannel(kraus=(np.array([[0.0, s], [s, 0.0]]),))
+        assert np.all(np.isfinite(superoperator(ch)))
+        assert verify(ch).max_kraus_sum_eigenvalue == pytest.approx(s * s, rel=1e-15)
+        with pytest.raises(DomainError, match="overflow"):
+            KrausChannel(kraus=(np.array([[0.0, s], [s, 0.0]]), np.eye(2) * s * 1e-7))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_caller_array_stays_writable(self, dtype):

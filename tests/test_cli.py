@@ -22,6 +22,8 @@ from ergochan.cli import (
     main,
 )
 
+import corpus
+
 
 @pytest.fixture
 def pauli_spec(tmp_path):
@@ -566,3 +568,68 @@ def test_iterate_reads_its_state_through_load_state_once(pauli_spec, tmp_path, m
     assert calls == [(state, 2)]
     direct = io.pairs_to_matrix(json.loads(capsys.readouterr().out)["direct"])
     assert np.allclose(direct, np.diag([1.0, 0.0]))
+
+
+COMMANDS = [["verify"], ["analyze"], ["iterate", "--n", "3"], ["fixed-space"]]
+COMMAND_IDS = ["verify", "analyze", "iterate", "fixed-space"]
+
+
+def swap_spec(tmp_path, s):
+    """The d = 2 Kraus family [[0, s], [s, 0]] and I, as a spec file."""
+    swap = io.matrix_to_pairs(s * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    spec = {"name": "swap", "dim": 2, "kraus": [swap, IDENTITY]}
+    return _write_input(tmp_path / "swap.json", spec)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_overflowing_kraus_entries_exit_three_with_one_error_line(command, tmp_path, capsys):
+    # 4 sum_i ||V_i||_F^2 = 8e320 + 8 overflows: the family is refused when
+    # it is built, before a matrix is formed from it and without a warning
+    assert main([command[0], swap_spec(tmp_path, 1e160), *command[1:]]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: Kraus operators overflow: 4 sum_i ||V_i||_F^2 is not a finite "
+                   "float (largest |V_ij| = 1.000e+160)\n")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    zip(COMMANDS, [EXIT_INVARIANT, EXIT_DECOMPOSITION, EXIT_DECOMPOSITION, EXIT_OK]),
+    ids=COMMAND_IDS,
+)
+def test_large_finite_kraus_entries_keep_their_exits(command, code, tmp_path, capsys):
+    # at s = 1e150 the family is built: it is trace increasing and L has the
+    # eigenvalue -1e300, so it is not power bounded
+    assert main([command[0], swap_spec(tmp_path, 1e150), *command[1:]]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_DECOMPOSITION:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "L is not power bounded" in err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("case", corpus.params("edge", case=True))
+def test_edge_cases_write_the_stdlib_encoding(case, tmp_path):
+    # d = 1, Kraus rank above d^2 and underflowing entries: every command
+    # exits 0 on each side and writes, byte for byte, the stdlib encoding
+    # of what it parses to; the iterate is that of apply_n
+    spec = tmp_path / "spec.json"
+    io.save_json(io.channel_to_spec(case.channel), spec)
+    out = tmp_path / "out.json"
+    for side in case.sides:
+        flags = ["--adjoint"] if side == channel.ADJOINT else []
+        docs = {}
+        for command, *args in [["verify"], ["analyze", *flags],
+                               ["iterate", "--n", "7", *flags], ["fixed-space", *flags]]:
+            assert main([command, str(spec), *args, "--out", str(out)]) == EXIT_OK, command
+            data = out.read_bytes()
+            docs[command] = json.loads(data)
+            assert data == (json.dumps(docs[command], sort_keys=True, separators=(",", ":"))
+                            + "\n").encode()
+        assert docs["fixed-space"]["dimension"] == case.fixed_dim
+        assert docs["analyze"]["fixed_space"]["dimension"] == case.fixed_dim
+        d = case.channel.dim
+        want = channel.apply_n(case.channel, np.eye(d) / d, 7, adjoint=bool(flags))
+        got = io.pairs_to_matrix(docs["iterate"]["direct"])
+        assert np.max(np.abs(got - want)) <= 1e-14

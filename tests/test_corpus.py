@@ -1,20 +1,21 @@
 """The corpus itself, and the checks that run over every case of it:
-the default analysis against the closed forms, the known defects, and
-the imaginary part of the Hermitian form on the Kraus routes."""
+the default analysis against the closed forms, the known defects, the
+one default fixed-space cut, and the imaginary part of the Hermitian
+form on the Kraus routes."""
 
 import json
 
 import numpy as np
 import pytest
 
-from ergochan import apply_n, io, linalg, peripheral_decomposition, verify
+from ergochan import apply_n, fixed_space, io, linalg, peripheral_decomposition, verify
 from ergochan.channel import ADJOINT
 
 import corpus
 from helpers import imaginary_shares, on_side
 
-SLICES = {"catalog", "small", "sparse", "blockwise", "dense", "unitary", "sweep", "oracle",
-          "pairs", "scale", "known_defect"}
+SLICES = {"catalog", "small", "edge", "sparse", "blockwise", "dense", "unitary", "sweep",
+          "oracle", "pairs", "scale", "known_defect"}
 EVERY_CHANNEL = [pytest.param(case.channel, id=case.id) for case in corpus.ALL] + [
     pytest.param(case.partner, id=f"{case.id}-partner") for case in corpus.ALL if case.partner
 ]
@@ -58,7 +59,8 @@ def assert_closed_form(case, lambdas, ranks):
 # the default settings, Cesaro check on at n = 10^4: a known defect is
 # refused, and the strict xfail of its case says by how much
 @pytest.mark.parametrize(
-    "case, side", corpus.params("catalog", "small", "dense", "known_defect", sides=True, case=True)
+    "case, side", corpus.params("catalog", "small", "edge", "dense", "known_defect", sides=True,
+                               case=True)
 )
 class TestDefaultSettings:
     def test_decomposition_matches_the_closed_form(self, case, side):
@@ -94,6 +96,17 @@ def test_analyze_and_fixed_space_agree_on_the_fixed_dimension():
     ch = corpus.get("pauli-1-1e-9")
     analyze = io.analyze_channel(ch)["fixed_space"]["dimension"]
     assert analyze == io.fixed_space_channel(ch)["dimension"]
+
+
+# every case, the known defects too: no Cesaro check runs here
+@pytest.mark.parametrize("ch, side", [pytest.param(case.channel, side, id=f"{case.id}-{side}")
+                                      for case in corpus.ALL for side in case.sides])
+def test_fixed_space_and_its_document_share_one_default_cut(ch, side):
+    fs = fixed_space(on_side(ch, side))
+    doc = io.fixed_space_channel(ch, adjoint=side == ADJOINT)
+    assert fs.tol == linalg.DEFAULT_TOL and doc["dimension"] == fs.dimension
+    assert doc["basis"].dtype == fs.stack.dtype and doc["basis"].shape == fs.stack.shape
+    assert doc["basis"].tobytes() == fs.stack.tobytes()
 
 
 def test_kraus_forms_are_real_to_hermiticity_tol():

@@ -928,13 +928,13 @@ class TestHsSymmetry:
         assert rep.adjoint_fixed.dimension == 0
 
 
-def dense_fixed_columns(L, tol=ergodic.DEFAULT_FIXED_TOL):
+def dense_fixed_columns(L, tol=linalg.DEFAULT_TOL):
     """Oracle: orthonormal basis of Ker(I - L) in column stacking, from
     one SVD of the whole matrix at the rank cut tol * max(1, sigma_max)."""
     return dense_null_space(np.eye(len(L)) - L, tol)
 
 
-def dense_null_space(M, tol=ergodic.DEFAULT_FIXED_TOL):
+def dense_null_space(M, tol=linalg.DEFAULT_TOL):
     _, s, Vh = np.linalg.svd(M)
     rank = int(np.sum(s >= tol * max(1.0, s[0])))
     return Vh[rank:].conj().T
@@ -971,7 +971,7 @@ class TestFixedPointChecksAgainstDenseOracles:
     """The three checks run on the blocks of the Hermitian forms; the
     oracles run on the whole matrices in column stacking."""
 
-    TOL = ergodic.DEFAULT_FIXED_TOL
+    TOL = linalg.DEFAULT_TOL
 
     @pytest.mark.parametrize("ch, _", corpus.params("pairs", partner=True))
     def test_hs_fixed_point_symmetry(self, ch, _):
@@ -1559,7 +1559,7 @@ class TestKernelsAgainstDenseOracle:
     dimensions and residuals are those of one SVD of the whole I - L."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    @pytest.mark.parametrize("ch, side", corpus.params("oracle", sides=True))
+    @pytest.mark.parametrize("ch, side", corpus.params("oracle", "edge", sides=True))
     def test_sector_kernels_match_one_dense_svd(self, ch, side, tol):
         assert_matches_dense_oracle(superoperator(on_side(ch, side)), tol)
 

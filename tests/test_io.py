@@ -1,3 +1,4 @@
+import io as stdio
 import json
 from collections import Counter
 
@@ -344,6 +345,38 @@ class TestWriterMatchesTheStdlib:
         text = io.dumps(doc)
         assert text == canonical_json(doc)
         assert json.loads(text)["basis"] == []
+
+
+class SizedWrites(stdio.StringIO):
+    """A text stream that records the length of each ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_save_json_writes_slices_of_the_one_text(to_file, tmp_path, monkeypatch):
+    # more than two slices of 2^20 characters, of the text of one dumps call
+    doc = {"m": np.arange(62500.0).reshape(250, 250) * (1 + 1j) / 7}
+    text = io.dumps(doc) + "\n"
+    assert 2 * 2**20 < len(text) < 3 * 2**20
+    calls = []
+    monkeypatch.setattr(io, "dumps", lambda d, _orig=io.dumps: calls.append(d) or _orig(d))
+    stream = SizedWrites()
+    monkeypatch.setattr("sys.stdout", stream)
+    path = tmp_path / "doc.json"
+    io.save_json(doc, path if to_file else None)
+    assert calls == [doc]
+    if to_file:
+        assert path.read_bytes() == text.encode()
+    else:
+        assert stream.getvalue() == text
+        assert stream.sizes == [2**20, 2**20, len(text) - 2**21 - 1, 1]
 
 
 FACTORISATIONS = ("svd", "eig", "eigvals", "eigvalsh")

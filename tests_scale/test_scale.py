@@ -121,7 +121,8 @@ def test_entry_routes_equal_the_whole_matrix_reference_d32(id):
 # the Hermitian form straight from the Kraus operators: the dense route, a
 # 4096 x 4096 superoperator and its form, peaks near 0.94 GB.  The library
 # holds parity-fock's 2048 fixed-space vectors as the kernels of its 1 x 1
-# blocks; with the dense basis built it peaks near 233 MB
+# blocks; with the dense basis built it peaks near 233 MB, and with its
+# analyze report, 84 MB of text written in slices (io.save_json), near 251 MB
 @pytest.mark.parametrize("id, code, printed, bound", [
     ("shift-0.5-d64", "from ergochan.cli import main\n"
      "print(main(['analyze', 'shift-0.5-d64.json', '--cesaro-n', '400', '--out', 'r.json']))",
@@ -129,7 +130,10 @@ def test_entry_routes_equal_the_whole_matrix_reference_d32(id):
     ("parity-0.3-d64", "from ergochan import decay_fit, io, peripheral_decomposition\n"
      "decomp = peripheral_decomposition(io.load_spec('parity-0.3-d64.json'), cesaro_check_n=400)\n"
      "decay_fit(decomp, 40)\nprint(decomp.fixed_space.dimension)", "2048", 160),
-], ids=["shift-0.5-d64", "parity-0.3-d64"])
+    ("parity-0.3-d64", "from ergochan.cli import main\n"
+     "print(main(['analyze', 'parity-0.3-d64.json', '--cesaro-n', '400', '--out', 'r.json']))",
+     "0", 300),
+], ids=["shift-0.5-d64", "parity-0.3-d64", "parity-0.3-d64-analyze"])
 def test_d64_peak_rss(tmp_path, id, code, printed, bound):
     spec(tmp_path, id)
     rss, out = peak_rss(tmp_path, code)
