@@ -93,7 +93,8 @@ def _sectors(L, *more) -> tuple:
     :class:`DomainError`, before anything is factorised, and the real
     part of A is kept.  The change of basis is unitary, so every stage
     runs on A, and results map back through
-    ``linalg.from_hermitian_blocks`` or ``from_hermitian_coordinates``.
+    ``linalg.from_hermitian_blocks``, or from coordinates to d x d
+    matrices through ``linalg.matrices_from_hermitian_columns`` only.
     ``layout`` holds the exact diagonal blocks of A
     (:class:`linalg.BlockLayout`), the components of its support, and
     ``stacks`` is A held as its stacks.
@@ -709,11 +710,12 @@ def _apply_by_sector(layout, X, apply) -> np.ndarray:
     by block.  The Hermitian-basis coordinates w of vec(X) are taken as
     the real n x 2 block [Re w, Im w] (a map acts on both columns alike)
     and split into the parts of the stacks; ``apply(j, W)`` maps the
-    part W (m, k, 2) of stack j, and the mapped parts are those of Y."""
+    part W (m, k, 2) of stack j, and the mapped parts are those of Y,
+    made a matrix by ``linalg.matrices_from_hermitian_columns``."""
     w = linalg.to_hermitian_coordinates(linalg.vec(X))
     parts = layout.split_rows(np.column_stack([w.real, w.imag]))
     W = layout.join_rows([apply(j, V) for j, V in enumerate(parts)])
-    return linalg.unvec(linalg.from_hermitian_coordinates(W[:, 0] + 1j * W[:, 1]), len(X))
+    return linalg.matrices_from_hermitian_columns((W[:, 0] + 1j * W[:, 1])[:, np.newaxis])[0]
 
 
 def _power_apply(A, n: int, V) -> np.ndarray:
@@ -736,8 +738,12 @@ def reconstruct_iterate(decomp: PeripheralDecomposition, n: int, X) -> np.ndarra
     Everything runs on the decomposition's blocks in the Hermitian
     basis (:func:`_apply_by_sector`): per block, the projectors are
     applied and S^n is taken by the binary powering of
-    :func:`power_iterate`; neither S^n nor a dense matrix is formed.  Its
-    error does not grow with n, since rho(S) < 1.
+    :func:`power_iterate`; neither S^n nor a dense matrix is formed.  S^n
+    adds no error that grows with n, as rho(S) < 1, but an eigenvalue of
+    L within ``peripheral_tol`` of the circle, of modulus 1 - delta, is
+    powered as its cluster's unit-modulus lambda, so the error grows like
+    n delta: 2.9e-9, 7.2e-8 and 1.4e-5 relative to ``channel.apply_n`` at
+    n = 2, 50 and 10^4 on pauli-xy at p = 1 - 1e-9 (delta = 2e-9).
     """
     linalg.check_count(n, "n", 1)
     X = linalg.as_operand(X, decomp.dim)
@@ -958,13 +964,11 @@ def peripheral_unitarity_check(decomp: PeripheralDecomposition) -> float:
     return resid
 
 
-def residual_summary(
-    ch, decomp: PeripheralDecomposition, seed: int, adjoint: bool = False
-) -> dict:
-    """The report's residuals for the decomposition of the superoperator
-    of ``ch``, of phi* when ``adjoint``: the largest ||P Q|| (P != Q),
-    ||L P - lambda P|| and ||P L - lambda P||, on the decomposition's
-    Hermitian forms, and the HS distance at n = 5 between
+def residual_summary(ch, decomp: PeripheralDecomposition, seed: int) -> dict:
+    """The report's residuals for ``decomp``, the decomposition of the
+    channel ``ch`` (of phi*, ``channel.adjoint_channel``): the largest
+    ||P Q|| (P != Q), ||L P - lambda P|| and ||P L - lambda P||, on the
+    decomposition's Hermitian forms, and the HS distance at n = 5 between
     :func:`reconstruct_iterate` and ``channel.apply_n`` on a random X
     drawn from ``seed``.  The norms are taken block by block (the norm of
     a block diagonal matrix is the largest over its blocks).
@@ -984,7 +988,7 @@ def residual_summary(
     rng = np.random.default_rng(seed)
     d = decomp.dim
     X = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-    direct = channel_mod.apply_n(ch, X, 5, adjoint=adjoint)
+    direct = channel_mod.apply_n(ch, X, 5)
     return {
         "projector_orthogonality": orth,
         "projector_commutation": comm,

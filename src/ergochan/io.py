@@ -328,20 +328,11 @@ def all_ok(verification: dict) -> bool:
 
 
 def _side(ch: KrausChannel, adjoint: bool):
-    """The side, and the channel of phi on it: phi* is the channel of the
-    V_i^dag.  ``ergodic``'s entry points take the channel and build the
-    Hermitian form from its Kraus operators."""
+    """The side, and the channel of phi on it (phi* is that of the V_i^dag):
+    the one place a side is picked, as ``ergodic`` takes no side flag."""
     if adjoint:
         return channel_mod.ADJOINT, channel_mod.adjoint_channel(ch)
     return channel_mod.FORWARD, ch
-
-
-def _decompose(ch: KrausChannel, adjoint: bool, peripheral_tol: float, cesaro_n: int):
-    """The side, and the peripheral decomposition of phi on it."""
-    side, phi = _side(ch, adjoint)
-    return side, ergodic.peripheral_decomposition(
-        phi, peripheral_tol=peripheral_tol, cesaro_check_n=cesaro_n
-    )
 
 
 def _basis_doc(fs) -> dict:
@@ -378,7 +369,8 @@ def analyze_channel(
     also works from the Kraus operators.
     """
     verification = verify_channel(ch, tol)
-    side, decomp = _decompose(ch, adjoint, peripheral_tol, cesaro_n)
+    side, phi = _side(ch, adjoint)
+    decomp = ergodic.peripheral_decomposition(phi, peripheral_tol, cesaro_check_n=cesaro_n)
     fit = ergodic.decay_fit(decomp, DECAY_N_MAX)
     return {
         "tool_version": __version__,
@@ -401,7 +393,7 @@ def analyze_channel(
         },
         "stable_spectral_radius": decomp.stable_spectral_radius,
         "decay": {"M": fit.M, "epsilon": fit.epsilon, "norms": list(fit.norms)},
-        "residuals": ergodic.residual_summary(ch, decomp, seed, adjoint=adjoint),
+        "residuals": ergodic.residual_summary(phi, decomp, seed),
     }
 
 
@@ -424,7 +416,8 @@ def iterate_channel(
     norm of their difference, within the drift bound of ``power_iterate``
     (linear in n)."""
     X = np.eye(ch.dim, dtype=complex) / ch.dim if state is None else state
-    side, decomp = _decompose(ch, adjoint, peripheral_tol, cesaro_n)
+    side, phi = _side(ch, adjoint)
+    decomp = ergodic.peripheral_decomposition(phi, peripheral_tol, cesaro_check_n=cesaro_n)
     recon = ergodic.reconstruct_iterate(decomp, n, X)
     direct = ergodic.power_iterate(decomp, n, X)
     return {

@@ -29,8 +29,10 @@ conventions are fixed here once and inherited everywhere:
   change of basis mixes (:func:`form_entries`).  Whole, the form of a
   Kraus family comes from the Kronecker sum (:func:`kraus_hermitian_form`)
   and that of a matrix from :func:`to_hermitian_basis`, and the way back
-  is :func:`from_hermitian_basis`; the superoperator itself is placed
-  from its entries or summed from Kronecker products
+  is :func:`from_hermitian_basis`; coordinates
+  (:func:`to_hermitian_coordinates`) go back to d x d matrices only by
+  :func:`matrices_from_hermitian_columns`.  The superoperator itself is
+  placed from its entries or summed from Kronecker products
   (:func:`kraus_superoperator`).  Every route gives the whole route's
   values bit for bit, signs of zeros included.
 * Eigenvalues are always reported sorted by descending modulus, ties
@@ -794,39 +796,27 @@ def kraus_hermitian_form(kraus) -> np.ndarray:
     return X
 
 
-def _vector_pairs(v) -> tuple:
-    """(complex copy of v, (up, lo)) for a length-d^2 vector v."""
-    v = np.array(v, dtype=complex)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector of length d^2, got shape {v.shape}")
-    return v, _hermitian_pairs(len(v))
-
-
 def to_hermitian_coordinates(v) -> np.ndarray:
     """``B^H v``: vec(X) in the Hermitian basis, in O(d^2).
 
     The coordinates are complex; they are real exactly when X is
     Hermitian.  A Hermiticity-preserving map acts on them by the real
-    matrix :func:`to_hermitian_basis` gives.
+    matrix :func:`to_hermitian_basis` gives.  The way back is
+    :func:`matrices_from_hermitian_columns` of the column ``w[:, None]``.
     """
-    w, pairs = _vector_pairs(v)
-    _mix_pairs(w, *pairs, 1, -1j)
+    w = np.array(v, dtype=complex)
+    if w.ndim != 1:
+        raise DimensionError(f"expected a vector of length d^2, got shape {w.shape}")
+    _mix_pairs(w, *_hermitian_pairs(len(w)), 1, -1j)
     return w
-
-
-def from_hermitian_coordinates(w) -> np.ndarray:
-    """``B w``: the inverse of :func:`to_hermitian_coordinates`."""
-    v, pairs = _vector_pairs(w)
-    _mix_pairs(v, *pairs, 1j, 1)
-    return v
 
 
 def matrices_from_hermitian_columns(K) -> np.ndarray:
     """The d x d matrices ``unvec(B k)`` of the columns k of the d^2 x m
-    matrix K, as one C-contiguous (m, d, d) array.  The change of
-    :func:`from_hermitian_coordinates` is made on d columns at a time,
-    so its temporaries hold O(d^3) entries however large m is (m is up
-    to d^2)."""
+    matrix K, as one C-contiguous (m, d, d) array: the one way back from
+    :func:`to_hermitian_coordinates`.  The change of basis is made on d
+    columns at a time, so its temporaries hold O(d^3) entries however
+    large m is (m is up to d^2)."""
     K = np.asarray(K)
     if K.ndim != 2:
         raise DimensionError(f"expected a d^2 x m matrix, got shape {K.shape}")

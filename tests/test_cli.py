@@ -303,6 +303,11 @@ class TestCatalogCommand:
     def test_missing_param(self, capsys):
         assert main(["catalog", "shift", "--param", "p=0.5"]) == EXIT_VALIDATION
 
+    def test_param_without_equals_sign(self, capsys):
+        assert main(["catalog", "pauli-xy", "--param", "p0.5"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --param expects key=value, got 'p0.5'\n"
+
     def test_non_numeric_param_value(self, capsys):
         assert main(["catalog", "pauli-xy", "--param", "p=abc"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -465,6 +470,21 @@ MALFORMED = {
     "entry-not-a-string": ("verify", {"name": "x", "dim": 2, "catalog":
                            {"entry": ["x"], "params": {}}}, None,
                            EXIT_VALIDATION, "catalog.entry must be a string"),
+    "spec-without-name": ("verify", {"dim": 2, "kraus": [IDENTITY]}, None,
+                          EXIT_VALIDATION, "spec is missing required field 'name'"),
+    "spec-without-dim": ("analyze", {"name": "k", "kraus": [IDENTITY]}, None,
+                         EXIT_VALIDATION, "spec is missing required field 'dim'"),
+    "catalog-not-an-object": ("verify", {"name": "c", "dim": 2, "catalog": 5}, None,
+                              EXIT_VALIDATION, "catalog must be {'entry': ..., 'params': ...}"),
+    "catalog-without-entry": ("analyze", {"name": "c", "dim": 2, "catalog": {"params": {}}},
+                              None, EXIT_VALIDATION,
+                              "catalog must be {'entry': ..., 'params': ...}"),
+    "catalog-dim-mismatch": ("verify", {**PAULI, "dim": 3}, None,
+                             EXIT_VALIDATION, "catalog channel has dim 2, spec says 3"),
+    "kraus-empty": ("analyze", {"name": "k", "dim": 2, "kraus": []}, None,
+                    EXIT_VALIDATION, "kraus list must be nonempty"),
+    "kraus-rows-not-lists": ("verify", {"name": "k", "dim": 2, "kraus": [[1, 2]]}, None,
+                             EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
     "kraus-entry-object": ("verify", kraus_doc({"re": 1}), None,
                            EXIT_VALIDATION, "kraus[0]: must be a matrix of [re, im] pairs"),
     "kraus-entry-triple": ("verify", kraus_doc([1, 0, 7]), None,

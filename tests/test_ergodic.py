@@ -630,6 +630,21 @@ class TestDecayFit:
                 bound = np.log(fit.M) - (k + 1) * np.log1p(fit.epsilon)
                 assert np.log(norm) <= bound + 1e-12
 
+    @pytest.mark.parametrize("p, want", [(0.99975, 2.5013e-4), (0.9999, 1.0002e-4)])
+    @pytest.mark.parametrize("whole", [True, False], ids=["matrix", "decomposition"])
+    def test_rate_within_the_margin_is_half_the_gap(self, p, want, whole):
+        # rho(S) = 2p - 1 >= 1 - DECAY_MARGIN puts (1 - DECAY_MARGIN)/rho
+        # at or below 1, so the rate is eps = (1 - rho)/(2 rho) instead
+        decomp = peripheral_decomposition(pauli_xy_channel(p), cesaro_check_n=0)
+        rho = 2 * p - 1
+        assert decomp.stable_spectral_radius == pytest.approx(rho, rel=1e-12)
+        assert rho >= 1 - ergodic.DECAY_MARGIN
+        fit = decay_fit(decomp.stable if whole else decomp, 40)
+        assert fit.epsilon == pytest.approx(want, rel=1e-4)
+        assert fit.epsilon == pytest.approx((1 - rho) / (2 * rho), rel=1e-10)
+        for k, norm in enumerate(fit.norms):
+            assert norm <= fit.M / (1 + fit.epsilon) ** (k + 1) * (1 + 1e-12)
+
     def test_unrepresentable_constant_is_a_numeric_error(self):
         # a 30 x 30 Jordan block at rho = 1e-12: ||S^40|| (1 + eps)^40 ~ 1e357
         S = form_map(1e-12 * np.eye(30) + np.diag(np.ones(29), k=1))
@@ -846,6 +861,13 @@ class TestIntersection:
         rep = fixed_space_intersection(chs, [0.5, 0.5])
         assert rep.commute_residual > 1e-6
         assert rep.equal is None
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_channels_and_weights_must_pair_up(self, count):
+        # no channel at all, or two channels with one weight
+        message = "need equally many channels and weights, at least one"
+        with pytest.raises(DomainError, match=message):
+            fixed_space_intersection([pauli_xy_channel(0.3)] * count, [1.0] * (count // 2))
 
     def test_bad_weights(self):
         with pytest.raises(DomainError):

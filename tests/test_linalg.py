@@ -582,8 +582,8 @@ class TestHermitianBasis:
             linalg.to_hermitian_basis(np.eye(3))
         with pytest.raises(DimensionError):
             linalg.to_hermitian_coordinates(np.ones(3))
-        with pytest.raises(DimensionError):
-            linalg.from_hermitian_coordinates(np.ones((4, 1)))
+        with pytest.raises(DimensionError, match=r"vector of length d\^2, got shape \(4, 1\)"):
+            linalg.to_hermitian_coordinates(np.ones((4, 1)))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_coordinates_equal_dense_basis_matrix(self, d):
@@ -592,18 +592,23 @@ class TestHermitianBasis:
         v = random_complex(rng, d, d).reshape(-1, order="F")
         w = linalg.to_hermitian_coordinates(v)
         assert np.allclose(w, B.conj().T @ v, atol=1e-15)
-        assert np.allclose(linalg.from_hermitian_coordinates(w), v, atol=1e-15)
-        assert np.allclose(linalg.from_hermitian_coordinates(v), B @ v, atol=1e-15)
+        back = linalg.matrices_from_hermitian_columns(np.column_stack([w, v]))
+        assert np.allclose(back[0], linalg.unvec(v, d), atol=1e-15)
+        assert np.allclose(back[1], linalg.unvec(B @ v, d), atol=1e-15)
 
     @pytest.mark.parametrize("d, m", [(1, 1), (3, 4), (4, 0), (5, 7)])
     def test_columns_to_matrices_equal_each_column_bitwise(self, d, m):
+        # d columns are changed at a time; each matrix is bit for bit that
+        # of its column alone, and equals the dense unvec(B k)
         rng = np.random.default_rng(50 + d)
         K = rng.normal(size=(d * d, m))
         mats = linalg.matrices_from_hermitian_columns(K)
         assert mats.shape == (m, d, d) and mats.flags.c_contiguous
-        for B, w in zip(mats, K.T):
-            ref = linalg.unvec(linalg.from_hermitian_coordinates(w), d)
-            assert np.array_equal(B.view(np.int64), np.ascontiguousarray(ref).view(np.int64))
+        dense = hermitian_basis_matrix(d) @ K
+        for B, w, v in zip(mats, K.T, dense.T):
+            (ref,) = linalg.matrices_from_hermitian_columns(w[:, np.newaxis])
+            assert np.array_equal(B.view(np.int64), ref.view(np.int64))
+            assert np.allclose(B, linalg.unvec(v, d), atol=1e-15)
 
     def test_columns_must_have_square_length(self):
         for shape in [(3, 2), (0, 2)]:
@@ -624,6 +629,14 @@ class TestAsMatrixDtype:
         assert linalg.as_matrix(np.eye(2)).dtype == np.float64
         assert linalg.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
         assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+
+    def test_a_vector_is_not_a_stack(self):
+        with pytest.raises(DimensionError, match=r"a matrix or a stack, got shape \(3,\)"):
+            linalg.as_stack(np.ones(3))
+
+    def test_a_stack_is_not_a_matrix(self):
+        with pytest.raises(DimensionError, match=r"expected a 2-d matrix, got shape \(2, 2, 2\)"):
+            linalg.as_matrix(np.ones((2, 2, 2)))
 
     def test_complex_input_stays_complex(self):
         assert linalg.as_matrix([[1j, 0], [0, 1]]).dtype == np.complex128
