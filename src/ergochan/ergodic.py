@@ -409,7 +409,9 @@ def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list
     """``(lambda, m)``, lambda sorted as :func:`linalg.eig_sort_order`, per
     cluster of size m of the eigenvalues ``lam`` of modulus at least ``1 -
     peripheral_tol``; one above ``1 + peripheral_tol`` raises
-    :class:`DecompositionFailureError` (L is not power bounded).
+    :class:`DecompositionFailureError` (L is not power bounded, or
+    peripheral_tol is below the round-off of the eigenvalues), which
+    prints the margin |z| - 1 (:func:`_from_one`).
 
     ``lam`` are those of a real matrix, which LAPACK gives in exact
     conjugate pairs, so the clusters are single linkage on |arg| in [0,
@@ -423,8 +425,9 @@ def _peripheral_clusters(lam, peripheral_tol: float, cluster_tol: float) -> list
     if mod.size and mod.max() > 1.0 + peripheral_tol:
         top = complex(lam[np.argmax(mod)])
         raise DecompositionFailureError(
-            f"eigenvalue {top:.9g} of L has modulus {abs(top):.9g} > 1 + "
-            f"{peripheral_tol:.1e}: L is not power bounded"
+            f"eigenvalue {top:.9g} of L has modulus {_from_one(abs(top))} > 1 + "
+            f"peripheral_tol = 1 + {peripheral_tol:.1e}: L is not power bounded, or "
+            "peripheral_tol is below the round-off of its eigenvalues"
         )
     z = lam[mod >= 1.0 - peripheral_tol]
     if not z.size:
@@ -560,7 +563,8 @@ def _remainder(A, lambdas, projectors) -> np.ndarray:
 def _stable_radius(lam, clusters=()) -> float:
     """rho(S) from the sorted eigenvalues ``lam`` of S, or of L with its
     ``clusters`` (:func:`peripheral_decomposition`): those no cluster
-    takes must be below 1, else a projector is wrong."""
+    takes must have modulus below 1 - 1e-12, else a projector is wrong,
+    and the refusal prints the margin 1 - rho (:func:`_from_one`)."""
     shifted = 0.0
     for w, m in clusters:  # S has mu - w for the m eigenvalues mu nearest w
         near = np.argsort(np.abs(lam - w), kind="stable")[:m]
@@ -569,10 +573,17 @@ def _stable_radius(lam, clusters=()) -> float:
     rho = float(np.abs(lam[0])) if lam.size else 0.0
     if rho >= 1.0 - 1e-12:
         raise DecompositionFailureError(
-            f"stable part has spectral radius {rho:.6f} >= 1, at its eigenvalue "
-            f"{complex(lam[0]):.9g}: the projectors do not remove it"
+            f"stable part has spectral radius {_from_one(rho)}, not below 1 - 1e-12, "
+            f"at its eigenvalue {complex(lam[0]):.9g}: the projectors do not remove it"
         )
     return max(shifted, rho)
+
+
+def _from_one(x: float) -> str:
+    """``x`` as 1 plus or minus its distance from 1, to 2 digits, which
+    the refusals near the unit circle print in place of ``x`` itself: a
+    margin of round-off does not show in the digits of ``x``."""
+    return f"1 {'-' if x < 1.0 else '+'} {abs(x - 1.0):#.2g}"
 
 
 def peripheral_decomposition(

@@ -276,6 +276,13 @@ def get(id) -> KrausChannel:
     return BY_ID[id].channel
 
 
+def large(case) -> bool:
+    """Whether ``case`` is a case of the ``scale`` slice at d > 16: the
+    checks that run over every case run it in ``tests_scale/``, the
+    tier-1 tests the others."""
+    return "scale" in case.slices and case.channel.dim > 16
+
+
 def cases(*slices) -> list:
     """The cases of any of ``slices``, in corpus order."""
     return [case for case in ALL if case.slices & set(slices)]

@@ -34,7 +34,7 @@ from ergochan import (
 from ergochan import linalg
 from ergochan.channel import choi_from_superoperator, min_choi_eigenvalue
 from ergochan.errors import DecompositionFailureError
-from helpers import on_side
+from helpers import basis_columns, on_side
 
 
 @contextlib.contextmanager
@@ -47,9 +47,9 @@ def criterion(label):
     print(f"ACCEPTANCE {label}: PASS")
 
 
-def projection_residual(basis_matrices, target):
-    """|| (I - P_span) vec(target) || for an orthonormal matrix basis."""
-    Q = np.column_stack([linalg.vec(B) for B in basis_matrices])
+def projection_residual(fs, target):
+    """|| (I - P_span) vec(target) || for the orthonormal basis of ``fs``."""
+    Q = basis_columns(fs)
     v = linalg.vec(target)
     return float(np.linalg.norm(v - Q @ (Q.conj().T @ v)))
 
@@ -78,7 +78,7 @@ def test_criterion_1_pauli_fixed_spaces():
             fs = fixed_space(superoperator(pauli_xy_channel(p)), 1e-8)
             assert fs.dimension == len(targets), (p, fs.dimension)
             for target in targets:
-                assert projection_residual(fs.basis, target) <= 1e-8
+                assert projection_residual(fs, target) <= 1e-8
 
 
 def test_criterion_2_pauli_spectral_decomposition():

@@ -22,6 +22,7 @@ from ergochan import (
 from ergochan import catalog, linalg
 from ergochan.catalog import build
 from ergochan.errors import CatalogLookupError, DomainError
+from helpers import basis_columns
 
 
 class TestPauliBuilder:
@@ -41,7 +42,7 @@ class TestPauliBuilder:
         fs1 = fixed_space(superoperator(pauli_xy_channel(1.0)))
         assert fs0.dimension == 2 and fs1.dimension == 2
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        Q1 = np.column_stack([linalg.vec(B) for B in fs1.basis])
+        Q1 = basis_columns(fs1)
         v = linalg.vec(sx / np.sqrt(2))
         assert np.linalg.norm(v - Q1 @ (Q1.conj().T @ v)) < 1e-8
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,34 @@ class TestToleranceFlags:
     def test_small_positive_tolerances_are_accepted(self, pauli_spec, capsys):
         argv = ["--tol", "1e-10", "--peripheral-tol", "1e-8", "--cesaro-n", "200"]
         assert main(["analyze", pauli_spec, *argv]) == EXIT_OK
+
+    def test_peripheral_tol_below_round_off_names_the_margin(self, tmp_path, capsys):
+        # the channel is trace preserving, so L is power bounded: its
+        # eigenvalue 1 lies above 1 + 1e-15 by round-off, which the
+        # refusal prints, to 2 digits, beside the peripheral_tol it broke
+        spec = tmp_path / "spec.json"
+        io.save_json(io.channel_to_spec(corpus.get("stinespring-102-d2")), spec)
+        assert main(["analyze", str(spec), "--peripheral-tol", "1e-15"]) == EXIT_DECOMPOSITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"error: eigenvalue 1\+0j of L has modulus 1 \+ \d\.\de-\d\d > 1 \+ peripheral_tol = "
+            r"1 \+ 1\.0e-15: L is not power bounded, or peripheral_tol is below the round-off "
+            r"of its eigenvalues\n", err), err
+
+    def test_stable_radius_below_round_off_names_the_margin(self, tmp_path, capsys):
+        # on the adjoint side the eigenvalue 1 lies 1e-15 below 1, so no
+        # cluster at 1e-15 takes it, and the stable part's radius, just
+        # below 1, is refused at 1 - 1e-12: the refusal prints both
+        spec = tmp_path / "spec.json"
+        io.save_json(io.channel_to_spec(corpus.get("stinespring-105-d5")), spec)
+        argv = ["analyze", str(spec), "--adjoint", "--peripheral-tol", "1e-15"]
+        assert main(argv) == EXIT_DECOMPOSITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"error: stable part has spectral radius 1 - \d\.\de-\d\d, not below 1 - 1e-12, at "
+            r"its eigenvalue 1\+0j: the projectors do not remove it\n", err), err
 
 
 class TestCatalogCommand:

@@ -1,18 +1,19 @@
 """The corpus itself, and the checks that run over every case of it:
 the default analysis against the closed forms, the known defects, the
 one default fixed-space cut, and the imaginary part of the Hermitian
-form on the Kraus routes."""
+form on the Kraus routes; the last two run on the large cases
+(``corpus.large``) in ``tests_scale/``."""
 
 import json
 
 import numpy as np
 import pytest
 
-from ergochan import apply_n, fixed_space, io, linalg, peripheral_decomposition, verify
+from ergochan import apply_n, io, linalg, peripheral_decomposition, verify
 from ergochan.channel import ADJOINT
 
 import corpus
-from helpers import imaginary_shares, on_side
+from helpers import assert_fixed_space_document, imaginary_share, on_side
 
 SLICES = {"catalog", "small", "edge", "sparse", "blockwise", "dense", "unitary", "sweep",
           "oracle", "pairs", "scale", "known_defect"}
@@ -98,20 +99,18 @@ def test_analyze_and_fixed_space_agree_on_the_fixed_dimension():
     assert analyze == io.fixed_space_channel(ch)["dimension"]
 
 
-# every case, the known defects too: no Cesaro check runs here
+# every case but the large ones, which tests_scale/ runs, the known
+# defects too: no Cesaro check runs here
+TIER1 = [case for case in corpus.ALL if not corpus.large(case)]
+
+
 @pytest.mark.parametrize("ch, side", [pytest.param(case.channel, side, id=f"{case.id}-{side}")
-                                      for case in corpus.ALL for side in case.sides])
+                                      for case in TIER1 for side in case.sides])
 def test_fixed_space_and_its_document_share_one_default_cut(ch, side):
-    fs = fixed_space(on_side(ch, side))
-    doc = io.fixed_space_channel(ch, adjoint=side == ADJOINT)
-    assert fs.tol == linalg.DEFAULT_TOL and doc["dimension"] == fs.dimension
-    assert doc["basis"].dtype == fs.stack.dtype and doc["basis"].shape == fs.stack.shape
-    assert doc["basis"].tobytes() == fs.stack.tobytes()
+    assert_fixed_space_document(ch, side)
 
 
-def test_kraus_forms_are_real_to_hermiticity_tol():
-    # round-off, not exactly 0, so the refusal above HERMITICITY_TOL stays;
-    # the whole form only up to d = 32: at d = 64 it is 4096 x 4096
-    shares = [imaginary_shares(ch.kraus, whole=ch.dim <= 32) for case in corpus.ALL
-              for ch in (case.channel, case.partner) if ch is not None]
-    assert max(map(max, shares)) < linalg.HERMITICITY_TOL
+@pytest.mark.parametrize("case", [pytest.param(case, id=case.id) for case in TIER1])
+def test_kraus_forms_are_real_to_hermiticity_tol(case):
+    # round-off, not exactly 0, so the refusal above HERMITICITY_TOL stays
+    assert imaginary_share(case) < linalg.HERMITICITY_TOL

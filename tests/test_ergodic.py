@@ -47,8 +47,9 @@ from ergochan.errors import (
 )
 import corpus
 from corpus import identity_channel
-from helpers import (assert_bits, assert_same_layout, assert_same_routes, count_linalg_calls,
-                     kron_sum, on_side, stinespring_channel, whole_sectors)
+from helpers import (WAYS, assert_bits, assert_same_layout, assert_same_routes, basis_columns,
+                     count_linalg_calls, input_of, kron_sum, on_side, route,
+                     share_references, stinespring_channel, whole_sectors)
 
 
 def power_drift_bound(n, X):
@@ -121,16 +122,16 @@ class TestCesaro:
         assert np.max(np.abs(cesaro_average(L, lam, n) - ref)) <= 1e-13
 
 
-def span_projector(fs, n):
-    """Q Q^H, n x n, for the vectorized basis Q of a FixedSpaceBasis."""
-    Q = np.column_stack([linalg.vec(B) for B in fs.basis] or [np.zeros((n, 0))])
+def span_projector(fs):
+    """Q Q^H, d^2 x d^2, for the vectorized basis Q of a FixedSpaceBasis."""
+    Q = basis_columns(fs)
     return Q @ Q.conj().T
 
 
 def assert_fixed_orthonormal_basis(fs, channels, adjoint=False):
     """Every matrix of ``fs`` is fixed by each channel (by its adjoint
     when ``adjoint``), and the matrices are orthonormal, within 1e-10."""
-    Q = np.column_stack([linalg.vec(B) for B in fs.basis])
+    Q = basis_columns(fs)
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(fs.dimension), 2) <= 1e-10
     for B in fs.basis:
         for ch in channels:
@@ -164,7 +165,7 @@ class TestFixedSpace:
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         for target in (np.eye(2) / np.sqrt(2), J / np.sqrt(2)):
             v = linalg.vec(target)
-            Q = np.column_stack([linalg.vec(B) for B in fs.basis])
+            Q = basis_columns(fs)
             assert np.linalg.norm(v - Q @ (Q.conj().T @ v)) < 1e-8
 
     def test_shift_empty(self):
@@ -184,7 +185,7 @@ class TestFixedSpace:
 
     def test_orthonormal_gram(self):
         fs = fixed_space(superoperator(parity_fock_channel(0.3, 6)))
-        Q = np.column_stack([linalg.vec(B) for B in fs.basis])
+        Q = basis_columns(fs)
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(fs.dimension), 2) < 1e-10
 
     @pytest.mark.parametrize("ch, side", corpus.params("catalog", "small", sides=True))
@@ -195,8 +196,7 @@ class TestFixedSpace:
         tol = ergodic.DEFAULT_CLUSTER_TOL + 10 * ergodic.DEFAULT_PERIPHERAL_TOL
         fs, ref = fixed_space(L, tol), peripheral_decomposition(L).fixed_space
         assert fs.dimension == ref.dimension
-        n = L.shape[0]
-        assert np.max(np.abs(span_projector(fs, n) - span_projector(ref, n))) <= 1e-12
+        assert np.max(np.abs(span_projector(fs) - span_projector(ref))) <= 1e-12
         for B in fs.basis + ref.basis:
             assert np.array_equal(B, B.conj().T)
 
@@ -956,10 +956,15 @@ def dense_fixed_columns(L, tol=linalg.DEFAULT_TOL):
     return dense_null_space(np.eye(len(L)) - L, tol)
 
 
+def dense_rank(s, tol):
+    """The rank of a matrix of singular values ``s``, descending, at the
+    dense oracles' cut tol * max(1, sigma_max)."""
+    return int(np.sum(s >= tol * max(1.0, s[0])))
+
+
 def dense_null_space(M, tol=linalg.DEFAULT_TOL):
     _, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s >= tol * max(1.0, s[0])))
-    return Vh[rank:].conj().T
+    return Vh[dense_rank(s, tol):].conj().T
 
 
 def dense_span_residual(Qa, Qb):
@@ -973,11 +978,6 @@ def dense_span_residual(Qa, Qb):
         np.linalg.norm(Qa - Qb @ (Qb.conj().T @ Qa), 2),
         np.linalg.norm(Qb - Qa @ (Qa.conj().T @ Qb), 2),
     )
-
-
-def basis_columns(fs, n):
-    """The vectorized basis matrices of ``fs`` as the columns of n rows."""
-    return np.column_stack([linalg.vec(B) for B in fs.basis] or [np.zeros((n, 0))])
 
 
 def joined_unitarity(decomp, L):
@@ -1006,9 +1006,8 @@ class TestFixedPointChecksAgainstDenseOracles:
         assert rep.adjoint_fixed.dimension == Qa.shape[1]
         assert rep.equal == (Qf.shape[1] == Qa.shape[1] and resid <= self.TOL)
         assert abs(rep.projection_residual - resid) <= 1e-12
-        n = len(Lf)
-        assert dense_span_residual(basis_columns(rep.forward_fixed, n), Qf) <= 1e-12
-        assert dense_span_residual(basis_columns(rep.adjoint_fixed, n), Qa) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.forward_fixed), Qf) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.adjoint_fixed), Qa) <= 1e-12
         if rep.adjoint_fixed.dimension:
             assert_fixed_orthonormal_basis(rep.adjoint_fixed, [ch], adjoint=True)
 
@@ -1033,8 +1032,8 @@ class TestFixedPointChecksAgainstDenseOracles:
             assert abs(rep.projection_residual - resid) <= 1e-12
         else:
             assert rep.equal is None and rep.projection_residual is None
-        assert dense_span_residual(basis_columns(rep.combined_fixed, n), combined) <= 1e-12
-        assert dense_span_residual(basis_columns(rep.intersection, n), intersection) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.combined_fixed), combined) <= 1e-12
+        assert dense_span_residual(basis_columns(rep.intersection), intersection) <= 1e-12
         return intersection.shape[1]
 
     @pytest.mark.parametrize("ch, other", corpus.params("pairs", partner=True))
@@ -1276,8 +1275,8 @@ class TestNegativeControls:
         orig = ergodic._peripheral_clusters
         monkeypatch.setattr(ergodic, "_peripheral_clusters", lambda *args: orig(*args)[:-1])
         message = (
-            "stable part has spectral radius 1.000000 >= 1, at its eigenvalue -1+0j: "
-            "the projectors do not remove it"
+            "stable part has spectral radius 1 + 0.0, not below 1 - 1e-12, at its "
+            "eigenvalue -1+0j: the projectors do not remove it"
         )
         with pytest.raises(DecompositionFailureError, match=f"^{re.escape(message)}$"):
             peripheral_decomposition(pauli_xy_channel(0.3))
@@ -1413,7 +1412,7 @@ class TestKernelProjectors:
         with pytest.raises(DecompositionFailureError, match="not power bounded") as info:
             peripheral_decomposition(J)
         assert str(info.value).startswith(
-            "eigenvalue 1.000001+0j of L has modulus 1.000001 > 1 + 1.0e-08"
+            "eigenvalue 1.000001+0j of L has modulus 1 + 1.0e-06 > 1 + peripheral_tol = 1 + 1.0e-08"
         )
 
     def test_unmatched_lambda_names_the_nearest_eigenvalue(self):
@@ -1462,8 +1461,7 @@ class TestSectors:
         )
         d = ch.dim
         assert sectors.fixed_space.dimension == dense.fixed_space.dimension
-        n = len(L)
-        gap = span_projector(sectors.fixed_space, n) - span_projector(dense.fixed_space, n)
+        gap = span_projector(sectors.fixed_space) - span_projector(dense.fixed_space)
         assert np.max(np.abs(gap), initial=0.0) <= 1e-12
         for B in sectors.fixed_space.basis:
             assert np.array_equal(B, B.conj().T)
@@ -1559,7 +1557,7 @@ def dense_kernel_oracle(L, tol):
     M = np.asarray(L)
     n = len(M)
     U, s, Vh = np.linalg.svd(np.eye(n) - M)
-    r = int(np.sum(s >= tol * max(1.0, s[0])))
+    r = dense_rank(s, tol)
     K, R = Vh[r:].conj().T, U[:, :r]
     direct = np.linalg.svd(np.hstack([K, R]), compute_uv=False)[-1]
     return K @ K.conj().T, n - r, r, direct
@@ -1569,7 +1567,7 @@ def assert_matches_dense_oracle(L, tol):
     P, fixed_dim, range_dim, direct = dense_kernel_oracle(L, tol)
     fs = fixed_space(L, tol)
     assert fs.dimension == fixed_dim
-    assert np.max(np.abs(span_projector(fs, len(P)) - P), initial=0.0) <= 1e-12
+    assert np.max(np.abs(span_projector(fs) - P), initial=0.0) <= 1e-12
     rep = splitting_check(L, tol)
     assert (rep.fixed_dim, rep.range_dim) == (fixed_dim, range_dim)
     assert abs(rep.direct_sum_residual - direct) <= 1e-12
@@ -1732,13 +1730,20 @@ class TestKrausSectors:
     of basis of the np.kron sum exactly; the superoperator, scattered or
     summed, and the dense exits back to column stacking are bit for bit
     those of the whole-matrix reference too.  Each test runs on both
-    ways of building them and on the one linalg.by_entries chooses."""
+    ways of building them and on the one linalg.by_entries chooses; the
+    references of each input, and its decomposition, are built once for
+    the three (helpers.references)."""
 
-    @pytest.fixture(autouse=True, params=["chosen", "entries", "whole"])
-    def path(self, request, monkeypatch):
-        cost = {"chosen": linalg.ENTRY_COST, "entries": 0, "whole": 10**30}
-        monkeypatch.setattr(linalg, "ENTRY_COST", cost[request.param])
-        return request.param
+    @pytest.fixture(autouse=True, scope="class")
+    def forget_references(self):
+        yield
+        share_references(None)
+
+    @pytest.fixture(autouse=True, params=WAYS)
+    def way(self, request):
+        share_references(input_of(request.node))
+        with route(request.param):
+            yield request.param
 
     @SIDES
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -1796,10 +1801,8 @@ class TestKrausSectors:
             KrausChannel(kraus=(unitary,)),  # dense: the whole form
             KrausChannel(kraus=(np.eye(5)[[2, 0, 4, 1, 3]],)),  # a permutation
         ]
-        for ch in cases:
-            assert_same_routes(ch, side)
-        zero = assert_same_routes(cases[3], side)
-        assert block_count(zero) == 9  # no entry couples: nine 1 x 1 blocks
+        layouts = [assert_same_routes(ch, side) for ch in cases]
+        assert block_count(layouts[3]) == 9  # the zero map: nine 1 x 1 blocks
 
     @SIDES
     def test_cancelling_entries_are_cut(self, side):
@@ -1830,8 +1833,7 @@ class TestKrausSectors:
             lambda M: [power_iterate(M, 1000, X)],
             lambda M: dataclasses.astuple(splitting_check(M)),
         )
-        with pytest.MonkeyPatch.context() as whole:
-            whole.setattr(linalg, "ENTRY_COST", 10**30)
+        with route("whole"):
             wants = [compute(kron_sum(ch.kraus)) for compute in computes]
         for source in (ch, superoperator(ch)):
             for compute, want in zip(computes, wants):
@@ -1846,7 +1848,7 @@ class TestKrausSectors:
     )
     def test_signed_zeros_of_a_matrix_are_carried(self, make, side):
         # a zero entry with its sign bit set can carry into the form, so
-        # the matrix route takes it as an entry
+        # the matrix's entry route takes it as an entry
         L = make(6, side)
         rng = np.random.default_rng(7)
         flat = L.reshape(-1)
@@ -1890,8 +1892,6 @@ class TestKrausSectors:
     )
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_documents_are_byte_identical(self, ch, adjoint, monkeypatch):
-        from ergochan import io
-
         def documents():
             return [
                 io.dumps(io.analyze_channel(ch, cesaro_n=400, adjoint=adjoint)),

@@ -43,6 +43,9 @@ class TestEig:
         lam = np.array([1j, -1j, -1.0, 1.0])
         order = linalg.eig_sort_order(lam)
         assert np.allclose(lam[order], [1.0, 1j, -1j, -1.0])
+        # no eigenvalues: the empty index array
+        empty = linalg.eig_sort_order(np.array([]))
+        assert empty.dtype == np.intp and empty.shape == (0,)
 
 
 class TestSvd:

@@ -18,7 +18,8 @@ from ergochan.channel import ADJOINT, FORWARD
 from ergochan.cli import main
 
 import corpus
-from helpers import assert_same_routes
+from helpers import (ROUTES, assert_fixed_space_document, assert_same_routes, imaginary_share,
+                     route, share_references)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 SIDES = pytest.mark.parametrize("side", [[], ["--adjoint"]], ids=[FORWARD, ADJOINT])
@@ -107,13 +108,17 @@ def support(stacks):
 
 @pytest.mark.parametrize("id", ["shift-0.5-d32", "parity-0.3-d32", "ladder-0.6-d32"])
 def test_entry_routes_equal_the_whole_matrix_reference_d32(id):
-    # few pairs of nonzero Kraus entries, so the entry routes are taken,
-    # and each equals the whole-matrix reference bit for bit
+    # few pairs of nonzero Kraus entries, so the entry routes are taken;
+    # each route, forced, equals the whole-matrix reference bit for bit
     ch = corpus.get(id)
     n = ch.dim**2
     assert linalg.by_entries(linalg.kraus_pairs([ch.kraus]), n)
     assert linalg.by_entries(support([superoperator(ch)]), n)
-    assert_same_routes(ch, FORWARD)
+    share_references(id)
+    for name in ROUTES:
+        with route(name):
+            assert_same_routes(ch, FORWARD)
+    share_references(None)
     decomp = peripheral_decomposition(superoperator(ch), cesaro_check_n=0)
     assert linalg.by_entries(support(decomp.stable_blocks), n)
 
@@ -190,3 +195,18 @@ def test_decay_norms_match_per_power_svds(id):
                 power = power @ B
             ref[k] = max(ref[k], np.linalg.svd(power, compute_uv=False)[..., 0].max())
     assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+# the checks tests/test_corpus.py runs on every other case
+LARGE = [case for case in corpus.ALL if corpus.large(case)]
+
+
+@pytest.mark.parametrize("ch, side", [pytest.param(case.channel, side, id=f"{case.id}-{side}")
+                                      for case in LARGE for side in case.sides])
+def test_fixed_space_and_its_document_share_one_default_cut(ch, side):
+    assert_fixed_space_document(ch, side)
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=case.id) for case in LARGE])
+def test_kraus_forms_are_real_to_hermiticity_tol(case):
+    assert imaginary_share(case) < linalg.HERMITICITY_TOL
